@@ -10,15 +10,16 @@ import argparse
 import math
 
 from minimax_online import (
-    AdaptiveNormalStrategy,
+    AdaptiveNormalPotential,
     GameConfig,
     FixedDirection,
     GaussianRandom,
-    NormalKnownTStrategy,
-    OGD,
+    NormalKnownTPotential,
     OrthogonalMinimax,
     ParallelMinimax,
-    PowerStrategy,
+    PotentialPlayer,
+    PowerPotential,
+    QuadraticPotential,
     comparator_grid,
     make_rng,
     run_game,
@@ -36,12 +37,12 @@ def main():
     T, d, G = args.rounds, args.dim, 1.0
     root = G * math.sqrt(T)
     rows = [
-        ("ogd eta=1/G√T", OGD(eta=1.0 / root, G=G)),
-        ("power p=1 W=1", PowerStrategy(W=1.0, p=1.0, G=G, T=T)),
-        ("power p=1.5", PowerStrategy(W=root ** -0.5, p=1.5, G=G, T=T)),
-        ("normal eps=1", NormalKnownTStrategy(eps=1.0, a=2.5, G=G, T=T)),
-        ("normal eps=√T", NormalKnownTStrategy(eps=root, a=2.5, G=G, T=T)),
-        ("adaptive", AdaptiveNormalStrategy(eps=1.0, a=2.4, G=G)),
+        ("ogd eta=1/G√T", PotentialPlayer(QuadraticPotential(eta=1.0 / root, G=G))),
+        ("power p=1 W=1", PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T))),
+        ("power p=1.5", PotentialPlayer(PowerPotential(W=root ** -0.5, p=1.5, G=G, T=T))),
+        ("normal eps=1", PotentialPlayer(NormalKnownTPotential(eps=1.0, a=2.5, G=G, T=T))),
+        ("normal eps=√T", PotentialPlayer(NormalKnownTPotential(eps=root, a=2.5, G=G, T=T))),
+        ("adaptive", PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=G))),
     ]
     adversaries = [OrthogonalMinimax(G=G), ParallelMinimax(G=G),
                    FixedDirection(G=G), GaussianRandom(G=G)]

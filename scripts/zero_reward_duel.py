@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from minimax_online import GameConfig, OrthogonalMinimax, PowerStrategy, run_game
+from minimax_online import GameConfig, OrthogonalMinimax, PotentialPlayer, PowerPotential, run_game
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     args = ap.parse_args()
 
     T, G = args.rounds, args.grad_bound
-    strat = PowerStrategy(W=1.0, p=1.0, G=G, T=T)
+    strat = PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T))
     cfg = GameConfig(dim=2, grad_bound=G, horizon=T, seed=args.seed)
     trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
 

@@ -1,16 +1,21 @@
 """Minimax and potential-based algorithms for unconstrained online linear optimization."""
 
-from .core import GameConfig, inner, make_rng, norm, orthonormal_complement_sample, unit_direction
+from .core import (
+    GameConfig,
+    inner,
+    make_rng,
+    norm,
+    orthonormal_complement_sample,
+    random_unit_vector,
+    unit_direction,
+)
 from .potentials import (
     AdaptiveNormalPotential,
     NormalKnownTPotential,
     PowerPotential,
     QuadraticPotential,
-    adaptive_potential,
     conjugate_numeric,
     exp_conjugate_upper_bound,
-    normal_known_t_potential,
-    power_conditional_value,
     regret_bound,
 )
 from .one_round import (
@@ -22,16 +27,7 @@ from .one_round import (
     solve_parallel,
     solve_scalar_grid,
 )
-from .strategies import (
-    OGD,
-    AdaptiveNormalStrategy,
-    NormalKnownTStrategy,
-    PowerStrategy,
-    adaptive_normal_play,
-    normal_known_t_play,
-    ogd_play,
-    power_play,
-)
+from .strategies import PotentialPlayer
 from .adversaries import (
     FixedDirection,
     GaussianRandom,

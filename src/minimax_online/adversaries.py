@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import orthonormal_complement_sample, unit_direction
+from .core import orthonormal_complement_sample, random_unit_vector, unit_direction
 
 
 def orthogonal_minimax_grad(theta, G: float, rng: np.random.Generator) -> np.ndarray:
@@ -25,15 +25,12 @@ def parallel_minimax_grad(theta, G: float, sign: float, rng: Optional[np.random.
     """Full-norm gradient along +-theta_hat; any unit direction when theta = 0."""
     theta = np.asarray(theta, dtype=np.float64)
     that = unit_direction(theta)
-    if np.linalg.norm(that) == 0.0:
+    if not that.any():
         if rng is None:
             that = np.zeros_like(theta)
             that[0] = 1.0
         else:
-            v = rng.standard_normal(theta.shape)
-            while np.linalg.norm(v) < 1e-12:
-                v = rng.standard_normal(theta.shape)
-            that = v / np.linalg.norm(v)
+            that = random_unit_vector(rng, theta.size)
         return G * that
     return sign * G * that
 
@@ -119,10 +116,7 @@ class GaussianRandom:
     tag = "gaussian_random"
 
     def grad(self, t, theta, w, rng):
-        v = rng.standard_normal(np.asarray(theta).shape)
-        while np.linalg.norm(v) < 1e-12:
-            v = rng.standard_normal(np.asarray(theta).shape)
-        return self.G * v / np.linalg.norm(v)
+        return self.G * random_unit_vector(rng, np.size(theta))
 
 
 @dataclass(frozen=True)

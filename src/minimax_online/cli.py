@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -30,7 +30,7 @@ import yaml
 
 from . import adversaries as adv_mod
 from . import strategies as strat_mod
-from .core import GameConfig, UNKNOWN_HORIZON, make_rng
+from .core import GameConfig, UNKNOWN_HORIZON, make_rng, random_unit_vector
 from .engine import (
     attach_epsilon,
     regret_bound,
@@ -42,7 +42,14 @@ from .engine import (
 )
 from .one_round import ORTHOGONAL, PARALLEL, OneRoundSpec, lower_bound_value, solve_orthogonal, solve_parallel, solve_scalar_grid
 from .oracles import RecursionSpec, argmax_at_zero_check, conditional_value_recursive, gaussian_dominance_check
-from .potentials import exp_conjugate_numeric, exp_conjugate_upper_bound
+from .potentials import (
+    AdaptiveNormalPotential,
+    NormalKnownTPotential,
+    PowerPotential,
+    QuadraticPotential,
+    exp_conjugate_numeric,
+    exp_conjugate_upper_bound,
+)
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -84,12 +91,8 @@ class ExperimentSpec:
     rounds: int
 
 
-STRATEGY_KEYS = {
-    "ogd": {"tag", "eta"},
-    "power": {"tag", "W", "p"},
-    "normal_knownT": {"tag", "eps", "a"},
-    "adaptive_normal": {"tag", "eps", "a"},
-}
+POTENTIALS = {cls.tag: cls for cls in (QuadraticPotential, PowerPotential,
+                                       NormalKnownTPotential, AdaptiveNormalPotential)}
 ADVERSARY_KEYS = {
     "orthogonal_minimax": {"tag"},
     "parallel_minimax": {"tag", "sign_policy"},
@@ -100,23 +103,25 @@ ADVERSARY_KEYS = {
 }
 
 
-def build_strategy(entry: dict, game: GameConfig):
+def _spec_params(cls) -> list:
+    """Parameters a strategy entry sets: the potential's constructor fields but G
+    and T, which come from the game section."""
+    return [f.name for f in fields(cls) if f.init and f.name not in ("G", "T")]
+
+
+def build_strategy(entry: dict, game: GameConfig) -> strat_mod.PotentialPlayer:
     tag = entry.get("tag")
-    if tag not in STRATEGY_KEYS:
-        raise ConfigError(f"unknown strategy tag {tag!r}; choose from {sorted(STRATEGY_KEYS)}")
-    G = game.grad_bound
+    if tag not in POTENTIALS:
+        raise ConfigError(f"unknown strategy tag {tag!r}; choose from {sorted(POTENTIALS)}")
+    cls = POTENTIALS[tag]
     try:
-        if tag == "ogd":
-            return strat_mod.OGD(eta=float(entry["eta"]), G=G)
-        if tag == "power":
+        params = {name: float(entry[name]) for name in _spec_params(cls)}
+        params["G"] = game.grad_bound
+        if "T" in cls.__dataclass_fields__:
             if not game.known_horizon:
-                raise ConfigError("power strategy requires a numeric game.horizon")
-            return strat_mod.PowerStrategy(W=float(entry["W"]), p=float(entry["p"]), G=G, T=game.horizon)
-        if tag == "normal_knownT":
-            if not game.known_horizon:
-                raise ConfigError("normal_knownT strategy requires a numeric game.horizon")
-            return strat_mod.NormalKnownTStrategy(eps=float(entry["eps"]), a=float(entry["a"]), G=G, T=game.horizon)
-        return strat_mod.AdaptiveNormalStrategy(eps=float(entry["eps"]), a=float(entry["a"]), G=G)
+                raise ConfigError(f"{tag} strategy requires a numeric game.horizon")
+            params["T"] = game.horizon
+        return strat_mod.PotentialPlayer(cls(**params))
     except KeyError as exc:
         raise ConfigError(f"strategy {tag!r} is missing parameter {exc.args[0]!r}") from exc
     except ValueError as exc:
@@ -154,10 +159,7 @@ def build_adversary(entry: dict, game: GameConfig):
 def comparator_vector(norm: float, direction_seed: int, dim: int) -> np.ndarray:
     if norm == 0.0:
         return np.zeros(dim)
-    rng = make_rng(int(direction_seed))
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return norm * v
+    return norm * random_unit_vector(make_rng(int(direction_seed)), dim)
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
@@ -197,12 +199,14 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     if not adversaries:
         raise ConfigError("at least one adversary is required")
 
+    players = []
     for entry in strategies:
         tag = entry.get("tag")
-        if tag not in STRATEGY_KEYS:
+        if tag not in POTENTIALS:
             raise ConfigError(f"unknown strategy tag {tag!r}", _find_key_line(text, "tag"))
-        _require_keys(entry, STRATEGY_KEYS[tag], STRATEGY_KEYS[tag], f"strategy {tag}", text)
-        build_strategy(entry, game)  # surface parameter precondition violations now
+        keys = {"tag", *_spec_params(POTENTIALS[tag])}
+        _require_keys(entry, keys, keys, f"strategy {tag}", text)
+        players.append(build_strategy(entry, game))  # surface parameter precondition violations now
     for entry in adversaries:
         tag = entry.get("tag")
         if tag not in ADVERSARY_KEYS:
@@ -235,11 +239,9 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     rounds = int(rounds)
     if rounds < 1:
         raise ConfigError("rounds must be >= 1", _find_key_line(text, "rounds"))
-    if game.known_horizon and rounds != game.horizon:
-        for entry in strategies:
-            if entry.get("tag") in ("power", "normal_knownT"):
-                raise ConfigError("rounds must equal game.horizon for horizon-tuned strategies",
-                                  _find_key_line(text, "rounds"))
+    if game.known_horizon and rounds != game.horizon and any(p.needs_horizon for p in players):
+        raise ConfigError("rounds must equal game.horizon for horizon-tuned strategies",
+                          _find_key_line(text, "rounds"))
 
     return ExperimentSpec(game=game, strategies=strategies, adversaries=adversaries,
                           comparators=[{"norm": float(c["norm"]),
@@ -257,8 +259,7 @@ def _execute_cell(args):
     strategy = build_strategy(spec.strategies[si], game)
     adversary = build_adversary(spec.adversaries[ai], game)
     trace = run_game(strategy, adversary, game, spec.rounds)
-    if hasattr(strategy, "potential"):
-        attach_epsilon(trace, strategy.potential())
+    attach_epsilon(trace, strategy.potential)
     run_id = f"s{si}-{strategy.tag}_a{ai}-{adversary.tag}_k{k:03d}"
     if spec.out_format in ("csv", "both"):
         write_trace_csv(trace, Path(out_dir) / f"run_{run_id}.csv")
@@ -489,27 +490,23 @@ def cmd_curves(args) -> int:
         print("error: no run_*.json traces found; use outputs.format json or both",
               file=sys.stderr)
         return EXIT_CONFIG
-    strategies = {f"s{i}-{entry['tag']}": entry for i, entry in enumerate(meta["strategies"])}
-    game = meta["game"]
+    game = GameConfig(**meta["game"])
+    potentials = {f"s{i}-{entry['tag']}": build_strategy(entry, game).potential
+                  for i, entry in enumerate(meta["strategies"])}
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     with open(out_path, "w") as fh:
         fh.write("t,run_id,regret_u,bound_u,u_norm\n")
         for path in traces:
             trace = read_trace_json(path)
             run_id = path.stem[len("run_"):]
-            strat_key = run_id.split("_a")[0]
-            entry = strategies[strat_key]
-            params = dict(entry)
-            params["G"] = game["grad_bound"]
-            if entry["tag"] in ("power", "normal_knownT"):
-                params["T"] = game["horizon"]
+            potential = potentials[run_id.split("_a")[0]]
             for comp in meta["comparators"]:
                 u = comparator_vector(comp["norm"], comp["direction_seed"], trace.config.dim)
                 per_round = np.einsum("td,td->t", trace.g, trace.w - u[None, :])
                 cumulative = np.cumsum(per_round)
                 u_norm = float(np.linalg.norm(u))
                 for t in range(1, trace.n_rounds + 1):
-                    bound = regret_bound(entry["tag"], params, u_norm, t)
+                    bound = regret_bound(potential, u_norm, t)
                     fh.write(f"{t},{run_id},{float(cumulative[t - 1])!r},{bound!r},{u_norm!r}\n")
     print(f"wrote {out_path}")
     return EXIT_OK

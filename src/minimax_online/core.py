@@ -8,6 +8,7 @@ are all plain 1-D arrays of the same dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -51,35 +52,49 @@ def inner(a: Point, b: Point) -> float:
     return float(a @ b)
 
 
-def norm(a: Point) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
-# np.linalg.norm squares each coordinate; within this range ||theta||^2 is a
+# np.linalg.norm squares each coordinate; within this range ||a||^2 is a
 # normal float64, so the norm it returns is exact to rounding.
 _NORM_SAFE_MIN = 1e-150
 _NORM_SAFE_MAX = 1e150
 
 
+def norm(a: Point) -> float:
+    """Euclidean norm ||a||, exact to rounding for every finite float64 vector.
+
+    Inside [1e-150, 1e150] this is np.linalg.norm's arithmetic, the root of
+    the dot product a . a (taken with np.vdot, which raises no overflow
+    warning).  Outside it, where squaring the coordinates would underflow or
+    overflow, a is first divided by max |a_i|.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = math.sqrt(np.vdot(a, a))
+    if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX:
+        return n
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    b = a / scale
+    return scale * math.sqrt(np.vdot(b, b))
+
+
 def unit_direction(theta: Point) -> Point:
     """theta / ||theta||, or the zero vector when theta is the zero vector.
 
-    Exact for every finite float64 theta: when ||theta|| lies outside
-    [1e-150, 1e150], where squaring its coordinates would underflow or
-    overflow, theta is first divided by max |theta_i|.  Any nonzero input
-    therefore maps to a vector of norm 1 to rounding, and no overflow
-    warning is raised.
+    Exact for every finite float64 theta, because ``norm`` is.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(theta)
-    if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX:
-        return theta / n
-    scale = np.max(np.abs(theta), initial=0.0)
-    if scale == 0.0:
-        return np.zeros_like(theta)
-    scaled = theta / scale
-    return scaled / np.linalg.norm(scaled)
+    n = norm(theta)
+    return theta / n if n > 0.0 else np.zeros_like(theta)
+
+
+def random_unit_vector(rng: np.random.Generator, dim: int) -> Point:
+    """A uniformly random unit vector: a Gaussian draw, redrawn while its norm is below 1e-12."""
+    v = rng.standard_normal(dim)
+    n = norm(v)
+    while n < 1e-12:
+        v = rng.standard_normal(dim)
+        n = norm(v)
+    return v / n
 
 
 def orthonormal_complement_sample(theta: Point, rng: np.random.Generator) -> Point:
@@ -88,20 +103,15 @@ def orthonormal_complement_sample(theta: Point, rng: np.random.Generator) -> Poi
     Requires dim >= 2.  In d = 2 the vector is the rotated direction
     (-theta_1, theta_0)/||theta|| with an rng-chosen sign, which is orthogonal
     to working precision; in higher dimensions a random Gaussian draw is
-    projected out of theta twice and normalized.
+    projected out of theta's direction twice and normalized.
     """
     theta = np.asarray(theta, dtype=np.float64)
     d = theta.size
     if d < 2:
         raise UnsupportedDimensionError("orthogonal complement requires dim >= 2")
-    n = np.linalg.norm(theta)
+    n = norm(theta)
     if n == 0.0:
-        v = rng.standard_normal(d)
-        m = np.linalg.norm(v)
-        while m < 1e-12:
-            v = rng.standard_normal(d)
-            m = np.linalg.norm(v)
-        return v / m
+        return random_unit_vector(rng, d)
     if d == 2:
         v = np.array([-theta[1], theta[0]]) / n
         if rng.random() < 0.5:
@@ -112,7 +122,7 @@ def orthonormal_complement_sample(theta: Point, rng: np.random.Generator) -> Poi
         v = rng.standard_normal(d)
         v -= (v @ u) * u
         v -= (v @ u) * u  # second projection pass for orthogonality to ~1e-16
-        m = np.linalg.norm(v)
+        m = norm(v)
         if m > 1e-8:
             return v / m
 

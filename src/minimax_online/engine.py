@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, GameConfig, make_rng
+from .core import DimensionMismatchError, GameConfig, make_rng, random_unit_vector
 from .potentials import BoundaryHitError, conjugate_numeric, regret_bound
 
 GRAD_NORM_SLACK = 1e-9
@@ -151,13 +151,13 @@ class BoundReport:
 
 def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
                  tol: float = 1e-6) -> List[BoundReport]:
-    """Compare measured regret against the strategy's theoretical envelope."""
+    """Compare measured regret against the envelope of the strategy's potential."""
     T = trace.n_rounds
     reports = []
     for u in comparators:
         u = np.asarray(u, dtype=np.float64)
         actual = regret(trace, u)
-        bound = regret_bound(strategy.tag, strategy, float(np.linalg.norm(u)), max(T, 1))
+        bound = regret_bound(strategy.potential, float(np.linalg.norm(u)), max(T, 1))
         slack = bound - actual
         holds = bool(slack >= -tol * (1.0 + abs(bound))) if math.isfinite(bound) else True
         reports.append(BoundReport(u, float(np.linalg.norm(u)), actual, bound, slack, holds))
@@ -174,9 +174,7 @@ def comparator_grid(dim: int, rng: np.random.Generator,
             grid.append(np.zeros(dim))
             continue
         for _ in range(directions):
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            grid.append(n * v)
+            grid.append(n * random_unit_vector(rng, dim))
     return grid
 
 
@@ -257,7 +255,7 @@ def write_trace_csv(trace: Trace, path) -> None:
         for t in range(trace.n_rounds):
             reward_cum -= trace.losses[t]
             eps_val = "" if trace.eps is None else repr(float(trace.eps[t]))
-            row = [t + 1, repr(float(trace.losses[t])), repr(reward_cum),
+            row = [t + 1, repr(float(trace.losses[t])), repr(float(reward_cum)),
                    repr(float(np.linalg.norm(trace.theta[t]))), eps_val]
             if with_coords:
                 row += [repr(float(x)) for x in trace.w[t]]

@@ -21,8 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._search import golden_section_max, golden_section_min
-from .core import UnsupportedDimensionError, make_rng, orthonormal_complement_sample, unit_direction
+from ._search import eval_on_array, finite_difference, golden_section_max, golden_section_min
+from .core import (
+    UnsupportedDimensionError,
+    make_rng,
+    orthonormal_complement_sample,
+    random_unit_vector,
+    unit_direction,
+)
 
 ORTHOGONAL = "orthogonal"
 PARALLEL = "parallel"
@@ -58,16 +64,6 @@ class OneRoundSolution:
     regime: str
 
 
-def _diff1(h, x: float) -> float:
-    step = 1e-5 * max(abs(x), 1.0)
-    return (h(x + step) - h(x - step)) / (2.0 * step)
-
-
-def _diff2(h, x: float) -> float:
-    step = 1e-5 * max(abs(x), 1.0)
-    return (h(x + step) - 2.0 * h(x) + h(x - step)) / (step * step)
-
-
 def classify_regime(h, probe_grid, h_prime=None, h_second=None, tol: float = 1e-6) -> str:
     """Tag h as orthogonal / parallel / numeric from its derivative ratio.
 
@@ -79,8 +75,8 @@ def classify_regime(h, probe_grid, h_prime=None, h_second=None, tol: float = 1e-
         raise ValueError("probe_grid must contain at least 32 points")
     if np.any(probes <= 0):
         raise ValueError("probe points must be positive")
-    d1 = h_prime if h_prime is not None else (lambda x: _diff1(h, x))
-    d2 = h_second if h_second is not None else (lambda x: _diff2(h, x))
+    d1 = h_prime if h_prime is not None else (lambda x: finite_difference(h, x, 1))
+    d2 = h_second if h_second is not None else (lambda x: finite_difference(h, x, 2))
     numeric_second = h_second is None
     ortho_ok = True
     par_ok = True
@@ -112,7 +108,7 @@ def solve_orthogonal(spec: OneRoundSpec, rng: Optional[np.random.Generator] = No
         rng = make_rng(0)
     r = float(np.linalg.norm(spec.theta))
     s = np.sqrt(r * r + spec.G * spec.G)
-    slope = spec.h_prime(s) if spec.h_prime is not None else _diff1(spec.h, s)
+    slope = spec.h_prime(s) if spec.h_prime is not None else finite_difference(spec.h, s)
     w_star = spec.theta * (slope / s)
     g_star = spec.G * orthonormal_complement_sample(spec.theta, rng)
     return OneRoundSolution(float(spec.h(s)), w_star, g_star, ORTHOGONAL)
@@ -139,10 +135,7 @@ def solve_parallel(
     w_star = that * ((hi - lo) / (2.0 * spec.G))
     if r == 0.0:
         if rng is not None:
-            v = rng.standard_normal(spec.theta.shape)
-            while np.linalg.norm(v) < 1e-12:
-                v = rng.standard_normal(spec.theta.shape)
-            direction = v / np.linalg.norm(v)
+            direction = random_unit_vector(rng, spec.theta.size)
         else:
             direction = np.zeros_like(spec.theta)
             direction[0] = 1.0
@@ -150,17 +143,6 @@ def solve_parallel(
     else:
         g_star = sign * spec.G * that
     return OneRoundSolution(value, w_star, g_star, PARALLEL)
-
-
-def _eval_h(h, xs: np.ndarray) -> np.ndarray:
-    """Evaluate h over an array, preferring a vectorized call."""
-    try:
-        vals = np.asarray(h(xs), dtype=np.float64)
-        if vals.shape == xs.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(h(float(x))) for x in xs])
 
 
 def _inner_max(h, alpha: float, r: float, G: float, betas: np.ndarray, hvals: np.ndarray) -> float:
@@ -194,10 +176,10 @@ def solve_scalar_grid(spec: OneRoundSpec, grid_n: int = 1001) -> float:
     G = spec.G
     betas = np.linspace(-G, G, grid_n)
     xs = np.sqrt(np.maximum(r * r - 2.0 * betas * r + G * G, 0.0))
-    hvals = _eval_h(spec.h, xs)
+    hvals = eval_on_array(spec.h, xs)
     # alpha bracket from the largest slope of h over the reachable range
     probe = np.linspace(0.0, r + G, 256)
-    hp = _eval_h(spec.h, probe)
+    hp = eval_on_array(spec.h, probe)
     max_slope = float(np.max(np.abs(np.diff(hp)))) / (probe[1] - probe[0]) if r + G > 0 else 0.0
     L = 2.0 * max_slope + 1e-6
 

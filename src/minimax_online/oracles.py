@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, optimize
 
-from ._search import golden_section_min
+from ._search import eval_on_array, golden_section_min
+from ._search import finite_difference  # noqa: F401  (re-exported with the oracles)
 from .one_round import OneRoundSpec, solve_scalar_grid
 
 MAX_GH_NODES = 256
@@ -30,16 +31,6 @@ class ResourceBudgetError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Quadrature failed to stabilize; the integral likely diverges."""
-
-
-def finite_difference(f, x: float, order: int = 1) -> float:
-    """Central difference of order 1 or 2 with step 1e-5 * max(|x|, 1)."""
-    h = 1e-5 * max(abs(x), 1.0)
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise ValueError("order must be 1 or 2")
 
 
 def rademacher_smoothing_exact(f, x: float, tau: int, G: float) -> float:
@@ -191,19 +182,6 @@ class RecursionSpec:
             raise ResourceBudgetError("grid resolution beyond the desk-scale budget")
 
 
-def _vectorize_f(f):
-    def fv(xs):
-        arr = np.asarray(xs, dtype=np.float64)
-        try:
-            vals = np.asarray(f(arr), dtype=np.float64)
-            if vals.shape == arr.shape:
-                return vals
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(f(float(x))) for x in arr.ravel()]).reshape(arr.shape)
-    return fv
-
-
 def _one_round_value_1d(h_vec, r: float, G: float, grid_n: int) -> float:
     """min_w max_{|g|<=G} w g + h(|r - g|) on a g-grid with golden outer search."""
     gs = np.linspace(-G, G, grid_n)
@@ -235,8 +213,7 @@ def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
     r0 = float(np.linalg.norm(theta))
     r_max = r0 + spec.G * (spec.T - t + 1) + spec.r_pad
     grid = np.linspace(0.0, r_max, spec.n_r)
-    fv = _vectorize_f(spec.f)
-    table = fv(grid)
+    table = eval_on_array(spec.f, grid)
     for stage in range(spec.T - 1, t - 1, -1):
         h_vec = lambda xs, tab=table: np.interp(np.asarray(xs, dtype=np.float64), grid, tab)
         if spec.dim == 2:
@@ -264,8 +241,7 @@ def one_round_value_full_2d(h, theta, G: float, n_phi: int = 720) -> float:
     hx = theta[0] - gx
     hy = theta[1] - gy
     dist = np.sqrt(hx * hx + hy * hy)
-    fv = _vectorize_f(h)
-    hvals = fv(dist)
+    hvals = eval_on_array(h, dist)
 
     def payoff(w):
         return float(np.max(w[0] * gx + w[1] * gy + hvals))

@@ -1,22 +1,31 @@
-"""Time-indexed potential functions and their conjugate machinery.
+"""Time-indexed potential functions, their one-round plays, and their envelopes.
 
-Three families are implemented, all convex radial functions of the
-cumulative negative-gradient state theta:
+Four families are implemented, all convex radial functions q_t(||theta||)
+of the cumulative negative-gradient state theta:
 
-* PowerPotential          (W/p) * (x^2 + G^2 (T-t))^(p/2),  p in [1, 2]
+* QuadraticPotential      (eta/2) x^2, the same for every t            (tag ogd)
+* PowerPotential          (W/p) * (x^2 + G^2 (T-t))^(p/2),  p in [1, 2] (tag power)
 * NormalKnownTPotential   eps * (1 - pi G^2 (T-t) / (2aT))^(-1/2)
-                              * exp(x^2 / (2aT - pi G^2 (T-t)))
+                              * exp(x^2 / (2aT - pi G^2 (T-t)))        (tag normal_knownT)
 * AdaptiveNormalPotential beta_t * exp(x^2 / (2at)),  beta_t = eps / log^2(t+1)
+                                                                        (tag adaptive_normal)
 
-The first two are horizon-aware (indexed t = 0..T); the adaptive family has
-no horizon and is defined for t >= 1 with the convention that its value at
-t = 0 is zero (beta_0 is undefined, and the first-round borrowing is carried
-by the slack ledger instead).
+The power and known-horizon Normal families are horizon-aware (indexed
+t = 0..T); the adaptive family has no horizon and is defined for t >= 1
+with the convention that its value at t = 0 is zero (beta_0 is undefined,
+and the first-round borrowing is carried by the slack ledger instead).
+
+Each class carries its spec ``tag``, the ``regime`` of the one-round game
+against it, and the one radial quantity the minimax play in that regime
+needs (see ``strategies.PotentialPlayer``): the slope q_t'(x) for the
+orthogonal (power) family, the radial difference D_t(r) = q_t(r + G) -
+q_t(r - G) for the parallel ones.  Each also carries its regret envelope
+``regret_bound(u_norm, T)``.
 
 The conjugate side: ``conjugate_numeric`` evaluates sup_a (a*u - f(a)) by
 golden-section search, ``exp_conjugate_upper_bound`` is the closed-form
-envelope for exponential-quadratic potentials, and ``regret_bound`` maps an
-algorithm tag to its theoretical regret envelope.
+envelope for exponential-quadratic potentials, and ``regret_bound`` checks
+its arguments and returns a potential's regret envelope.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import golden_section_max
+from .one_round import ORTHOGONAL, PARALLEL
 
 SIGMA2 = math.pi / 2.0  # per-step variance of the Gaussian surrogate
 
@@ -42,6 +52,41 @@ def _check_round(t: int, T: int) -> None:
         raise ValueError(f"round index t={t} outside [0, {T}]")
 
 
+def _exp_gap(A: float, B: float) -> float:
+    """exp(A) - exp(B) for A >= B, as exp(A) (1 - exp(B - A)) without cancellation."""
+    return math.exp(A) * (-math.expm1(B - A))
+
+
+@dataclass(frozen=True)
+class QuadraticPotential:
+    """Fixed potential (eta/2) ||theta||^2, the gradient-descent ledger view."""
+
+    eta: float
+    G: float
+
+    tag = "ogd"
+    regime = PARALLEL
+
+    def __post_init__(self):
+        if not self.eta > 0:
+            raise ValueError("eta must be positive")
+        if not self.G > 0:
+            raise ValueError("G must be positive")
+
+    def radial(self, t: int, x: float) -> float:
+        return 0.5 * self.eta * x * x
+
+    def value(self, t: int, theta) -> float:
+        return self.radial(t, float(np.linalg.norm(theta)))
+
+    def radial_diff(self, t: int, r: float) -> float:
+        """q(r + G) - q(r - G) = 2 eta G r, so the play is w = eta * theta."""
+        return 2.0 * self.eta * self.G * r
+
+    def regret_bound(self, u_norm: float, T: int) -> float:
+        return u_norm * u_norm / (2.0 * self.eta) + 0.5 * self.eta * self.G * self.G * T
+
+
 @dataclass(frozen=True)
 class PowerPotential:
     """Power-family potential; at t = T it is the benchmark (W/p) x^p."""
@@ -50,6 +95,9 @@ class PowerPotential:
     p: float
     G: float
     T: int
+
+    tag = "power"
+    regime = ORTHOGONAL
 
     def __post_init__(self):
         if not self.W > 0:
@@ -76,6 +124,20 @@ class PowerPotential:
     def value(self, t: int, theta) -> float:
         return self.radial(t, float(np.linalg.norm(theta)))
 
+    def slope(self, t: int, x: float) -> float:
+        """q_t'(x) = W x (x^2 + G^2 (T-t))^((p-2)/2) for x >= 0; zero at x = 0."""
+        _check_round(t, self.T)
+        s2 = x * x + self.G * self.G * (self.T - t)
+        return self.W * x * s2 ** ((self.p - 2.0) / 2.0) if s2 > 0.0 else 0.0
+
+    def regret_bound(self, u_norm: float, T: int) -> float:
+        """At p = 1 there is no bound for u_norm > W; VACUOUS (inf) is returned there."""
+        root_t = self.G * math.sqrt(T)
+        if self.p == 1.0:
+            return self.W * root_t if u_norm <= self.W else VACUOUS
+        q = self.q
+        return u_norm**q / (self.W ** (q - 1.0) * q) + (self.W / self.p) * root_t**self.p
+
 
 @dataclass(frozen=True)
 class NormalKnownTPotential:
@@ -86,6 +148,9 @@ class NormalKnownTPotential:
     G: float
     T: int
     sigma2: float = field(default=SIGMA2, init=False)
+
+    tag = "normal_knownT"
+    regime = PARALLEL
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -99,15 +164,30 @@ class NormalKnownTPotential:
                 f"require a > pi*G^2/2 = {math.pi * self.G * self.G / 2.0:.6g}, got a={self.a}"
             )
 
-    def radial(self, t: int, x: float) -> float:
+    def _shape(self, t: int):
+        """(c, d) with q_t(x) = c exp(x^2 / d)."""
         _check_round(t, self.T)
-        tau = self.T - t
-        shrink = math.pi * self.G * self.G * tau
+        shrink = math.pi * self.G * self.G * (self.T - t)
         pref = (1.0 - shrink / (2.0 * self.a * self.T)) ** -0.5
-        return self.eps * pref * math.exp(x * x / (2.0 * self.a * self.T - shrink))
+        return self.eps * pref, 2.0 * self.a * self.T - shrink
+
+    def radial(self, t: int, x: float) -> float:
+        c, d = self._shape(t)
+        return c * math.exp(x * x / d)
 
     def value(self, t: int, theta) -> float:
         return self.radial(t, float(np.linalg.norm(theta)))
+
+    def radial_diff(self, t: int, r: float) -> float:
+        c, d = self._shape(t)
+        return c * _exp_gap((r + self.G) ** 2 / d, (r - self.G) ** 2 / d)
+
+    def regret_bound(self, u_norm: float, T: int) -> float:
+        eps, a, G = self.eps, self.a, self.G
+        envelope = u_norm * math.sqrt(
+            2.0 * a * T * math.log(math.sqrt(a * T) * u_norm / eps + 1.0)
+        )
+        return envelope + eps * ((1.0 - math.pi * G * G / (2.0 * a)) ** -0.5 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -117,6 +197,9 @@ class AdaptiveNormalPotential:
     eps: float
     a: float
     G: float
+
+    tag = "adaptive_normal"
+    regime = PARALLEL
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -143,37 +226,18 @@ class AdaptiveNormalPotential:
     def value(self, t: int, theta) -> float:
         return self.radial(t, float(np.linalg.norm(theta)))
 
+    def radial_diff(self, t: int, r: float) -> float:
+        if t == 0:
+            return 0.0
+        d = 2.0 * self.a * t
+        return self.beta(t) * _exp_gap((r + self.G) ** 2 / d, (r - self.G) ** 2 / d)
 
-@dataclass(frozen=True)
-class QuadraticPotential:
-    """Fixed potential (eta/2) ||theta||^2, the gradient-descent ledger view."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-
-    def radial(self, t: int, x: float) -> float:
-        return 0.5 * self.eta * x * x
-
-    def value(self, t: int, theta) -> float:
-        return self.radial(t, float(np.linalg.norm(theta)))
-
-
-def power_conditional_value(pot: PowerPotential, t: int, x: float) -> float:
-    """(W/p)(x^2 + G^2 (T-t))^(p/2); equals the benchmark at t = T."""
-    return pot.radial(t, x)
-
-
-def normal_known_t_potential(pot: NormalKnownTPotential, t: int, x: float) -> float:
-    """Closed form of the Gaussian smoothing of eps*exp(x^2/(2aT)) at round t."""
-    return pot.radial(t, x)
-
-
-def adaptive_potential(pot: AdaptiveNormalPotential, t: int, theta) -> float:
-    """beta_t exp(||theta||^2/(2at)) for t >= 1; zero at t = 0 by convention."""
-    return pot.value(t, theta)
+    def regret_bound(self, u_norm: float, T: int) -> float:
+        eps, a, G = self.eps, self.a, self.G
+        envelope = u_norm * math.sqrt(
+            2.0 * a * T * math.log(math.sqrt(a * T) * u_norm * math.log(T + 1.0) ** 2 / eps + 1.0)
+        )
+        return envelope + eps * (math.pi * G * G / a - 1.0)
 
 
 def conjugate_numeric(f, u_norm: float, search_bound: float, tol: float = 1e-8) -> float:
@@ -252,47 +316,15 @@ def exp_conjugate_upper_bound(alpha: float, beta: float, w_norm: float) -> float
     return w_norm * math.sqrt(2.0 * alpha * math.log(math.sqrt(alpha) * w_norm / beta + 1.0)) - beta
 
 
-def _param(params, name):
-    if isinstance(params, dict):
-        return params[name]
-    return getattr(params, name)
+def regret_bound(potential, u_norm: float, T: int) -> float:
+    """Theoretical regret envelope of the player of ``potential`` at comparator
+    norm u_norm after T rounds.
 
-
-def regret_bound(algorithm_tag: str, params, u_norm: float, T: int) -> float:
-    """Theoretical regret envelope at comparator norm u_norm and horizon T.
-
-    Tags: "ogd", "power", "normal_knownT", "adaptive_normal".  The power
-    family with p = 1 has no bound for u_norm > W; VACUOUS (inf) is returned
-    there.
+    T is explicit, also for the known-horizon families, so that an envelope
+    can be read off at every round t <= T of a run.
     """
     if u_norm < 0:
         raise ValueError("u_norm must be nonnegative")
     if T < 1:
         raise ValueError("T must be >= 1")
-    G = float(_param(params, "G"))
-    root_t = G * math.sqrt(T)
-    if algorithm_tag == "ogd":
-        eta = float(_param(params, "eta"))
-        return u_norm * u_norm / (2.0 * eta) + 0.5 * eta * G * G * T
-    if algorithm_tag == "power":
-        W = float(_param(params, "W"))
-        p = float(_param(params, "p"))
-        if p == 1.0:
-            return W * root_t if u_norm <= W else VACUOUS
-        q = p / (p - 1.0)
-        return u_norm**q / (W ** (q - 1.0) * q) + (W / p) * root_t**p
-    if algorithm_tag == "normal_knownT":
-        eps = float(_param(params, "eps"))
-        a = float(_param(params, "a"))
-        envelope = u_norm * math.sqrt(
-            2.0 * a * T * math.log(math.sqrt(a * T) * u_norm / eps + 1.0)
-        )
-        return envelope + eps * ((1.0 - math.pi * G * G / (2.0 * a)) ** -0.5 - 1.0)
-    if algorithm_tag == "adaptive_normal":
-        eps = float(_param(params, "eps"))
-        a = float(_param(params, "a"))
-        envelope = u_norm * math.sqrt(
-            2.0 * a * T * math.log(math.sqrt(a * T) * u_norm * math.log(T + 1.0) ** 2 / eps + 1.0)
-        )
-        return envelope + eps * (math.pi * G * G / a - 1.0)
-    raise ValueError(f"unknown algorithm tag {algorithm_tag!r}")
+    return potential.regret_bound(u_norm, T)

@@ -1,12 +1,20 @@
-"""Player strategies: OGD, the power family, and the two Normal-potential players.
+"""The potential-driven player: every strategy is the one-round minimax play
+against its next potential q_{t+1}.
 
-Every strategy maps the round index t >= 0 and the state theta_t (cumulative
-negative gradients) to the next play w_{t+1}.  All plays are parallel to
-theta, so the first play (theta_0 = 0) is the zero vector for every strategy.
+At round t >= 0 with state theta_t (cumulative negative gradients) and
+r = ||theta_t||, the play w_{t+1} is the minimax player's response in the
+one-round game min_w max_{||g|| <= G} <w, g> + q_{t+1}(||theta_t - g||)
+(see ``one_round``):
 
-Differences of exponentials are evaluated as exp(A) * (1 - exp(B - A)) with
-A >= B, which keeps relative precision and postpones overflow until exp(A)
-itself is out of float range.
+* orthogonal regime (power family): w = theta * q_{t+1}'(s) / s with
+  s = sqrt(r^2 + G^2);
+* parallel regime (OGD's quadratic and both Normal families):
+  w = theta_hat * (q_{t+1}(r + G) - q_{t+1}(r - G)) / (2G).
+
+All plays are parallel to theta, so the first play (theta_0 = 0) is the zero
+vector.  The potential supplies the regime and the radial quantity; the
+exponential families compute their radial difference without cancellation.
+The orthogonal play needs d > 1 to be minimax; at d = 1 it is still playable.
 """
 
 from __future__ import annotations
@@ -16,144 +24,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import unit_direction
-from .potentials import (
-    AdaptiveNormalPotential,
-    NormalKnownTPotential,
-    PowerPotential,
-    QuadraticPotential,
-)
-
-
-def _exp_diff(A: float, B: float) -> float:
-    """exp(A) - exp(B) for A >= B without catastrophic cancellation."""
-    return math.exp(A) * (-math.expm1(B - A))
-
-
-def ogd_play(eta: float, theta) -> np.ndarray:
-    """Constant-step gradient descent: w = eta * theta = -eta * g_{1:t}."""
-    return eta * np.asarray(theta, dtype=np.float64)
-
-
-def power_play(W: float, p: float, G: float, T: int, t: int, theta) -> np.ndarray:
-    """Gradient of the power-family conditional value at theta.
-
-    w = W * theta * (||theta||^2 + G^2 (T-t))^((p-2)/2).  For p = 1 the play
-    stays inside the W-ball; for p = 2 it is W * theta.  Minimax optimality
-    needs dim > 1; at d = 1 the formula is still playable but not minimax.
-    """
-    if not 0 <= t <= T - 1:
-        raise ValueError(f"round index t={t} outside [0, {T - 1}]")
-    theta = np.asarray(theta, dtype=np.float64)
-    r2 = float(theta @ theta)
-    s2 = r2 + G * G * (T - t)
-    return W * theta * s2 ** ((p - 2.0) / 2.0)
-
-
-def normal_known_t_play(eps: float, a: float, G: float, T: int, t: int, theta) -> np.ndarray:
-    """Known-horizon Normal-potential play at round t (0-indexed, t < T)."""
-    if not 0 <= t <= T - 1:
-        raise ValueError(f"round index t={t} outside [0, {T - 1}]")
-    theta = np.asarray(theta, dtype=np.float64)
-    r = float(np.linalg.norm(theta))
-    if r == 0.0:
-        return np.zeros_like(theta)
-    tau_next = T - t - 1
-    denom = 2.0 * a * T - math.pi * G * G * tau_next
-    pref = math.sqrt(1.0 - math.pi * G * G * tau_next / (2.0 * a * T))
-    diff = _exp_diff((r + G) ** 2 / denom, (r - G) ** 2 / denom)
-    return eps * unit_direction(theta) * diff / (2.0 * G * pref)
-
-
-def adaptive_normal_play(eps: float, a: float, G: float, t: int, theta) -> np.ndarray:
-    """Horizon-free Normal-potential play at round t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    r = float(np.linalg.norm(theta))
-    if r == 0.0:
-        return np.zeros_like(theta)
-    denom = 2.0 * a * (t + 1)
-    diff = _exp_diff((r + G) ** 2 / denom, (r - G) ** 2 / denom)
-    return eps * unit_direction(theta) * diff / (2.0 * G * math.log(t + 2.0) ** 2)
+from .core import norm
+from .one_round import ORTHOGONAL
 
 
 @dataclass(frozen=True)
-class OGD:
-    eta: float
-    G: float
+class PotentialPlayer:
+    """Plays the one-round minimax response to ``potential`` at the next round."""
 
-    tag = "ogd"
-    needs_horizon = False
+    potential: object
 
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not self.G > 0:
-            raise ValueError("G must be positive")
+    @property
+    def tag(self) -> str:
+        return self.potential.tag
 
-    def play(self, t: int, theta) -> np.ndarray:
-        return ogd_play(self.eta, theta)
-
-    def potential(self) -> QuadraticPotential:
-        return QuadraticPotential(self.eta)
-
-
-@dataclass(frozen=True)
-class PowerStrategy:
-    W: float
-    p: float
-    G: float
-    T: int
-
-    tag = "power"
-    needs_horizon = True
-
-    def __post_init__(self):
-        # construction shares the potential's parameter validation
-        PowerPotential(self.W, self.p, self.G, self.T)
+    @property
+    def needs_horizon(self) -> bool:
+        return hasattr(self.potential, "T")
 
     def play(self, t: int, theta) -> np.ndarray:
-        return power_play(self.W, self.p, self.G, self.T, t, theta)
-
-    def potential(self) -> PowerPotential:
-        return PowerPotential(self.W, self.p, self.G, self.T)
-
-
-@dataclass(frozen=True)
-class NormalKnownTStrategy:
-    eps: float
-    a: float
-    G: float
-    T: int
-
-    tag = "normal_knownT"
-    needs_horizon = True
-
-    def __post_init__(self):
-        NormalKnownTPotential(self.eps, self.a, self.G, self.T)
-
-    def play(self, t: int, theta) -> np.ndarray:
-        return normal_known_t_play(self.eps, self.a, self.G, self.T, t, theta)
-
-    def potential(self) -> NormalKnownTPotential:
-        return NormalKnownTPotential(self.eps, self.a, self.G, self.T)
-
-
-@dataclass(frozen=True)
-class AdaptiveNormalStrategy:
-    eps: float
-    a: float
-    G: float
-
-    tag = "adaptive_normal"
-    needs_horizon = False
-
-    def __post_init__(self):
-        AdaptiveNormalPotential(self.eps, self.a, self.G)
-
-    def play(self, t: int, theta) -> np.ndarray:
-        return adaptive_normal_play(self.eps, self.a, self.G, t, theta)
-
-    def potential(self) -> AdaptiveNormalPotential:
-        return AdaptiveNormalPotential(self.eps, self.a, self.G)
+        if t < 0:
+            raise ValueError(f"round index t={t} must be >= 0")
+        theta = np.asarray(theta, dtype=np.float64)
+        pot = self.potential
+        r = norm(theta)
+        if pot.regime == ORTHOGONAL:
+            s = math.hypot(r, pot.G)
+            return theta * (pot.slope(t + 1, s) / s)
+        diff = pot.radial_diff(t + 1, r)  # evaluated at r = 0 too: it checks the round index
+        if r == 0.0:
+            return np.zeros_like(theta)
+        return theta * (diff / (2.0 * pot.G * r))

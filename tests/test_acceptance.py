@@ -10,16 +10,16 @@ import time
 import numpy as np
 
 from minimax_online import (
-    AdaptiveNormalStrategy,
+    AdaptiveNormalPotential,
     FixedDirection,
     GameConfig,
     GaussianRandom,
     NormalKnownTPotential,
-    NormalKnownTStrategy,
-    OGD,
     OrthogonalMinimax,
     ParallelMinimax,
-    PowerStrategy,
+    PotentialPlayer,
+    PowerPotential,
+    QuadraticPotential,
     RecursionSpec,
     argmax_at_zero_check,
     comparator_grid,
@@ -118,8 +118,8 @@ def test_criterion_04_smoothed_potential_closed_form():
 
 def test_criterion_05_known_horizon_admissibility():
     T, d = 200, 4
-    strat = NormalKnownTStrategy(eps=1.0, a=2.5, G=G, T=T)
-    pot = strat.potential()
+    strat = PotentialPlayer(NormalKnownTPotential(eps=1.0, a=2.5, G=G, T=T))
+    pot = strat.potential
     worst = -math.inf
     runs = 0
     for adv in adversary_quartet(G):
@@ -139,11 +139,11 @@ def test_criterion_06_adaptive_slack_schedule():
     # borrowing (from theta_0 = 0, where beta_0 is undefined) is carried
     # separately by the q_0 = 0 convention and is excluded from the schedule.
     T, d = 1000, 4
-    strat = AdaptiveNormalStrategy(eps=1.0, a=2.4, G=G)
-    pot = strat.potential()
+    strat = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=G))
+    pot = strat.potential
     ts = np.arange(1, T)
-    schedule = np.pi * G * G * np.array([pot.beta(int(t)) for t in ts]) / (4.0 * strat.a * ts)
-    sum_cap = strat.eps * np.pi * G * G / strat.a
+    schedule = np.pi * G * G * np.array([pot.beta(int(t)) for t in ts]) / (4.0 * pot.a * ts)
+    sum_cap = pot.eps * np.pi * G * G / pot.a
     worst_excess = -math.inf
     worst_sum = -math.inf
     runs = 0
@@ -164,12 +164,12 @@ def test_criterion_06_adaptive_slack_schedule():
 def _envelope_rows(T):
     root = G * math.sqrt(T)
     return [
-        ("B ogd", OGD(eta=1.0 / root, G=G)),
-        ("C power p=1", PowerStrategy(W=1.0, p=1.0, G=G, T=T)),
-        ("C power p=1.5", PowerStrategy(W=root ** -0.5, p=1.5, G=G, T=T)),
-        ("E normal eps=1", NormalKnownTStrategy(eps=1.0, a=2.5, G=G, T=T)),
-        ("F normal eps=sqrtT", NormalKnownTStrategy(eps=root, a=2.5, G=G, T=T)),
-        ("I adaptive", AdaptiveNormalStrategy(eps=1.0, a=2.4, G=G)),
+        ("B ogd", PotentialPlayer(QuadraticPotential(eta=1.0 / root, G=G))),
+        ("C power p=1", PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T))),
+        ("C power p=1.5", PotentialPlayer(PowerPotential(W=root ** -0.5, p=1.5, G=G, T=T))),
+        ("E normal eps=1", PotentialPlayer(NormalKnownTPotential(eps=1.0, a=2.5, G=G, T=T))),
+        ("F normal eps=sqrtT", PotentialPlayer(NormalKnownTPotential(eps=root, a=2.5, G=G, T=T))),
+        ("I adaptive", PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=G))),
     ]
 
 
@@ -210,12 +210,12 @@ def test_criterion_08_duality_identity():
                 GaussianRandom(G=G)]
     root = G * math.sqrt(T)
     cells = []
-    for strat in (OGD(eta=1.0 / root, G=G),
-                  PowerStrategy(W=1.0, p=1.0, G=G, T=T),
-                  PowerStrategy(W=root ** -0.5, p=1.5, G=G, T=T)):
+    for strat in (PotentialPlayer(QuadraticPotential(eta=1.0 / root, G=G)),
+                  PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T)),
+                  PotentialPlayer(PowerPotential(W=root ** -0.5, p=1.5, G=G, T=T))):
         cells.extend((strat, adv) for adv in bounded_state + trending)
-    for strat in (NormalKnownTStrategy(eps=1.0, a=2.5, G=G, T=T),
-                  AdaptiveNormalStrategy(eps=1.0, a=2.4, G=G)):
+    for strat in (PotentialPlayer(NormalKnownTPotential(eps=1.0, a=2.5, G=G, T=T)),
+                  PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=G))):
         cells.extend((strat, adv) for adv in bounded_state + [GaussianRandom(G=G)])
     grid = comparator_grid(d, make_rng(888))
     worst = 0.0
@@ -242,7 +242,7 @@ def test_criterion_09_orthogonal_duel_invariants():
     worst_shell = 0.0
     worst_w = 0.0
     for T in (16, 64):
-        strat = PowerStrategy(W=1.0, p=1.0, G=G, T=T)
+        strat = PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T))
         for seed in range(5):
             cfg = GameConfig(dim=2, grad_bound=G, horizon=T, seed=seed)
             trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)

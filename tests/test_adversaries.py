@@ -9,7 +9,8 @@ from minimax_online import (
     GreedyVsComparator,
     OrthogonalMinimax,
     ParallelMinimax,
-    PowerStrategy,
+    PotentialPlayer,
+    PowerPotential,
     RademacherLine,
     GaussianRandom,
     greedy_vs_comparator_grad,
@@ -122,7 +123,7 @@ class TestOrthogonalDuelInvariants:
         # any orthogonal-minimax trajectory keeps sqrt(||theta||^2 + G^2 (T-t)) = G sqrt(T)
         G, T = 1.0, 25
         cfg = GameConfig(dim=2, grad_bound=G, horizon=T, seed=13)
-        strat = PowerStrategy(W=1.0, p=1.0, G=G, T=T)
+        strat = PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T))
         trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
         for t in range(1, T + 1):
             shell = math.sqrt(np.linalg.norm(trace.theta[t - 1]) ** 2 + G * G * (T - t))
@@ -133,7 +134,7 @@ class TestOrthogonalDuelInvariants:
         # exact arithmetic, float rounding kept below 1e-12
         G, T = 1.0, 16
         cfg = GameConfig(dim=2, grad_bound=G, horizon=T, seed=21)
-        strat = PowerStrategy(W=1.0, p=1.0, G=G, T=T)
+        strat = PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T))
         trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
         assert np.all(np.abs(trace.losses) <= 1e-13)
         assert abs(trace.reward) <= 1e-12
@@ -143,7 +144,7 @@ class TestOrthogonalDuelInvariants:
         # Reward = B(theta_T) - f(G sqrt(T)) for the power duel (both minimax)
         G, T = 1.0, 16
         for p in (1.0, 1.5, 2.0):
-            strat = PowerStrategy(W=1.0, p=p, G=G, T=T)
+            strat = PotentialPlayer(PowerPotential(W=1.0, p=p, G=G, T=T))
             cfg = GameConfig(dim=2, grad_bound=G, horizon=T, seed=2)
             trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
             benchmark = (1.0 / p) * np.linalg.norm(trace.theta_final) ** p

@@ -8,9 +8,11 @@ from minimax_online.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    build_strategy,
     main,
     parse_experiment_spec,
 )
+from minimax_online.core import GameConfig
 
 MINIMAL_SPEC = """\
 game:
@@ -63,6 +65,14 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_experiment_spec(path)
         assert "3*pi*G^2/4" in str(err.value)
+
+    def test_unknown_tag(self, tmp_path):
+        with pytest.raises(ConfigError):
+            build_strategy({"tag": "mystery"}, GameConfig(dim=2, grad_bound=1.0))
+        path, _ = write_spec(tmp_path, MINIMAL_SPEC.replace("tag: ogd", "tag: mystery"))
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_spec(path)
+        assert "mystery" in str(err.value)
 
     def test_unknown_horizon_needs_rounds(self, tmp_path):
         bad = MINIMAL_SPEC.replace("horizon: 10", "horizon: unknown").replace(

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minimax_online import GameConfig, inner, make_rng, norm, orthonormal_complement_sample, unit_direction
-from minimax_online.core import DimensionMismatchError, UnsupportedDimensionError, as_point
+from minimax_online.core import TOL_ORTHO, DimensionMismatchError, UnsupportedDimensionError, as_point
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -39,6 +39,15 @@ def test_triangle_inequality(pair):
     a = np.array(data.draw(st.lists(finite_coord, min_size=d, max_size=d)))
     b = np.array(data.draw(st.lists(finite_coord, min_size=d, max_size=d)))
     assert norm(a + b) <= norm(a) + norm(b) + 1e-6 * (1 + norm(a) + norm(b))
+
+
+def test_norm_at_float64_extremes():
+    # squaring these coordinates underflows / overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert norm(np.array([1e-200])) == 1e-200
+        assert norm(np.array([1e200])) == 1e200
+        assert norm(np.zeros(3)) == 0.0
 
 
 def test_unit_direction_examples():
@@ -83,6 +92,16 @@ def test_complement_sample_axis():
 def test_complement_sample_needs_dim2():
     with pytest.raises(UnsupportedDimensionError):
         orthonormal_complement_sample(np.array([1.0]), make_rng(0))
+
+
+@pytest.mark.parametrize("theta", [[1e-200, 2e-200, 0.0], [1e200, 2e200, 0.0]])
+def test_complement_sample_at_float64_extremes(theta):
+    theta = np.array(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = orthonormal_complement_sample(theta, make_rng(0))
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert abs(inner(v, unit_direction(theta))) <= TOL_ORTHO
 
 
 def test_complement_gram_schmidt_case():

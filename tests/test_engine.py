@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimax_online import (
-    AdaptiveNormalStrategy,
+    AdaptiveNormalPotential,
     FixedDirection,
     GameConfig,
     GaussianRandom,
-    OGD,
     ParallelMinimax,
-    PowerStrategy,
+    PotentialPlayer,
+    PowerPotential,
+    QuadraticPotential,
     RadialBenchmark,
     Trace,
     attach_epsilon,
@@ -36,22 +37,26 @@ class ZeroPotential:
         return 0.0
 
 
+def ogd(eta):
+    return PotentialPlayer(QuadraticPotential(eta=eta, G=1.0))
+
+
 def small_trace(seed=0, rounds=12, dim=2, eta=0.2):
     cfg = GameConfig(dim=dim, grad_bound=1.0, horizon=rounds, seed=seed)
-    return run_game(OGD(eta=eta, G=1.0), GaussianRandom(G=1.0), cfg, rounds)
+    return run_game(ogd(eta), GaussianRandom(G=1.0), cfg, rounds)
 
 
 class TestRunGame:
     def test_ogd_against_fixed_direction(self):
         eta, T = 0.1, 10
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=T, seed=0)
-        trace = run_game(OGD(eta=eta, G=1.0), FixedDirection(G=1.0), cfg, T)
+        trace = run_game(ogd(eta), FixedDirection(G=1.0), cfg, T)
         np.testing.assert_allclose(trace.w[-1], [-eta * (T - 1), 0.0], rtol=1e-12)
         assert regret(trace, np.zeros(2)) == pytest.approx(-eta * T * (T - 1) / 2.0, rel=1e-12)
 
     def test_zero_rounds(self):
         cfg = GameConfig(dim=3, grad_bound=1.0, horizon=5, seed=0)
-        trace = run_game(OGD(eta=0.1, G=1.0), FixedDirection(G=1.0), cfg, 0)
+        trace = run_game(ogd(0.1), FixedDirection(G=1.0), cfg, 0)
         assert trace.n_rounds == 0
         assert trace.reward == 0.0
 
@@ -69,7 +74,7 @@ class TestRunGame:
         assert not np.array_equal(a.g, c.g)
 
     def test_known_horizon_enforced(self):
-        strat = PowerStrategy(W=1.0, p=1.5, G=1.0, T=8)
+        strat = PotentialPlayer(PowerPotential(W=1.0, p=1.5, G=1.0, T=8))
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=8, seed=0)
         with pytest.raises(ValueError):
             run_game(strat, FixedDirection(G=1.0), cfg, 5)
@@ -85,7 +90,7 @@ class TestRunGame:
 
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=3, seed=0)
         with pytest.raises(ValueError):
-            run_game(OGD(eta=0.1, G=1.0), Cheater(), cfg, 3)
+            run_game(ogd(0.1), Cheater(), cfg, 3)
 
 
 class TestRegret:
@@ -131,34 +136,34 @@ class TestEpsilonLedger:
         # (eta/2)||g_t||^2 every round
         eta = 0.25
         cfg = GameConfig(dim=3, grad_bound=1.0, horizon=30, seed=7)
-        strat = OGD(eta=eta, G=1.0)
+        strat = ogd(eta)
         trace = run_game(strat, GaussianRandom(G=1.0), cfg, 30)
-        eps = epsilon_ledger(trace, strat.potential())
+        eps = epsilon_ledger(trace, strat.potential)
         expected = 0.5 * eta * np.linalg.norm(trace.g, axis=1) ** 2
         np.testing.assert_allclose(eps, expected, atol=1e-12)
 
     def test_telescoping_closure(self):
-        strat = AdaptiveNormalStrategy(eps=1.0, a=2.5, G=1.0)
+        strat = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.5, G=1.0))
         cfg = GameConfig(dim=2, grad_bound=1.0, seed=1)
         trace = run_game(strat, ParallelMinimax(G=1.0, sign_policy="alternate"), cfg, 60)
-        pot = strat.potential()
+        pot = strat.potential
         eps = epsilon_ledger(trace, pot)
         q_T = pot.value(trace.n_rounds, trace.theta_final)
         q_0 = pot.value(0, np.zeros(2))
         assert q_T - q_0 - eps.sum() == pytest.approx(trace.reward, abs=1e-9 * trace.n_rounds)
 
     def test_attach_epsilon(self):
-        strat = OGD(eta=0.1, G=1.0)
+        strat = ogd(0.1)
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=5, seed=0)
         trace = run_game(strat, FixedDirection(G=1.0), cfg, 5)
-        attach_epsilon(trace, strat.potential())
+        attach_epsilon(trace, strat.potential)
         assert trace.eps is not None and trace.eps.size == 5
 
 
 class TestVerifyBound:
     def test_ogd_bound_holds_on_grid(self):
         T = 50
-        strat = OGD(eta=1.0 / math.sqrt(T), G=1.0)
+        strat = ogd(1.0 / math.sqrt(T))
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=T, seed=3)
         trace = run_game(strat, GaussianRandom(G=1.0), cfg, T)
         grid = comparator_grid(2, make_rng(0))
@@ -168,7 +173,7 @@ class TestVerifyBound:
 
     def test_vacuous_bound_reported_as_holding(self):
         T = 9
-        strat = PowerStrategy(W=0.5, p=1.0, G=1.0, T=T)
+        strat = PotentialPlayer(PowerPotential(W=0.5, p=1.0, G=1.0, T=T))
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=T, seed=3)
         trace = run_game(strat, GaussianRandom(G=1.0), cfg, T)
         report = verify_bound(trace, strat, [np.array([10.0, 0.0])])[0]
@@ -182,12 +187,12 @@ class TestDualityWitness:
         assert duality_witness(traces, bench, eps_hat=10.0, comparators=[np.zeros(2)])
 
     def test_adaptive_traces_agree(self):
-        strat = AdaptiveNormalStrategy(eps=1.0, a=2.5, G=1.0)
+        strat = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.5, G=1.0))
         traces = []
         for seed in range(3):
             cfg = GameConfig(dim=2, grad_bound=1.0, seed=seed)
             traces.append(run_game(strat, GaussianRandom(G=1.0), cfg, 80))
-        pot = strat.potential()
+        pot = strat.potential
         eps_hat = max(epsilon_ledger(tr, pot).sum() for tr in traces)
         T = 80
         bench = RadialBenchmark(f=lambda x: pot.radial(T, abs(x)))
@@ -211,10 +216,10 @@ class TestDualityWitness:
 
 class TestSerialization:
     def test_json_round_trip_bit_exact(self, tmp_path):
-        strat = OGD(eta=0.2, G=1.0)
+        strat = ogd(0.2)
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=15, seed=4)
         trace = run_game(strat, GaussianRandom(G=1.0), cfg, 15)
-        attach_epsilon(trace, strat.potential())
+        attach_epsilon(trace, strat.potential)
         path = tmp_path / "trace.json"
         write_trace_json(trace, path)
         back = read_trace_json(path)
@@ -225,7 +230,7 @@ class TestSerialization:
         assert regret(back, u) == regret(trace, u)
 
     def test_csv_schema_small_dim(self, tmp_path):
-        trace = small_trace(rounds=6)
+        trace = attach_epsilon(small_trace(rounds=6), QuadraticPotential(eta=0.2, G=1.0))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         lines = path.read_text().strip().splitlines()
@@ -233,17 +238,20 @@ class TestSerialization:
         assert header[:5] == ["t", "loss", "reward_cum", "theta_norm", "eps_t"]
         assert "w_0" in header and "g_1" in header
         assert len(lines) == 7
+        # every cell is a number, and reward_cum is the running -sum of losses
+        rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        np.testing.assert_array_equal(rows[:, 2], -np.cumsum(trace.losses))
 
     def test_csv_drops_coords_for_large_dim(self, tmp_path):
         cfg = GameConfig(dim=9, grad_bound=1.0, horizon=3, seed=0)
-        trace = run_game(OGD(eta=0.1, G=1.0), GaussianRandom(G=1.0), cfg, 3)
+        trace = run_game(ogd(0.1), GaussianRandom(G=1.0), cfg, 3)
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["t", "loss", "reward_cum", "theta_norm", "eps_t"]
 
     def test_unknown_horizon_round_trips(self, tmp_path):
-        strat = AdaptiveNormalStrategy(eps=1.0, a=2.5, G=1.0)
+        strat = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.5, G=1.0))
         cfg = GameConfig(dim=2, grad_bound=1.0, seed=0)
         trace = run_game(strat, FixedDirection(G=1.0), cfg, 4)
         path = tmp_path / "t.json"

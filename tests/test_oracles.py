@@ -12,7 +12,6 @@ from minimax_online import (
     gaussian_dominance_check,
     gaussian_expectation,
     one_round_value_full_2d,
-    power_conditional_value,
     rademacher_smoothing_exact,
 )
 from minimax_online.oracles import DivergenceError, ResourceBudgetError
@@ -163,7 +162,7 @@ class TestRecursiveGameValue:
         spec = RecursionSpec(f=lambda x: (1.0 / 1.5) * np.abs(x) ** 1.5, G=2.0, T=3, dim=2,
                              n_r=321)
         oracle = conditional_value_recursive(spec, 1, np.array([1.0, 0.0]))
-        assert power_conditional_value(pot, 1, 1.0) == pytest.approx(oracle, rel=1e-2)
+        assert pot.radial(1, 1.0) == pytest.approx(oracle, rel=1e-2)
 
     def test_budget_guard(self):
         with pytest.raises(ResourceBudgetError):

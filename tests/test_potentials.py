@@ -7,11 +7,9 @@ from minimax_online import (
     AdaptiveNormalPotential,
     NormalKnownTPotential,
     PowerPotential,
-    adaptive_potential,
+    QuadraticPotential,
     conjugate_numeric,
     exp_conjugate_upper_bound,
-    normal_known_t_potential,
-    power_conditional_value,
     regret_bound,
 )
 from minimax_online.core import make_rng
@@ -22,16 +20,16 @@ from minimax_online.potentials import BoundaryHitError, exp_conjugate_numeric
 class TestPowerPotential:
     def test_base_case(self):
         pot = PowerPotential(W=1.0, p=2.0, G=1.0, T=4)
-        assert power_conditional_value(pot, 4, 3.0) == 4.5
+        assert pot.radial(4, 3.0) == 4.5
 
     def test_game_value_at_start(self):
         pot = PowerPotential(W=1.0, p=1.0, G=1.0, T=16)
-        assert power_conditional_value(pot, 0, 0.0) == pytest.approx(4.0, rel=1e-12)
+        assert pot.radial(0, 0.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_interior_round(self):
         # frozen from the backward-induction oracle (cross-checked in test_oracles)
         pot = PowerPotential(W=1.0, p=1.5, G=2.0, T=3)
-        assert power_conditional_value(pot, 1, 1.0) == pytest.approx(3.4641016151377544, rel=1e-12)
+        assert pot.radial(1, 1.0) == pytest.approx(3.4641016151377544, rel=1e-12)
 
     def test_base_case_is_exact_power(self):
         pot = PowerPotential(W=2.0, p=1.5, G=1.0, T=3)
@@ -41,9 +39,9 @@ class TestPowerPotential:
     def test_round_range_checked(self):
         pot = PowerPotential(W=1.0, p=2.0, G=1.0, T=4)
         with pytest.raises(ValueError):
-            power_conditional_value(pot, 5, 1.0)
+            pot.radial(5, 1.0)
         with pytest.raises(ValueError):
-            power_conditional_value(pot, -1, 1.0)
+            pot.radial(-1, 1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -57,23 +55,23 @@ class TestPowerPotential:
 class TestNormalKnownTPotential:
     def test_terminal_round(self):
         pot = NormalKnownTPotential(eps=1.0, a=2.0, G=1.0, T=2)
-        assert normal_known_t_potential(pot, 2, 0.0) == 1.0
+        assert pot.radial(2, 0.0) == 1.0
         assert pot.radial(2, 1.3) == math.exp(1.3**2 / 8.0)
 
     def test_interior_round_frozen(self):
         # frozen: (1 - pi/8)^(-1/2), cross-checked by quadrature below
         pot = NormalKnownTPotential(eps=1.0, a=2.0, G=1.0, T=2)
-        assert normal_known_t_potential(pot, 1, 0.0) == pytest.approx(1.2832108736998058, rel=1e-12)
+        assert pot.radial(1, 0.0) == pytest.approx(1.2832108736998058, rel=1e-12)
 
     def test_interior_round_vs_quadrature(self):
         pot = NormalKnownTPotential(eps=1.0, a=2.0, G=1.0, T=2)
         quad = gaussian_expectation(lambda y: math.exp(y * y / 8.0), 0.0, math.pi / 2.0, nodes=64)
-        assert normal_known_t_potential(pot, 1, 0.0) == pytest.approx(quad, rel=1e-8)
+        assert pot.radial(1, 0.0) == pytest.approx(quad, rel=1e-8)
 
     def test_linear_in_eps(self):
         one = NormalKnownTPotential(eps=1.0, a=2.0, G=1.0, T=2)
         two = NormalKnownTPotential(eps=2.0, a=2.0, G=1.0, T=2)
-        assert normal_known_t_potential(two, 1, 0.0) == 2.0 * normal_known_t_potential(one, 1, 0.0)
+        assert two.radial(1, 0.0) == 2.0 * one.radial(1, 0.0)
 
     def test_variance_precondition(self):
         with pytest.raises(ValueError):
@@ -95,20 +93,20 @@ class TestNormalKnownTPotential:
 class TestAdaptivePotential:
     def test_first_round(self):
         pot = AdaptiveNormalPotential(eps=1.0, a=3.0, G=1.0)
-        assert adaptive_potential(pot, 1, np.zeros(2)) == pytest.approx(2.0813689810056077, rel=1e-12)
+        assert pot.value(1, np.zeros(2)) == pytest.approx(2.0813689810056077, rel=1e-12)
 
     def test_exp_zero(self):
         pot = AdaptiveNormalPotential(eps=0.5, a=3.0, G=1.0)
-        assert adaptive_potential(pot, 3, np.zeros(3)) == pytest.approx(0.5 / math.log(4.0) ** 2)
+        assert pot.value(3, np.zeros(3)) == pytest.approx(0.5 / math.log(4.0) ** 2)
 
     def test_unit_exponent(self):
         pot = AdaptiveNormalPotential(eps=1.0, a=3.0, G=1.0)
         theta = np.array([math.sqrt(2.0 * pot.a), 0.0])
-        assert adaptive_potential(pot, 1, theta) == pytest.approx(math.e / math.log(2.0) ** 2, rel=1e-12)
+        assert pot.value(1, theta) == pytest.approx(math.e / math.log(2.0) ** 2, rel=1e-12)
 
     def test_zero_round_convention(self):
         pot = AdaptiveNormalPotential(eps=1.0, a=3.0, G=1.0)
-        assert adaptive_potential(pot, 0, np.array([5.0, 5.0])) == 0.0
+        assert pot.value(0, np.array([5.0, 5.0])) == 0.0
 
     def test_beta_decreasing(self):
         pot = AdaptiveNormalPotential(eps=1.0, a=3.0, G=1.0)
@@ -159,36 +157,44 @@ class TestExpConjugateBound:
 
 class TestRegretBound:
     def test_power_p2(self):
-        params = {"W": 1.0 / 10.0, "p": 2.0, "G": 1.0}
-        assert regret_bound("power", params, 1.0, 100) == pytest.approx(10.0, rel=1e-12)
+        pot = PowerPotential(W=1.0 / 10.0, p=2.0, G=1.0, T=100)
+        assert regret_bound(pot, 1.0, 100) == pytest.approx(10.0, rel=1e-12)
 
     def test_power_p1(self):
-        params = {"W": 1.0, "p": 1.0, "G": 1.0}
-        assert regret_bound("power", params, 0.5, 25) == pytest.approx(5.0, rel=1e-12)
+        pot = PowerPotential(W=1.0, p=1.0, G=1.0, T=25)
+        assert regret_bound(pot, 0.5, 25) == pytest.approx(5.0, rel=1e-12)
 
     def test_power_p1_vacuous(self):
-        params = {"W": 1.0, "p": 1.0, "G": 1.0}
-        assert regret_bound("power", params, 1.5, 25) == math.inf
+        pot = PowerPotential(W=1.0, p=1.0, G=1.0, T=25)
+        assert regret_bound(pot, 1.5, 25) == math.inf
 
     def test_adaptive_additive_term(self):
         a = 3.0 * math.pi / 4.0 + 0.1
-        params = {"eps": 1.0, "a": a, "G": 1.0}
+        pot = AdaptiveNormalPotential(eps=1.0, a=a, G=1.0)
         for T in (1, 10, 1000):
-            assert regret_bound("adaptive_normal", params, 0.0, T) == pytest.approx(
-                math.pi / a - 1.0, rel=1e-12)
+            assert regret_bound(pot, 0.0, T) == pytest.approx(math.pi / a - 1.0, rel=1e-12)
 
     def test_normal_knownt_additive_term(self):
-        params = {"eps": 2.0, "a": 2.0, "G": 1.0}
+        pot = NormalKnownTPotential(eps=2.0, a=2.0, G=1.0, T=7)
         expected = 2.0 * ((1.0 - math.pi / 4.0) ** -0.5 - 1.0)
-        assert regret_bound("normal_knownT", params, 0.0, 7) == pytest.approx(expected, rel=1e-12)
+        assert regret_bound(pot, 0.0, 7) == pytest.approx(expected, rel=1e-12)
 
     def test_ogd_matches_power_p2(self):
-        assert regret_bound("ogd", {"eta": 0.3, "G": 1.5}, 2.0, 50) == pytest.approx(
-            regret_bound("power", {"W": 0.3, "p": 2.0, "G": 1.5}, 2.0, 50), rel=1e-12)
+        assert regret_bound(QuadraticPotential(eta=0.3, G=1.5), 2.0, 50) == pytest.approx(
+            regret_bound(PowerPotential(W=0.3, p=2.0, G=1.5, T=50), 2.0, 50), rel=1e-12)
 
-    def test_unknown_tag(self):
+    def test_known_horizon_envelope_at_earlier_round(self):
+        # the horizon argument is used, not the potential's own T, so an
+        # envelope can be read at every round of a run
+        pot = PowerPotential(W=1.0 / 10.0, p=2.0, G=1.0, T=100)
+        assert regret_bound(pot, 1.0, 25) == pytest.approx(6.25, rel=1e-12)
+
+    def test_argument_checks(self):
+        pot = QuadraticPotential(eta=0.3, G=1.0)
         with pytest.raises(ValueError):
-            regret_bound("mystery", {"G": 1.0}, 1.0, 10)
+            regret_bound(pot, -1.0, 10)
+        with pytest.raises(ValueError):
+            regret_bound(pot, 1.0, 0)
 
 
 class TestShapeProperties:

@@ -1,0 +1,22 @@
+"""Smoke test of the example scripts: each runs to completion at a small size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,args", [
+    ("envelope_sweep.py", ["--rounds", "20", "--seeds", "1", "--dim", "2"]),
+    ("zero_reward_duel.py", ["--rounds", "4"]),
+])
+def test_script_runs(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,57 +4,62 @@ import numpy as np
 import pytest
 
 from minimax_online import (
-    AdaptiveNormalStrategy,
+    AdaptiveNormalPotential,
     GameConfig,
-    NormalKnownTStrategy,
-    OGD,
+    NormalKnownTPotential,
     OneRoundSpec,
     OrthogonalMinimax,
-    PowerStrategy,
-    adaptive_normal_play,
-    normal_known_t_play,
-    ogd_play,
-    power_play,
+    PotentialPlayer,
+    PowerPotential,
+    QuadraticPotential,
+    make_rng,
     run_game,
     solve_orthogonal,
     solve_parallel,
 )
+from minimax_online.one_round import ORTHOGONAL
 from conftest import adversary_quartet
+
+
+def play(pot, t, theta):
+    return PotentialPlayer(pot).play(t, theta)
 
 
 class TestOgdPlay:
     def test_scaled_state(self):
-        np.testing.assert_allclose(ogd_play(0.1, np.array([2.0, 0.0])), [0.2, 0.0], rtol=1e-15)
+        w = play(QuadraticPotential(0.1, 1.0), 0, np.array([2.0, 0.0]))
+        np.testing.assert_allclose(w, [0.2, 0.0], rtol=1e-15)
 
     def test_zero_state(self):
-        assert np.array_equal(ogd_play(0.5, np.zeros(3)), np.zeros(3))
+        assert np.array_equal(play(QuadraticPotential(0.5, 1.0), 0, np.zeros(3)), np.zeros(3))
 
     def test_minimax_rate(self):
         G, T = 1.0, 25
         theta = np.array([3.0, -1.0])
-        np.testing.assert_allclose(ogd_play(1.0 / (G * math.sqrt(T)), theta), theta / 5.0, rtol=1e-15)
+        w = play(QuadraticPotential(1.0 / (G * math.sqrt(T)), G), 0, theta)
+        np.testing.assert_allclose(w, theta / 5.0, rtol=1e-15)
 
 
 class TestPowerPlay:
     def test_p1_example(self):
-        w = power_play(W=1.0, p=1.0, G=1.0, T=4, t=1, theta=np.array([1.0, 0.0]))
+        w = play(PowerPotential(1.0, 1.0, 1.0, 4), 1, np.array([1.0, 0.0]))
         np.testing.assert_allclose(w, [0.5, 0.0], rtol=1e-12)
 
     def test_p2_is_scaled_state(self):
         theta = np.array([0.3, -0.7])
-        w = power_play(W=0.2, p=2.0, G=1.0, T=9, t=4, theta=theta)
+        w = play(PowerPotential(0.2, 2.0, 1.0, 9), 4, theta)
         np.testing.assert_allclose(w, 0.2 * theta, rtol=1e-15)
 
     def test_zero_state(self):
         for p in (1.0, 1.5, 2.0):
-            assert np.array_equal(power_play(1.0, p, 1.0, 5, 2, np.zeros(2)), np.zeros(2))
+            assert np.array_equal(play(PowerPotential(1.0, p, 1.0, 5), 2, np.zeros(2)), np.zeros(2))
 
     def test_round_bound(self):
         with pytest.raises(ValueError):
-            power_play(1.0, 1.5, 1.0, 4, 4, np.zeros(2))
+            play(PowerPotential(1.0, 1.5, 1.0, 4), 4, np.zeros(2))
 
     def test_p1_stays_in_ball(self):
-        strat = PowerStrategy(W=0.7, p=1.0, G=1.0, T=60)
+        strat = PotentialPlayer(PowerPotential(W=0.7, p=1.0, G=1.0, T=60))
         for adv in adversary_quartet(1.0):
             cfg = GameConfig(dim=3, grad_bound=1.0, horizon=60, seed=5)
             trace = run_game(strat, adv, cfg, 60)
@@ -64,81 +69,72 @@ class TestPowerPlay:
 
 class TestNormalKnownTPlay:
     def test_zero_state(self):
-        assert np.array_equal(normal_known_t_play(1.0, 2.0, 1.0, 2, 1, np.zeros(2)), np.zeros(2))
+        w = play(NormalKnownTPotential(1.0, 2.0, 1.0, 2), 1, np.zeros(2))
+        assert np.array_equal(w, np.zeros(2))
 
     def test_hand_example(self):
         # t = T-1 = 1: denominator is 2aT exactly; play = (e^0.5 - 1)/2
-        w = normal_known_t_play(1.0, 2.0, 1.0, 2, 1, np.array([1.0, 0.0]))
+        w = play(NormalKnownTPotential(1.0, 2.0, 1.0, 2), 1, np.array([1.0, 0.0]))
         np.testing.assert_allclose(w, [0.3243606353500641, 0.0], rtol=1e-12)
 
     def test_linear_in_eps(self):
         theta = np.array([0.5, 1.0])
-        one = normal_known_t_play(1.0, 2.0, 1.0, 5, 2, theta)
-        two = normal_known_t_play(2.0, 2.0, 1.0, 5, 2, theta)
+        one = play(NormalKnownTPotential(1.0, 2.0, 1.0, 5), 2, theta)
+        two = play(NormalKnownTPotential(2.0, 2.0, 1.0, 5), 2, theta)
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-14)
 
     def test_construction_guard(self):
         with pytest.raises(ValueError):
-            NormalKnownTStrategy(eps=1.0, a=1.5, G=1.0, T=10)
+            PotentialPlayer(NormalKnownTPotential(eps=1.0, a=1.5, G=1.0, T=10))
 
 
 class TestAdaptiveNormalPlay:
     def test_first_round_zero(self):
-        assert np.array_equal(adaptive_normal_play(1.0, 3.0, 1.0, 0, np.zeros(2)), np.zeros(2))
+        w = play(AdaptiveNormalPotential(1.0, 3.0, 1.0), 0, np.zeros(2))
+        assert np.array_equal(w, np.zeros(2))
 
     def test_hand_example(self):
         # (e^{4/6} - e^0) / (2 log^2 2) along theta_hat
-        w = adaptive_normal_play(1.0, 3.0, 1.0, 0, np.array([1.0, 0.0]))
+        w = play(AdaptiveNormalPotential(1.0, 3.0, 1.0), 0, np.array([1.0, 0.0]))
         expected = (math.exp(4.0 / 6.0) - 1.0) / (2.0 * math.log(2.0) ** 2)
         np.testing.assert_allclose(w, [expected, 0.0], rtol=1e-12)
         assert w[0] == pytest.approx(0.9862921176471487, rel=1e-10)
 
     def test_odd_symmetry(self):
         theta = np.array([0.4, -1.1, 0.3])
-        plus = adaptive_normal_play(1.0, 2.5, 1.0, 7, theta)
-        minus = adaptive_normal_play(1.0, 2.5, 1.0, 7, -theta)
+        plus = play(AdaptiveNormalPotential(1.0, 2.5, 1.0), 7, theta)
+        minus = play(AdaptiveNormalPotential(1.0, 2.5, 1.0), 7, -theta)
         np.testing.assert_allclose(minus, -plus, rtol=1e-14)
 
     def test_construction_guard(self):
         with pytest.raises(ValueError):
-            AdaptiveNormalStrategy(eps=1.0, a=2.0, G=1.0)
+            PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.0, G=1.0))
+
+
+MINIMAX_FAMILIES = [
+    QuadraticPotential(eta=0.3, G=1.0),
+    PowerPotential(W=1.3, p=1.4, G=0.9, T=6),
+    NormalKnownTPotential(eps=1.0, a=2.0, G=1.0, T=5),
+    AdaptiveNormalPotential(eps=1.0, a=2.5, G=1.0),
+]
 
 
 class TestMinimaxConsistency:
     """Each play equals the one-round closed-form play for its next-step potential."""
 
-    def test_power_matches_orthogonal_solver(self):
-        W, p, G, T = 1.3, 1.4, 0.9, 6
-        strat = PowerStrategy(W=W, p=p, G=G, T=T)
-        pot = strat.potential()
-        for t in (0, 2, 5):
-            for r in (0.5, 2.0):
-                theta = np.array([r, 0.0]) / math.sqrt(1.0) * 1.0
-                spec = OneRoundSpec(h=lambda x, t=t: pot.radial(t + 1, abs(x)), theta=theta, G=G)
-                sol = solve_orthogonal(spec)
-                np.testing.assert_allclose(strat.play(t, theta), sol.player_play, atol=1e-8)
-
-    def test_normal_known_t_matches_parallel_solver(self):
-        eps, a, G, T = 1.0, 2.0, 1.0, 5
-        strat = NormalKnownTStrategy(eps=eps, a=a, G=G, T=T)
-        pot = strat.potential()
-        for t in (0, 2, 4):
-            for r in (0.0, 0.8, 3.0):
-                theta = np.array([0.6, 0.8]) * r
-                spec = OneRoundSpec(h=lambda x, t=t: pot.radial(t + 1, abs(x)), theta=theta, G=G)
-                sol = solve_parallel(spec)
-                np.testing.assert_allclose(strat.play(t, theta), sol.player_play, atol=1e-8)
-
-    def test_adaptive_matches_parallel_solver(self):
-        eps, a, G = 1.0, 2.5, 1.0
-        strat = AdaptiveNormalStrategy(eps=eps, a=a, G=G)
-        pot = strat.potential()
-        for t in (0, 1, 9):
-            for r in (0.0, 1.0, 4.0):
-                theta = np.array([-r, 0.0])
-                spec = OneRoundSpec(h=lambda x, t=t: pot.radial(t + 1, abs(x)), theta=theta, G=G)
-                sol = solve_parallel(spec)
-                np.testing.assert_allclose(strat.play(t, theta), sol.player_play, atol=1e-8)
+    @pytest.mark.parametrize("pot", MINIMAX_FAMILIES, ids=[pot.tag for pot in MINIMAX_FAMILIES])
+    def test_play_matches_one_round_solver(self, pot):
+        player = PotentialPlayer(pot)
+        rng = make_rng(31)
+        for k in range(300):
+            t = int(rng.integers(0, getattr(pot, "T", 12)))
+            d = int(rng.integers(2, 17))
+            r = 0.0 if k % 10 == 0 else float(rng.uniform(0.0, 4.0))
+            v = rng.standard_normal(d)
+            theta = r * v / np.linalg.norm(v)
+            spec = OneRoundSpec(h=lambda x: pot.radial(t + 1, abs(x)), theta=theta, G=pot.G)
+            sol = solve_orthogonal(spec) if pot.regime == ORTHOGONAL else solve_parallel(spec)
+            np.testing.assert_allclose(player.play(t, theta), sol.player_play, atol=1e-8)
 
 
 class TestIdenticalPlaysAgainstMinimaxAdversary:
@@ -149,14 +145,14 @@ class TestIdenticalPlaysAgainstMinimaxAdversary:
         refs = None
         for p in (1.0, 1.5, 2.0):
             W = (G * math.sqrt(T)) ** (1.0 - p)
-            strat = PowerStrategy(W=W, p=p, G=G, T=T)
+            strat = PotentialPlayer(PowerPotential(W=W, p=p, G=G, T=T))
             cfg = GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed)
             trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
             if refs is None:
                 refs = trace.w
             else:
                 np.testing.assert_allclose(trace.w, refs, atol=1e-9)
-        ogd = OGD(eta=1.0 / (G * math.sqrt(T)), G=G)
+        ogd = PotentialPlayer(QuadraticPotential(eta=1.0 / (G * math.sqrt(T)), G=G))
         cfg = GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed)
         trace = run_game(ogd, OrthogonalMinimax(G=G), cfg, T)
         np.testing.assert_allclose(trace.w, refs, atol=1e-9)
@@ -169,10 +165,10 @@ class TestRotationEquivariance:
                       [math.sin(angle), math.cos(angle)]])
         theta = np.array([1.1, -0.4])
         plays = [
-            lambda th: ogd_play(0.3, th),
-            lambda th: power_play(1.0, 1.5, 1.0, 8, 3, th),
-            lambda th: normal_known_t_play(1.0, 2.0, 1.0, 8, 3, th),
-            lambda th: adaptive_normal_play(1.0, 2.5, 1.0, 3, th),
+            (QuadraticPotential(0.3, 1.0), 0),
+            (PowerPotential(1.0, 1.5, 1.0, 8), 3),
+            (NormalKnownTPotential(1.0, 2.0, 1.0, 8), 3),
+            (AdaptiveNormalPotential(1.0, 2.5, 1.0), 3),
         ]
-        for play in plays:
-            np.testing.assert_allclose(play(R @ theta), R @ play(theta), atol=1e-9)
+        for pot, t in plays:
+            np.testing.assert_allclose(play(pot, t, R @ theta), R @ play(pot, t, theta), atol=1e-9)
