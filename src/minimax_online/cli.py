@@ -391,8 +391,7 @@ def _random_one_round_specs(regime: str, n: int, rng):
         G = float(rng.uniform(0.3, 2.0))
         theta = np.zeros(2)
         if r > 0:
-            v = rng.standard_normal(2)
-            theta = r * v / np.linalg.norm(v)
+            theta = r * random_unit_vector(rng, 2)
         if regime == ORTHOGONAL:
             p = float(rng.uniform(1.0, 2.0))
             W = float(rng.uniform(0.3, 3.0))
@@ -491,23 +490,30 @@ def cmd_curves(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     game = GameConfig(**meta["game"])
-    potentials = {f"s{i}-{entry['tag']}": build_strategy(entry, game).potential
+    potentials = {f"s{i}": build_strategy(entry, game).potential
                   for i, entry in enumerate(meta["strategies"])}
+    comparators = [comparator_vector(c["norm"], c["direction_seed"], game.dim)
+                   for c in meta["comparators"]]
+    u_norms = [float(np.linalg.norm(u)) for u in comparators]
+    # "<bound_u>,<u_norm>\n" per round, once per (strategy entry, comparator, T)
+    tails = {}
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     with open(out_path, "w") as fh:
         fh.write("t,run_id,regret_u,bound_u,u_norm\n")
         for path in traces:
             trace = read_trace_json(path)
             run_id = path.stem[len("run_"):]
-            potential = potentials[run_id.split("_a")[0]]
-            for comp in meta["comparators"]:
-                u = comparator_vector(comp["norm"], comp["direction_seed"], trace.config.dim)
+            entry = run_id.split("-", 1)[0]
+            T = trace.n_rounds
+            for ci, (u, u_norm) in enumerate(zip(comparators, u_norms)):
+                key = (entry, ci, T)
+                if key not in tails:
+                    tails[key] = [f"{regret_bound(potentials[entry], u_norm, t)!r},{u_norm!r}\n"
+                                  for t in range(1, T + 1)]
                 per_round = np.einsum("td,td->t", trace.g, trace.w - u[None, :])
-                cumulative = np.cumsum(per_round)
-                u_norm = float(np.linalg.norm(u))
-                for t in range(1, trace.n_rounds + 1):
-                    bound = regret_bound(potential, u_norm, t)
-                    fh.write(f"{t},{run_id},{float(cumulative[t - 1])!r},{bound!r},{u_norm!r}\n")
+                cumulative = np.cumsum(per_round).tolist()
+                fh.write("".join([f"{t},{run_id},{r!r},{tail}" for t, r, tail
+                                  in zip(range(1, T + 1), cumulative, tails[key])]))
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -18,7 +18,6 @@ capital in the t = 0 term, so the ledger stays exact for both conventions.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -243,24 +242,24 @@ MAX_COORD_COLUMNS = 8
 
 
 def write_trace_csv(trace: Trace, path) -> None:
+    """Rows end in CR LF, floats are written as ``repr`` (shortest round trip)
+    and ``eps_t`` is empty without a ledger; no field ever needs quoting."""
     d = trace.config.dim
-    with_coords = d <= MAX_COORD_COLUMNS
     header = list(CSV_BASE_COLUMNS)
-    if with_coords:
+    columns = [
+        map(str, range(1, trace.n_rounds + 1)),
+        map(repr, trace.losses.tolist()),
+        map(repr, (0.0 - np.cumsum(trace.losses)).tolist()),  # 0.0 - keeps row 1 at 0.0, not -0.0
+        (repr(float(np.linalg.norm(row))) for row in trace.theta),
+        [""] * trace.n_rounds if trace.eps is None else map(repr, trace.eps.tolist()),
+    ]
+    if d <= MAX_COORD_COLUMNS:
         header += [f"w_{i}" for i in range(d)] + [f"g_{i}" for i in range(d)]
+        columns += [map(repr, col) for col in trace.w.T.tolist()]
+        columns += [map(repr, col) for col in trace.g.T.tolist()]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        reward_cum = 0.0
-        for t in range(trace.n_rounds):
-            reward_cum -= trace.losses[t]
-            eps_val = "" if trace.eps is None else repr(float(trace.eps[t]))
-            row = [t + 1, repr(float(trace.losses[t])), repr(float(reward_cum)),
-                   repr(float(np.linalg.norm(trace.theta[t]))), eps_val]
-            if with_coords:
-                row += [repr(float(x)) for x in trace.w[t]]
-                row += [repr(float(x)) for x in trace.g[t]]
-            writer.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -297,8 +296,9 @@ def trace_from_dict(data: dict) -> Trace:
 
 
 def write_trace_json(trace: Trace, path) -> None:
+    text = json.dumps(trace_to_dict(trace))  # one call: the C encoder, not the per-item one
     with open(path, "w") as fh:
-        json.dump(trace_to_dict(trace), fh)
+        fh.write(text)
 
 
 def read_trace_json(path) -> Trace:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from minimax_online.cli import (
@@ -9,10 +10,13 @@ from minimax_online.cli import (
     EXIT_OK,
     ConfigError,
     build_strategy,
+    comparator_vector,
     main,
     parse_experiment_spec,
+    regret_bound,
 )
 from minimax_online.core import GameConfig
+from minimax_online.engine import read_trace_json
 
 MINIMAL_SPEC = """\
 game:
@@ -201,6 +205,45 @@ rounds: 30
             series.sort()
             bounds = [b for _, b in series]
             assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
+
+    def test_every_row_matches_its_trace_and_entry_envelope(self, tmp_path):
+        # two adaptive_normal entries that differ only in a: each run's bound_u
+        # must come from its own entry's potential, not from the first one with its tag
+        sweep = """\
+game: {dim: 3, grad_bound: 1.0, horizon: unknown, seed: 2}
+strategies:
+  - {tag: ogd, eta: 0.2}
+  - {tag: adaptive_normal, eps: 1.0, a: 2.5}
+  - {tag: adaptive_normal, eps: 1.0, a: 3.0}
+adversary: {tag: gaussian_random}
+comparators:
+  - {norm: 0.0, direction_seed: 0}
+  - {norm: 2.0, direction_seed: 4}
+outputs: {dir: OUTDIR, format: json}
+repeats: 2
+rounds: 25
+"""
+        path, out = write_spec(tmp_path, sweep)
+        spec = parse_experiment_spec(path)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        assert main(["curves", str(out)]) == EXIT_OK
+        expected = []
+        for trace_path in sorted(out.glob("run_*.json")):
+            run_id = trace_path.stem[len("run_"):]
+            entry = spec.strategies[int(run_id.split("-", 1)[0][1:])]
+            potential = build_strategy(entry, spec.game).potential
+            trace = read_trace_json(trace_path)
+            for comp in spec.comparators:
+                u = comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
+                u_norm = float(np.linalg.norm(u))
+                regret_u = np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u))
+                for t in range(1, trace.n_rounds + 1):
+                    expected.append((t, run_id, float(regret_u[t - 1]),
+                                     regret_bound(potential, u_norm, t), u_norm))
+        rows = [(int(r["t"]), r["run_id"], float(r["regret_u"]), float(r["bound_u"]),
+                 float(r["u_norm"])) for r in csv.DictReader((out / "curves.csv").open())]
+        assert len(expected) == 3 * 2 * 2 * 25  # entries x repeats x comparators x rounds
+        assert rows == expected
 
     def test_missing_traces_exit_2(self, tmp_path, capsys):
         assert main(["curves", str(tmp_path)]) == EXIT_CONFIG

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -30,6 +31,7 @@ from minimax_online import (
     write_trace_json,
 )
 from minimax_online.core import DimensionMismatchError
+from minimax_online.engine import trace_to_dict
 
 
 class ZeroPotential:
@@ -212,6 +214,85 @@ class TestDualityWitness:
         # reward side: 0 >= ||theta_T||^2 = 16 fails; witness must certify the
         # regret side fails too (via u = grad B = 2 theta_T)
         assert duality_witness([trace], bench, eps_hat=0.0, comparators=[np.zeros(2)])
+
+
+def reference_write_trace_csv(trace, path):
+    """The row-by-row ``csv.writer`` writer the bulk one must match byte for byte."""
+    d = trace.config.dim
+    with_coords = d <= 8
+    header = ["t", "loss", "reward_cum", "theta_norm", "eps_t"]
+    if with_coords:
+        header += [f"w_{i}" for i in range(d)] + [f"g_{i}" for i in range(d)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        reward_cum = 0.0
+        for t in range(trace.n_rounds):
+            reward_cum -= trace.losses[t]
+            eps_val = "" if trace.eps is None else repr(float(trace.eps[t]))
+            row = [t + 1, repr(float(trace.losses[t])), repr(float(reward_cum)),
+                   repr(float(np.linalg.norm(trace.theta[t]))), eps_val]
+            if with_coords:
+                row += [repr(float(x)) for x in trace.w[t]]
+                row += [repr(float(x)) for x in trace.g[t]]
+            writer.writerow(row)
+
+
+def reference_write_trace_json(trace, path):
+    """The streaming ``json.dump`` writer the one-call one must match byte for byte."""
+    with open(path, "w") as fh:
+        json.dump(trace_to_dict(trace), fh)
+
+
+def extreme_trace():
+    """Hand-built d = 2 trace holding signed zeros, subnormals, huge values, inf and nan."""
+    specials = [-0.0, 5e-324, 1e300, math.inf, math.nan, 0.0, -1e300, -math.inf]
+    losses = np.array(specials)
+    w = np.array([specials, specials[::-1]]).T.copy()
+    g = np.array([specials[3:] + specials[:3], specials[::2] + specials[1::2]]).T.copy()
+    theta = np.cumsum(np.where(np.isfinite(g), -g, 0.0), axis=0)
+    cfg = GameConfig(dim=2, grad_bound=1.0, horizon=len(specials), seed=0)
+    return Trace(cfg, "stub", "stub", w, g, theta, losses, eps=losses[::-1].copy())
+
+
+WRITER_CASES = {
+    "d2_ledger": lambda: attach_epsilon(small_trace(rounds=40), QuadraticPotential(eta=0.2, G=1.0)),
+    "d9": lambda: small_trace(seed=3, rounds=25, dim=9),
+    "eps_none": lambda: small_trace(seed=5, rounds=25),
+    "zero_rounds": lambda: run_game(ogd(0.2), GaussianRandom(G=1.0),
+                                    GameConfig(dim=2, grad_bound=1.0, seed=0), 0),
+    "extreme": extreme_trace,
+}
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("case", list(WRITER_CASES))
+    def test_csv_matches_reference(self, tmp_path, case):
+        trace = WRITER_CASES[case]()
+        with np.errstate(all="ignore"):
+            reference_write_trace_csv(trace, tmp_path / "ref.csv")
+            write_trace_csv(trace, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", list(WRITER_CASES))
+    def test_json_matches_reference(self, tmp_path, case):
+        trace = WRITER_CASES[case]()
+        reference_write_trace_json(trace, tmp_path / "ref.json")
+        write_trace_json(trace, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30))
+    def test_reward_cum_matches_running_sum(self, tmp_path_factory, losses):
+        tmp_path = tmp_path_factory.mktemp("cum")
+        T = len(losses)
+        cfg = GameConfig(dim=1, grad_bound=1.0, horizon=max(T, 1), seed=0)
+        zeros = np.zeros((T, 1))
+        trace = Trace(cfg, "stub", "stub", zeros, zeros, zeros, np.array(losses, dtype=np.float64))
+        with np.errstate(all="ignore"):
+            reference_write_trace_csv(trace, tmp_path / "ref.csv")
+            write_trace_csv(trace, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestSerialization:
