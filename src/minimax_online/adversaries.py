@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import orthonormal_complement_sample, random_unit_vector, unit_direction
+from .core import fallback_direction, orthonormal_complement_sample, random_unit_vector, unit_direction
 
 
 def orthogonal_minimax_grad(theta, G: float, rng: np.random.Generator) -> np.ndarray:
@@ -26,13 +26,15 @@ def parallel_minimax_grad(theta, G: float, sign: float, rng: Optional[np.random.
     theta = np.asarray(theta, dtype=np.float64)
     that = unit_direction(theta)
     if not that.any():
-        if rng is None:
-            that = np.zeros_like(theta)
-            that[0] = 1.0
-        else:
-            that = random_unit_vector(rng, theta.size)
-        return G * that
+        return G * fallback_direction(theta.size, rng)
     return sign * G * that
+
+
+def _line(direction, dim: int) -> np.ndarray:
+    """Unit vector along direction; the first axis when direction is None."""
+    if direction is None:
+        return fallback_direction(dim)
+    return unit_direction(np.asarray(direction, dtype=np.float64))
 
 
 def greedy_vs_comparator_grad(w, u, G: float) -> np.ndarray:
@@ -51,6 +53,7 @@ class OrthogonalMinimax:
     G: float
 
     tag = "orthogonal_minimax"
+    min_dim = 2  # theta has no orthogonal complement at d = 1
 
     def grad(self, t, theta, w, rng):
         return orthogonal_minimax_grad(theta, self.G, rng)
@@ -97,12 +100,7 @@ class RademacherLine:
     tag = "rademacher_line"
 
     def grad(self, t, theta, w, rng):
-        theta = np.asarray(theta, dtype=np.float64)
-        if self.direction is None:
-            e = np.zeros_like(theta)
-            e[0] = 1.0
-        else:
-            e = unit_direction(np.asarray(self.direction, dtype=np.float64))
+        e = _line(self.direction, np.size(theta))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return sign * self.G * e
 
@@ -129,13 +127,7 @@ class FixedDirection:
     tag = "fixed_direction"
 
     def grad(self, t, theta, w, rng):
-        theta = np.asarray(theta, dtype=np.float64)
-        if self.direction is None:
-            e = np.zeros_like(theta)
-            e[0] = 1.0
-        else:
-            e = unit_direction(np.asarray(self.direction, dtype=np.float64))
-        return self.G * e
+        return self.G * _line(self.direction, np.size(theta))
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ class GreedyVsComparator:
     """Maximizes the instantaneous regret against a fixed comparator u."""
 
     G: float
-    comparator: tuple = ()
+    comparator: tuple
 
     tag = "greedy_vs_comparator"
 

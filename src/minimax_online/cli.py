@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -29,27 +30,13 @@ import numpy as np
 import yaml
 
 from . import adversaries as adv_mod
+from . import checks
 from . import strategies as strat_mod
 from .core import GameConfig, UNKNOWN_HORIZON, make_rng, random_unit_vector
-from .engine import (
-    attach_epsilon,
-    regret_bound,
-    run_game,
-    verify_bound,
-    write_trace_csv,
-    write_trace_json,
-    read_trace_json,
-)
-from .one_round import ORTHOGONAL, PARALLEL, OneRoundSpec, lower_bound_value, solve_orthogonal, solve_parallel, solve_scalar_grid
-from .oracles import RecursionSpec, argmax_at_zero_check, conditional_value_recursive, gaussian_dominance_check
-from .potentials import (
-    AdaptiveNormalPotential,
-    NormalKnownTPotential,
-    PowerPotential,
-    QuadraticPotential,
-    exp_conjugate_numeric,
-    exp_conjugate_upper_bound,
-)
+from .engine import (attach_epsilon, regret_bound, run_game, verify_bound, write_trace_csv,
+                     write_trace_json, read_trace_json)
+from .one_round import ORTHOGONAL, PARALLEL
+from .potentials import AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -93,20 +80,30 @@ class ExperimentSpec:
 
 POTENTIALS = {cls.tag: cls for cls in (QuadraticPotential, PowerPotential,
                                        NormalKnownTPotential, AdaptiveNormalPotential)}
-ADVERSARY_KEYS = {
-    "orthogonal_minimax": {"tag"},
-    "parallel_minimax": {"tag", "sign_policy"},
-    "rademacher_line": {"tag", "direction"},
-    "gaussian_random": {"tag"},
-    "fixed_direction": {"tag", "direction"},
-    "greedy_vs_comparator": {"tag", "comparator"},
-}
+ADVERSARIES = {cls.tag: cls for cls in (adv_mod.OrthogonalMinimax, adv_mod.ParallelMinimax,
+                                        adv_mod.RademacherLine, adv_mod.GaussianRandom,
+                                        adv_mod.FixedDirection, adv_mod.GreedyVsComparator)}
+# adversary fields that hold a vector in the game's space
+VECTOR_FIELDS = {"direction", "comparator"}
 
 
-def _spec_params(cls) -> list:
-    """Parameters a strategy entry sets: the potential's constructor fields but G
-    and T, which come from the game section."""
-    return [f.name for f in fields(cls) if f.init and f.name not in ("G", "T")]
+def _spec_fields(cls) -> list:
+    """Fields a strategy or adversary entry sets: the class's constructor
+    fields but G and T, which come from the game section."""
+    return [f for f in fields(cls) if f.init and f.name not in ("G", "T")]
+
+
+def _parse_entry(entry: dict, registry: dict, kind: str, build, game: GameConfig, text: str):
+    """Check a strategy or adversary entry's tag and keys (the tag and every
+    spec field allowed, those without a default required), then build it to
+    surface parameter precondition violations now."""
+    tag = entry.get("tag")
+    if tag not in registry:
+        raise ConfigError(f"unknown {kind} tag {tag!r}", _find_key_line(text, "tag"))
+    spec_fields = _spec_fields(registry[tag])
+    _require_keys(entry, {"tag", *(f.name for f in spec_fields)},
+                  {"tag", *(f.name for f in spec_fields if f.default is MISSING)}, f"{kind} {tag}", text)
+    return build(entry, game)
 
 
 def build_strategy(entry: dict, game: GameConfig) -> strat_mod.PotentialPlayer:
@@ -115,11 +112,11 @@ def build_strategy(entry: dict, game: GameConfig) -> strat_mod.PotentialPlayer:
         raise ConfigError(f"unknown strategy tag {tag!r}; choose from {sorted(POTENTIALS)}")
     cls = POTENTIALS[tag]
     try:
-        params = {name: float(entry[name]) for name in _spec_params(cls)}
+        params = {f.name: float(entry[f.name]) for f in _spec_fields(cls)}
         params["G"] = game.grad_bound
         if "T" in cls.__dataclass_fields__:
             if not game.known_horizon:
-                raise ConfigError(f"{tag} strategy requires a numeric game.horizon")
+                raise ValueError("requires a numeric game.horizon")
             params["T"] = game.horizon
         return strat_mod.PotentialPlayer(cls(**params))
     except KeyError as exc:
@@ -128,30 +125,33 @@ def build_strategy(entry: dict, game: GameConfig) -> strat_mod.PotentialPlayer:
         raise ConfigError(f"strategy {tag!r}: {exc}") from exc
 
 
+def _vector(name: str, value, dim: int) -> tuple:
+    """A vector field as a tuple of game.dim finite floats; a direction must
+    also not be all zeros."""
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (dim,) or not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be a list of game.dim = {dim} finite numbers")
+    if name == "direction" and not vec.any():
+        raise ValueError("direction must not be all zeros")
+    return tuple(vec.tolist())
+
+
 def build_adversary(entry: dict, game: GameConfig):
     tag = entry.get("tag")
-    if tag not in ADVERSARY_KEYS:
-        raise ConfigError(f"unknown adversary tag {tag!r}; choose from {sorted(ADVERSARY_KEYS)}")
-    G = game.grad_bound
+    if tag not in ADVERSARIES:
+        raise ConfigError(f"unknown adversary tag {tag!r}; choose from {sorted(ADVERSARIES)}")
+    cls = ADVERSARIES[tag]
+    params = {f.name: entry[f.name] for f in _spec_fields(cls) if f.name in entry}
     try:
-        if tag == "orthogonal_minimax":
-            if game.dim < 2:
-                raise ConfigError("orthogonal_minimax requires game.dim >= 2")
-            return adv_mod.OrthogonalMinimax(G=G)
-        if tag == "parallel_minimax":
-            return adv_mod.ParallelMinimax(G=G, sign_policy=entry.get("sign_policy", "grow"))
-        if tag == "rademacher_line":
-            direction = entry.get("direction")
-            return adv_mod.RademacherLine(G=G, direction=None if direction is None else tuple(direction))
-        if tag == "gaussian_random":
-            return adv_mod.GaussianRandom(G=G)
-        if tag == "fixed_direction":
-            direction = entry.get("direction")
-            return adv_mod.FixedDirection(G=G, direction=None if direction is None else tuple(direction))
-        comp = entry.get("comparator")
-        if comp is None or len(comp) != game.dim:
-            raise ConfigError("greedy_vs_comparator needs a comparator vector of length game.dim")
-        return adv_mod.GreedyVsComparator(G=G, comparator=tuple(float(x) for x in comp))
+        min_dim = getattr(cls, "min_dim", 1)
+        if game.dim < min_dim:
+            raise ValueError(f"requires game.dim >= {min_dim}")
+        for name in VECTOR_FIELDS & params.keys():
+            params[name] = _vector(name, params[name], game.dim)
+        return cls(G=game.grad_bound, **params)
     except ValueError as exc:
         raise ConfigError(f"adversary {tag!r}: {exc}") from exc
 
@@ -199,20 +199,10 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     if not adversaries:
         raise ConfigError("at least one adversary is required")
 
-    players = []
-    for entry in strategies:
-        tag = entry.get("tag")
-        if tag not in POTENTIALS:
-            raise ConfigError(f"unknown strategy tag {tag!r}", _find_key_line(text, "tag"))
-        keys = {"tag", *_spec_params(POTENTIALS[tag])}
-        _require_keys(entry, keys, keys, f"strategy {tag}", text)
-        players.append(build_strategy(entry, game))  # surface parameter precondition violations now
+    players = [_parse_entry(entry, POTENTIALS, "strategy", build_strategy, game, text)
+               for entry in strategies]
     for entry in adversaries:
-        tag = entry.get("tag")
-        if tag not in ADVERSARY_KEYS:
-            raise ConfigError(f"unknown adversary tag {tag!r}", _find_key_line(text, "tag"))
-        _require_keys(entry, ADVERSARY_KEYS[tag], {"tag"}, f"adversary {tag}", text)
-        build_adversary(entry, game)
+        _parse_entry(entry, ADVERSARIES, "adversary", build_adversary, game, text)
 
     comparators = raw.get("comparators", [{"norm": 0.0, "direction_seed": 0}])
     for comp in comparators:
@@ -336,116 +326,15 @@ def cmd_run(args) -> int:
     return EXIT_OK if not violations else EXIT_BOUND_VIOLATION
 
 
-# --- verify suites ----------------------------------------------------------
+# --- verify ---------------------------------------------------------------
 
-def _suite_gaussian_dominance():
-    corpus = [
-        ("abs", lambda x: abs(x)),
-        ("square", lambda x: x * x),
-        ("quartic", lambda x: x**4),
-        ("power_1.5", lambda x: abs(x) ** 1.5),
-        ("power_3", lambda x: abs(x) ** 3),
-        ("exp", math.exp),
-        ("exp_quad_c8", lambda x: math.exp(x * x / 8.0)),
-        ("softplus", lambda x: math.log1p(math.exp(-abs(x))) + max(x, 0.0)),
-        ("hinge", lambda x: max(0.0, x - 0.3)),
-        ("neg_hinge", lambda x: max(0.0, 1.0 - x)),
-        ("cosh", math.cosh),
-        ("abs_shift", lambda x: abs(x - 0.25)),
-    ]
-    return [("gaussian-dominance", name, gaussian_dominance_check(f)) for name, f in corpus]
-
-
-def _suite_argmax_zero():
-    rows = []
-    for eps in (0.5, 1.0):
-        for G in (0.5, 1.0):
-            for ratio in (1.02, 1.3, 2.0):
-                a = ratio * 3.0 * math.pi * G * G / 4.0
-                for t in (1, 2, 5, 50):
-                    ok = argmax_at_zero_check(eps, a, G, t)
-                    rows.append(("argmax-zero", f"eps={eps},a={a:.3f},G={G},t={t}", ok))
-    return rows
-
-
-def _suite_conjugate_bound(n: int = 200, seed: int = 0):
-    rng = make_rng(seed)
-    rows = []
-    worst = -math.inf
-    for _ in range(n):
-        alpha = float(rng.uniform(0.2, 10.0))
-        beta = float(rng.uniform(0.1, 5.0))
-        w = float(rng.uniform(0.0, 10.0))
-        numeric = exp_conjugate_numeric(alpha, beta, w)
-        closed = exp_conjugate_upper_bound(alpha, beta, w)
-        worst = max(worst, numeric - closed)
-    rows.append(("conjugate-bound", f"{n} random (alpha,beta,w), max excess {worst:.2e}",
-                 worst <= 1e-8))
-    return rows
-
-
-def _random_one_round_specs(regime: str, n: int, rng):
-    specs = []
-    for _ in range(n):
-        r = float(rng.uniform(0.0, 3.0))
-        G = float(rng.uniform(0.3, 2.0))
-        theta = np.zeros(2)
-        if r > 0:
-            theta = r * random_unit_vector(rng, 2)
-        if regime == ORTHOGONAL:
-            p = float(rng.uniform(1.0, 2.0))
-            W = float(rng.uniform(0.3, 3.0))
-            c = float(rng.uniform(0.0, 4.0))
-            h = lambda x, W=W, p=p, c=c: (W / p) * (x * x + c) ** (p / 2.0)
-        else:
-            if rng.random() < 0.5:
-                c2 = float(rng.uniform(2.0, 10.0))
-                b0 = float(rng.uniform(0.2, 2.0))
-                h = lambda x, b0=b0, c2=c2: b0 * np.exp(x * x / (2.0 * c2))
-            else:
-                pp = float(rng.uniform(2.0, 4.0))
-                h = lambda x, pp=pp: np.abs(x) ** pp
-        specs.append(OneRoundSpec(h=h, theta=theta, G=G))
-    return specs
-
-
-def _suite_one_round(regime: Optional[str] = None, n: int = 50, seed: int = 1):
-    rng = make_rng(seed)
-    rows = []
-    regimes = [ORTHOGONAL, PARALLEL] if regime is None else [regime]
-    for reg in regimes:
-        worst = 0.0
-        dominance_ok = True
-        for spec in _random_one_round_specs(reg, n, rng):
-            closed = (solve_orthogonal(spec, rng) if reg == ORTHOGONAL
-                      else solve_parallel(spec)).value
-            grid = solve_scalar_grid(spec)
-            worst = max(worst, abs(closed - grid) / (1.0 + abs(closed)))
-            if grid < lower_bound_value(spec) - 1e-6:
-                dominance_ok = False
-        rows.append(("one-round", f"{reg}: max |closed-grid| rel {worst:.2e}", worst <= 1e-3))
-        rows.append(("one-round", f"{reg}: grid >= lower bound", dominance_ok))
-    return rows
-
-
-def _suite_recursion():
-    rows = []
-    for p in (1.0, 1.5, 2.0):
-        for T in (1, 2, 3):
-            spec = RecursionSpec(f=lambda x, p=p: (1.0 / p) * np.abs(x) ** p, G=1.0, T=T, dim=2)
-            val = conditional_value_recursive(spec, 0, np.zeros(2))
-            truth = (1.0 / p) * T ** (p / 2.0)
-            rel = abs(val - truth) / abs(truth)
-            rows.append(("recursion", f"p={p},T={T}: rel {rel:.2e}", rel <= 1e-2))
-    return rows
-
-
+# verify's seeds; the acceptance gate runs the same checks at its own seeds
 SUITES = {
-    "gaussian-dominance": _suite_gaussian_dominance,
-    "argmax-zero": _suite_argmax_zero,
-    "conjugate-bound": _suite_conjugate_bound,
-    "one-round": _suite_one_round,
-    "recursion": _suite_recursion,
+    "gaussian-dominance": checks.gaussian_dominance,
+    "argmax-zero": checks.argmax_zero,
+    "conjugate-bound": partial(checks.conjugate_bound, seed=0),
+    "one-round": partial(checks.one_round, seed=1),
+    "recursion": checks.recursion,
 }
 
 
@@ -457,22 +346,22 @@ def cmd_verify(args) -> int:
     else:
         print("error: choose --lemma <name> or --all", file=sys.stderr)
         return EXIT_CONFIG
-    rows = []
+    rows, seconds = [], {}
     for name in names:
-        if name == "one-round" and args.regime:
-            rows.extend(_suite_one_round(regime=args.regime))
-        else:
-            rows.extend(SUITES[name]())
-    width = max(len(r[1]) for r in rows)
-    failures = []
-    for suite, label, ok in rows:
-        print(f"{suite:20s} {label:{width}s} {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append((suite, label))
+        start = time.perf_counter()
+        rows.extend(SUITES[name](regime=args.regime) if name == "one-round" else SUITES[name]())
+        seconds[name] = time.perf_counter() - start
+    width = max(len(row.label) for row in rows)
+    for row in rows:
+        print(f"{row.suite:20s} {row.label:{width}s} {'PASS' if row.ok else 'FAIL'}")
+    print()
+    for name, secs in seconds.items():
+        print(f"{name:20s} {secs:.2f} s")
+    failures = [row for row in rows if not row.ok]
     if failures:
         print(f"\n{len(failures)} failing checks:", file=sys.stderr)
-        for suite, label in failures:
-            print(f"  {suite}: {label}", file=sys.stderr)
+        for row in failures:
+            print(f"  {row.suite}: {row.label}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
 

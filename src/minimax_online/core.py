@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-# Centralized tolerance constants.  Identities (inner-product algebra,
-# telescoping sums) are checked at TOL_IDENTITY; orthogonality of sampled
-# complement directions at TOL_ORTHO.
-TOL_IDENTITY = 1e-9
+# Orthogonality of sampled complement directions is checked at TOL_ORTHO.
 TOL_ORTHO = 1e-12
 
 UNKNOWN_HORIZON = "unknown"
@@ -95,6 +92,16 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> Point:
         v = rng.standard_normal(dim)
         n = norm(v)
     return v / n
+
+
+def fallback_direction(dim: int, rng: Optional[np.random.Generator] = None) -> Point:
+    """A direction for when theta = 0 gives none: a random unit vector drawn
+    from rng, or the first axis without one."""
+    if rng is not None:
+        return random_unit_vector(rng, dim)
+    e = np.zeros(dim)
+    e[0] = 1.0
+    return e
 
 
 def orthonormal_complement_sample(theta: Point, rng: np.random.Generator) -> Point:

@@ -24,9 +24,9 @@ import numpy as np
 from ._search import eval_on_array, finite_difference, golden_section_max, golden_section_min
 from .core import (
     UnsupportedDimensionError,
+    fallback_direction,
     make_rng,
     orthonormal_complement_sample,
-    random_unit_vector,
     unit_direction,
 )
 
@@ -133,15 +133,7 @@ def solve_parallel(
     value = 0.5 * (hi + lo)
     that = unit_direction(spec.theta)
     w_star = that * ((hi - lo) / (2.0 * spec.G))
-    if r == 0.0:
-        if rng is not None:
-            direction = random_unit_vector(rng, spec.theta.size)
-        else:
-            direction = np.zeros_like(spec.theta)
-            direction[0] = 1.0
-        g_star = spec.G * direction
-    else:
-        g_star = sign * spec.G * that
+    g_star = spec.G * fallback_direction(spec.theta.size, rng) if r == 0.0 else sign * spec.G * that
     return OneRoundSolution(value, w_star, g_star, PARALLEL)
 
 

@@ -20,7 +20,7 @@ from minimax_online import (
     run_game,
 )
 from minimax_online.core import UnsupportedDimensionError
-from conftest import adversary_quartet
+from minimax_online.checks import adversary_quartet
 
 
 class TestOrthogonalMinimax:

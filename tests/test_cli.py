@@ -1,13 +1,18 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import yaml
 
+from minimax_online import adversaries, potentials
 from minimax_online.cli import (
+    ADVERSARIES,
     EXIT_BOUND_VIOLATION,
     EXIT_CONFIG,
     EXIT_OK,
+    POTENTIALS,
     ConfigError,
     build_strategy,
     comparator_vector,
@@ -84,6 +89,68 @@ class TestParse:
         path, _ = write_spec(tmp_path, bad)
         with pytest.raises(ConfigError):
             parse_experiment_spec(path)
+
+
+class TestAdversaryEntries:
+    @pytest.mark.parametrize("dim,adversary,message", [
+        (3, "{tag: fixed_direction, direction: [1.0, 0.0]}", "direction must be a list of game.dim = 3"),
+        (3, "{tag: rademacher_line, direction: ab}", "direction must be a list of game.dim = 3"),
+        (3, "{tag: fixed_direction, direction: [1.0, .nan, 0.0]}", "direction must be a list of game.dim = 3"),
+        (3, "{tag: rademacher_line, direction: [0.0, 0.0, 0.0]}", "direction must not be all zeros"),
+        (3, "{tag: greedy_vs_comparator, comparator: [1.0, 0.0]}", "comparator must be a list of game.dim = 3"),
+        (1, "{tag: orthogonal_minimax}", "requires game.dim >= 2"),
+    ], ids=["short_direction", "text_direction", "nan_direction", "zero_direction", "short_comparator",
+            "orthogonal_at_dim_1"])
+    def test_bad_entry_is_a_config_error(self, tmp_path, capsys, dim, adversary, message):
+        spec = MINIMAL_SPEC.replace("dim: 2", f"dim: {dim}").replace(
+            "adversary:\n  tag: fixed_direction", f"adversary: {adversary}")
+        path, out = write_spec(tmp_path, spec)
+        prefix = f"adversary {yaml.safe_load(adversary)['tag']!r}: "  # the adversary is named once
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_spec(path)
+        assert str(err.value).startswith(prefix + message)
+        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
+        assert f"error: {prefix}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# one valid value for every spec field of every registered class
+FIELD_SAMPLES = {"eta": 0.2, "W": 1.0, "p": 1.5, "eps": 1.0, "a": 2.5, "sign_policy": "alternate",
+                 "direction": [0.0, 1.0], "comparator": [0.5, -0.5]}
+
+
+class TestRegistries:
+    @pytest.mark.parametrize("module,registry", [(potentials, POTENTIALS), (adversaries, ADVERSARIES)],
+                             ids=["potentials", "adversaries"])
+    def test_every_tagged_class_is_registered(self, module, registry):
+        tagged = {obj.tag: obj for obj in vars(module).values()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__ and hasattr(obj, "tag")}
+        assert registry == tagged
+
+    @pytest.mark.parametrize("section,cls", [("strategy", cls) for cls in POTENTIALS.values()]
+                             + [("adversary", cls) for cls in ADVERSARIES.values()])
+    def test_spec_keys_are_init_fields_but_G_and_T(self, tmp_path, section, cls):
+        spec_fields = [f for f in dataclasses.fields(cls) if f.init and f.name not in ("G", "T")]
+        full = {"tag": cls.tag, **{f.name: FIELD_SAMPLES[f.name] for f in spec_fields}}
+        base = {"game": {"dim": 2, "grad_bound": 1.0, "horizon": 10},
+                "strategy": {"tag": "ogd", "eta": 0.2}, "adversary": {"tag": "gaussian_random"}}
+
+        def parse(entry):
+            path = tmp_path / "spec.yaml"
+            path.write_text(yaml.safe_dump({**base, section: entry}))
+            return parse_experiment_spec(path)
+
+        parse(full)
+        for extra in ("G", "T", "mystery"):
+            with pytest.raises(ConfigError, match=f"unknown key '{extra}'"):
+                parse({**full, extra: 1.0})
+        for f in spec_fields:
+            partial = {k: v for k, v in full.items() if k != f.name}
+            if f.default is dataclasses.MISSING:
+                with pytest.raises(ConfigError, match=f"missing required key '{f.name}'"):
+                    parse(partial)
+            else:
+                parse(partial)
 
 
 class TestRunCommand:

@@ -14,7 +14,7 @@ from minimax_online import (
     solve_scalar_grid,
 )
 from minimax_online.core import UnsupportedDimensionError, make_rng
-from minimax_online.cli import _random_one_round_specs
+from minimax_online import checks
 from minimax_online.one_round import NUMERIC, ORTHOGONAL, PARALLEL
 
 PROBES = np.linspace(0.05, 5.0, 40)
@@ -136,18 +136,14 @@ class TestScalarGrid:
 
     @pytest.mark.parametrize("regime", [ORTHOGONAL, PARALLEL])
     def test_oracle_agreement_random_specs(self, regime):
-        rng = make_rng(7)
-        for spec in _random_one_round_specs(regime, 50, rng):
-            closed = (solve_orthogonal(spec, rng) if regime == ORTHOGONAL
-                      else solve_parallel(spec)).value
-            grid = solve_scalar_grid(spec)
-            assert abs(closed - grid) <= 1e-3 * (1.0 + abs(closed))
+        rows = list(checks.one_round(seed=7, regime=regime))
+        assert len(rows) == 2 and all(row.ok for row in rows), rows
 
     def test_saddle_point_verification(self):
         rng = make_rng(11)
         delta = 1e-3
         for regime in (ORTHOGONAL, PARALLEL):
-            for spec in _random_one_round_specs(regime, 8, rng):
+            for spec in checks.random_one_round_specs(regime, 8, rng):
                 sol = (solve_orthogonal(spec, rng) if regime == ORTHOGONAL
                        else solve_parallel(spec))
                 r = float(np.linalg.norm(spec.theta))
@@ -187,7 +183,7 @@ class TestLowerBound:
     def test_grid_dominates_lower_bound(self):
         rng = make_rng(23)
         for regime in (ORTHOGONAL, PARALLEL):
-            for spec in _random_one_round_specs(regime, 20, rng):
+            for spec in checks.random_one_round_specs(regime, 20, rng):
                 assert solve_scalar_grid(spec) >= lower_bound_value(spec) - 1e-6
 
     def test_rejects_dim_one(self):

@@ -12,9 +12,9 @@ from minimax_online import (
     exp_conjugate_upper_bound,
     regret_bound,
 )
-from minimax_online.core import make_rng
+from minimax_online import checks
 from minimax_online.oracles import finite_difference, gaussian_expectation
-from minimax_online.potentials import BoundaryHitError, exp_conjugate_numeric
+from minimax_online.potentials import BoundaryHitError
 
 
 class TestPowerPotential:
@@ -146,13 +146,8 @@ class TestExpConjugateBound:
         assert exp_conjugate_upper_bound(1.0, 1.0, 1.0) == pytest.approx(0.17741002251547466, rel=1e-12)
 
     def test_dominates_numeric_conjugate(self):
-        rng = make_rng(0)
-        for _ in range(200):
-            alpha = float(rng.uniform(0.2, 10.0))
-            beta = float(rng.uniform(0.1, 5.0))
-            w = float(rng.uniform(0.0, 10.0))
-            numeric = exp_conjugate_numeric(alpha, beta, w)
-            assert numeric <= exp_conjugate_upper_bound(alpha, beta, w) + 1e-8
+        [row] = checks.conjugate_bound(seed=0)
+        assert row.ok, row
 
 
 class TestRegretBound:

@@ -1,5 +1,6 @@
 """Smoke test of the example scripts: each runs to completion at a small size."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,3 +21,14 @@ def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_envelope_sweep_exits_1_on_violation(monkeypatch, capsys):
+    # no small real setting violates an envelope, so every report is marked violated
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import envelope_sweep as script
+    verify_bound = script.verify_bound
+    monkeypatch.setattr(script, "verify_bound", lambda *args: [
+        dataclasses.replace(rep, holds=False) for rep in verify_bound(*args)])
+    assert script.main(["--rounds", "5", "--seeds", "1", "--dim", "2"]) == 1
+    assert "VIOLATIONS FOUND" in capsys.readouterr().out

@@ -18,7 +18,7 @@ from minimax_online import (
     solve_parallel,
 )
 from minimax_online.one_round import ORTHOGONAL
-from conftest import adversary_quartet
+from minimax_online.checks import adversary_quartet
 
 
 def play(pot, t, theta):
