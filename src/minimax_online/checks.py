@@ -3,6 +3,8 @@ the acceptance gate and the example scripts.
 
 Each check yields rows that carry the number measured and whether it is within
 the check's tolerance, pinned here.  Checks that draw take their seed as an argument.
+A NaN anywhere fails its row: running extremes use np.maximum / np.minimum,
+which, unlike max / min, carry a NaN through.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def conjugate_bound(seed: int) -> Iterator[Row]:
         alpha = float(rng.uniform(0.2, 10.0))
         beta = float(rng.uniform(0.1, 5.0))
         w = float(rng.uniform(0.0, 10.0))
-        worst = max(worst, exp_conjugate_numeric(alpha, beta, w)
-                    - exp_conjugate_upper_bound(alpha, beta, w))
+        worst = float(np.maximum(worst, exp_conjugate_numeric(alpha, beta, w)
+                                 - exp_conjugate_upper_bound(alpha, beta, w)))
     yield Row("conjugate-bound", f"200 random (alpha,beta,w), max excess {worst:.2e}",
               worst <= 1e-8, worst)
 
@@ -79,9 +81,7 @@ def random_one_round_specs(regime: str, n: int, rng) -> list:
     for _ in range(n):
         r = float(rng.uniform(0.0, 3.0))
         G = float(rng.uniform(0.3, 2.0))
-        theta = np.zeros(2)
-        if r > 0:
-            theta = r * random_unit_vector(rng, 2)
+        theta = r * random_unit_vector(rng, 2) if r > 0 else np.zeros(2)
         if regime == ORTHOGONAL:
             p = float(rng.uniform(1.0, 2.0))
             W = float(rng.uniform(0.3, 3.0))
@@ -111,8 +111,8 @@ def one_round(seed: int, regime: Optional[str] = None) -> Iterator[Row]:
             closed = (solve_orthogonal(spec, rng) if reg == ORTHOGONAL
                       else solve_parallel(spec)).value
             grid = solve_scalar_grid(spec)
-            worst = max(worst, abs(closed - grid) / (1.0 + abs(closed)))
-            margin = min(margin, grid - lower_bound_value(spec))
+            worst = float(np.maximum(worst, abs(closed - grid) / (1.0 + abs(closed))))
+            margin = float(np.minimum(margin, grid - lower_bound_value(spec)))
         yield Row("one-round", f"{reg}: max |closed-grid| rel {worst:.2e}", worst <= 1e-3, worst)
         yield Row("one-round", f"{reg}: grid >= lower bound", margin >= -1e-6, margin)
 

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import List, Optional
@@ -51,8 +51,7 @@ class ConfigError(ValueError):
 
 def _find_key_line(text: str, key: str) -> Optional[int]:
     for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        if stripped.strip().startswith(f"{key}:") or stripped.strip().startswith(f"- {key}:"):
+        if raw.split("#", 1)[0].strip().startswith((f"{key}:", f"- {key}:")):
             return i
     return None
 
@@ -244,8 +243,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
 def _execute_cell(args):
     """One (strategy, adversary, repeat) cell; returns summary rows."""
     spec, si, ai, k, out_dir = args
-    game = GameConfig(dim=spec.game.dim, grad_bound=spec.game.grad_bound,
-                      horizon=spec.game.horizon, seed=spec.game.seed + k)
+    game = replace(spec.game, seed=spec.game.seed + k)
     strategy = build_strategy(spec.strategies[si], game)
     adversary = build_adversary(spec.adversaries[ai], game)
     trace = run_game(strategy, adversary, game, spec.rounds)
@@ -276,8 +274,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
-        spec.game = GameConfig(dim=spec.game.dim, grad_bound=spec.game.grad_bound,
-                               horizon=spec.game.horizon, seed=args.seed)
+        spec.game = replace(spec.game, seed=args.seed)
     if args.out is not None:
         spec.out_dir = args.out
     if args.format is not None:
@@ -304,14 +301,9 @@ def cmd_run(args) -> int:
             fh.write(",".join(str(row[c]) for c in cols) + "\n")
 
     violations = [row for row in all_rows if not row["holds"]]
-    verdict = {
-        "all_hold": not violations,
-        "n_runs": len(cells),
-        "n_checks": len(all_rows),
-        "violations": violations,
-    }
     with open(out_dir / "verdict.json", "w") as fh:
-        json.dump(verdict, fh, indent=2)
+        json.dump({"all_hold": not violations, "n_runs": len(cells), "n_checks": len(all_rows),
+                   "violations": violations}, fh, indent=2)
     with open(out_dir / "sweep.json", "w") as fh:
         json.dump({
             "game": {"dim": spec.game.dim, "grad_bound": spec.game.grad_bound,

@@ -145,7 +145,7 @@ def test_criterion_07_regret_envelopes():
     start = time.monotonic()
     T, d = 400, 4
     grid = comparator_grid(d, make_rng(777))
-    checks = 0
+    n_checks = 0
     min_slack_scaled = math.inf
     failures = []
     for label, strat in envelope_players(T, G):
@@ -154,7 +154,7 @@ def test_criterion_07_regret_envelopes():
                 cfg = GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed)
                 trace = run_game(strat, adv, cfg, T)
                 for rep in verify_bound(trace, strat, grid):
-                    checks += 1
+                    n_checks += 1
                     if math.isfinite(rep.regret_bound):
                         min_slack_scaled = min(
                             min_slack_scaled, rep.slack / (1.0 + abs(rep.regret_bound)))
@@ -163,7 +163,7 @@ def test_criterion_07_regret_envelopes():
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 300.0
     _report(7, "regret envelopes hold across sweep", ok,
-            f"{checks} checks, min scaled slack {min_slack_scaled:.3e}, "
+            f"{n_checks} checks, min scaled slack {min_slack_scaled:.3e}, "
             f"{elapsed:.0f}s, failures {failures[:3]}")
 
 

@@ -139,6 +139,13 @@ class TestScalarGrid:
         rows = list(checks.one_round(seed=7, regime=regime))
         assert len(rows) == 2 and all(row.ok for row in rows), rows
 
+    def test_nan_grid_value_fails_both_rows(self, monkeypatch):
+        calls = iter(range(50))
+        monkeypatch.setattr(checks, "solve_scalar_grid",
+                            lambda spec: math.nan if next(calls) == 25 else solve_scalar_grid(spec))
+        rows = list(checks.one_round(seed=7, regime=PARALLEL))
+        assert [row.ok for row in rows] == [False, False], rows
+
     def test_saddle_point_verification(self):
         rng = make_rng(11)
         delta = 1e-3

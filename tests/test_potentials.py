@@ -149,6 +149,13 @@ class TestExpConjugateBound:
         [row] = checks.conjugate_bound(seed=0)
         assert row.ok, row
 
+    def test_nan_conjugate_fails_the_check(self, monkeypatch):
+        real, calls = checks.exp_conjugate_numeric, iter(range(200))
+        monkeypatch.setattr(checks, "exp_conjugate_numeric",
+                            lambda a, b, w: math.nan if next(calls) == 100 else real(a, b, w))
+        [row] = checks.conjugate_bound(seed=0)
+        assert not row.ok and math.isnan(row.value), row
+
 
 class TestRegretBound:
     def test_power_p2(self):
