@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -54,6 +55,31 @@ def _find_key_line(text: str, key: str) -> Optional[int]:
         if raw.split("#", 1)[0].strip().startswith((f"{key}:", f"- {key}:")):
             return i
     return None
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "a mapping"}
+
+
+def _coerce(value, kind, what: str, text: str = "", key: Optional[str] = None, minimum=None):
+    """value as kind and at least minimum (if given), else a ConfigError naming
+    what, at the line of key (what by default).
+
+    int takes an integral number and float a finite one; a bool or a string is
+    neither.  str, list and dict take only a value of their own type.
+    """
+    if kind in (int, float):
+        try:
+            ok = (not isinstance(value, (bool, str)) and math.isfinite(value)
+                  and (kind is float or value == int(value)))
+        except (TypeError, OverflowError):
+            ok = False
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{what} must be {_KINDS[kind]}, got {value!r}", _find_key_line(text, key or what))
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}", _find_key_line(text, key or what))
+    return kind(value)
 
 
 def _require_keys(section: dict, allowed: set, required: set, where: str, text: str) -> None:
@@ -96,6 +122,7 @@ def _parse_entry(entry: dict, registry: dict, kind: str, build, game: GameConfig
     """Check a strategy or adversary entry's tag and keys (the tag and every
     spec field allowed, those without a default required), then build it to
     surface parameter precondition violations now."""
+    entry = _coerce(entry, dict, f"{kind} entry", text)
     tag = entry.get("tag")
     if tag not in registry:
         raise ConfigError(f"unknown {kind} tag {tag!r}", _find_key_line(text, "tag"))
@@ -111,7 +138,7 @@ def build_strategy(entry: dict, game: GameConfig) -> strat_mod.PotentialPlayer:
         raise ConfigError(f"unknown strategy tag {tag!r}; choose from {sorted(POTENTIALS)}")
     cls = POTENTIALS[tag]
     try:
-        params = {f.name: float(entry[f.name]) for f in _spec_fields(cls)}
+        params = {f.name: _coerce(entry[f.name], float, f.name) for f in _spec_fields(cls)}
         params["G"] = game.grad_bound
         if "T" in cls.__dataclass_fields__:
             if not game.known_horizon:
@@ -169,32 +196,34 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         mark = getattr(exc, "problem_mark", None)
         line = None if mark is None else mark.line + 1
         raise ConfigError(f"YAML parse error: {exc}", line) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("spec must be a mapping")
+    raw = _coerce(raw, dict, "spec")
 
     top_allowed = {"game", "strategy", "strategies", "adversary", "adversaries",
                    "comparators", "outputs", "repeats", "rounds"}
     _require_keys(raw, top_allowed, {"game"}, "top level", text)
 
-    game_sec = raw["game"]
+    game_sec = _coerce(raw["game"], dict, "game", text)
     _require_keys(game_sec, {"dim", "grad_bound", "horizon", "seed"},
                   {"dim", "grad_bound"}, "game", text)
+    dim = _coerce(game_sec["dim"], int, "game.dim", text, "dim")
+    grad_bound = _coerce(game_sec["grad_bound"], float, "game.grad_bound", text, "grad_bound")
     horizon = game_sec.get("horizon", UNKNOWN_HORIZON)
-    if isinstance(horizon, str) and horizon != UNKNOWN_HORIZON:
-        raise ConfigError(f"game.horizon must be an integer or {UNKNOWN_HORIZON!r}",
-                          _find_key_line(text, "horizon"))
+    if horizon != UNKNOWN_HORIZON:
+        horizon = _coerce(horizon, int, "game.horizon", text, "horizon")
+    seed = _coerce(game_sec.get("seed", 0), int, "game.seed", text, "seed", minimum=0)
     try:
-        game = GameConfig(dim=int(game_sec["dim"]), grad_bound=float(game_sec["grad_bound"]),
-                          horizon=horizon, seed=int(game_sec.get("seed", 0)))
+        game = GameConfig(dim=dim, grad_bound=grad_bound, horizon=horizon, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"game: {exc}", _find_key_line(text, "game")) from exc
 
     if ("strategy" in raw) == ("strategies" in raw):
         raise ConfigError("provide exactly one of 'strategy' or 'strategies'")
-    strategies = [raw["strategy"]] if "strategy" in raw else list(raw["strategies"])
+    strategies = ([raw["strategy"]] if "strategy" in raw
+                  else _coerce(raw["strategies"], list, "strategies", text))
     if ("adversary" in raw) and ("adversaries" in raw):
         raise ConfigError("provide at most one of 'adversary' or 'adversaries'")
-    adversaries = [raw["adversary"]] if "adversary" in raw else list(raw.get("adversaries", []))
+    adversaries = ([raw["adversary"]] if "adversary" in raw
+                   else _coerce(raw.get("adversaries", []), list, "adversaries", text))
     if not adversaries:
         raise ConfigError("at least one adversary is required")
 
@@ -203,21 +232,23 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     for entry in adversaries:
         _parse_entry(entry, ADVERSARIES, "adversary", build_adversary, game, text)
 
-    comparators = raw.get("comparators", [{"norm": 0.0, "direction_seed": 0}])
-    for comp in comparators:
+    comparators = []
+    for comp in _coerce(raw.get("comparators", [{"norm": 0.0}]), list, "comparators", text):
+        comp = _coerce(comp, dict, "comparators entry", text, "comparators")
         _require_keys(comp, {"norm", "direction_seed"}, {"norm"}, "comparators entry", text)
-        if float(comp["norm"]) < 0:
-            raise ConfigError("comparator norm must be nonnegative", _find_key_line(text, "norm"))
+        comparators.append({
+            "norm": _coerce(comp["norm"], float, "comparator norm", text, "norm", minimum=0),
+            "direction_seed": _coerce(comp.get("direction_seed", 0), int, "comparator direction_seed", text,
+                                      "direction_seed", minimum=0)})
 
-    outputs = raw.get("outputs", {})
+    outputs = _coerce(raw.get("outputs", {}), dict, "outputs", text)
     _require_keys(outputs, {"dir", "format"}, set(), "outputs", text)
     out_format = outputs.get("format", "csv")
     if out_format not in ("csv", "json", "both"):
         raise ConfigError("outputs.format must be csv, json, or both", _find_key_line(text, "format"))
+    out_dir = _coerce(outputs.get("dir", "out"), str, "outputs.dir", text, "dir")
 
-    repeats = int(raw.get("repeats", 1))
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1", _find_key_line(text, "repeats"))
+    repeats = _coerce(raw.get("repeats", 1), int, "repeats", text, minimum=1)
 
     rounds = raw.get("rounds")
     if rounds is None:
@@ -225,18 +256,13 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             raise ConfigError("rounds is required when game.horizon is unknown",
                               _find_key_line(text, "rounds") or _find_key_line(text, "horizon"))
         rounds = game.horizon
-    rounds = int(rounds)
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1", _find_key_line(text, "rounds"))
+    rounds = _coerce(rounds, int, "rounds", text, minimum=1)
     if game.known_horizon and rounds != game.horizon and any(p.needs_horizon for p in players):
         raise ConfigError("rounds must equal game.horizon for horizon-tuned strategies",
                           _find_key_line(text, "rounds"))
 
     return ExperimentSpec(game=game, strategies=strategies, adversaries=adversaries,
-                          comparators=[{"norm": float(c["norm"]),
-                                        "direction_seed": int(c.get("direction_seed", 0))}
-                                       for c in comparators],
-                          out_dir=outputs.get("dir", "out"), out_format=out_format,
+                          comparators=comparators, out_dir=out_dir, out_format=out_format,
                           repeats=repeats, rounds=rounds)
 
 
@@ -274,6 +300,9 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
+        if args.seed < 0:
+            print("error: --seed must be >= 0", file=sys.stderr)
+            return EXIT_CONFIG
         spec.game = replace(spec.game, seed=args.seed)
     if args.out is not None:
         spec.out_dir = args.out

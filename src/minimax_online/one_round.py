@@ -8,10 +8,16 @@ regimes, distinguished by the sign of h''(x) - h'(x)/x:
 * parallel (h'' >= h'/x, or d = 1): the adversary plays +-G along theta, and
   H = (h(||theta|| + G) + h(||theta|| - G)) / 2.
 
-``solve_scalar_grid`` is the independent numeric referee: it evaluates the
-equivalent scalar reduction min_a max_{b in [-G, G]} ab +
-h(sqrt(||theta||^2 - 2 b ||theta|| + G^2)) by nested search, and is used to
-validate both closed forms.
+The independent numeric referee is ``minmax_values``, one kernel for the
+scalar reduction min_a max_{b in [-G, G]} ab + h(x(r, b)), where r = ||theta||
+and x is ||theta - g|| for a full-norm g with component b along theta:
+sqrt(r^2 - 2 b r + G^2) when d >= 2, |r - b| when d = 1.  It solves a batch
+of radii in lockstep: one table of h on a beta grid per block of radii, a
+golden-section search on alpha that advances every radius by one new point
+per step, and, inside each step, the best grid beta refined on a local grid
+spanning its two neighbours.  ``solve_scalar_grid`` is the kernel at one
+radius and validates both closed forms; the backward-induction oracle runs
+it over a whole radial grid at each stage.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._search import eval_on_array, finite_difference, golden_section_max, golden_section_min
+from ._search import INVPHI, eval_on_array, finite_difference
 from .core import (
     UnsupportedDimensionError,
     fallback_direction,
@@ -137,49 +143,99 @@ def solve_parallel(
     return OneRoundSolution(value, w_star, g_star, PARALLEL)
 
 
-def _inner_max(h, alpha: float, r: float, G: float, betas: np.ndarray, hvals: np.ndarray) -> float:
-    """max over beta in [-G, G] of alpha*beta + h(x(beta)), grid + refinement."""
-    vals = alpha * betas + hvals
-    k = int(np.argmax(vals))
-    lo = betas[max(k - 1, 0)]
-    hi = betas[min(k + 1, betas.size - 1)]
-    if hi - lo <= 0:
-        return float(vals[k])
+BLOCK = 32  # radii solved together
+REFINE_N = 65  # points of the local beta grid that refines each argmax
+_PROBE = np.arange(256.0)  # the alpha bracket's slope probes on [0, r + G], in steps of (r + G) / 255
+_REFINE = np.linspace(0.0, 1.0, REFINE_N)
 
-    def payoff(b):
-        x = np.sqrt(max(r * r - 2.0 * b * r + G * G, 0.0))
-        return alpha * b + float(h(x))
 
-    _, refined = golden_section_max(payoff, lo, hi, tol=1e-12 * max(1.0, G))
-    return max(float(vals[k]), refined)
+def plane_distance(r, beta, G):
+    """||theta - g|| for ||theta|| = r and a full-norm g whose component along theta is beta (d >= 2)."""
+    return np.sqrt(np.maximum(r * r - 2.0 * beta * r + G * G, 0.0))
+
+
+def line_distance(r, beta, G):
+    """|theta - g| for theta = r and g = beta on the line (d = 1)."""
+    return np.abs(r - beta)
+
+
+def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
+    """min over alpha of max over beta in [-G, G] of alpha*beta + h(xmap(r, beta, G)), per radius r.
+
+    All radii are solved in lockstep, BLOCK at a time, which bounds the
+    temporaries at BLOCK x grid_n.  h is tabulated once on a grid_n-point beta
+    grid.  The payoff is convex in alpha, so a golden-section search brackets
+    alpha by [-L, L], L = 2 * (largest slope of h on [0, r + G]) + 1e-6, and
+    stops at width 1e-11 * max(1, L); each step evaluates one new alpha per
+    radius.  The inner max takes the best grid point and refines it on a
+    REFINE_N-point grid spanning its two neighbours.  Every operation acts row
+    by row, so a radius gets the same value alone as in a batch.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    betas = np.linspace(-G, G, grid_n)
+    out = np.empty(radii.size)
+    for s in range(0, radii.size, BLOCK):
+        out[s:s + BLOCK] = _minmax_block(h, xmap, radii[s:s + BLOCK, None], G, betas)
+    return out
+
+
+def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
+    """``minmax_values`` for one block of radii r, shaped (m, 1)."""
+    hvals = eval_on_array(h, xmap(r, betas, G))
+    step = (r + G) / (_PROBE.size - 1)
+    probe = _PROBE * step  # np.linspace(0, r + G, 256) row by row, bit for bit
+    probe[:, -1:] = r + G
+    max_slope = np.max(np.abs(np.diff(eval_on_array(h, probe), axis=1)), axis=1) / step[:, 0]
+    L = 2.0 * max_slope + 1e-6
+    tol = 1e-11 * np.maximum(1.0, L)
+
+    rows = np.arange(r.shape[0])
+    # the refinement interval of grid point k runs from its left to its right neighbour
+    left_of = np.concatenate((betas[:1], betas[:-1]))[:, None]
+    width_of = np.concatenate((betas[1:], betas[-1:]))[:, None] - left_of
+
+    def psi(alpha):
+        vals = alpha[:, None] * betas + hvals
+        k = np.argmax(vals, axis=1)
+        fine = left_of[k] + width_of[k] * _REFINE
+        refined = alpha[:, None] * fine + eval_on_array(h, xmap(r, fine, G))
+        return np.maximum(vals[rows, k], np.max(refined, axis=1))
+
+    # golden-section search on alpha by the rule of _search.golden_section_min, row by row;
+    # a row whose bracket is within its tolerance keeps its state
+    a, b = -L, L
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = psi(c), psi(d)
+    for _ in range(300):
+        active = b - a > tol
+        if not active.any():
+            break
+        left = fc < fd
+        lo = np.where(left, a, c)
+        hi = np.where(left, d, b)
+        x = np.where(left, hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo))
+        fx = psi(x)
+        a, b, c, fc, d, fd = (np.where(active, new, old) for new, old in (
+            (lo, a), (hi, b), (np.where(left, x, d), c), (np.where(left, fx, fd), fc),
+            (np.where(left, c, x), d), (np.where(left, fc, fx), fd)))
+    return np.where(fc < fd, fc, fd)
 
 
 def solve_scalar_grid(spec: OneRoundSpec, grid_n: int = 1001) -> float:
     """Numeric one-round value via the scalar reduction (the grid oracle).
 
-    Nested search: golden-section over the player scalar alpha (the payoff is
-    convex in alpha), dense grid plus local refinement over the adversary
-    scalar beta.  Valid for d >= 2 geometry; accuracy ~1e-3 relative or
-    better on the families used here.
+    The value min over alpha of max over beta in [-G, G] of alpha*beta +
+    h(sqrt(||theta||^2 - 2 beta ||theta|| + G^2)) from ``minmax_values`` at
+    the one radius ||theta||: golden-section search over the player scalar
+    alpha, and a grid_n-point beta grid refined around its best point for
+    the adversary scalar beta.  Valid for d >= 2 geometry; accuracy ~1e-3
+    relative or better on the families used here.
     """
     if grid_n < 101:
         raise ValueError("grid_n must be >= 101")
     r = float(np.linalg.norm(spec.theta))
-    G = spec.G
-    betas = np.linspace(-G, G, grid_n)
-    xs = np.sqrt(np.maximum(r * r - 2.0 * betas * r + G * G, 0.0))
-    hvals = eval_on_array(spec.h, xs)
-    # alpha bracket from the largest slope of h over the reachable range
-    probe = np.linspace(0.0, r + G, 256)
-    hp = eval_on_array(spec.h, probe)
-    max_slope = float(np.max(np.abs(np.diff(hp)))) / (probe[1] - probe[0]) if r + G > 0 else 0.0
-    L = 2.0 * max_slope + 1e-6
-
-    def psi(alpha):
-        return _inner_max(spec.h, alpha, r, G, betas, hvals)
-
-    _, value = golden_section_min(psi, -L, L, tol=1e-11 * max(1.0, L))
-    return float(value)
+    return float(minmax_values(spec.h, plane_distance, [r], spec.G, grid_n)[0])
 
 
 def lower_bound_value(spec: OneRoundSpec) -> float:

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, optimize
 
-from ._search import eval_on_array, golden_section_min
+from ._search import eval_on_array
 from ._search import finite_difference  # noqa: F401  (re-exported with the oracles)
-from .one_round import OneRoundSpec, solve_scalar_grid
+from .one_round import line_distance, minmax_values, plane_distance
+from .one_round import solve_scalar_grid  # noqa: F401  (the benchmark's tracer wraps it by name here)
 
 MAX_GH_NODES = 256
 MIN_GH_NODES = 16
@@ -58,8 +60,17 @@ def _call_safe(f, x: float) -> float:
         return math.inf
 
 
-def _gh_eval(f, mean: float, variance: float, n: int) -> float:
+@lru_cache(maxsize=None)
+def _gh_nodes(n: int):
+    """Gauss-Hermite nodes and weights for n points, computed once per n and read-only."""
     z, w = np.polynomial.hermite.hermgauss(n)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
+
+
+def _gh_eval(f, mean: float, variance: float, n: int) -> float:
+    z, w = _gh_nodes(n)
     xs = mean + math.sqrt(2.0 * variance) * z
     vals = np.array([_call_safe(f, float(x)) for x in xs])
     return float(np.sum(w * vals) / math.sqrt(math.pi))
@@ -101,7 +112,7 @@ def gaussian_expectation(f, mean: float, variance: float, nodes: int = 64) -> fl
     ladder = [_gh_eval(f, mean, variance, nodes)]
     n = nodes
     while n < MAX_GH_NODES:
-        n *= 2
+        n = min(2 * n, MAX_GH_NODES)
         ladder.append(_gh_eval(f, mean, variance, n))
         if math.isfinite(ladder[-1]) and \
                 abs(ladder[-1] - ladder[-2]) <= GH_STABILITY_RTOL * (abs(ladder[-1]) + 1e-300):
@@ -156,8 +167,7 @@ class RecursionSpec:
     """Backward-induction oracle configuration (desk scale only).
 
     f is the scalar benchmark profile: B(theta) = f(||theta||).  dim selects
-    the state geometry (1 or 2); n_r the radial grid resolution; n_phi the
-    angular resolution used by the non-radial 2-D cross-check; grid_n the
+    the state geometry (1 or 2); n_r the radial grid resolution; grid_n the
     adversary-scalar resolution of the inner one-round solves; r_pad extra
     slack on the reachable radius.
     """
@@ -167,7 +177,6 @@ class RecursionSpec:
     T: int
     dim: int = 2
     n_r: int = 257
-    n_phi: int = 720
     grid_n: int = 513
     r_pad: float = 1.0
 
@@ -182,30 +191,15 @@ class RecursionSpec:
             raise ResourceBudgetError("grid resolution beyond the desk-scale budget")
 
 
-def _one_round_value_1d(h_vec, r: float, G: float, grid_n: int) -> float:
-    """min_w max_{|g|<=G} w g + h(|r - g|) on a g-grid with golden outer search."""
-    gs = np.linspace(-G, G, grid_n)
-    hv = h_vec(np.abs(r - gs))
-    probe = np.linspace(0.0, abs(r) + G, 128)
-    hp = h_vec(probe)
-    max_slope = float(np.max(np.abs(np.diff(hp)))) / (probe[1] - probe[0])
-    L = 2.0 * max_slope + 1e-6
-
-    def psi(w):
-        return float(np.max(w * gs + hv))
-
-    _, val = golden_section_min(psi, -L, L, tol=1e-11 * max(1.0, L))
-    return val
-
-
 def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
     """Game value after round t at state theta, by backward induction.
 
     The value function is tabulated on a radial grid (the benchmark and the
     gradient ball are rotation invariant, so the value depends on theta only
     through its norm; see ``one_round_value_full_2d`` for the empirical
-    cross-check of that reduction) and each stage solves the scalar one-round
-    reduction against the interpolated table.
+    cross-check of that reduction).  Each stage solves the scalar one-round
+    reduction against the interpolated table at every grid radius at once,
+    with ``one_round.minmax_values``.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if t > spec.T:
@@ -214,16 +208,9 @@ def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
     r_max = r0 + spec.G * (spec.T - t + 1) + spec.r_pad
     grid = np.linspace(0.0, r_max, spec.n_r)
     table = eval_on_array(spec.f, grid)
-    for stage in range(spec.T - 1, t - 1, -1):
-        h_vec = lambda xs, tab=table: np.interp(np.asarray(xs, dtype=np.float64), grid, tab)
-        if spec.dim == 2:
-            new = np.empty_like(table)
-            for i, r in enumerate(grid):
-                one = OneRoundSpec(h=h_vec, theta=np.array([r, 0.0]), G=spec.G)
-                new[i] = solve_scalar_grid(one, grid_n=spec.grid_n)
-        else:
-            new = np.array([_one_round_value_1d(h_vec, r, spec.G, spec.grid_n) for r in grid])
-        table = new
+    xmap = plane_distance if spec.dim == 2 else line_distance
+    for _ in range(spec.T - 1, t - 1, -1):
+        table = minmax_values(lambda xs, tab=table: np.interp(xs, grid, tab), xmap, grid, spec.G, spec.grid_n)
     return float(np.interp(r0, grid, table))
 
 

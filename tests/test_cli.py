@@ -114,6 +114,27 @@ class TestAdversaryEntries:
         assert not out.exists()
 
 
+class TestMalformedScalars:
+    @pytest.mark.parametrize("old,new,message", [
+        ("repeats: 1", "repeats: many", "line 17: repeats must be an integer, got 'many'"),
+        ("{norm: 1.0, direction_seed: 1}", "{norm: abc}", "comparator norm must be a finite number, got 'abc'"),
+        ("adversary:\n  tag: fixed_direction", "adversaries: [fixed_direction]",
+         "adversary entry must be a mapping, got 'fixed_direction'"),
+        ("eta: 0.31622776601683794", "eta: [0.3]", "strategy 'ogd': eta must be a finite number, got [0.3]"),
+        ("seed: 3", "seed: -1", "line 5: game.seed must be >= 0"),
+        ("direction_seed: 1}", "direction_seed: -1}", "comparator direction_seed must be >= 0"),
+    ], ids=["text_repeats", "text_norm", "bare_adversary_tag", "list_eta", "negative_seed",
+            "negative_direction_seed"])
+    def test_is_a_config_error_and_exits_2(self, tmp_path, capsys, old, new, message):
+        path, out = write_spec(tmp_path, MINIMAL_SPEC.replace(old, new))
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_spec(path)
+        assert str(err.value) == message
+        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # one valid value for every spec field of every registered class
 FIELD_SAMPLES = {"eta": 0.2, "W": 1.0, "p": 1.5, "eps": 1.0, "a": 2.5, "sign_policy": "alternate",
                  "direction": [0.0, 1.0], "comparator": [0.5, -0.5]}
@@ -173,6 +194,12 @@ class TestRunCommand:
         code = main(["run", "--spec", str(path)])
         assert code == EXIT_CONFIG
         assert "3*pi*G^2/4" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        path, out = write_spec(tmp_path, MINIMAL_SPEC)
+        assert main(["run", "--spec", str(path), "--seed", "-1"]) == EXIT_CONFIG
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_cardinality_and_seed_ladder(self, tmp_path):
         sweep = """\

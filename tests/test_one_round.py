@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimax_online import (
     OneRoundSpec,
@@ -15,7 +17,8 @@ from minimax_online import (
 )
 from minimax_online.core import UnsupportedDimensionError, make_rng
 from minimax_online import checks
-from minimax_online.one_round import NUMERIC, ORTHOGONAL, PARALLEL
+from minimax_online.one_round import (NUMERIC, ORTHOGONAL, PARALLEL, line_distance, minmax_values,
+                                      plane_distance)
 
 PROBES = np.linspace(0.05, 5.0, 40)
 
@@ -178,6 +181,18 @@ class TestScalarGrid:
                 for angle in (delta, -delta):
                     g_rot = math.cos(angle) * sol.adversary_play + math.sin(angle) * spec.G * perp
                     assert payoff(g_rot) <= base_g + 1e-6 * (1 + abs(base_g))
+
+
+class TestMinmaxKernel:
+    @given(radii=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40), G=st.floats(0.1, 3.0),
+           grid_n=st.integers(101, 257), p=st.floats(1.0, 4.0),
+           xmap=st.sampled_from([plane_distance, line_distance]))
+    @settings(max_examples=50, deadline=None)
+    def test_batch_equals_one_radius_at_a_time(self, radii, G, grid_n, p, xmap):
+        h = lambda x: np.abs(x) ** p / p
+        batch = minmax_values(h, xmap, radii, G, grid_n)
+        alone = [minmax_values(h, xmap, [r], G, grid_n)[0] for r in radii]
+        np.testing.assert_allclose(batch, alone, rtol=1e-12, atol=0.0)
 
 
 class TestLowerBound:

@@ -68,6 +68,11 @@ class TestGaussianExpectation:
         v128 = gaussian_expectation(f, 0.5, 2.0, nodes=128)
         assert abs(v64 - v128) <= 1e-8 * abs(v64)
 
+    def test_ladder_capped_at_max_nodes(self):
+        # from 100 nodes the ladder runs 100, 200, 256; at 400 nodes hermgauss overflows
+        val = gaussian_expectation(lambda x: abs(x) ** 1.5, 0.0, 1.0, nodes=100)
+        assert val == pytest.approx(2**0.75 * math.gamma(1.25) / math.sqrt(math.pi), rel=1e-8)
+
     def test_divergence_detected(self):
         with pytest.raises(DivergenceError):
             gaussian_expectation(lambda x: math.exp(x * x / 2.0), 0.0, 2.0)
@@ -167,6 +172,22 @@ class TestRecursiveGameValue:
     def test_budget_guard(self):
         with pytest.raises(ResourceBudgetError):
             RecursionSpec(f=np.abs, G=1.0, T=7, dim=2)
+
+    # q_0(0) for f = |x|^p / p and G = 1 at default resolution, keyed (dim, p, T): the nine
+    # cells of checks.recursion() and the d = 1, T = 3 cell of the oracle benchmark, as
+    # computed by the per-radius nested golden-section oracle that the lockstep kernel replaced
+    PINNED = {
+        (2, 1.0, 1): 1.0000000000024474, (2, 1.0, 2): 1.4142135623748189, (2, 1.0, 3): 1.7320688279698149,
+        (2, 1.5, 1): 0.6666742911183511, (2, 1.5, 2): 1.1212080470852617, (2, 1.5, 3): 1.519723334040495,
+        (2, 2.0, 1): 0.5000152587915146, (2, 2.0, 2): 1.0000305175339037, (2, 2.0, 3): 1.5001258846828698,
+        (1, 1.5, 3): 1.3660663178911006,
+    }
+
+    @pytest.mark.parametrize("dim,p,T", sorted(PINNED))
+    def test_pinned_values(self, dim, p, T):
+        spec = RecursionSpec(f=lambda x: (1.0 / p) * np.abs(x) ** p, G=1.0, T=T, dim=dim)
+        val = conditional_value_recursive(spec, 0, np.zeros(dim))
+        assert val == pytest.approx(self.PINNED[dim, p, T], rel=1e-6, abs=0.0)
 
     def test_resolution_doubling_stable(self):
         f = lambda x: 0.5 * np.asarray(x) ** 2
