@@ -2,7 +2,6 @@
 
 from .core import (
     GameConfig,
-    inner,
     make_rng,
     norm,
     orthonormal_complement_sample,
@@ -50,6 +49,7 @@ from .engine import (
     read_trace_json,
     regret,
     run_game,
+    run_games,
     verify_bound,
     write_trace_csv,
     write_trace_json,
@@ -58,7 +58,6 @@ from .oracles import (
     RecursionSpec,
     argmax_at_zero_check,
     conditional_value_recursive,
-    finite_difference,
     gaussian_dominance_check,
     gaussian_expectation,
     one_round_value_full_2d,

@@ -4,6 +4,14 @@ Adversaries expose ``grad(t, theta, w, rng) -> g`` with ||g|| <= G.  The
 round index t and the player's pending play w are provided because the
 adversary moves second; the minimax adversaries ignore w, the greedy one
 uses it.  RNG state is owned by the caller (one stream per run).
+
+The batch form plays R runs in lockstep (``engine.run_games``):
+``draws(rngs, rounds, dim)`` is called once per game with the runs' streams,
+and ``grads(t, theta, r, w, draws)`` answers the (R, d) states theta, of
+norms r, with an (R, d) block of gradients.  Row k reads rngs[k] exactly as
+``grad`` reads its stream, so it depends on run k alone.  The state-blind
+adversaries draw the whole (R, T, d) gradient block up front; the others
+draw round by round.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import fallback_direction, orthonormal_complement_sample, random_unit_vector, unit_direction
+from .core import (complement_rows, fallback_direction, nonzero_norms, orthonormal_complement_sample,
+                   random_unit_rows, random_unit_vector, row_norms, unit_direction)
 
 
 def orthogonal_minimax_grad(theta, G: float, rng: np.random.Generator) -> np.ndarray:
@@ -46,8 +55,15 @@ def greedy_vs_comparator_grad(w, u, G: float) -> np.ndarray:
     return G * diff / n
 
 
+class _RoundByRound:
+    """Batch form of an adversary that reads its streams round by round."""
+
+    def draws(self, rngs, rounds, dim):
+        return rngs
+
+
 @dataclass(frozen=True)
-class OrthogonalMinimax:
+class OrthogonalMinimax(_RoundByRound):
     """Plays G orthogonal to theta; requires dim >= 2."""
 
     G: float
@@ -58,9 +74,12 @@ class OrthogonalMinimax:
     def grad(self, t, theta, w, rng):
         return orthogonal_minimax_grad(theta, self.G, rng)
 
+    def grads(self, t, theta, r, w, rngs):
+        return self.G * complement_rows(theta, r, rngs)
+
 
 @dataclass(frozen=True)
-class ParallelMinimax:
+class ParallelMinimax(_RoundByRound):
     """Plays +-G along theta_hat.
 
     sign_policy: "grow" (default) plays g = -G theta_hat so that
@@ -78,16 +97,28 @@ class ParallelMinimax:
         if self.sign_policy not in ("grow", "shrink", "alternate", "random"):
             raise ValueError(f"unknown sign_policy {self.sign_policy!r}")
 
-    def grad(self, t, theta, w, rng):
+    def _sign(self, t, rng):
         if self.sign_policy == "grow":
-            sign = -1.0
-        elif self.sign_policy == "shrink":
-            sign = 1.0
-        elif self.sign_policy == "alternate":
-            sign = -1.0 if t % 2 == 0 else 1.0
+            return -1.0
+        if self.sign_policy == "shrink":
+            return 1.0
+        if self.sign_policy == "alternate":
+            return -1.0 if t % 2 == 0 else 1.0
+        return 1.0 if rng.random() < 0.5 else -1.0
+
+    def grad(self, t, theta, w, rng):
+        return parallel_minimax_grad(theta, self.G, self._sign(t, rng), rng)
+
+    def grads(self, t, theta, r, w, rngs):
+        if self.sign_policy == "random":
+            sign = np.array([self._sign(t, rng) for rng in rngs])[:, None]
         else:
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-        return parallel_minimax_grad(theta, self.G, sign, rng)
+            sign = self._sign(t, None)
+        g = sign * self.G * (theta / nonzero_norms(r)[:, None])
+        if not r.all():  # theta = 0 gives no direction: a random one, as grad draws it
+            for k in np.flatnonzero(r == 0.0):
+                g[k] = self.G * fallback_direction(theta.shape[1], rngs[k])
+        return g
 
 
 @dataclass(frozen=True)
@@ -104,6 +135,13 @@ class RademacherLine:
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return sign * self.G * e
 
+    def draws(self, rngs, rounds, dim):
+        signs = np.where(np.array([rng.random(rounds) for rng in rngs]) < 0.5, 1.0, -1.0)
+        return (signs * self.G)[:, :, None] * _line(self.direction, dim)
+
+    def grads(self, t, theta, r, w, block):
+        return block[:, t]
+
 
 @dataclass(frozen=True)
 class GaussianRandom:
@@ -115,6 +153,15 @@ class GaussianRandom:
 
     def grad(self, t, theta, w, rng):
         return self.G * random_unit_vector(rng, np.size(theta))
+
+    def draws(self, rngs, rounds, dim):
+        block = np.empty((len(rngs), rounds, dim))
+        for k, rng in enumerate(rngs):
+            np.multiply(self.G, random_unit_rows(rng, rounds, dim), out=block[k])
+        return block
+
+    def grads(self, t, theta, r, w, block):
+        return block[:, t]
 
 
 @dataclass(frozen=True)
@@ -129,6 +176,12 @@ class FixedDirection:
     def grad(self, t, theta, w, rng):
         return self.G * _line(self.direction, np.size(theta))
 
+    def draws(self, rngs, rounds, dim):
+        return np.tile(self.G * _line(self.direction, dim), (len(rngs), 1))
+
+    def grads(self, t, theta, r, w, g):
+        return g
+
 
 @dataclass(frozen=True)
 class GreedyVsComparator:
@@ -142,3 +195,10 @@ class GreedyVsComparator:
     def grad(self, t, theta, w, rng):
         u = np.asarray(self.comparator, dtype=np.float64)
         return greedy_vs_comparator_grad(w, u, self.G)
+
+    def draws(self, rngs, rounds, dim):
+        return np.asarray(self.comparator, dtype=np.float64)
+
+    def grads(self, t, theta, r, w, u):
+        diff = w - u
+        return self.G * diff / nonzero_norms(row_norms(diff))[:, None]

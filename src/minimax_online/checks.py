@@ -17,8 +17,8 @@ import numpy as np
 
 from .adversaries import FixedDirection, GaussianRandom, OrthogonalMinimax, ParallelMinimax
 from .core import make_rng, random_unit_vector
-from .one_round import (ORTHOGONAL, PARALLEL, OneRoundSpec, lower_bound_value, solve_orthogonal,
-                        solve_parallel, solve_scalar_grid)
+from .one_round import (ORTHOGONAL, PARALLEL, OneRoundSpec, classify_regime, lower_bound_value,
+                        solve_orthogonal, solve_parallel, solve_scalar_grid)
 from .oracles import RecursionSpec, argmax_at_zero_check, conditional_value_recursive, gaussian_dominance_check
 from .potentials import (AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential,
                          exp_conjugate_numeric, exp_conjugate_upper_bound)
@@ -126,6 +126,18 @@ def recursion() -> Iterator[Row]:
         truth = (1.0 / p) * T ** (p / 2.0)
         rel = abs(val - truth) / abs(truth)
         yield Row("recursion", f"p={p},T={T}: rel {rel:.2e}", rel <= 1e-2, rel)
+
+
+def regime(T: int = 100, players: Optional[list] = None) -> Iterator[Row]:
+    """The regime each potential declares, which picks its player's formula,
+    against ``classify_regime`` of q_t at probes 0.05..40, for t in
+    {1, 10, 50, T - 1}; one row per (player, t), labelled with the regime
+    found.  The players default to ``envelope_players(T, 1)``."""
+    probes = np.linspace(0.05, 40.0, 64)
+    for (label, player), t in product(players or envelope_players(T, 1.0), (1, 10, 50, T - 1)):
+        pot = player.potential
+        found = classify_regime(lambda x: pot.radial(t, abs(x)), probes)
+        yield Row("regime", f"{label} t={t}: {found}", found == pot.regime, None)
 
 
 # --- sweep tables -----------------------------------------------------------

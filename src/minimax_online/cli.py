@@ -4,13 +4,17 @@ Subcommands:
 
 * ``run --spec spec.yaml``: execute every (strategy x adversary x repeat)
   cell, write per-run traces plus a summary table and a machine-readable
-  verdict; exit 0 only if every measured regret respects its envelope.
+  verdict; exit 0 only if every measured regret respects its envelope.  The
+  repeats of one (strategy, adversary) pair form a group, played in lockstep
+  by ``engine.run_games``; ``--jobs`` spreads the groups over processes.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
 * ``curves <trace_dir>``: emit tidy per-round regret-vs-envelope CSV.
 
 The spec file is YAML with a fixed schema; unknown keys are rejected with a
-line-anchored message (exit 2).  Bound violations exit 1.
+line-anchored message (exit 2).  Bound violations exit 1.  A group that
+raises is recorded in verdict.json, the other groups still run, and ``run``
+exits 4.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
@@ -34,14 +39,16 @@ from . import adversaries as adv_mod
 from . import checks
 from . import strategies as strat_mod
 from .core import GameConfig, UNKNOWN_HORIZON, make_rng, random_unit_vector
-from .engine import (attach_epsilon, regret_bound, run_game, verify_bound, write_trace_csv,
-                     write_trace_json, read_trace_json)
+# run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
+from .engine import (attach_epsilon, regret_bound, run_game, run_games, verify_bound,  # noqa: F401
+                     write_trace_csv, write_trace_json, read_trace_json)
 from .one_round import ORTHOGONAL, PARALLEL
 from .potentials import AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_CONFIG = 2
+EXIT_CELL_ERROR = 4
 
 
 class ConfigError(ValueError):
@@ -266,31 +273,49 @@ def parse_experiment_spec(path) -> ExperimentSpec:
                           repeats=repeats, rounds=rounds)
 
 
+def _run_id(spec: ExperimentSpec, si: int, ai: int, k: int) -> str:
+    return f"s{si}-{spec.strategies[si]['tag']}_a{ai}-{spec.adversaries[ai]['tag']}_k{k:03d}"
+
+
 def _execute_cell(args):
-    """One (strategy, adversary, repeat) cell; returns summary rows."""
-    spec, si, ai, k, out_dir = args
-    game = replace(spec.game, seed=spec.game.seed + k)
-    strategy = build_strategy(spec.strategies[si], game)
-    adversary = build_adversary(spec.adversaries[ai], game)
-    trace = run_game(strategy, adversary, game, spec.rounds)
-    attach_epsilon(trace, strategy.potential)
-    run_id = f"s{si}-{strategy.tag}_a{ai}-{adversary.tag}_k{k:03d}"
-    if spec.out_format in ("csv", "both"):
-        write_trace_csv(trace, Path(out_dir) / f"run_{run_id}.csv")
-    if spec.out_format in ("json", "both"):
-        write_trace_json(trace, Path(out_dir) / f"run_{run_id}.json")
+    """One (strategy, adversary) group, its repeats played in lockstep; returns
+    its summary rows, run by run.  The group's traces are written before it
+    returns, so only one group's arrays are alive at a time."""
+    spec, si, ai, out_dir = args
+    strategy = build_strategy(spec.strategies[si], spec.game)
+    adversary = build_adversary(spec.adversaries[ai], spec.game)
+    configs = [replace(spec.game, seed=spec.game.seed + k) for k in range(spec.repeats)]
+    comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
+                   for comp in spec.comparators]
+    traces = run_games(strategy, adversary, configs, spec.rounds)
     rows = []
-    for comp in spec.comparators:
-        u = comparator_vector(comp["norm"], comp["direction_seed"], game.dim)
-        report = verify_bound(trace, strategy, [u])[0]
-        rows.append({
-            "run_id": run_id, "strategy": strategy.tag, "adversary": adversary.tag,
-            "seed": game.seed, "u_norm": report.u_norm,
-            "direction_seed": comp["direction_seed"],
-            "regret": report.regret_actual, "bound": report.regret_bound,
-            "slack": report.slack, "holds": report.holds,
-        })
+    for k, trace in enumerate(traces):
+        attach_epsilon(trace, strategy.potential)
+        run_id = _run_id(spec, si, ai, k)
+        if spec.out_format in ("csv", "both"):
+            write_trace_csv(trace, Path(out_dir) / f"run_{run_id}.csv")
+        if spec.out_format in ("json", "both"):
+            write_trace_json(trace, Path(out_dir) / f"run_{run_id}.json")
+        for comp, u in zip(spec.comparators, comparators):
+            report = verify_bound(trace, strategy, [u])[0]
+            rows.append({
+                "run_id": run_id, "strategy": strategy.tag, "adversary": adversary.tag,
+                "seed": trace.config.seed, "u_norm": report.u_norm,
+                "direction_seed": comp["direction_seed"],
+                "regret": report.regret_actual, "bound": report.regret_bound,
+                "slack": report.slack, "holds": report.holds,
+            })
     return rows
+
+
+def _execute_group(args):
+    """(summary rows, None), or ([], message) when the group raised; the
+    traceback then goes to stderr."""
+    try:
+        return _execute_cell(args), None
+    except Exception as exc:  # a crash in one group must not hide the others' verdicts
+        traceback.print_exc()
+        return [], f"{type(exc).__name__}: {exc}"
 
 
 def cmd_run(args) -> int:
@@ -311,15 +336,21 @@ def cmd_run(args) -> int:
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = [(spec, si, ai, k, str(out_dir))
-             for si in range(len(spec.strategies))
-             for ai in range(len(spec.adversaries))
-             for k in range(spec.repeats)]
+    groups = [(spec, si, ai, str(out_dir))
+              for si in range(len(spec.strategies))
+              for ai in range(len(spec.adversaries))]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            all_rows = [row for rows in pool.map(_execute_cell, cells) for row in rows]
+            results = list(pool.map(_execute_group, groups))
     else:
-        all_rows = [row for cell in cells for row in _execute_cell(cell)]
+        results = [_execute_group(group) for group in groups]
+    all_rows, errors = [], []
+    for (_, si, ai, _), (rows, message) in zip(groups, results):
+        all_rows += rows
+        if message is not None:
+            print(f"error: group s{si}-a{ai} raised {message}", file=sys.stderr)
+            errors += [{"run_id": _run_id(spec, si, ai, k), "seed": spec.game.seed + k,
+                        "status": "error", "message": message} for k in range(spec.repeats)]
 
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w") as fh:
@@ -329,10 +360,11 @@ def cmd_run(args) -> int:
         for row in all_rows:
             fh.write(",".join(str(row[c]) for c in cols) + "\n")
 
+    n_runs = len(groups) * spec.repeats
     violations = [row for row in all_rows if not row["holds"]]
     with open(out_dir / "verdict.json", "w") as fh:
-        json.dump({"all_hold": not violations, "n_runs": len(cells), "n_checks": len(all_rows),
-                   "violations": violations}, fh, indent=2)
+        json.dump({"all_hold": not violations and not errors, "n_runs": n_runs, "n_checks": len(all_rows),
+                   "violations": violations, "errors": errors}, fh, indent=2)
     with open(out_dir / "sweep.json", "w") as fh:
         json.dump({
             "game": {"dim": spec.game.dim, "grad_bound": spec.game.grad_bound,
@@ -342,8 +374,10 @@ def cmd_run(args) -> int:
             "format": spec.out_format, "repeats": spec.repeats,
         }, fh, indent=2)
 
-    print(f"{len(cells)} runs, {len(all_rows)} bound checks, "
+    print(f"{n_runs} runs, {len(all_rows)} bound checks, "
           f"{len(violations)} violations -> {summary_path}")
+    if errors:
+        return EXIT_CELL_ERROR
     return EXIT_OK if not violations else EXIT_BOUND_VIOLATION
 
 
@@ -356,6 +390,7 @@ SUITES = {
     "conjugate-bound": partial(checks.conjugate_bound, seed=0),
     "one-round": partial(checks.one_round, seed=1),
     "recursion": checks.recursion,
+    "regime": checks.regime,
 }
 
 

@@ -8,7 +8,6 @@ are all plain 1-D arrays of the same dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -30,48 +29,40 @@ class UnsupportedDimensionError(ValueError):
     """Operation requires a higher-dimensional space (typically d >= 2)."""
 
 
-def as_point(coords) -> Point:
-    """Validate and convert to a finite float64 vector of dim >= 1."""
-    p = np.asarray(coords, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError(f"point must be a 1-D vector of dim >= 1, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point coordinates must be finite")
-    return p
-
-
-def inner(a: Point, b: Point) -> float:
-    """Inner product <a, b>; raises DimensionMismatchError on dim mismatch."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dim mismatch: {a.shape} vs {b.shape}")
-    return float(a @ b)
-
-
-# np.linalg.norm squares each coordinate; within this range ||a||^2 is a
-# normal float64, so the norm it returns is exact to rounding.
+# Within this range ||a||^2 is a normal float64, so the root of the summed
+# squares is exact to rounding.
 _NORM_SAFE_MIN = 1e-150
 _NORM_SAFE_MAX = 1e150
 
 
-def norm(a: Point) -> float:
-    """Euclidean norm ||a||, exact to rounding for every finite float64 vector.
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a, exact to rounding for every
+    finite float64 row.  Inside [1e-150, 1e150] a norm is the root of the
+    summed squares; outside it, where squaring the coordinates would underflow
+    or overflow, the row is first divided by its largest |a_i|.  The squares
+    are summed by np.einsum, which raises no floating-point error when they
+    overflow, and each row's norm depends on that row alone."""
+    n = np.sqrt(np.einsum("...i,...i->...", a, a))
+    listed = n.ravel().tolist()  # min and max of a few floats: faster in Python than two reductions
+    if listed and not (_NORM_SAFE_MIN <= min(listed) and max(listed) <= _NORM_SAFE_MAX):
+        scale = np.abs(a).max(axis=-1, initial=0.0)
+        b = a / np.where(scale > 0.0, scale, 1.0)[..., None]
+        n = np.where((n < _NORM_SAFE_MIN) | (n > _NORM_SAFE_MAX),
+                     scale * np.sqrt(np.einsum("...i,...i->...", b, b)), n)
+    return n
 
-    Inside [1e-150, 1e150] this is np.linalg.norm's arithmetic, the root of
-    the dot product a . a (taken with np.vdot, which raises no overflow
-    warning).  Outside it, where squaring the coordinates would underflow or
-    overflow, a is first divided by max |a_i|.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = math.sqrt(np.vdot(a, a))
-    if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX:
-        return n
-    scale = float(np.max(np.abs(a), initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    b = a / scale
-    return scale * math.sqrt(np.vdot(b, b))
+
+def nonzero_norms(r) -> np.ndarray:
+    """r with each 0 replaced by 5e-324, the smallest subnormal, which no
+    positive norm is below: dividing a state by it maps theta = 0 to 0 and
+    leaves every other row as it was."""
+    return np.maximum(r, 5e-324)
+
+
+def norm(a: Point) -> float:
+    """Euclidean norm ||a||, exact to rounding for every finite float64 vector:
+    ``row_norms`` of one row, so that run_game and run_games take the same norms."""
+    return float(row_norms(np.asarray(a, dtype=np.float64)))
 
 
 def unit_direction(theta: Point) -> Point:
@@ -92,6 +83,18 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> Point:
         v = rng.standard_normal(dim)
         n = norm(v)
     return v / n
+
+
+def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n successive random_unit_vector(rng, dim) draws as the rows of an (n, dim)
+    array, reading rng exactly as those n calls would."""
+    state = rng.bit_generator.state
+    v = rng.standard_normal((n, dim))
+    norms = row_norms(v)
+    if norms.min(initial=1.0) < 1e-12:  # a redraw shifts the stream: replay it call by call
+        rng.bit_generator.state = state
+        return np.array([random_unit_vector(rng, dim) for _ in range(n)]).reshape(n, dim)
+    return v / norms[:, None]
 
 
 def fallback_direction(dim: int, rng: Optional[np.random.Generator] = None) -> Point:
@@ -132,6 +135,33 @@ def orthonormal_complement_sample(theta: Point, rng: np.random.Generator) -> Poi
         m = norm(v)
         if m > 1e-8:
             return v / m
+
+
+def complement_rows(theta: np.ndarray, r: np.ndarray, rngs) -> np.ndarray:
+    """orthonormal_complement_sample for each row of theta (R, d), whose norms
+    are r; row k reads rngs[k] exactly as that function reads its stream."""
+    R, d = theta.shape
+    if d < 2:
+        raise UnsupportedDimensionError("orthogonal complement requires dim >= 2")
+    listed = r.tolist()
+    zero = [k for k, n in enumerate(listed) if n == 0.0]  # no direction: any unit vector, drawn last
+    rs = nonzero_norms(r)[:, None]
+    if d == 2:
+        flip = [-1.0 if n != 0.0 and rng.random() < 0.5 else 1.0 for n, rng in zip(listed, rngs)]
+        v = np.stack((-theta[:, 1], theta[:, 0]), axis=1) / rs * np.array(flip)[:, None]
+    else:
+        u = theta / rs
+        v = np.array([rng.standard_normal(d) if n != 0.0 else np.ones(d) for n, rng in zip(listed, rngs)])
+        for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
+            v -= np.vecdot(v, u)[:, None] * u
+        m = row_norms(v)
+        if not min(m.tolist()) > 1e-8:  # a draw too close to theta's line: finish the row as the one-row loop does
+            for k in np.flatnonzero(~(m > 1e-8)):
+                v[k], m[k] = orthonormal_complement_sample(theta[k], rngs[k]), 1.0
+        v /= m[:, None]
+    for k in zero:
+        v[k] = random_unit_vector(rngs[k], d)
+    return v
 
 
 @dataclass(frozen=True)

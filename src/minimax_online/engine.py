@@ -11,9 +11,20 @@ Accounting identities maintained here (and asserted by the test suite):
     eps_t      = q_t(theta_t) - q_{t-1}(theta_{t-1}) + <w_t, g_t>
     sum eps_t  = q_T(theta_T) - q_0(0) - Reward      (telescoping)
 
-Potentials are any objects with ``value(t, theta) -> float``; families whose
-value at t = 0 is nonzero (the known-horizon ones) carry their starting
-capital in the t = 0 term, so the ledger stays exact for both conventions.
+Potentials are radial: ``radial(t, x)`` over arrays of rounds and norms, and
+``value(t, theta) -> float``.  Families whose value at t = 0 is nonzero (the
+known-horizon ones) carry their starting capital in the t = 0 term, so the
+ledger stays exact for both conventions.
+
+Two game loops share this protocol.  ``run_game`` plays one run, with any
+object that has ``play`` as the player and any object that has ``grad`` as
+the adversary; it is the reference.  ``run_games`` plays R runs of one
+(PotentialPlayer, built-in adversary) pair in lockstep, round t of every run
+in one (R, d) array step.  Each run keeps its own Philox stream, read in
+run_game's order, so a run's trace does not depend on the other runs of its
+batch.  The two loops share the player's formula and the norms; a run's
+trace differs from run_game's only where a dot product is summed in another
+order, by a few ulps.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, GameConfig, make_rng, random_unit_vector
+from .core import DimensionMismatchError, GameConfig, make_rng, random_unit_vector, row_norms
 from .potentials import BoundaryHitError, conjugate_numeric, regret_bound
 
 GRAD_NORM_SLACK = 1e-9
@@ -64,12 +75,7 @@ class Trace:
         return self.g.sum(axis=0)
 
 
-def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
-    """Execute the min-then-max loop for the given number of rounds.
-
-    Known-horizon strategies must be run for exactly config.horizon rounds.
-    Deterministic given config.seed (one Philox stream per run).
-    """
+def _check_rounds(strategy, config: GameConfig, rounds: int) -> None:
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     if getattr(strategy, "needs_horizon", False):
@@ -79,6 +85,15 @@ def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
             raise ValueError(
                 f"strategy {strategy.tag} is tuned for T={config.horizon}, got rounds={rounds}"
             )
+
+
+def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
+    """Execute the min-then-max loop for the given number of rounds.
+
+    Known-horizon strategies must be run for exactly config.horizon rounds.
+    Deterministic given config.seed (one Philox stream per run).
+    """
+    _check_rounds(strategy, config, rounds)
     rng = make_rng(config.seed)
     d = config.dim
     G = config.grad_bound
@@ -106,6 +121,61 @@ def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
                  w_rows, g_rows, th_rows, losses)
 
 
+def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -> List[Trace]:
+    """run_game for every config, in lockstep: one (R, d) array step per round.
+
+    The configs share dim and grad_bound; run k uses configs[k].seed.  The
+    strategy needs ``response(t, theta, r)`` (PotentialPlayer) and the
+    adversary ``draws`` and ``grads`` (every built-in adversary).  Every round
+    checks shapes and ||g|| <= G(1 + 1e-9) + 1e-9 on all rows at once; a value
+    that leaves the float64 range raises OverflowError instead of reaching a
+    play.  Row k of the result is the trace of run_games([configs[k]]), bit
+    for bit.
+    """
+    if not configs:
+        return []
+    for cfg in configs:
+        _check_rounds(strategy, cfg, rounds)
+    if any((cfg.dim, cfg.grad_bound) != (configs[0].dim, configs[0].grad_bound) for cfg in configs):
+        raise ValueError("the configs of one lockstep group must share dim and grad_bound")
+    w_rows, g_rows = _lockstep(strategy, adversary, configs, rounds)
+    th_rows = np.cumsum(g_rows, axis=1)
+    np.subtract(0.0, th_rows, out=th_rows)  # the loop's theta, bit for bit (0.0 - keeps +0.0)
+    losses = np.einsum("rti,rti->rt", w_rows, g_rows)
+    return [Trace(cfg, strategy.tag, adversary.tag, w_rows[k], g_rows[k], th_rows[k], losses[k])
+            for k, cfg in enumerate(configs)]
+
+
+def _lockstep(strategy, adversary, configs: Sequence[GameConfig], rounds: int):
+    """The plays and gradients, (R, T, d) each, of run_games' loop.  A
+    function of its own so that the adversary's draws (a whole gradient
+    block for the state-blind ones) are freed before theta is built."""
+    R, d, G = len(configs), configs[0].dim, configs[0].grad_bound
+    draws = adversary.draws([make_rng(cfg.seed) for cfg in configs], rounds, d)
+    w_rows = np.zeros((R, rounds, d))
+    g_rows = np.zeros((R, rounds, d))
+    theta = np.zeros((R, d))
+    limit = (G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK) ** 2
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for t in range(rounds):
+                r = row_norms(theta)
+                w = strategy.response(t, theta, r)
+                g = adversary.grads(t, theta, r, w, draws)
+                if w.shape != (R, d) or g.shape != (R, d):
+                    raise DimensionMismatchError(
+                        f"round {t + 1}: plays {w.shape}, gradients {g.shape}, expected ({R}, {d})")
+                top = max(np.vecdot(g, g).tolist())
+                if not top <= limit:  # also catches a NaN
+                    raise ValueError(f"adversary emitted ||g||={math.sqrt(top)} > G={G}")
+                theta = theta - g
+                w_rows[:, t] = w
+                g_rows[:, t] = g
+        except FloatingPointError as exc:
+            raise OverflowError(f"round {t + 1}: {exc}") from exc
+    return w_rows, g_rows
+
+
 def regret(trace: Trace, u) -> float:
     """sum_t <g_t, w_t - u>, computed round by round."""
     u = np.asarray(u, dtype=np.float64)
@@ -121,16 +191,19 @@ def epsilon_ledger(trace: Trace, potential) -> np.ndarray:
 
     theta_0 = 0; potentials with q_0(0) = 0 reproduce the plain telescoping
     sum, while relaxation-style potentials contribute their starting capital
-    through the t = 0 term.
+    through the t = 0 term.  All rounds are evaluated in one array call; a
+    q_t that leaves the float64 range raises OverflowError.
     """
     T = trace.n_rounds
-    out = np.zeros(T)
-    prev = potential.value(0, np.zeros(trace.config.dim))
-    for t in range(1, T + 1):
-        cur = potential.value(t, trace.theta[t - 1])
-        out[t - 1] = cur - prev + trace.losses[t - 1]
-        prev = cur
-    return out
+    if T == 0:
+        return np.zeros(0)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            q = potential.radial(np.arange(1, T + 1), row_norms(trace.theta))
+        except FloatingPointError as exc:
+            raise OverflowError(f"epsilon ledger: {exc}") from exc
+    prev = np.concatenate(([potential.value(0, np.zeros(trace.config.dim))], q[:-1]))
+    return q - prev + trace.losses
 
 
 def attach_epsilon(trace: Trace, potential) -> Trace:
@@ -239,27 +312,34 @@ def duality_witness(traces: Sequence[Trace], benchmark: RadialBenchmark,
 
 CSV_BASE_COLUMNS = ["t", "loss", "reward_cum", "theta_norm", "eps_t"]
 MAX_COORD_COLUMNS = 8
+CSV_CHUNK_ROWS = 200
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Rows end in CR LF, floats are written as ``repr`` (shortest round trip)
-    and ``eps_t`` is empty without a ledger; no field ever needs quoting."""
-    d = trace.config.dim
+    and ``eps_t`` is empty without a ledger; no field ever needs quoting.
+    Rows are formatted CSV_CHUNK_ROWS at a time, which bounds the memory the
+    strings take."""
+    T, d = trace.n_rounds, trace.config.dim
     header = list(CSV_BASE_COLUMNS)
-    columns = [
-        map(str, range(1, trace.n_rounds + 1)),
-        map(repr, trace.losses.tolist()),
-        map(repr, (0.0 - np.cumsum(trace.losses)).tolist()),  # 0.0 - keeps row 1 at 0.0, not -0.0
-        (repr(float(np.linalg.norm(row))) for row in trace.theta),
-        [""] * trace.n_rounds if trace.eps is None else map(repr, trace.eps.tolist()),
-    ]
     if d <= MAX_COORD_COLUMNS:
         header += [f"w_{i}" for i in range(d)] + [f"g_{i}" for i in range(d)]
-        columns += [map(repr, col) for col in trace.w.T.tolist()]
-        columns += [map(repr, col) for col in trace.g.T.tolist()]
-    lines = [",".join(header), *map(",".join, zip(*columns))]
+    reward_cum = 0.0 - np.cumsum(trace.losses)  # 0.0 - keeps row 1 at 0.0, not -0.0
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, T, CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            columns = [
+                map(str, range(lo + 1, min(lo + CSV_CHUNK_ROWS, T) + 1)),
+                map(repr, trace.losses[rows].tolist()),
+                map(repr, reward_cum[rows].tolist()),
+                (repr(float(np.linalg.norm(row))) for row in trace.theta[rows]),
+                [""] * CSV_CHUNK_ROWS if trace.eps is None else map(repr, trace.eps[rows].tolist()),
+            ]
+            if d <= MAX_COORD_COLUMNS:
+                columns += [map(repr, col) for col in trace.w[rows].T.tolist()]
+                columns += [map(repr, col) for col in trace.g[rows].T.tolist()]
+            fh.write("".join([",".join(fields) + "\r\n" for fields in zip(*columns)]))
 
 
 def trace_to_dict(trace: Trace) -> dict:

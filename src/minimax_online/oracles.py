@@ -3,8 +3,7 @@
 Nothing in this module reuses the closed-form potentials or strategies: the
 game values come from brute backward induction over discretized states, the
 expectations from exact binomial sums, Gauss-Hermite quadrature, or adaptive
-quadrature, and the derivatives from central differences.  Tests compare
-these against the analytic implementations.
+quadrature.  Tests compare these against the analytic implementations.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from scipy import integrate, optimize
 
 from ._search import eval_on_array
-from ._search import finite_difference  # noqa: F401  (re-exported with the oracles)
 from .one_round import line_distance, minmax_values, plane_distance
 from .one_round import solve_scalar_grid  # noqa: F401  (the benchmark's tracer wraps it by name here)
 

@@ -19,8 +19,12 @@ Each class carries its spec ``tag``, the ``regime`` of the one-round game
 against it, and the one radial quantity the minimax play in that regime
 needs (see ``strategies.PotentialPlayer``): the slope q_t'(x) for the
 orthogonal (power) family, the radial difference D_t(r) = q_t(r + G) -
-q_t(r - G) for the parallel ones.  Each also carries its regret envelope
-``regret_bound(u_norm, T)``.
+q_t(r - G) for the parallel ones.  These quantities and ``radial`` itself
+are written once, over numpy arrays: t is an int or an array and x an
+array, so one formula serves a single play, a lockstep batch of plays
+(``engine.run_games``) and a run's whole slack ledger.  np.exp overflows to
+inf rather than raising; the engine traps that.  Each class also carries its
+regret envelope ``regret_bound(u_norm, T)``.
 
 The conjugate side: ``conjugate_numeric`` evaluates sup_a (a*u - f(a)) by
 golden-section search, ``exp_conjugate_upper_bound`` is the closed-form
@@ -47,14 +51,21 @@ class BoundaryHitError(RuntimeError):
     """Numeric conjugate maximizer landed on the search boundary."""
 
 
-def _check_round(t: int, T: int) -> None:
-    if not 0 <= t <= T:
-        raise ValueError(f"round index t={t} outside [0, {T}]")
+def _check_rounds(t, lo: int, hi) -> None:
+    """Raise unless every round index in t (an int or an array) lies in [lo, hi]."""
+    low, high = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+    if not lo <= low <= high <= hi:
+        raise ValueError(f"round index t={t} outside [{lo}, {hi}]")
 
 
-def _exp_gap(A: float, B: float) -> float:
-    """exp(A) - exp(B) for A >= B, as exp(A) (1 - exp(B - A)) without cancellation."""
-    return math.exp(A) * (-math.expm1(B - A))
+def _value(self, t: int, theta) -> float:
+    """q_t(theta) = radial(t, ||theta||).
+
+    Each family's ``radial``, ``radial_diff`` and ``slope`` take an int or
+    array t and an array x (or r), and broadcast.  A concrete class binds
+    this as its own ``value`` (a base class would carry it too, and
+    perfbench/tracing.py wraps ``value`` on every class of this module)."""
+    return float(self.radial(t, float(np.linalg.norm(theta))))
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,7 @@ class QuadraticPotential:
     G: float
 
     tag = "ogd"
+    value = _value
     regime = PARALLEL
 
     def __post_init__(self):
@@ -73,13 +85,10 @@ class QuadraticPotential:
         if not self.G > 0:
             raise ValueError("G must be positive")
 
-    def radial(self, t: int, x: float) -> float:
+    def radial(self, t, x):
         return 0.5 * self.eta * x * x
 
-    def value(self, t: int, theta) -> float:
-        return self.radial(t, float(np.linalg.norm(theta)))
-
-    def radial_diff(self, t: int, r: float) -> float:
+    def radial_diff(self, t, r):
         """q(r + G) - q(r - G) = 2 eta G r, so the play is w = eta * theta."""
         return 2.0 * self.eta * self.G * r
 
@@ -97,6 +106,7 @@ class PowerPotential:
     T: int
 
     tag = "power"
+    value = _value
     regime = ORTHOGONAL
 
     def __post_init__(self):
@@ -114,21 +124,19 @@ class PowerPotential:
         """Conjugate exponent; infinite at p = 1."""
         return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
-    def radial(self, t: int, x: float) -> float:
-        _check_round(t, self.T)
-        if t == self.T:
-            return (self.W / self.p) * abs(x) ** self.p
-        s2 = x * x + self.G * self.G * (self.T - t)
-        return (self.W / self.p) * s2 ** (self.p / 2.0)
+    def _s2(self, t, x):
+        """x^2 + G^2 (T - t)."""
+        _check_rounds(t, 0, self.T)
+        return x * x + self.G * self.G * (self.T - t)
 
-    def value(self, t: int, theta) -> float:
-        return self.radial(t, float(np.linalg.norm(theta)))
+    def radial(self, t, x):
+        s2 = self._s2(t, x)
+        return (self.W / self.p) * np.where(t == self.T, np.abs(x) ** self.p, s2 ** (self.p / 2.0))
 
-    def slope(self, t: int, x: float) -> float:
+    def slope(self, t, x):
         """q_t'(x) = W x (x^2 + G^2 (T-t))^((p-2)/2) for x >= 0; zero at x = 0."""
-        _check_round(t, self.T)
-        s2 = x * x + self.G * self.G * (self.T - t)
-        return self.W * x * s2 ** ((self.p - 2.0) / 2.0) if s2 > 0.0 else 0.0
+        s2 = self._s2(t, x)
+        return self.W * x * np.where(s2 > 0.0, s2, 1.0) ** ((self.p - 2.0) / 2.0)
 
     def regret_bound(self, u_norm: float, T: int) -> float:
         """At p = 1 there is no bound for u_norm > W; VACUOUS (inf) is returned there."""
@@ -139,8 +147,24 @@ class PowerPotential:
         return u_norm**q / (self.W ** (q - 1.0) * q) + (self.W / self.p) * root_t**self.p
 
 
+class _ExpQuadratic:
+    """q_t(x) = c_t exp(x^2 / d_t); a subclass supplies shape(t) = (c_t, d_t)."""
+
+    regime = PARALLEL
+
+    def radial(self, t, x):
+        c, d = self.shape(t)
+        return c * np.exp(x * x / d)
+
+    def radial_diff(self, t, r):
+        """q_t(r + G) - q_t(r - G) = c exp((r + G)^2 / d) (1 - exp(-4 G r / d)),
+        through expm1, so without cancellation; +0 at r = 0."""
+        c, d = self.shape(t)
+        return -c * np.exp((r + self.G) ** 2 / d) * np.expm1(-4.0 * self.G / d * r)
+
+
 @dataclass(frozen=True)
-class NormalKnownTPotential:
+class NormalKnownTPotential(_ExpQuadratic):
     """Gaussian-smoothed exponential potential for a known horizon T."""
 
     eps: float
@@ -150,7 +174,7 @@ class NormalKnownTPotential:
     sigma2: float = field(default=SIGMA2, init=False)
 
     tag = "normal_knownT"
-    regime = PARALLEL
+    value = _value
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -164,23 +188,11 @@ class NormalKnownTPotential:
                 f"require a > pi*G^2/2 = {math.pi * self.G * self.G / 2.0:.6g}, got a={self.a}"
             )
 
-    def _shape(self, t: int):
-        """(c, d) with q_t(x) = c exp(x^2 / d)."""
-        _check_round(t, self.T)
+    def shape(self, t):
+        _check_rounds(t, 0, self.T)
         shrink = math.pi * self.G * self.G * (self.T - t)
         pref = (1.0 - shrink / (2.0 * self.a * self.T)) ** -0.5
         return self.eps * pref, 2.0 * self.a * self.T - shrink
-
-    def radial(self, t: int, x: float) -> float:
-        c, d = self._shape(t)
-        return c * math.exp(x * x / d)
-
-    def value(self, t: int, theta) -> float:
-        return self.radial(t, float(np.linalg.norm(theta)))
-
-    def radial_diff(self, t: int, r: float) -> float:
-        c, d = self._shape(t)
-        return c * _exp_gap((r + self.G) ** 2 / d, (r - self.G) ** 2 / d)
 
     def regret_bound(self, u_norm: float, T: int) -> float:
         eps, a, G = self.eps, self.a, self.G
@@ -191,7 +203,7 @@ class NormalKnownTPotential:
 
 
 @dataclass(frozen=True)
-class AdaptiveNormalPotential:
+class AdaptiveNormalPotential(_ExpQuadratic):
     """Horizon-free exponential potential with decreasing scale beta_t."""
 
     eps: float
@@ -199,7 +211,7 @@ class AdaptiveNormalPotential:
     G: float
 
     tag = "adaptive_normal"
-    regime = PARALLEL
+    value = _value
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -211,26 +223,19 @@ class AdaptiveNormalPotential:
                 f"require a > 3*pi*G^2/4 = {3 * math.pi * self.G * self.G / 4.0:.6g}, got a={self.a}"
             )
 
-    def beta(self, t: int) -> float:
-        if t < 1:
-            raise ValueError("beta_t defined for t >= 1")
-        return self.eps / math.log(t + 1.0) ** 2
+    def beta(self, t):
+        _check_rounds(t, 1, math.inf)
+        return self.eps / np.log(t + 1.0) ** 2
 
-    def radial(self, t: int, x: float) -> float:
-        if t == 0:
-            return 0.0
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        return self.beta(t) * math.exp(x * x / (2.0 * self.a * t))
+    def shape(self, t):
+        """(beta_t, 2 a t), for t >= 1."""
+        return self.beta(t), 2.0 * self.a * t
 
-    def value(self, t: int, theta) -> float:
-        return self.radial(t, float(np.linalg.norm(theta)))
-
-    def radial_diff(self, t: int, r: float) -> float:
-        if t == 0:
-            return 0.0
-        d = 2.0 * self.a * t
-        return self.beta(t) * _exp_gap((r + self.G) ** 2 / d, (r - self.G) ** 2 / d)
+    def radial(self, t, x):
+        """q_t(x), with q_0 = 0 since beta_0 is undefined."""
+        if not isinstance(t, np.ndarray) and t == 0:
+            return 0.0 * x
+        return super().radial(t, x)
 
     def regret_bound(self, u_norm: float, T: int) -> float:
         eps, a, G = self.eps, self.a, self.G

@@ -15,16 +15,17 @@ All plays are parallel to theta, so the first play (theta_0 = 0) is the zero
 vector.  The potential supplies the regime and the radial quantity; the
 exponential families compute their radial difference without cancellation.
 The orthogonal play needs d > 1 to be minimax; at d = 1 it is still playable.
+``response`` computes the plays of a whole batch of states at once; ``play``
+is its one-state form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import norm
+from .core import nonzero_norms, norm
 from .one_round import ORTHOGONAL
 
 
@@ -43,15 +44,22 @@ class PotentialPlayer:
         return hasattr(self.potential, "T")
 
     def play(self, t: int, theta) -> np.ndarray:
+        """The play at round t; OverflowError once it leaves the float64 range."""
         if t < 0:
             raise ValueError(f"round index t={t} must be >= 0")
         theta = np.asarray(theta, dtype=np.float64)
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                return self.response(t, theta, norm(theta))
+            except FloatingPointError as exc:
+                raise OverflowError(f"play at round {t + 1}: {exc}") from exc
+
+    def response(self, t: int, theta: np.ndarray, r) -> np.ndarray:
+        """Plays at round t for states theta (..., d) with norms r (...)."""
         pot = self.potential
-        r = norm(theta)
         if pot.regime == ORTHOGONAL:
-            s = math.hypot(r, pot.G)
-            return theta * (pot.slope(t + 1, s) / s)
-        diff = pot.radial_diff(t + 1, r)  # evaluated at r = 0 too: it checks the round index
-        if r == 0.0:
-            return np.zeros_like(theta)
-        return theta * (diff / (2.0 * pot.G * r))
+            s = np.hypot(r, pot.G)
+            coef = pot.slope(t + 1, s) / s
+        else:  # the difference is 0 at r = 0, so is the play
+            coef = pot.radial_diff(t + 1, r) / nonzero_norms(r) / (2.0 * pot.G)
+        return theta * coef[..., None]

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import yaml
 
-from minimax_online import adversaries, potentials
+from minimax_online import adversaries, checks, potentials
 from minimax_online.cli import (
     ADVERSARIES,
     EXIT_BOUND_VIOLATION,
+    EXIT_CELL_ERROR,
     EXIT_CONFIG,
     EXIT_OK,
     POTENTIALS,
@@ -22,6 +23,8 @@ from minimax_online.cli import (
 )
 from minimax_online.core import GameConfig
 from minimax_online.engine import read_trace_json
+from minimax_online.one_round import PARALLEL
+from minimax_online.strategies import PotentialPlayer
 
 MINIMAL_SPEC = """\
 game:
@@ -258,6 +261,60 @@ rounds: 200
         assert not verdict["all_hold"] and len(verdict["violations"]) == 1
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crashing_group_exits_4_and_the_others_finish(self, tmp_path, capsys, jobs):
+        # adaptive_normal against one fixed line overflows float64 near round 3.4k
+        sweep = """\
+game: {dim: 2, grad_bound: 1.0, horizon: unknown, seed: 0}
+strategy: {tag: adaptive_normal, eps: 1.0, a: 2.4}
+adversaries:
+  - {tag: fixed_direction}
+  - {tag: gaussian_random}
+comparators:
+  - {norm: 0.0, direction_seed: 0}
+  - {norm: 1.0, direction_seed: 1}
+outputs: {dir: OUTDIR, format: csv}
+repeats: 2
+rounds: 4000
+"""
+        path, out = write_spec(tmp_path, sweep)
+        assert main(["run", "--spec", str(path), "--jobs", str(jobs)]) == EXIT_CELL_ERROR
+        assert "OverflowError" in capsys.readouterr().err
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert not verdict["all_hold"] and verdict["n_runs"] == 4 and verdict["n_checks"] == 4
+        errors = verdict["errors"]
+        assert [e["run_id"] for e in errors] == [f"s0-adaptive_normal_a0-fixed_direction_k00{k}" for k in (0, 1)]
+        assert all(e["status"] == "error" and e["message"].startswith("OverflowError") for e in errors)
+        rows = list(csv.DictReader((out / "summary.csv").open()))
+        assert [r["run_id"] for r in rows] == [f"s0-adaptive_normal_a1-gaussian_random_k00{k}"
+                                               for k in (0, 0, 1, 1)]
+        assert sorted(p.name for p in out.glob("run_*")) == [f"run_{r['run_id']}.csv" for r in rows[::2]]
+
+    def test_trace_bytes_do_not_depend_on_the_repeat_count(self, tmp_path):
+        sweep = """\
+game: {dim: 3, grad_bound: 1.0, horizon: 40, seed: 11}
+strategies:
+  - {tag: normal_knownT, eps: 1.0, a: 2.4}
+  - {tag: power, W: 1.0, p: 1.5}
+adversaries:
+  - {tag: orthogonal_minimax}
+  - {tag: gaussian_random}
+  - {tag: greedy_vs_comparator, comparator: [1.0, 0.0, 0.0]}
+outputs: {dir: OUTDIR, format: both}
+repeats: REPEATS
+"""
+        outs = []
+        for repeats in (1, 20):
+            (tmp_path / str(repeats)).mkdir()
+            path, out = write_spec(tmp_path / str(repeats), sweep.replace("REPEATS", str(repeats)))
+            assert main(["run", "--spec", str(path)]) == EXIT_OK
+            outs.append(out)
+        files = sorted(p.name for p in outs[0].glob("run_*"))
+        assert len(files) == 12
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
         assert main(["verify", "--lemma", "gaussian-dominance"]) == EXIT_OK
@@ -271,6 +328,21 @@ class TestVerifyCommand:
 
     def test_requires_selection(self, capsys):
         assert main(["verify"]) == EXIT_CONFIG
+
+    def test_regime_suite(self, capsys):
+        assert main(["verify", "--lemma", "regime"]) == EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(("PASS", "FAIL"))]
+        assert len(rows) == 24 and all(row.startswith("regime ") and row.endswith("PASS") for row in rows)
+
+    def test_regime_row_fails_on_a_wrong_declaration(self):
+        @dataclasses.dataclass(frozen=True)
+        class MislabelledPower(potentials.PowerPotential):
+            regime = PARALLEL  # the power family is orthogonal
+
+        rows = list(checks.regime(players=[("mislabelled", PotentialPlayer(MislabelledPower(1.0, 1.5, 1.0, 100))),
+                                            ("ogd", PotentialPlayer(potentials.QuadraticPotential(0.1, 1.0)))]))
+        assert [row.ok for row in rows] == [False] * 4 + [True] * 4
+        assert rows[0].label == "mislabelled t=1: orthogonal"
 
 
 class TestCurvesCommand:

@@ -5,31 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minimax_online import GameConfig, inner, make_rng, norm, orthonormal_complement_sample, unit_direction
-from minimax_online.core import TOL_ORTHO, DimensionMismatchError, UnsupportedDimensionError, as_point
+from minimax_online import GameConfig, make_rng, norm, orthonormal_complement_sample, unit_direction
+from minimax_online.core import TOL_ORTHO, UnsupportedDimensionError
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 def vec(dim_min=1, dim_max=6):
     return st.lists(finite_coord, min_size=dim_min, max_size=dim_max).map(np.array)
-
-
-def test_inner_examples():
-    assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert inner(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 25.0
-    assert inner(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])) == 32.0  # 4+10+18
-
-
-def test_inner_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        inner(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
-
-
-@given(a=vec(2, 4))
-def test_inner_symmetric_pairs(a):
-    b = a[::-1].copy()
-    assert inner(a, b) == inner(b, a)
 
 
 @given(pair=st.tuples(st.integers(2, 5), st.data()))
@@ -80,7 +63,7 @@ def test_complement_sample_contract(dim, seed):
     for trial_theta in (np.zeros(dim), rng.standard_normal(dim), 100.0 * rng.standard_normal(dim)):
         v = orthonormal_complement_sample(trial_theta, rng)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-        assert abs(inner(v, trial_theta)) <= 1e-12 * max(np.linalg.norm(trial_theta), 1.0)
+        assert abs(float(v @ trial_theta)) <= 1e-12 * max(np.linalg.norm(trial_theta), 1.0)
 
 
 def test_complement_sample_axis():
@@ -101,22 +84,13 @@ def test_complement_sample_at_float64_extremes(theta):
         warnings.simplefilter("error", RuntimeWarning)
         v = orthonormal_complement_sample(theta, make_rng(0))
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    assert abs(inner(v, unit_direction(theta))) <= TOL_ORTHO
+    assert abs(float(v @ unit_direction(theta))) <= TOL_ORTHO
 
 
 def test_complement_gram_schmidt_case():
     theta = np.array([1.0, 1.0, 0.0])
     v = orthonormal_complement_sample(theta, make_rng(3))
-    assert abs(inner(v, theta)) <= 1e-12 * np.linalg.norm(theta)
-
-
-def test_as_point_rejects_bad_input():
-    with pytest.raises(ValueError):
-        as_point([1.0, np.nan])
-    with pytest.raises(ValueError):
-        as_point([])
-    with pytest.raises(ValueError):
-        as_point([[1.0, 2.0]])
+    assert abs(float(v @ theta)) <= 1e-12 * np.linalg.norm(theta)
 
 
 def test_game_config_validation():

@@ -8,12 +8,12 @@ from minimax_online import (
     RecursionSpec,
     argmax_at_zero_check,
     conditional_value_recursive,
-    finite_difference,
     gaussian_dominance_check,
     gaussian_expectation,
     one_round_value_full_2d,
     rademacher_smoothing_exact,
 )
+from minimax_online._search import finite_difference
 from minimax_online.oracles import DivergenceError, ResourceBudgetError
 
 

@@ -13,7 +13,8 @@ from minimax_online import (
     regret_bound,
 )
 from minimax_online import checks
-from minimax_online.oracles import finite_difference, gaussian_expectation
+from minimax_online._search import finite_difference
+from minimax_online.oracles import gaussian_expectation
 from minimax_online.potentials import BoundaryHitError
 
 
