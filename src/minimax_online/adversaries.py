@@ -5,13 +5,14 @@ round index t and the player's pending play w are provided because the
 adversary moves second; the minimax adversaries ignore w, the greedy one
 uses it.  RNG state is owned by the caller (one stream per run).
 
-The batch form plays R runs in lockstep (``engine.run_games``):
-``draws(rngs, rounds, dim)`` is called once per game with the runs' streams,
-and ``grads(t, theta, r, w, draws)`` answers the (R, d) states theta, of
-norms r, with an (R, d) block of gradients.  Row k reads rngs[k] exactly as
-``grad`` reads its stream, so it depends on run k alone.  The state-blind
-adversaries draw the whole (R, T, d) gradient block up front; the others
-draw round by round.
+The batch form plays R runs in lockstep (``engine.run_games``), each run on
+its own stream; row k reads rngs[k] exactly as ``grad`` reads its stream, so
+it depends on run k alone.  The state-blind adversaries, whose gradients
+depend on neither the state nor the plays, give the whole (R, T, d) gradient
+block at once: ``gradient_block(rngs, rounds, dim)``.  The others answer
+round by round: ``draws(rngs, rounds, dim)`` is called once per game, and
+``grads(t, theta, r, w, draws)`` answers the (R, d) states theta, of norms r,
+with an (R, d) block of gradients.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class ParallelMinimax(_RoundByRound):
         else:
             sign = self._sign(t, None)
         g = sign * self.G * (theta / nonzero_norms(r)[:, None])
-        if not r.all():  # theta = 0 gives no direction: a random one, as grad draws it
+        if not all(r.tolist()):  # theta = 0 gives no direction: a random one, as grad draws it
             for k in np.flatnonzero(r == 0.0):
                 g[k] = self.G * fallback_direction(theta.shape[1], rngs[k])
         return g
@@ -135,12 +136,9 @@ class RademacherLine:
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return sign * self.G * e
 
-    def draws(self, rngs, rounds, dim):
+    def gradient_block(self, rngs, rounds, dim):
         signs = np.where(np.array([rng.random(rounds) for rng in rngs]) < 0.5, 1.0, -1.0)
         return (signs * self.G)[:, :, None] * _line(self.direction, dim)
-
-    def grads(self, t, theta, r, w, block):
-        return block[:, t]
 
 
 @dataclass(frozen=True)
@@ -154,14 +152,11 @@ class GaussianRandom:
     def grad(self, t, theta, w, rng):
         return self.G * random_unit_vector(rng, np.size(theta))
 
-    def draws(self, rngs, rounds, dim):
+    def gradient_block(self, rngs, rounds, dim):
         block = np.empty((len(rngs), rounds, dim))
         for k, rng in enumerate(rngs):
             np.multiply(self.G, random_unit_rows(rng, rounds, dim), out=block[k])
         return block
-
-    def grads(self, t, theta, r, w, block):
-        return block[:, t]
 
 
 @dataclass(frozen=True)
@@ -176,11 +171,8 @@ class FixedDirection:
     def grad(self, t, theta, w, rng):
         return self.G * _line(self.direction, np.size(theta))
 
-    def draws(self, rngs, rounds, dim):
-        return np.tile(self.G * _line(self.direction, dim), (len(rngs), 1))
-
-    def grads(self, t, theta, r, w, g):
-        return g
+    def gradient_block(self, rngs, rounds, dim):
+        return np.tile(self.G * _line(self.direction, dim), (len(rngs), rounds, 1))
 
 
 @dataclass(frozen=True)

@@ -128,13 +128,16 @@ def recursion() -> Iterator[Row]:
         yield Row("recursion", f"p={p},T={T}: rel {rel:.2e}", rel <= 1e-2, rel)
 
 
-def regime(T: int = 100, players: Optional[list] = None) -> Iterator[Row]:
-    """The regime each potential declares, which picks its player's formula,
-    against ``classify_regime`` of q_t at probes 0.05..40, for t in
-    {1, 10, 50, T - 1}; one row per (player, t), labelled with the regime
-    found.  The players default to ``envelope_players(T, 1)``."""
+REGIME_T = 100  # the horizon of the potentials the regime suite checks
+
+
+def regime() -> Iterator[Row]:
+    """The regime each potential of ``envelope_players(REGIME_T, 1)`` declares,
+    which picks its player's formula, against ``classify_regime`` of q_t at
+    probes 0.05..40, for t in {1, 10, 50, REGIME_T - 1}; one row per
+    (player, t), labelled with the regime found."""
     probes = np.linspace(0.05, 40.0, 64)
-    for (label, player), t in product(players or envelope_players(T, 1.0), (1, 10, 50, T - 1)):
+    for (label, player), t in product(envelope_players(REGIME_T, 1.0), (1, 10, 50, REGIME_T - 1)):
         pot = player.potential
         found = classify_regime(lambda x: pot.radial(t, abs(x)), probes)
         yield Row("regime", f"{label} t={t}: {found}", found == pot.regime, None)

@@ -8,6 +8,7 @@ are all plain 1-D arrays of the same dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,17 +39,19 @@ _NORM_SAFE_MAX = 1e150
 def row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis of a, exact to rounding for every
     finite float64 row.  Inside [1e-150, 1e150] a norm is the root of the
-    summed squares; outside it, where squaring the coordinates would underflow
-    or overflow, the row is first divided by its largest |a_i|.  The squares
+    summed squares; a row outside it, whose squared coordinates would
+    underflow or overflow, is first divided by its largest |a_i|.  The squares
     are summed by np.einsum, which raises no floating-point error when they
     overflow, and each row's norm depends on that row alone."""
     n = np.sqrt(np.einsum("...i,...i->...", a, a))
     listed = n.ravel().tolist()  # min and max of a few floats: faster in Python than two reductions
     if listed and not (_NORM_SAFE_MIN <= min(listed) and max(listed) <= _NORM_SAFE_MAX):
-        scale = np.abs(a).max(axis=-1, initial=0.0)
-        b = a / np.where(scale > 0.0, scale, 1.0)[..., None]
-        n = np.where((n < _NORM_SAFE_MIN) | (n > _NORM_SAFE_MAX),
-                     scale * np.sqrt(np.einsum("...i,...i->...", b, b)), n)
+        n = np.array(n)  # writable, also for a single row
+        outside = (n < _NORM_SAFE_MIN) | (n > _NORM_SAFE_MAX)
+        rows = a[outside]  # only these rows are rescaled
+        scale = np.abs(rows).max(axis=-1, initial=0.0)
+        b = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
+        n[outside] = scale * np.sqrt(np.einsum("ij,ij->i", b, b))
     return n
 
 
@@ -61,18 +64,28 @@ def nonzero_norms(r) -> np.ndarray:
 
 def norm(a: Point) -> float:
     """Euclidean norm ||a||, exact to rounding for every finite float64 vector:
-    ``row_norms`` of one row, so that run_game and run_games take the same norms."""
-    return float(row_norms(np.asarray(a, dtype=np.float64)))
+    ``row_norms`` of one row, bit for bit, so that run_game and run_games take
+    the same norms.  Inside the safe range it skips row_norms' array steps."""
+    a = np.asarray(a, dtype=np.float64)
+    n = math.sqrt(np.einsum("...i,...i->...", a, a))
+    return n if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX else float(row_norms(a))
 
 
 def unit_direction(theta: Point) -> Point:
     """theta / ||theta||, or the zero vector when theta is the zero vector.
 
-    Exact for every finite float64 theta, because ``norm`` is.
+    Exact for every finite float64 theta, because ``norm`` is; a theta whose
+    norm is below 1e-150 is first divided by its largest |theta_i|, because a
+    subnormal norm has too few digits to divide by.
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = norm(theta)
-    return theta / n if n > 0.0 else np.zeros_like(theta)
+    if n == 0.0:
+        return np.zeros_like(theta)
+    if n < _NORM_SAFE_MIN:
+        theta = theta / np.abs(theta).max()
+        n = norm(theta)
+    return theta / n
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> Point:
@@ -153,7 +166,7 @@ def complement_rows(theta: np.ndarray, r: np.ndarray, rngs) -> np.ndarray:
         u = theta / rs
         v = np.array([rng.standard_normal(d) if n != 0.0 else np.ones(d) for n, rng in zip(listed, rngs)])
         for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
-            v -= np.vecdot(v, u)[:, None] * u
+            v -= np.einsum("ij,ij->i", v, u)[:, None] * u
         m = row_norms(v)
         if not min(m.tolist()) > 1e-8:  # a draw too close to theta's line: finish the row as the one-row loop does
             for k in np.flatnonzero(~(m > 1e-8)):

@@ -11,20 +11,24 @@ Accounting identities maintained here (and asserted by the test suite):
     eps_t      = q_t(theta_t) - q_{t-1}(theta_{t-1}) + <w_t, g_t>
     sum eps_t  = q_T(theta_T) - q_0(0) - Reward      (telescoping)
 
-Potentials are radial: ``radial(t, x)`` over arrays of rounds and norms, and
-``value(t, theta) -> float``.  Families whose value at t = 0 is nonzero (the
-known-horizon ones) carry their starting capital in the t = 0 term, so the
-ledger stays exact for both conventions.
+Potentials are radial.  A potential handed to ``epsilon_ledger`` must give
+``value(t, theta) -> float`` and an array-valued ``radial(t, x)``: q_t(x)
+for an array t of rounds and an array x of norms, broadcast together.
+Families whose value at t = 0 is nonzero (the known-horizon ones) carry their
+starting capital in the t = 0 term, so the ledger stays exact for both
+conventions.
 
 Two game loops share this protocol.  ``run_game`` plays one run, with any
 object that has ``play`` as the player and any object that has ``grad`` as
 the adversary; it is the reference.  ``run_games`` plays R runs of one
 (PotentialPlayer, built-in adversary) pair in lockstep, round t of every run
-in one (R, d) array step.  Each run keeps its own Philox stream, read in
-run_game's order, so a run's trace does not depend on the other runs of its
-batch.  The two loops share the player's formula and the norms; a run's
-trace differs from run_game's only where a dot product is summed in another
-order, by a few ulps.
+in one (R, d) array step; against a state-blind adversary, whose gradients
+are all drawn before the first play, every round's play is in one array
+step.  Each run keeps its own Philox stream, read in run_game's order, so a
+run's trace does not depend on the other runs of its batch.  The two loops
+share the player's formula and the norms; a run's trace differs from
+run_game's only where a dot product is summed in another order or a round
+index is an array rather than an int, by a few ulps.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
     """Execute the min-then-max loop for the given number of rounds.
 
     Known-horizon strategies must be run for exactly config.horizon rounds.
-    Deterministic given config.seed (one Philox stream per run).
+    Deterministic given config.seed (one Philox stream per run).  A numpy
+    value that leaves the float64 range raises OverflowError naming the round.
     """
     _check_rounds(strategy, config, rounds)
     rng = make_rng(config.seed)
@@ -102,35 +107,42 @@ def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
     th_rows = np.zeros((rounds, d))
     losses = np.zeros(rounds)
     theta = np.zeros(d)
-    for t in range(rounds):
-        w = np.asarray(strategy.play(t, theta), dtype=np.float64)
-        if w.shape != (d,):
-            raise DimensionMismatchError(f"strategy returned shape {w.shape}, expected ({d},)")
-        g = np.asarray(adversary.grad(t, theta, w, rng), dtype=np.float64)
-        if g.shape != (d,):
-            raise DimensionMismatchError(f"adversary returned shape {g.shape}, expected ({d},)")
-        gn = float(np.linalg.norm(g))
-        if gn > G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK:
-            raise ValueError(f"adversary emitted ||g||={gn} > G={G}")
-        theta = theta - g
-        w_rows[t] = w
-        g_rows[t] = g
-        th_rows[t] = theta
-        losses[t] = w @ g
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(rounds):
+                w = np.asarray(strategy.play(t, theta), dtype=np.float64)
+                if w.shape != (d,):
+                    raise DimensionMismatchError(f"strategy returned shape {w.shape}, expected ({d},)")
+                g = np.asarray(adversary.grad(t, theta, w, rng), dtype=np.float64)
+                if g.shape != (d,):
+                    raise DimensionMismatchError(f"adversary returned shape {g.shape}, expected ({d},)")
+                gn = float(np.linalg.norm(g))
+                if not gn <= G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK:  # also catches a NaN
+                    raise ValueError(f"adversary emitted ||g||={gn} > G={G}")
+                theta = theta - g
+                w_rows[t] = w
+                g_rows[t] = g
+                th_rows[t] = theta
+                losses[t] = w @ g
+    except FloatingPointError as exc:
+        raise OverflowError(f"round {t + 1}: {exc}") from exc
     return Trace(config, getattr(strategy, "tag", "?"), getattr(adversary, "tag", "?"),
                  w_rows, g_rows, th_rows, losses)
 
 
 def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -> List[Trace]:
-    """run_game for every config, in lockstep: one (R, d) array step per round.
+    """run_game for every config, in lockstep: all runs' round t is one (R, d)
+    array step.
 
     The configs share dim and grad_bound; run k uses configs[k].seed.  The
     strategy needs ``response(t, theta, r)`` (PotentialPlayer) and the
-    adversary ``draws`` and ``grads`` (every built-in adversary).  Every round
-    checks shapes and ||g|| <= G(1 + 1e-9) + 1e-9 on all rows at once; a value
-    that leaves the float64 range raises OverflowError instead of reaching a
-    play.  Row k of the result is the trace of run_games([configs[k]]), bit
-    for bit.
+    adversary either ``gradient_block`` or ``draws`` and ``grads`` (every
+    built-in adversary).  Against a gradient block every state is known
+    before the first play, so all rounds' plays are one array call.  Each
+    round is checked on all rows: shapes, ||g|| <= G(1 + 1e-9) + 1e-9, and a
+    play inside the float64 range (OverflowError otherwise); an error names
+    the first round that fails.  Row k of the result is the trace of
+    run_games([configs[k]]), bit for bit.
     """
     if not configs:
         return []
@@ -138,42 +150,84 @@ def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -
         _check_rounds(strategy, cfg, rounds)
     if any((cfg.dim, cfg.grad_bound) != (configs[0].dim, configs[0].grad_bound) for cfg in configs):
         raise ValueError("the configs of one lockstep group must share dim and grad_bound")
-    w_rows, g_rows = _lockstep(strategy, adversary, configs, rounds)
-    th_rows = np.cumsum(g_rows, axis=1)
-    np.subtract(0.0, th_rows, out=th_rows)  # the loop's theta, bit for bit (0.0 - keeps +0.0)
+    shape, G = (len(configs), configs[0].dim), configs[0].grad_bound
+    rngs = [make_rng(cfg.seed) for cfg in configs]
+    if hasattr(adversary, "gradient_block"):
+        g_rows = adversary.gradient_block(rngs, rounds, shape[1])
+        th_rows = _states(g_rows)
+        w_rows = _block_plays(strategy, g_rows, th_rows, G)
+    else:
+        w_rows, g_rows = _lockstep(strategy, adversary, rngs, shape, rounds, G)
+        th_rows = _states(g_rows)
     losses = np.einsum("rti,rti->rt", w_rows, g_rows)
     return [Trace(cfg, strategy.tag, adversary.tag, w_rows[k], g_rows[k], th_rows[k], losses[k])
             for k, cfg in enumerate(configs)]
 
 
-def _lockstep(strategy, adversary, configs: Sequence[GameConfig], rounds: int):
-    """The plays and gradients, (R, T, d) each, of run_games' loop.  A
-    function of its own so that the adversary's draws (a whole gradient
-    block for the state-blind ones) are freed before theta is built."""
-    R, d, G = len(configs), configs[0].dim, configs[0].grad_bound
-    draws = adversary.draws([make_rng(cfg.seed) for cfg in configs], rounds, d)
-    w_rows = np.zeros((R, rounds, d))
-    g_rows = np.zeros((R, rounds, d))
-    theta = np.zeros((R, d))
-    limit = (G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK) ** 2
-    with np.errstate(over="raise", invalid="raise"):
-        try:
+def _states(g_rows: np.ndarray) -> np.ndarray:
+    """theta after each round, (R, T, d): the loop's theta - g, bit for bit."""
+    th_rows = np.cumsum(g_rows, axis=1)
+    return np.subtract(0.0, th_rows, out=th_rows)  # 0.0 - keeps +0.0
+
+
+def _lockstep(strategy, adversary, rngs, shape, rounds: int, G: float):
+    """The plays and gradients, (R, T, d) each, of a game of shape (R, d)
+    played round by round."""
+    draws = adversary.draws(rngs, rounds, shape[1])
+    w_rows = np.zeros((shape[0], rounds, shape[1]))
+    g_rows = np.zeros_like(w_rows)
+    theta = np.zeros(shape)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
             for t in range(rounds):
                 r = row_norms(theta)
                 w = strategy.response(t, theta, r)
                 g = adversary.grads(t, theta, r, w, draws)
-                if w.shape != (R, d) or g.shape != (R, d):
+                if w.shape != shape or g.shape != shape:
                     raise DimensionMismatchError(
-                        f"round {t + 1}: plays {w.shape}, gradients {g.shape}, expected ({R}, {d})")
-                top = max(np.vecdot(g, g).tolist())
-                if not top <= limit:  # also catches a NaN
-                    raise ValueError(f"adversary emitted ||g||={math.sqrt(top)} > G={G}")
+                        f"round {t + 1}: plays {w.shape}, gradients {g.shape}, expected {shape}")
                 theta = theta - g
                 w_rows[:, t] = w
                 g_rows[:, t] = g
-        except FloatingPointError as exc:
-            raise OverflowError(f"round {t + 1}: {exc}") from exc
+    except FloatingPointError as exc:
+        _round_checks(g_rows[:, :t], G)
+        raise OverflowError(f"round {t + 1}: {exc}") from exc
+    _round_checks(g_rows, G)
     return w_rows, g_rows
+
+
+def _block_plays(strategy, g_rows: np.ndarray, th_rows: np.ndarray, G: float) -> np.ndarray:
+    """The plays, (R, T, d), against the gradients g_rows, whose states are
+    th_rows, in one array call."""
+    rounds = g_rows.shape[1]
+    if rounds == 0:
+        return np.zeros_like(g_rows)
+    w = np.zeros_like(th_rows)  # first the state each play answers: theta_0 = 0, theta_1, ...
+    w[:, 1:] = th_rows[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a play that leaves the range is found below
+        w = strategy.response(np.arange(rounds), w, row_norms(w), out=w)  # ... then, in place, the play
+    if w.shape != g_rows.shape:
+        raise DimensionMismatchError(f"plays {w.shape}, gradients {g_rows.shape}, expected the same")
+    _round_checks(g_rows, G, bad_play=~np.isfinite(w).all(axis=(0, 2)))
+    return w
+
+
+def _round_checks(g_rows: np.ndarray, G: float, bad_play=None) -> None:
+    """The round checks of a game, all rounds in one array call.  For the
+    first round that fails one, raise what a round-by-round check would
+    raise there: OverflowError where a play left the float64 range (bad_play,
+    one flag per round), else ValueError where some ||g|| exceeds
+    G(1 + 1e-9) + 1e-9 or is NaN.  A game played round by round traps its
+    overflow as it happens, and checks only the rounds before it."""
+    limit = (G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK) ** 2
+    bad = ~(np.einsum("rti,rti->rt", g_rows, g_rows) <= limit).all(axis=0)
+    failed = np.flatnonzero(bad if bad_play is None else bad | bad_play)
+    if failed.size:
+        t = int(failed[0])
+        if bad_play is not None and bad_play[t]:
+            raise OverflowError(f"round {t + 1}: the play left the float64 range")
+        longest = float(row_norms(g_rows[:, t]).max())
+        raise ValueError(f"round {t + 1}: adversary emitted ||g||={longest} > G={G}")
 
 
 def regret(trace: Trace, u) -> float:
@@ -312,34 +366,27 @@ def duality_witness(traces: Sequence[Trace], benchmark: RadialBenchmark,
 
 CSV_BASE_COLUMNS = ["t", "loss", "reward_cum", "theta_norm", "eps_t"]
 MAX_COORD_COLUMNS = 8
-CSV_CHUNK_ROWS = 200
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Rows end in CR LF, floats are written as ``repr`` (shortest round trip)
-    and ``eps_t`` is empty without a ledger; no field ever needs quoting.
-    Rows are formatted CSV_CHUNK_ROWS at a time, which bounds the memory the
-    strings take."""
-    T, d = trace.n_rounds, trace.config.dim
+    and ``eps_t`` is empty without a ledger; no field ever needs quoting."""
+    d = trace.config.dim
     header = list(CSV_BASE_COLUMNS)
+    columns = [
+        map(str, range(1, trace.n_rounds + 1)),
+        map(repr, trace.losses.tolist()),
+        map(repr, (0.0 - np.cumsum(trace.losses)).tolist()),  # 0.0 - keeps row 1 at 0.0, not -0.0
+        (repr(float(np.linalg.norm(row))) for row in trace.theta),
+        [""] * trace.n_rounds if trace.eps is None else map(repr, trace.eps.tolist()),
+    ]
     if d <= MAX_COORD_COLUMNS:
         header += [f"w_{i}" for i in range(d)] + [f"g_{i}" for i in range(d)]
-    reward_cum = 0.0 - np.cumsum(trace.losses)  # 0.0 - keeps row 1 at 0.0, not -0.0
+        columns += [map(repr, col) for col in trace.w.T.tolist()]
+        columns += [map(repr, col) for col in trace.g.T.tolist()]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, T, CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + CSV_CHUNK_ROWS)
-            columns = [
-                map(str, range(lo + 1, min(lo + CSV_CHUNK_ROWS, T) + 1)),
-                map(repr, trace.losses[rows].tolist()),
-                map(repr, reward_cum[rows].tolist()),
-                (repr(float(np.linalg.norm(row))) for row in trace.theta[rows]),
-                [""] * CSV_CHUNK_ROWS if trace.eps is None else map(repr, trace.eps[rows].tolist()),
-            ]
-            if d <= MAX_COORD_COLUMNS:
-                columns += [map(repr, col) for col in trace.w[rows].T.tolist()]
-                columns += [map(repr, col) for col in trace.g[rows].T.tolist()]
-            fh.write("".join([",".join(fields) + "\r\n" for fields in zip(*columns)]))
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def trace_to_dict(trace: Trace) -> dict:

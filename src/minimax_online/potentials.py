@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import golden_section_max
+from .core import norm
 from .one_round import ORTHOGONAL, PARALLEL
 
 SIGMA2 = math.pi / 2.0  # per-step variance of the Gaussian surrogate
@@ -65,7 +66,7 @@ def _value(self, t: int, theta) -> float:
     array t and an array x (or r), and broadcast.  A concrete class binds
     this as its own ``value`` (a base class would carry it too, and
     perfbench/tracing.py wraps ``value`` on every class of this module)."""
-    return float(self.radial(t, float(np.linalg.norm(theta))))
+    return float(self.radial(t, norm(theta)))
 
 
 @dataclass(frozen=True)

@@ -44,22 +44,21 @@ class PotentialPlayer:
         return hasattr(self.potential, "T")
 
     def play(self, t: int, theta) -> np.ndarray:
-        """The play at round t; OverflowError once it leaves the float64 range."""
+        """The play at round t.  Past the float64 range it is inf or NaN, with
+        numpy's RuntimeWarning; run_game raises OverflowError there instead."""
         if t < 0:
             raise ValueError(f"round index t={t} must be >= 0")
         theta = np.asarray(theta, dtype=np.float64)
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                return self.response(t, theta, norm(theta))
-            except FloatingPointError as exc:
-                raise OverflowError(f"play at round {t + 1}: {exc}") from exc
+        return self.response(t, theta, norm(theta))
 
-    def response(self, t: int, theta: np.ndarray, r) -> np.ndarray:
-        """Plays at round t for states theta (..., d) with norms r (...)."""
+    def response(self, t: int, theta: np.ndarray, r, out=None) -> np.ndarray:
+        """Plays at round t (an int, or an array that broadcasts against r) for
+        states theta (..., d) with norms r (...); written into out when given,
+        which may be theta itself."""
         pot = self.potential
         if pot.regime == ORTHOGONAL:
             s = np.hypot(r, pot.G)
             coef = pot.slope(t + 1, s) / s
         else:  # the difference is 0 at r = 0, so is the play
             coef = pot.radial_diff(t + 1, r) / nonzero_norms(r) / (2.0 * pot.G)
-        return theta * coef[..., None]
+        return np.multiply(theta, coef[..., None], out=out)

@@ -334,13 +334,15 @@ class TestVerifyCommand:
         rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(("PASS", "FAIL"))]
         assert len(rows) == 24 and all(row.startswith("regime ") and row.endswith("PASS") for row in rows)
 
-    def test_regime_row_fails_on_a_wrong_declaration(self):
+    def test_regime_row_fails_on_a_wrong_declaration(self, monkeypatch):
         @dataclasses.dataclass(frozen=True)
         class MislabelledPower(potentials.PowerPotential):
             regime = PARALLEL  # the power family is orthogonal
 
-        rows = list(checks.regime(players=[("mislabelled", PotentialPlayer(MislabelledPower(1.0, 1.5, 1.0, 100))),
-                                            ("ogd", PotentialPlayer(potentials.QuadraticPotential(0.1, 1.0)))]))
+        players = [("mislabelled", PotentialPlayer(MislabelledPower(1.0, 1.5, 1.0, checks.REGIME_T))),
+                   ("ogd", PotentialPlayer(potentials.QuadraticPotential(0.1, 1.0)))]
+        monkeypatch.setattr(checks, "envelope_players", lambda T, G: players)
+        rows = list(checks.regime())
         assert [row.ok for row in rows] == [False] * 4 + [True] * 4
         assert rows[0].label == "mislabelled t=1: orthogonal"
 

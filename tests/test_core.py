@@ -50,6 +50,7 @@ def test_unit_direction_examples():
 
 @given(v=vec(1, 6))
 @example(v=np.array([7.64e-161]))
+@example(v=np.array([5e-324, 5e-324]))
 def test_unit_direction_idempotent(v):
     once = unit_direction(v)
     twice = unit_direction(once)

@@ -104,6 +104,16 @@ class TestRunGame:
         with pytest.raises(ValueError):
             run_game(ogd(0.1), Cheater(), cfg, 3)
 
+    def test_nan_gradient_rejected(self):
+        class NanCheater:
+            tag = "nan_cheater"
+            def grad(self, t, theta, w, rng):
+                return np.array([math.nan, 0.0])
+
+        cfg = GameConfig(dim=2, grad_bound=1.0, horizon=3, seed=0)
+        with pytest.raises(ValueError):
+            run_game(ogd(0.1), NanCheater(), cfg, 3)
+
 
 def lockstep_player(tag, T):
     return PotentialPlayer({
@@ -136,7 +146,7 @@ ADVERSARY_TAGS = ["orthogonal_minimax", "parallel_minimax", "parallel_shrink", "
                   "greedy_vs_comparator"]
 # run_games against run_game: the largest gap, over the largest entry of the
 # field (for losses, of sum_i |w_i g_i|; for eps, of that plus |q_t|), was
-# 2.6e-15 at T = 60 and 6.9e-15 at T = 1000, over every pair here, d in
+# 5.3e-15 at T = 60 and 1.2e-14 at T = 1000, over every pair here, d in
 # {1, 2, 4, 16} and seeds 0-3
 LOCKSTEP_RTOL = 1e-13
 
@@ -196,16 +206,40 @@ class TestRunGames:
         for cfg, got in zip(configs, run_games(player, adversary, configs, 200)):
             assert got.g.tobytes() == run_game(player, adversary, cfg, 200).g.tobytes()
 
-    def test_overflow_raises_overflow_error(self):
-        # adaptive_normal against one fixed line leaves float64 after about 3.4k rounds
+    # fixed_direction gives its gradient block at once, parallel_minimax answers round by round
+    @pytest.mark.parametrize("adversary", [FixedDirection(G=1.0), ParallelMinimax(G=1.0)])
+    def test_overflow_raises_overflow_error(self, adversary):
+        # adaptive_normal against one line that theta grows along leaves float64 after about 3.4k rounds
         player = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=1.0))
         configs = [GameConfig(dim=4, grad_bound=1.0, seed=seed) for seed in (0, 1)]
         with pytest.raises(OverflowError, match="round 3407"):
-            run_games(player, FixedDirection(G=1.0), configs, 4000)
-        with pytest.raises(OverflowError):
-            run_game(player, FixedDirection(G=1.0), configs[0], 4000)
+            run_games(player, adversary, configs, 4000)
+        with pytest.raises(OverflowError, match="round 3407"):
+            run_game(player, adversary, configs[0], 4000)
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("path", ["block", "round by round"])
+    @pytest.mark.parametrize("stretch", [1.5, 1e200])
+    def test_a_long_gradient_names_its_round(self, path, stretch):
+        # a gradient 1e200 long makes the next play overflow; the long gradient comes first
+        class LongBlock(FixedDirection):
+            def gradient_block(self, rngs, rounds, dim):
+                block = super().gradient_block(rngs, rounds, dim)
+                block[-1, 1] *= stretch
+                return block
+
+        class LongRounds(ParallelMinimax):
+            def grads(self, t, theta, r, w, rngs):
+                g = super().grads(t, theta, r, w, rngs)
+                g[-1] *= stretch if t == 1 else 1.0
+                return g
+
+        adversary = LongBlock(G=1.0) if path == "block" else LongRounds(G=1.0)
+        player = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=1.0))
+        configs = [GameConfig(dim=3, grad_bound=1.0, seed=seed) for seed in (0, 1)]
+        with pytest.raises(ValueError, match="round 2: adversary emitted"):
+            run_games(player, adversary, configs, 50)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
     def test_row_norms_exact_at_float64_extremes(self, scale):
         states = make_rng(3).standard_normal((6, 5))
         states[2] = 0.0

@@ -14,6 +14,7 @@ from minimax_online import (
 )
 from minimax_online import checks
 from minimax_online._search import finite_difference
+from minimax_online.core import row_norms
 from minimax_online.oracles import gaussian_expectation
 from minimax_online.potentials import BoundaryHitError
 
@@ -43,6 +44,13 @@ class TestPowerPotential:
             pot.radial(5, 1.0)
         with pytest.raises(ValueError):
             pot.radial(-1, 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0])
+    def test_value_takes_the_shared_norm(self, scale):
+        # the slack ledger reads q_0 through value and q_t through radial over row_norms
+        pot = PowerPotential(W=1.0, p=1.0, G=1.0, T=5)
+        theta = scale * np.array([1.0, -2.0, 2.0])
+        assert pot.value(5, theta) == float(pot.radial(5, row_norms(theta[None])[0])) == 3.0 * scale
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
