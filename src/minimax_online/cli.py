@@ -26,7 +26,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -340,6 +339,8 @@ def cmd_run(args) -> int:
               for si in range(len(spec.strategies))
               for ai in range(len(spec.adversaries))]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at module level: --jobs 1 never loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_execute_group, groups))
     else:

@@ -42,7 +42,9 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     summed squares; a row outside it, whose squared coordinates would
     underflow or overflow, is first divided by its largest |a_i|.  The squares
     are summed by np.einsum, which raises no floating-point error when they
-    overflow, and each row's norm depends on that row alone."""
+    overflow, and each row's norm depends on that row alone.  A row with an
+    infinite coordinate has norm inf and a row with a NaN has norm NaN, as
+    with np.linalg.norm, and neither warns."""
     n = np.sqrt(np.einsum("...i,...i->...", a, a))
     listed = n.ravel().tolist()  # min and max of a few floats: faster in Python than two reductions
     if listed and not (_NORM_SAFE_MIN <= min(listed) and max(listed) <= _NORM_SAFE_MAX):
@@ -50,7 +52,7 @@ def row_norms(a: np.ndarray) -> np.ndarray:
         outside = (n < _NORM_SAFE_MIN) | (n > _NORM_SAFE_MAX)
         rows = a[outside]  # only these rows are rescaled
         scale = np.abs(rows).max(axis=-1, initial=0.0)
-        b = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
+        b = rows / np.where((scale > 0.0) & (scale < np.inf), scale, 1.0)[:, None]  # an infinite row stays as it is
         n[outside] = scale * np.sqrt(np.einsum("ij,ij->i", b, b))
     return n
 

@@ -377,7 +377,7 @@ def write_trace_csv(trace: Trace, path) -> None:
         map(str, range(1, trace.n_rounds + 1)),
         map(repr, trace.losses.tolist()),
         map(repr, (0.0 - np.cumsum(trace.losses)).tolist()),  # 0.0 - keeps row 1 at 0.0, not -0.0
-        (repr(float(np.linalg.norm(row))) for row in trace.theta),
+        (repr(math.sqrt(row.dot(row))) for row in trace.theta),  # np.linalg.norm's own steps for a 1-D row
         [""] * trace.n_rounds if trace.eps is None else map(repr, trace.eps.tolist()),
     ]
     if d <= MAX_COORD_COLUMNS:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ._search import eval_on_array
 from .one_round import line_distance, minmax_values, plane_distance
@@ -75,6 +74,8 @@ def _gh_eval(f, mean: float, variance: float, n: int) -> float:
 
 
 def _quad_fallback(f, mean: float, variance: float) -> float:
+    from scipy import integrate  # here, not at module level: only this fallback and the full 2-D solver use scipy
+
     s = math.sqrt(variance)
 
     def integrand(z):
@@ -219,6 +220,8 @@ def one_round_value_full_2d(h, theta, G: float, n_phi: int = 720) -> float:
     max over an angular grid of full-norm gradients; used to validate that
     equal-norm states share the same value.
     """
+    from scipy import optimize
+
     theta = np.asarray(theta, dtype=np.float64)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     gx = G * np.cos(phis)

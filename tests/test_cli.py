@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from minimax_online.core import GameConfig
 from minimax_online.engine import read_trace_json
 from minimax_online.one_round import PARALLEL
 from minimax_online.strategies import PotentialPlayer
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_SPEC = """\
 game:
@@ -415,3 +421,44 @@ rounds: 25
 
     def test_missing_traces_exit_2(self, tmp_path, capsys):
         assert main(["curves", str(tmp_path)]) == EXIT_CONFIG
+
+
+def run_child(code, *args):
+    """Run code in a fresh interpreter, whose sys.modules holds only what it imported itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestColdStart:
+    def test_sweeps_and_referee_never_load_scipy_or_a_process_pool(self, tmp_path):
+        run_child("""
+import sys
+import numpy as np
+from minimax_online import cli, one_round, oracles
+spec, out = sys.argv[1:]
+assert cli.main(["run", "--spec", spec, "--out", out]) == 0
+assert cli.main(["curves", out]) == 0
+f = lambda x: np.abs(x) ** 1.5 / 1.5
+oracles.conditional_value_recursive(oracles.RecursionSpec(f=f, G=1.0, T=2, dim=1, n_r=65, grid_n=129), 0, [0.0])
+one = one_round.OneRoundSpec(h=lambda x: (x * x + 1.0) ** 0.75 / 1.5, theta=[1.0, 0.5], G=1.0)
+one_round.solve_scalar_grid(one)
+one_round.solve_orthogonal(one)
+loaded = [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, loaded
+""", ROOT / "scripts" / "specs" / "minimal.yaml", tmp_path / "out")
+        assert (tmp_path / "out" / "curves.csv").exists()
+
+    def test_quadrature_fallback_imports_scipy_when_it_runs(self):
+        out = run_child("""
+import sys
+from minimax_online import oracles
+assert "scipy" not in sys.modules
+print(repr(oracles.gaussian_expectation(lambda x: abs(x), 0.0, 1.0)), "scipy.integrate" in sys.modules)
+""")
+        value, loaded = out.split()
+        assert float(value) == pytest.approx(0.7978845608028654, rel=1e-10)  # E|Z| = sqrt(2 / pi)
+        assert loaded == "True"

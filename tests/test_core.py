@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minimax_online import GameConfig, make_rng, norm, orthonormal_complement_sample, unit_direction
-from minimax_online.core import TOL_ORTHO, UnsupportedDimensionError
+from minimax_online.core import TOL_ORTHO, UnsupportedDimensionError, row_norms
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -31,6 +31,19 @@ def test_norm_at_float64_extremes():
         assert norm(np.array([1e-200])) == 1e-200
         assert norm(np.array([1e200])) == 1e200
         assert norm(np.zeros(3)) == 0.0
+
+
+def test_norm_of_a_non_finite_vector():
+    # an infinite coordinate gives inf and a NaN gives NaN, as np.linalg.norm does, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert norm(np.array([np.inf, 1.0])) == np.inf
+        assert norm(np.array([1e300, -np.inf])) == np.inf
+        assert np.isnan(norm(np.array([np.nan, 1.0])))
+        assert np.isnan(norm(np.array([np.nan, np.inf])))
+        got = row_norms(np.array([[np.inf, 1.0], [1.0, 2.0], [np.nan, 1.0], [1e200, 1e200]]))
+    assert got[0] == np.inf and np.isnan(got[2])
+    assert got[[1, 3]].tolist() == [norm(np.array([1.0, 2.0])), norm(np.array([1e200, 1e200]))]
 
 
 def test_unit_direction_examples():
