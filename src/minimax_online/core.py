@@ -78,7 +78,10 @@ def unit_direction(theta: Point) -> Point:
 
     Exact for every finite float64 theta, because ``norm`` is; a theta whose
     norm is below 1e-150 is first divided by its largest |theta_i|, because a
-    subnormal norm has too few digits to divide by.
+    subnormal norm has too few digits to divide by.  A theta whose norm is
+    inf is divided by its largest |theta_i| as well, or, when that is inf,
+    replaced by the signs of its infinite coordinates; a theta with a NaN gives
+    all NaN.  An infinite or NaN coordinate raises no warning here.
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = norm(theta)
@@ -86,6 +89,10 @@ def unit_direction(theta: Point) -> Point:
         return np.zeros_like(theta)
     if n < _NORM_SAFE_MIN:
         theta = theta / np.abs(theta).max()
+        n = norm(theta)
+    elif n == np.inf:
+        m = np.abs(theta).max()
+        theta = theta / m if m < np.inf else np.where(np.isinf(theta), np.sign(theta), 0.0)
         n = norm(theta)
     return theta / n
 

@@ -13,11 +13,12 @@ scalar reduction min_a max_{b in [-G, G]} ab + h(x(r, b)), where r = ||theta||
 and x is ||theta - g|| for a full-norm g with component b along theta:
 sqrt(r^2 - 2 b r + G^2) when d >= 2, |r - b| when d = 1.  It solves a batch
 of radii in lockstep: one table of h on a beta grid per block of radii, a
-golden-section search on alpha that advances every radius by one new point
-per step, and, inside each step, the best grid beta refined on a local grid
-spanning its two neighbours.  ``solve_scalar_grid`` is the kernel at one
-radius and validates both closed forms; the backward-induction oracle runs
-it over a whole radial grid at each stage.
+bisection on alpha that halves every radius's bracket by the sign of the
+maximizing beta (a subgradient of the payoff in alpha) at each step, and,
+inside each step, the best grid beta refined on a local grid spanning its two
+neighbours.  ``solve_scalar_grid`` is the kernel at one radius and validates
+both closed forms; the backward-induction oracle runs it over a whole radial
+grid at each stage.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._search import INVPHI, eval_on_array, finite_difference
+from ._search import eval_on_array, finite_difference
 from .core import (
     UnsupportedDimensionError,
     fallback_direction,
@@ -164,12 +165,15 @@ def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
 
     All radii are solved in lockstep, BLOCK at a time, which bounds the
     temporaries at BLOCK x grid_n.  h is tabulated once on a grid_n-point beta
-    grid.  The payoff is convex in alpha, so a golden-section search brackets
-    alpha by [-L, L], L = 2 * (largest slope of h on [0, r + G]) + 1e-6, and
-    stops at width 1e-11 * max(1, L); each step evaluates one new alpha per
-    radius.  The inner max takes the best grid point and refines it on a
-    REFINE_N-point grid spanning its two neighbours.  Every operation acts row
-    by row, so a radius gets the same value alone as in a batch.
+    grid.  The payoff is convex in alpha and, by Danskin's theorem, the beta
+    attaining the inner max is a subgradient of it, so a bisection on the sign
+    of that beta brackets alpha by [-L, L], L = 2 * (largest slope of h on
+    [0, r + G]) + 1e-6, and stops at width 1e-11 * max(1, L), after at most 38
+    halvings; each step evaluates one alpha per radius, and the value is the
+    smallest payoff evaluated.  The inner max takes the best grid point and
+    refines it on a REFINE_N-point grid spanning its two neighbours.  Every
+    operation acts row by row, so a radius gets the same value alone as in a
+    batch, bit for bit.
     """
     radii = np.asarray(radii, dtype=np.float64)
     betas = np.linspace(-G, G, grid_n)
@@ -195,31 +199,30 @@ def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
     width_of = np.concatenate((betas[1:], betas[-1:]))[:, None] - left_of
 
     def psi(alpha):
+        """The inner max at each row's alpha, and the beta attaining it."""
         vals = alpha[:, None] * betas + hvals
         k = np.argmax(vals, axis=1)
         fine = left_of[k] + width_of[k] * _REFINE
         refined = alpha[:, None] * fine + eval_on_array(h, xmap(r, fine, G))
-        return np.maximum(vals[rows, k], np.max(refined, axis=1))
+        j = np.argmax(refined, axis=1)
+        coarse_top, fine_top = vals[rows, k], refined[rows, j]
+        return np.maximum(coarse_top, fine_top), np.where(fine_top > coarse_top, fine[rows, j], betas[k])
 
-    # golden-section search on alpha by the rule of _search.golden_section_min, row by row;
-    # a row whose bracket is within its tolerance keeps its state
+    # the maximizing beta is a subgradient in alpha: beta < 0 puts the minimum right
+    # of mid, beta >= 0 left of it; a row whose bracket is within its tolerance keeps its state
     a, b = -L, L
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = psi(c), psi(d)
+    best = np.full(r.shape[0], np.inf)
     for _ in range(300):
         active = b - a > tol
         if not active.any():
             break
-        left = fc < fd
-        lo = np.where(left, a, c)
-        hi = np.where(left, d, b)
-        x = np.where(left, hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo))
-        fx = psi(x)
-        a, b, c, fc, d, fd = (np.where(active, new, old) for new, old in (
-            (lo, a), (hi, b), (np.where(left, x, d), c), (np.where(left, fx, fd), fc),
-            (np.where(left, c, x), d), (np.where(left, fc, fx), fd)))
-    return np.where(fc < fd, fc, fd)
+        mid = 0.5 * (a + b)
+        value, beta = psi(mid)
+        best = np.where(active, np.minimum(best, value), best)
+        right = beta < 0.0
+        a = np.where(active & right, mid, a)
+        b = np.where(active & ~right, mid, b)
+    return best
 
 
 def solve_scalar_grid(spec: OneRoundSpec, grid_n: int = 1001) -> float:
@@ -227,10 +230,11 @@ def solve_scalar_grid(spec: OneRoundSpec, grid_n: int = 1001) -> float:
 
     The value min over alpha of max over beta in [-G, G] of alpha*beta +
     h(sqrt(||theta||^2 - 2 beta ||theta|| + G^2)) from ``minmax_values`` at
-    the one radius ||theta||: golden-section search over the player scalar
-    alpha, and a grid_n-point beta grid refined around its best point for
-    the adversary scalar beta.  Valid for d >= 2 geometry; accuracy ~1e-3
-    relative or better on the families used here.
+    the one radius ||theta||: bisection on the sign of the maximizing beta (a
+    subgradient) over the player scalar alpha, and a grid_n-point beta grid
+    refined around its best point for the adversary scalar beta.  Valid for
+    d >= 2 geometry; accuracy ~1e-3 relative or better on the families used
+    here.
     """
     if grid_n < 101:
         raise ValueError("grid_n must be >= 101")

@@ -61,6 +61,22 @@ def test_unit_direction_examples():
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-15
 
 
+def test_unit_direction_of_a_non_finite_vector():
+    # infinite coordinates give the normalized signs of those coordinates, a NaN gives all NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert unit_direction(np.array([np.inf, 1.0])).tolist() == [1.0, 0.0]
+        assert unit_direction(np.array([1e300, -np.inf, 0.0])).tolist() == [0.0, -1.0, 0.0]
+        both = unit_direction(np.array([-np.inf, np.inf]))
+        nan_rows = [unit_direction(np.array(v)) for v in ([np.nan, 1.0], [np.nan, np.inf], [np.inf, np.nan])]
+    assert np.array_equal(both, np.array([-1.0, 1.0]) / np.sqrt(2.0))
+    assert all(np.isnan(e).all() for e in nan_rows)
+    # finite coordinates whose norm is past the float64 range
+    with np.errstate(over="ignore"):
+        huge = unit_direction(np.array([1.7e308, -1.7e308]))
+    assert np.array_equal(huge, np.array([1.0, -1.0]) / np.sqrt(2.0))
+
+
 @given(v=vec(1, 6))
 @example(v=np.array([7.64e-161]))
 @example(v=np.array([5e-324, 5e-324]))

@@ -17,8 +17,9 @@ from minimax_online import (
 )
 from minimax_online.core import UnsupportedDimensionError, make_rng
 from minimax_online import checks
-from minimax_online.one_round import (NUMERIC, ORTHOGONAL, PARALLEL, line_distance, minmax_values,
-                                      plane_distance)
+from minimax_online._search import INVPHI, eval_on_array
+from minimax_online.one_round import (BLOCK, NUMERIC, ORTHOGONAL, PARALLEL, _PROBE, _REFINE, line_distance,
+                                      minmax_values, plane_distance)
 
 PROBES = np.linspace(0.05, 5.0, 40)
 
@@ -183,16 +184,94 @@ class TestScalarGrid:
                     assert payoff(g_rot) <= base_g + 1e-6 * (1 + abs(base_g))
 
 
+def reference_minmax_values(h, xmap, radii, G, grid_n):
+    """``minmax_values`` with the golden-section search on alpha that the
+    bisection replaced: same bracket, tolerance, beta grid and refinement."""
+    radii = np.asarray(radii, dtype=np.float64)
+    betas = np.linspace(-G, G, grid_n)
+    out = np.empty(radii.size)
+    for s in range(0, radii.size, BLOCK):
+        out[s:s + BLOCK] = reference_minmax_block(h, xmap, radii[s:s + BLOCK, None], G, betas)
+    return out
+
+
+def reference_minmax_block(h, xmap, r, G, betas):
+    hvals = eval_on_array(h, xmap(r, betas, G))
+    step = (r + G) / (_PROBE.size - 1)
+    probe = _PROBE * step
+    probe[:, -1:] = r + G
+    max_slope = np.max(np.abs(np.diff(eval_on_array(h, probe), axis=1)), axis=1) / step[:, 0]
+    L = 2.0 * max_slope + 1e-6
+    tol = 1e-11 * np.maximum(1.0, L)
+
+    rows = np.arange(r.shape[0])
+    left_of = np.concatenate((betas[:1], betas[:-1]))[:, None]
+    width_of = np.concatenate((betas[1:], betas[-1:]))[:, None] - left_of
+
+    def psi(alpha):
+        vals = alpha[:, None] * betas + hvals
+        k = np.argmax(vals, axis=1)
+        fine = left_of[k] + width_of[k] * _REFINE
+        refined = alpha[:, None] * fine + eval_on_array(h, xmap(r, fine, G))
+        return np.maximum(vals[rows, k], np.max(refined, axis=1))
+
+    a, b = -L, L
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = psi(c), psi(d)
+    for _ in range(300):
+        active = b - a > tol
+        if not active.any():
+            break
+        left = fc < fd
+        lo = np.where(left, a, c)
+        hi = np.where(left, d, b)
+        x = np.where(left, hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo))
+        fx = psi(x)
+        a, b, c, fc, d, fd = (np.where(active, new, old) for new, old in (
+            (lo, a), (hi, b), (np.where(left, x, d), c), (np.where(left, fx, fd), fc),
+            (np.where(left, c, x), d), (np.where(left, fc, fx), fd)))
+    return np.where(fc < fd, fc, fd)
+
+
+KERNEL_CASES = dict(radii=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40), G=st.floats(0.1, 3.0),
+                    grid_n=st.integers(101, 257), p=st.floats(1.0, 4.0),
+                    xmap=st.sampled_from([plane_distance, line_distance]))
+
+
 class TestMinmaxKernel:
-    @given(radii=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40), G=st.floats(0.1, 3.0),
-           grid_n=st.integers(101, 257), p=st.floats(1.0, 4.0),
-           xmap=st.sampled_from([plane_distance, line_distance]))
+    @given(**KERNEL_CASES)
     @settings(max_examples=50, deadline=None)
     def test_batch_equals_one_radius_at_a_time(self, radii, G, grid_n, p, xmap):
         h = lambda x: np.abs(x) ** p / p
         batch = minmax_values(h, xmap, radii, G, grid_n)
         alone = [minmax_values(h, xmap, [r], G, grid_n)[0] for r in radii]
-        np.testing.assert_allclose(batch, alone, rtol=1e-12, atol=0.0)
+        assert batch.tolist() == alone
+
+    @given(**KERNEL_CASES)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_golden_section_reference(self, radii, G, grid_n, p, xmap):
+        h = lambda x: np.abs(x) ** p / p
+        got = minmax_values(h, xmap, radii, G, grid_n)
+        ref = reference_minmax_values(h, xmap, radii, G, grid_n)
+        assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref))), (got, ref)
+
+    @pytest.mark.parametrize("h", [lambda x: np.abs(x) ** 1.5, lambda x: np.exp(x * x / 8.0), np.abs],
+                             ids=["power", "exponential", "linear"])
+    def test_h_calls_per_solve(self, h):
+        # one table of h on the beta grid, one slope probe, and one refinement
+        # per halving of the alpha bracket: at most 38 halvings
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return h(x)
+
+        for theta, G in ((np.zeros(2), 1.0), (np.array([1.5, -0.5]), 0.8), (np.array([6.0, 2.0]), 2.0)):
+            calls = 0
+            solve_scalar_grid(OneRoundSpec(h=counted, theta=theta, G=G))
+            assert calls <= 41, (theta, G, calls)
 
 
 class TestLowerBound:
