@@ -9,7 +9,8 @@ Subcommands:
   by ``engine.run_games``; ``--jobs`` spreads the groups over processes.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
-* ``curves <trace_dir>``: emit tidy per-round regret-vs-envelope CSV.
+* ``curves <trace_dir>``: emit tidy per-round regret-vs-envelope CSV; a
+  trace or sweep.json it cannot read exits 2 and leaves no partial CSV.
 
 The spec file is YAML with a fixed schema; unknown keys are rejected with a
 line-anchored message (exit 2).  Bound violations exit 1.  A group that
@@ -317,8 +318,23 @@ def _execute_group(args):
         return [], f"{type(exc).__name__}: {exc}"
 
 
+def _job_count(flag: Optional[str]) -> int:
+    """--jobs, else MINIMAX_ONLINE_JOBS, else 1; a ConfigError unless it is
+    an integer >= 1."""
+    source, value = (("--jobs", flag) if flag is not None
+                     else ("MINIMAX_ONLINE_JOBS", os.environ.get("MINIMAX_ONLINE_JOBS", "1")))
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+    return jobs
+
+
 def cmd_run(args) -> int:
     try:
+        jobs = _job_count(args.jobs)
         spec = parse_experiment_spec(args.spec)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -338,10 +354,10 @@ def cmd_run(args) -> int:
     groups = [(spec, si, ai, str(out_dir))
               for si in range(len(spec.strategies))
               for ai in range(len(spec.adversaries))]
-    if args.jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at module level: --jobs 1 never loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_execute_group, groups))
     else:
         results = [_execute_group(group) for group in groups]
@@ -429,37 +445,54 @@ def cmd_curves(args) -> int:
     if not meta_path.exists():
         print(f"error: {meta_path} not found (run the sweep first)", file=sys.stderr)
         return EXIT_CONFIG
-    meta = json.loads(meta_path.read_text())
     traces = sorted(trace_dir.glob("run_*.json"))
     if not traces:
         print("error: no run_*.json traces found; use outputs.format json or both",
               file=sys.stderr)
         return EXIT_CONFIG
-    game = GameConfig(**meta["game"])
-    potentials = {f"s{i}": build_strategy(entry, game).potential
-                  for i, entry in enumerate(meta["strategies"])}
-    comparators = [comparator_vector(c["norm"], c["direction_seed"], game.dim)
-                   for c in meta["comparators"]]
+    try:
+        meta = json.loads(meta_path.read_text())
+        game = GameConfig(**meta["game"])
+        potentials = {f"s{i}": build_strategy(entry, game).potential
+                      for i, entry in enumerate(meta["strategies"])}
+        comparators = [comparator_vector(c["norm"], c["direction_seed"], game.dim)
+                       for c in meta["comparators"]]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"error: {meta_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     u_norms = [float(np.linalg.norm(u)) for u in comparators]
     # "<bound_u>,<u_norm>\n" per round, once per (strategy entry, comparator, T)
     tails = {}
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
-    with open(out_path, "w") as fh:
-        fh.write("t,run_id,regret_u,bound_u,u_norm\n")
-        for path in traces:
-            trace = read_trace_json(path)
-            run_id = path.stem[len("run_"):]
-            entry = run_id.split("-", 1)[0]
-            T = trace.n_rounds
-            for ci, (u, u_norm) in enumerate(zip(comparators, u_norms)):
-                key = (entry, ci, T)
-                if key not in tails:
-                    tails[key] = [f"{regret_bound(potentials[entry], u_norm, t)!r},{u_norm!r}\n"
-                                  for t in range(1, T + 1)]
-                per_round = np.einsum("td,td->t", trace.g, trace.w - u[None, :])
-                cumulative = np.cumsum(per_round).tolist()
-                fh.write("".join([f"{t},{run_id},{r!r},{tail}" for t, r, tail
-                                  in zip(range(1, T + 1), cumulative, tails[key])]))
+    tmp_path = out_path.with_name(f".{out_path.name}.tmp")  # a failed call leaves no partial curves.csv
+    try:
+        with open(tmp_path, "w") as fh:
+            fh.write("t,run_id,regret_u,bound_u,u_norm\n")
+            for path in traces:
+                run_id = path.stem[len("run_"):]
+                entry = run_id.split("-", 1)[0]
+                try:
+                    if entry not in potentials:
+                        raise ValueError(f"strategy entry {entry!r} is not in sweep.json")
+                    trace = read_trace_json(path)
+                    if trace.config.dim != game.dim:
+                        raise ValueError(f"dim {trace.config.dim}, but sweep.json has game.dim {game.dim}")
+                except (OSError, ValueError) as exc:
+                    print(f"error: {path}: {exc}", file=sys.stderr)
+                    return EXIT_CONFIG
+                T = trace.n_rounds
+                for ci, (u, u_norm) in enumerate(zip(comparators, u_norms)):
+                    key = (entry, ci, T)
+                    if key not in tails:
+                        tails[key] = [f"{regret_bound(potentials[entry], u_norm, t)!r},{u_norm!r}\n"
+                                      for t in range(1, T + 1)]
+                    per_round = np.einsum("td,td->t", trace.g, trace.w - u[None, :])
+                    cumulative = np.cumsum(per_round).tolist()
+                    fh.write("".join([f"{t},{run_id},{r!r},{tail}" for t, r, tail
+                                      in zip(range(1, T + 1), cumulative, tails[key])]))
+        os.replace(tmp_path, out_path)
+    finally:
+        tmp_path.unlink(missing_ok=True)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -472,8 +505,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment spec")
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--out", default=None, help="override outputs.dir")
-    p_run.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("MINIMAX_ONLINE_JOBS", "1")))
+    p_run.add_argument("--jobs", default=None, help="worker processes (default: MINIMAX_ONLINE_JOBS, else 1)")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.add_argument("--format", choices=("csv", "json", "both"), default=None)
     p_run.set_defaults(func=cmd_run)

@@ -29,6 +29,10 @@ run's trace does not depend on the other runs of its batch.  The two loops
 share the player's formula and the norms; a run's trace differs from
 run_game's only where a dot product is summed in another order or a round
 index is an array rather than an int, by a few ulps.
+
+A JSON trace stores g but not theta: theta is -cumsum(g), and
+``read_trace_json`` rebuilds it with the engine's own ``_states``, bit for
+bit.  ``write_trace_json`` refuses a trace whose theta is anything else.
 """
 
 from __future__ import annotations
@@ -165,8 +169,9 @@ def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -
 
 
 def _states(g_rows: np.ndarray) -> np.ndarray:
-    """theta after each round, (R, T, d): the loop's theta - g, bit for bit."""
-    th_rows = np.cumsum(g_rows, axis=1)
+    """theta after each round, (..., T, d) like g_rows: the loop's theta - g,
+    bit for bit."""
+    th_rows = np.cumsum(g_rows, axis=-2)
     return np.subtract(0.0, th_rows, out=th_rows)  # 0.0 - keeps +0.0
 
 
@@ -390,6 +395,7 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def trace_to_dict(trace: Trace) -> dict:
+    """Every field but theta, which is -cumsum(g)."""
     return {
         "config": {
             "dim": trace.config.dim,
@@ -401,28 +407,55 @@ def trace_to_dict(trace: Trace) -> dict:
         "adversary_tag": trace.adversary_tag,
         "w": trace.w.tolist(),
         "g": trace.g.tolist(),
-        "theta": trace.theta.tolist(),
         "losses": trace.losses.tolist(),
         "eps": None if trace.eps is None else trace.eps.tolist(),
     }
 
 
+def _json_states(g: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # a hand-built g may hold inf or nan
+        return _states(g)
+
+
+def _float_array(data: dict, key: str, shape: tuple) -> np.ndarray:
+    arr = np.asarray(data[key], dtype=np.float64)
+    if arr.shape != shape and not (arr.size == 0 and shape[0] == 0):  # [] is zero rows of any width
+        raise ValueError(f"{key!r} has shape {arr.shape}, expected {shape}")
+    return arr.reshape(shape)
+
+
 def trace_from_dict(data: dict) -> Trace:
-    cfg = GameConfig(**data["config"])
-    eps = data.get("eps")
-    return Trace(
-        config=cfg,
-        strategy_tag=data["strategy_tag"],
-        adversary_tag=data["adversary_tag"],
-        w=np.asarray(data["w"], dtype=np.float64).reshape(-1, cfg.dim),
-        g=np.asarray(data["g"], dtype=np.float64).reshape(-1, cfg.dim),
-        theta=np.asarray(data["theta"], dtype=np.float64).reshape(-1, cfg.dim),
-        losses=np.asarray(data["losses"], dtype=np.float64),
-        eps=None if eps is None else np.asarray(eps, dtype=np.float64),
-    )
+    """The trace of trace_to_dict's output, theta rebuilt from g; a theta key
+    (older files have one) is ignored.  A missing key, a bad config, or w, g
+    or eps not of T = len(losses) rows raises ValueError."""
+    try:
+        cfg = GameConfig(**data["config"])
+        losses = np.asarray(data["losses"], dtype=np.float64)
+        if losses.ndim != 1:
+            raise ValueError(f"'losses' has shape {losses.shape}, expected (T,)")
+        rows = (losses.size, cfg.dim)
+        g = _float_array(data, "g", rows)
+        return Trace(
+            config=cfg,
+            strategy_tag=data["strategy_tag"],
+            adversary_tag=data["adversary_tag"],
+            w=_float_array(data, "w", rows),
+            g=g,
+            theta=_json_states(g),
+            losses=losses,
+            eps=None if data.get("eps") is None else _float_array(data, "eps", rows[:1]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def write_trace_json(trace: Trace, path) -> None:
+    """The trace without theta, which must be -cumsum(g) (as every engine
+    trace's is), else ValueError: a JSON trace rebuilds theta from g."""
+    if not np.array_equal(trace.theta, _json_states(trace.g), equal_nan=True):
+        raise ValueError("trace.theta is not -cumsum(g), and a JSON trace does not store it")
     text = json.dumps(trace_to_dict(trace))  # one call: the C encoder, not the per-item one
     with open(path, "w") as fh:
         fh.write(text)

@@ -353,6 +353,46 @@ class TestVerifyCommand:
         assert rows[0].label == "mislabelled t=1: orthogonal"
 
 
+CURVES_SPEC = """\
+game: {dim: 2, grad_bound: 1.0, horizon: unknown, seed: 1}
+strategy: {tag: ogd, eta: 0.2}
+adversary: {tag: gaussian_random}
+comparators:
+  - {norm: 1.0, direction_seed: 4}
+outputs: {dir: OUTDIR, format: json}
+repeats: 2
+rounds: 6
+"""
+
+
+def edit_trace(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def truncate(path):
+    path.write_text(path.read_text()[:-30])
+    return path
+
+
+def overwrite(path):
+    path.write_text("not a trace")
+    return path
+
+
+# each takes the path of a good trace, spoils it, and returns the spoiled file's path
+UNREADABLE_TRACES = {
+    "truncated": truncate,
+    "not_json": overwrite,
+    "missing_key": lambda path: edit_trace(path, lambda d: d.pop("g")),
+    "g_short_a_row": lambda path: edit_trace(path, lambda d: d["g"].pop()),
+    "g_ragged": lambda path: edit_trace(path, lambda d: d["g"][2].append(0.5)),
+    "entry_not_in_sweep": lambda path: path.rename(path.with_name("run_s1-ogd_a0-gaussian_random_k000.json")),
+}
+
+
 class TestCurvesCommand:
     def test_tidy_output_and_monotone_adaptive_bound(self, tmp_path):
         sweep = """\
@@ -421,6 +461,56 @@ rounds: 25
 
     def test_missing_traces_exit_2(self, tmp_path, capsys):
         assert main(["curves", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", list(UNREADABLE_TRACES))
+    def test_an_unreadable_trace_exits_2_and_keeps_curves_csv(self, tmp_path, capsys, case):
+        path, out = write_spec(tmp_path, CURVES_SPEC)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        assert main(["curves", str(out)]) == EXIT_OK
+        before = (out / "curves.csv").read_bytes()
+        capsys.readouterr()
+        bad = UNREADABLE_TRACES[case](sorted(out.glob("run_*.json"))[-1])  # the last one read
+        assert main(["curves", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+        assert (out / "curves.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir() if "curves" in p.name) == ["curves.csv"]
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda meta: '{"game": {"dim": 2}', "JSONDecodeError"),
+        (lambda meta: json.dumps({**meta, "strategies": [1]}), "AttributeError"),
+        (lambda meta: json.dumps({**meta, "game": {"dim": 0, "grad_bound": 1.0}}), "ValueError"),
+    ])
+    def test_an_unreadable_sweep_json_exits_2(self, tmp_path, capsys, edit, reason):
+        path, out = write_spec(tmp_path, CURVES_SPEC)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        meta_path = out / "sweep.json"
+        meta_path.write_text(edit(json.loads(meta_path.read_text())))
+        assert main(["curves", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {meta_path}: {reason}: ")
+        assert not (out / "curves.csv").exists()
+
+
+class TestJobCount:
+    @pytest.mark.parametrize("jobs", ["0", "-2", "many", "1.5"])
+    def test_the_flag_must_be_a_positive_integer(self, tmp_path, capsys, jobs):
+        path, out = write_spec(tmp_path, MINIMAL_SPEC)
+        assert main(["run", "--spec", str(path), "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {jobs!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "many", ""])
+    def test_the_variable_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setenv("MINIMAX_ONLINE_JOBS", jobs)
+        path, out = write_spec(tmp_path, MINIMAL_SPEC)
+        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: MINIMAX_ONLINE_JOBS must be an integer >= 1, got {jobs!r}\n"
+        assert not out.exists()
+
+    def test_the_flag_overrides_the_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MINIMAX_ONLINE_JOBS", "many")
+        path, out = write_spec(tmp_path, MINIMAL_SPEC)
+        assert main(["run", "--spec", str(path), "--jobs", "1"]) == EXIT_OK
 
 
 def run_child(code, *args):

@@ -38,7 +38,7 @@ from minimax_online import (
     write_trace_json,
 )
 from minimax_online.core import DimensionMismatchError, row_norms
-from minimax_online.engine import trace_to_dict
+from minimax_online.engine import _states, trace_from_dict, trace_to_dict
 
 
 class ZeroPotential:
@@ -416,7 +416,8 @@ def extreme_trace():
     losses = np.array(specials)
     w = np.array([specials, specials[::-1]]).T.copy()
     g = np.array([specials[3:] + specials[:3], specials[::2] + specials[1::2]]).T.copy()
-    theta = np.cumsum(np.where(np.isfinite(g), -g, 0.0), axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        theta = _states(g)  # what a JSON trace rebuilds
     cfg = GameConfig(dim=2, grad_bound=1.0, horizon=len(specials), seed=0)
     return Trace(cfg, "stub", "stub", w, g, theta, losses, eps=losses[::-1].copy())
 
@@ -475,6 +476,69 @@ class TestSerialization:
         assert np.array_equal(back.eps, trace.eps)
         u = make_rng(0).standard_normal(2)
         assert regret(back, u) == regret(trace, u)
+
+    @pytest.mark.parametrize("a_tag", ADVERSARY_TAGS)
+    @pytest.mark.parametrize("s_tag", STRATEGY_TAGS)
+    def test_json_round_trip_of_engine_traces_bit_for_bit(self, tmp_path, s_tag, a_tag):
+        T = 40
+        for d in (2, 3):
+            player, adversary, configs = lockstep_group(s_tag, a_tag, d, T, range(3))
+            traces = run_games(player, adversary, configs, T) + [run_game(player, adversary, configs[0], T)]
+            for k, trace in enumerate(traces):
+                attach_epsilon(trace, player.potential)
+                path = tmp_path / f"d{d}_{k}.json"
+                write_trace_json(trace, path)
+                back = read_trace_json(path)
+                assert back.config == trace.config
+                for name, value in fields_of(trace).items():  # tobytes: the sign of every zero too
+                    assert getattr(back, name).tobytes() == value.tobytes(), (name, d, k)
+
+    def test_json_keys_are_the_documented_ones(self, tmp_path):
+        path = tmp_path / "trace.json"
+        write_trace_json(attach_epsilon(small_trace(rounds=5), QuadraticPotential(eta=0.2, G=1.0)), path)
+        data = json.loads(path.read_text())
+        assert list(data) == ["config", "strategy_tag", "adversary_tag", "w", "g", "losses", "eps"]
+        assert list(data["config"]) == ["dim", "grad_bound", "horizon", "seed"]
+
+    @pytest.mark.parametrize("case", ["d2_ledger", "zero_rounds", "extreme"])
+    def test_a_file_with_theta_reads_the_same(self, tmp_path, case):
+        # files written before theta was dropped hold it between g and losses
+        trace = WRITER_CASES[case]()
+        items = list(trace_to_dict(trace).items())
+        data = dict(items[:5] + [("theta", trace.theta.tolist())] + items[5:])
+        (tmp_path / "old.json").write_text(json.dumps(data))
+        write_trace_json(trace, tmp_path / "new.json")
+        old, new = read_trace_json(tmp_path / "old.json"), read_trace_json(tmp_path / "new.json")
+        assert old.config == new.config == trace.config
+        for name, value in fields_of(trace).items():
+            got = [getattr(old, name), getattr(new, name)]
+            if value is None:
+                assert got == [None, None], name
+            else:
+                assert got[0].tobytes() == got[1].tobytes() == value.tobytes(), name
+
+    def test_write_refuses_a_theta_that_is_not_minus_cumsum_g(self, tmp_path):
+        trace = small_trace(rounds=6)
+        trace.theta = trace.theta.copy()
+        trace.theta[3, 1] = np.nextafter(trace.theta[3, 1], np.inf)
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError, match="cumsum"):
+            write_trace_json(trace, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda d: d.pop("g"), "missing key 'g'", id="no_g"),
+        pytest.param(lambda d: d["w"].pop(), r"'w' has shape \(5, 2\), expected \(6, 2\)", id="w_short"),
+        pytest.param(lambda d: d.update(g=sum(d["g"], [])), r"'g' has shape \(12,\)", id="g_flat"),
+        pytest.param(lambda d: d["g"][0].append(0.0), "sequence", id="g_ragged"),
+        pytest.param(lambda d: d.update(eps=[0.0]), r"'eps' has shape \(1,\)", id="eps_short"),
+        pytest.param(lambda d: d["config"].update(dim="2"), "'<' not supported", id="dim_str"),
+    ])
+    def test_a_malformed_dict_raises_value_error(self, edit, match):
+        data = trace_to_dict(attach_epsilon(small_trace(rounds=6), QuadraticPotential(eta=0.2, G=1.0)))
+        edit(data)
+        with pytest.raises(ValueError, match=match):
+            trace_from_dict(data)
 
     def test_csv_schema_small_dim(self, tmp_path):
         trace = attach_epsilon(small_trace(rounds=6), QuadraticPotential(eta=0.2, G=1.0))
