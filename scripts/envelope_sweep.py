@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from minimax_online import GameConfig, comparator_grid, make_rng, run_game, verify_bound
+from minimax_online import GameConfig, comparator_grid, make_rng, run_games, verify_bound
 from minimax_online.checks import adversary_quartet, envelope_players
 
 
@@ -27,12 +27,11 @@ def main(argv=None) -> int:
 
     print(f"{'strategy':<18} {'adversary':<20} {'checks':>6} {'violations':>10} {'min slack':>12}")
     any_violation = False
+    configs = [GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed) for seed in range(args.seeds)]
     for label, strat in envelope_players(T, G):
         for adv in adversary_quartet(G):
             checks, violations, min_slack = 0, 0, math.inf
-            for seed in range(args.seeds):
-                cfg = GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed)
-                trace = run_game(strat, adv, cfg, T)
+            for trace in run_games(strat, adv, configs, T):
                 for rep in verify_bound(trace, strat, grid):
                     checks += 1
                     if math.isfinite(rep.slack):

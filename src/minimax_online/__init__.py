@@ -34,9 +34,6 @@ from .adversaries import (
     OrthogonalMinimax,
     ParallelMinimax,
     RademacherLine,
-    greedy_vs_comparator_grad,
-    orthogonal_minimax_grad,
-    parallel_minimax_grad,
 )
 from .engine import (
     BoundReport,

@@ -13,7 +13,8 @@ Subcommands:
   trace or sweep.json it cannot read exits 2 and leaves no partial CSV.
 
 The spec file is YAML with a fixed schema; unknown keys are rejected with a
-line-anchored message (exit 2).  Bound violations exit 1.  A group that
+line-anchored message (exit 2).  An output location that cannot be written
+exits 2 as well.  Bound violations exit 1.  A group that
 raises is recorded in verdict.json, the other groups still run, and ``run``
 exits 4.
 """
@@ -349,7 +350,11 @@ def cmd_run(args) -> int:
     if args.format is not None:
         spec.out_format = args.format
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     groups = [(spec, si, ai, str(out_dir))
               for si in range(len(spec.strategies))
@@ -491,6 +496,9 @@ def cmd_curves(args) -> int:
                     fh.write("".join([f"{t},{run_id},{r!r},{tail}" for t, r, tail
                                       in zip(range(1, T + 1), cumulative, tails[key])]))
         os.replace(tmp_path, out_path)
+    except OSError as exc:  # the output location cannot be written; a trace read error returned above
+        print(f"error: {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         tmp_path.unlink(missing_ok=True)
     print(f"wrote {out_path}")

@@ -66,8 +66,9 @@ def nonzero_norms(r) -> np.ndarray:
 
 def norm(a: Point) -> float:
     """Euclidean norm ||a||, exact to rounding for every finite float64 vector:
-    ``row_norms`` of one row, bit for bit, so that run_game and run_games take
-    the same norms.  Inside the safe range it skips row_norms' array steps."""
+    ``row_norms`` of one row, bit for bit, so that a one-state computation and
+    a batch one take the same norms.  Inside the safe range it skips
+    row_norms' array steps."""
     a = np.asarray(a, dtype=np.float64)
     n = math.sqrt(np.einsum("...i,...i->...", a, a))
     return n if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX else float(row_norms(a))

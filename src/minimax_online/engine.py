@@ -18,17 +18,17 @@ Families whose value at t = 0 is nonzero (the known-horizon ones) carry their
 starting capital in the t = 0 term, so the ledger stays exact for both
 conventions.
 
-Two game loops share this protocol.  ``run_game`` plays one run, with any
-object that has ``play`` as the player and any object that has ``grad`` as
-the adversary; it is the reference.  ``run_games`` plays R runs of one
+One game loop plays this protocol: ``run_games`` plays R runs of one
 (PotentialPlayer, built-in adversary) pair in lockstep, round t of every run
 in one (R, d) array step; against a state-blind adversary, whose gradients
 are all drawn before the first play, every round's play is in one array
-step.  Each run keeps its own Philox stream, read in run_game's order, so a
-run's trace does not depend on the other runs of its batch.  The two loops
-share the player's formula and the norms; a run's trace differs from
-run_game's only where a dot product is summed in another order or a round
-index is an array rather than an int, by a few ulps.
+step.  Each run keeps its own Philox stream, so a run's trace does not
+depend on the other runs of its batch.  ``run_game`` is the one-run call of
+the same loop.  The tests hold it to a reference, ``reference_run_game`` in
+tests/test_engine.py: one play and one one-run gradient per round, for one
+run.  A lockstep trace differs from the reference's only where a dot product
+is summed in another order or a round index is an array rather than an int,
+by a few ulps.
 
 A JSON trace stores g but not theta: theta is -cumsum(g), and
 ``read_trace_json`` rebuilds it with the engine's own ``_states``, bit for
@@ -96,57 +96,25 @@ def _check_rounds(strategy, config: GameConfig, rounds: int) -> None:
 
 
 def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
-    """Execute the min-then-max loop for the given number of rounds.
-
-    Known-horizon strategies must be run for exactly config.horizon rounds.
-    Deterministic given config.seed (one Philox stream per run).  A numpy
-    value that leaves the float64 range raises OverflowError naming the round.
-    """
-    _check_rounds(strategy, config, rounds)
-    rng = make_rng(config.seed)
-    d = config.dim
-    G = config.grad_bound
-    w_rows = np.zeros((rounds, d))
-    g_rows = np.zeros((rounds, d))
-    th_rows = np.zeros((rounds, d))
-    losses = np.zeros(rounds)
-    theta = np.zeros(d)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for t in range(rounds):
-                w = np.asarray(strategy.play(t, theta), dtype=np.float64)
-                if w.shape != (d,):
-                    raise DimensionMismatchError(f"strategy returned shape {w.shape}, expected ({d},)")
-                g = np.asarray(adversary.grad(t, theta, w, rng), dtype=np.float64)
-                if g.shape != (d,):
-                    raise DimensionMismatchError(f"adversary returned shape {g.shape}, expected ({d},)")
-                gn = float(np.linalg.norm(g))
-                if not gn <= G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK:  # also catches a NaN
-                    raise ValueError(f"adversary emitted ||g||={gn} > G={G}")
-                theta = theta - g
-                w_rows[t] = w
-                g_rows[t] = g
-                th_rows[t] = theta
-                losses[t] = w @ g
-    except FloatingPointError as exc:
-        raise OverflowError(f"round {t + 1}: {exc}") from exc
-    return Trace(config, getattr(strategy, "tag", "?"), getattr(adversary, "tag", "?"),
-                 w_rows, g_rows, th_rows, losses)
+    """The one run of config: run_games with one config."""
+    return run_games(strategy, adversary, [config], rounds)[0]
 
 
 def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -> List[Trace]:
-    """run_game for every config, in lockstep: all runs' round t is one (R, d)
-    array step.
+    """Execute the min-then-max loop for every config, in lockstep: all runs'
+    round t is one (R, d) array step.
 
     The configs share dim and grad_bound; run k uses configs[k].seed.  The
     strategy needs ``response(t, theta, r)`` (PotentialPlayer) and the
     adversary either ``gradient_block`` or ``draws`` and ``grads`` (every
     built-in adversary).  Against a gradient block every state is known
-    before the first play, so all rounds' plays are one array call.  Each
-    round is checked on all rows: shapes, ||g|| <= G(1 + 1e-9) + 1e-9, and a
-    play inside the float64 range (OverflowError otherwise); an error names
-    the first round that fails.  Row k of the result is the trace of
-    run_games([configs[k]]), bit for bit.
+    before the first play, so all rounds' plays are one array call.
+    Known-horizon strategies must be run for exactly config.horizon rounds.
+    The plays and gradients must have the game's shape (else
+    DimensionMismatchError), and each round is checked on all rows:
+    ||g|| <= G(1 + 1e-9) + 1e-9, and a play inside the float64 range
+    (OverflowError otherwise); an error names the first round that fails.
+    Row k of the result is the trace of run_games([configs[k]]), bit for bit.
     """
     if not configs:
         return []
@@ -158,6 +126,9 @@ def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -
     rngs = [make_rng(cfg.seed) for cfg in configs]
     if hasattr(adversary, "gradient_block"):
         g_rows = adversary.gradient_block(rngs, rounds, shape[1])
+        if g_rows.shape != (shape[0], rounds, shape[1]):
+            raise DimensionMismatchError(
+                f"gradient block {g_rows.shape}, expected {(shape[0], rounds, shape[1])}")
         th_rows = _states(g_rows)
         w_rows = _block_plays(strategy, g_rows, th_rows, G)
     else:
@@ -211,8 +182,6 @@ def _block_plays(strategy, g_rows: np.ndarray, th_rows: np.ndarray, G: float) ->
     w[:, 1:] = th_rows[:, :-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a play that leaves the range is found below
         w = strategy.response(np.arange(rounds), w, row_norms(w), out=w)  # ... then, in place, the play
-    if w.shape != g_rows.shape:
-        raise DimensionMismatchError(f"plays {w.shape}, gradients {g_rows.shape}, expected the same")
     _round_checks(g_rows, G, bad_play=~np.isfinite(w).all(axis=(0, 2)))
     return w
 

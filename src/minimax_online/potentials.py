@@ -140,12 +140,17 @@ class PowerPotential:
         return self.W * x * np.where(s2 > 0.0, s2, 1.0) ** ((self.p - 2.0) / 2.0)
 
     def regret_bound(self, u_norm: float, T: int) -> float:
-        """At p = 1 there is no bound for u_norm > W; VACUOUS (inf) is returned there."""
+        """At p = 1 there is no bound for u_norm > W; VACUOUS (inf) is returned
+        there, and where u_norm**q leaves the float64 range."""
         root_t = self.G * math.sqrt(T)
         if self.p == 1.0:
             return self.W * root_t if u_norm <= self.W else VACUOUS
         q = self.q
-        return u_norm**q / (self.W ** (q - 1.0) * q) + (self.W / self.p) * root_t**self.p
+        try:
+            conjugate = u_norm**q / (self.W ** (q - 1.0) * q)
+        except OverflowError:  # float ** raises where float * gives inf
+            return VACUOUS
+        return conjugate + (self.W / self.p) * root_t**self.p
 
 
 class _ExpQuadratic:

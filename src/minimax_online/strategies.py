@@ -15,8 +15,8 @@ All plays are parallel to theta, so the first play (theta_0 = 0) is the zero
 vector.  The potential supplies the regime and the radial quantity; the
 exponential families compute their radial difference without cancellation.
 The orthogonal play needs d > 1 to be minimax; at d = 1 it is still playable.
-``response`` computes the plays of a whole batch of states at once; ``play``
-is its one-state form.
+``response`` computes the plays of a whole batch of states at once, the form
+``engine.run_games`` calls; one state is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import nonzero_norms, norm
+from .core import nonzero_norms
 from .one_round import ORTHOGONAL
 
 
 @dataclass(frozen=True)
 class PotentialPlayer:
-    """Plays the one-round minimax response to ``potential`` at the next round."""
+    """Plays the one-round minimax response to ``potential`` at the next round,
+    for a batch of states at once (``response``)."""
 
     potential: object
 
@@ -42,14 +43,6 @@ class PotentialPlayer:
     @property
     def needs_horizon(self) -> bool:
         return hasattr(self.potential, "T")
-
-    def play(self, t: int, theta) -> np.ndarray:
-        """The play at round t.  Past the float64 range it is inf or NaN, with
-        numpy's RuntimeWarning; run_game raises OverflowError there instead."""
-        if t < 0:
-            raise ValueError(f"round index t={t} must be >= 0")
-        theta = np.asarray(theta, dtype=np.float64)
-        return self.response(t, theta, norm(theta))
 
     def response(self, t: int, theta: np.ndarray, r, out=None) -> np.ndarray:
         """Plays at round t (an int, or an array that broadcasts against r) for

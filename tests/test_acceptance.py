@@ -26,7 +26,7 @@ from minimax_online import (
     gaussian_expectation,
     make_rng,
     regret,
-    run_game,
+    run_games,
     verify_bound,
 )
 from minimax_online import checks
@@ -102,10 +102,9 @@ def test_criterion_05_known_horizon_admissibility():
     pot = strat.potential
     worst = -math.inf
     runs = 0
+    configs = [GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed) for seed in range(5)]
     for adv in adversary_quartet(G):
-        for seed in range(5):
-            cfg = GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed)
-            trace = run_game(strat, adv, cfg, T)
+        for trace in run_games(strat, adv, configs, T):
             eps_t = epsilon_ledger(trace, pot)
             worst = max(worst, float(eps_t.max()))
             runs += 1
@@ -127,10 +126,9 @@ def test_criterion_06_adaptive_slack_schedule():
     worst_excess = -math.inf
     worst_sum = -math.inf
     runs = 0
+    configs = [GameConfig(dim=d, grad_bound=G, seed=seed) for seed in range(5)]
     for adv in adversary_quartet(G):
-        for seed in range(5):
-            cfg = GameConfig(dim=d, grad_bound=G, seed=seed)
-            trace = run_game(strat, adv, cfg, T)
+        for trace in run_games(strat, adv, configs, T):
             eps_t = epsilon_ledger(trace, pot)
             worst_excess = max(worst_excess, float(np.max(eps_t[1:] - schedule)))
             worst_sum = max(worst_sum, float(np.sum(eps_t[1:])))
@@ -148,18 +146,17 @@ def test_criterion_07_regret_envelopes():
     n_checks = 0
     min_slack_scaled = math.inf
     failures = []
+    configs = [GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed) for seed in range(20)]
     for label, strat in envelope_players(T, G):
         for adv in adversary_quartet(G):
-            for seed in range(20):
-                cfg = GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed)
-                trace = run_game(strat, adv, cfg, T)
+            for trace in run_games(strat, adv, configs, T):
                 for rep in verify_bound(trace, strat, grid):
                     n_checks += 1
                     if math.isfinite(rep.regret_bound):
                         min_slack_scaled = min(
                             min_slack_scaled, rep.slack / (1.0 + abs(rep.regret_bound)))
                     if not rep.holds:
-                        failures.append((label, adv.tag, seed, rep.u_norm, rep.slack))
+                        failures.append((label, adv.tag, trace.config.seed, rep.u_norm, rep.slack))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 300.0
     _report(7, "regret envelopes hold across sweep", ok,
@@ -184,10 +181,9 @@ def test_criterion_08_duality_identity():
     grid = comparator_grid(d, make_rng(888))
     worst = 0.0
     traces = 0
+    configs = [GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed) for seed in (0, 1, 2)]
     for strat, adv in cells:
-        for seed in (0, 1, 2):
-            cfg = GameConfig(dim=d, grad_bound=G, horizon=T, seed=seed)
-            trace = run_game(strat, adv, cfg, T)
+        for trace in run_games(strat, adv, configs, T):
             traces += 1
             g_total = trace.grad_total()
             for u in grid:
@@ -207,9 +203,8 @@ def test_criterion_09_orthogonal_duel_invariants():
     worst_w = 0.0
     for T in (16, 64):
         strat = PotentialPlayer(PowerPotential(W=1.0, p=1.0, G=G, T=T))
-        for seed in range(5):
-            cfg = GameConfig(dim=2, grad_bound=G, horizon=T, seed=seed)
-            trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
+        configs = [GameConfig(dim=2, grad_bound=G, horizon=T, seed=seed) for seed in range(5)]
+        for trace in run_games(strat, OrthogonalMinimax(G=G), configs, T):
             worst_reward = max(worst_reward, abs(trace.reward))
             shells = [abs(math.sqrt(np.linalg.norm(trace.theta[t - 1]) ** 2 + G * G * (T - t))
                           - G * math.sqrt(T)) for t in range(1, T + 1)]

@@ -11,67 +11,84 @@ from minimax_online import (
     ParallelMinimax,
     PotentialPlayer,
     PowerPotential,
+    QuadraticPotential,
     RademacherLine,
     GaussianRandom,
-    greedy_vs_comparator_grad,
     make_rng,
-    orthogonal_minimax_grad,
-    parallel_minimax_grad,
+    random_unit_vector,
     run_game,
+    run_games,
 )
-from minimax_online.core import UnsupportedDimensionError
+from minimax_online.core import UnsupportedDimensionError, row_norms
 from minimax_online.checks import adversary_quartet
+
+
+def answer(adv, t, theta, w=None, seeds=None):
+    """A round-by-round adversary's round-t gradients against the states theta
+    (one row per run) and the pending plays w, run k on the stream of
+    seeds[k] (seed k by default)."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+    rngs = [make_rng(k) for k in (range(len(theta)) if seeds is None else seeds)]
+    return adv.grads(t, theta, row_norms(theta), w, adv.draws(rngs, 1, theta.shape[1]))
+
+
+def walk(adv, theta, rounds, rngs):
+    """theta after each of rounds rounds against adv, which ignores the plays;
+    one row per run, run k on rngs[k]."""
+    states = []
+    for t in range(rounds):
+        theta = theta - adv.grads(t, theta, row_norms(theta), None, rngs)
+        states.append(theta)
+    return states
 
 
 class TestOrthogonalMinimax:
     def test_orthogonal_full_norm(self):
-        g = orthogonal_minimax_grad(np.array([1.0, 0.0]), 2.0, make_rng(0))
+        g = answer(OrthogonalMinimax(G=2.0), 0, [1.0, 0.0])[0]
         assert g[0] == 0.0
         assert abs(np.linalg.norm(g) - 2.0) <= 1e-12
 
     def test_pythagorean_growth(self):
         G, T = 1.5, 40
-        rng = make_rng(4)
-        theta = np.zeros(3)
-        for t in range(1, T + 1):
-            theta = theta - orthogonal_minimax_grad(theta, G, rng)
-            assert np.linalg.norm(theta) == pytest.approx(G * math.sqrt(t), rel=1e-12)
+        states = walk(OrthogonalMinimax(G=G), np.zeros((2, 3)), T, [make_rng(4), make_rng(5)])
+        for t, theta in enumerate(states, start=1):
+            np.testing.assert_allclose(row_norms(theta), G * math.sqrt(t), rtol=1e-12)
 
     def test_zero_state_full_norm(self):
-        g = orthogonal_minimax_grad(np.zeros(2), 3.0, make_rng(1))
+        g = answer(OrthogonalMinimax(G=3.0), 0, np.zeros(2), seeds=[1])[0]
         assert abs(np.linalg.norm(g) - 3.0) <= 1e-12
 
     def test_dim_one_rejected(self):
         with pytest.raises(UnsupportedDimensionError):
-            orthogonal_minimax_grad(np.array([1.0]), 1.0, make_rng(0))
+            answer(OrthogonalMinimax(G=1.0), 0, [1.0])
 
 
 class TestParallelMinimax:
     def test_shrink_sign_along_state(self):
-        g = parallel_minimax_grad(np.array([0.0, 3.0]), 2.0, sign=1.0)
+        g = answer(ParallelMinimax(G=2.0, sign_policy="shrink"), 0, [0.0, 3.0])[0]
         np.testing.assert_allclose(g, [0.0, 2.0], rtol=1e-15)
 
-    def test_zero_state_fixed_direction(self):
-        g = parallel_minimax_grad(np.zeros(3), 2.0, sign=1.0)
-        np.testing.assert_allclose(g, [2.0, 0.0, 0.0])
+    @pytest.mark.parametrize("policy", ["grow", "shrink", "alternate", "random"])
+    def test_zero_state_draws_a_direction_from_its_stream(self, policy):
+        # theta = 0 has no direction: each run draws one from its own stream,
+        # after the sign a "random" run draws first
+        g = answer(ParallelMinimax(G=2.0, sign_policy=policy), 0, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], seeds=[7, 8])
+        rng = make_rng(7)
+        if policy == "random":
+            rng.random()
+        np.testing.assert_array_equal(g[0], 2.0 * random_unit_vector(rng, 3))
+        assert abs(g[1, 0]) == 2.0
 
     def test_default_policy_grows_state(self):
-        adv = ParallelMinimax(G=1.0)
-        rng = make_rng(0)
-        theta = np.array([0.5, 0.0])
-        for t in range(5):
-            g = adv.grad(t, theta, None, rng)
-            new = theta - g
-            assert np.linalg.norm(new) > np.linalg.norm(theta)
-            theta = new
+        theta = np.array([[0.5, 0.0]])
+        states = walk(ParallelMinimax(G=1.0), theta, 5, [make_rng(0)])
+        for before, after in zip([theta] + states, states):
+            assert row_norms(after)[0] > row_norms(before)[0]
 
     def test_alternating_returns_near_origin(self):
-        adv = ParallelMinimax(G=1.0, sign_policy="alternate")
-        rng = make_rng(2)
-        theta = np.zeros(2)
-        for t in range(2 * 13):
-            theta = theta - adv.grad(t, theta, None, rng)
-        assert np.linalg.norm(theta) <= 1.0 + 1e-12
+        states = walk(ParallelMinimax(G=1.0, sign_policy="alternate"), np.zeros((3, 2)), 2 * 13,
+                      [make_rng(seed) for seed in (2, 3, 4)])
+        assert row_norms(states[-1]).max() <= 1.0 + 1e-12
 
     def test_policy_validated(self):
         with pytest.raises(ValueError):
@@ -80,26 +97,28 @@ class TestParallelMinimax:
 
 class TestGreedyVsComparator:
     def test_unit_direction_of_gap(self):
-        g = greedy_vs_comparator_grad(np.array([1.0, 0.0]), np.zeros(2), 1.0)
-        np.testing.assert_allclose(g, [1.0, 0.0])
+        g = answer(GreedyVsComparator(G=1.0, comparator=(0.0, 0.0)), 0, np.zeros(2), w=np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(g, [[1.0, 0.0]])
 
     def test_at_comparator(self):
-        u = np.array([0.3, -0.4])
-        assert np.array_equal(greedy_vs_comparator_grad(u, u, 1.0), np.zeros(2))
+        u = (0.3, -0.4)
+        g = answer(GreedyVsComparator(G=1.0, comparator=u), 0, np.zeros(2), w=np.array([u]))
+        assert np.array_equal(g, np.zeros((1, 2)))
 
     def test_instantaneous_regret_maximized(self):
         rng = make_rng(8)
         for _ in range(20):
-            w = rng.standard_normal(4)
+            w = rng.standard_normal((3, 4))
             u = rng.standard_normal(4)
             G = float(rng.uniform(0.5, 3.0))
-            g = greedy_vs_comparator_grad(w, u, G)
-            assert g @ (w - u) == pytest.approx(G * np.linalg.norm(w - u), rel=1e-12)
+            g = answer(GreedyVsComparator(G=G, comparator=tuple(u)), 0, np.zeros((3, 4)), w=w)
+            np.testing.assert_allclose(np.einsum("ij,ij->i", g, w - u), G * row_norms(w - u), rtol=1e-12)
 
 
 class TestNormFeasibility:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_every_adversary_every_round(self, seed):
+        # the players play w = 0.1 theta
         G = 1.3
         advs = adversary_quartet(G) + [
             ParallelMinimax(G=G, sign_policy="alternate"),
@@ -107,15 +126,11 @@ class TestNormFeasibility:
             RademacherLine(G=G),
             GreedyVsComparator(G=G, comparator=(0.5, -0.5, 0.0)),
         ]
-        rng = make_rng(seed)
+        player = PotentialPlayer(QuadraticPotential(eta=0.1, G=G))
+        configs = [GameConfig(dim=3, grad_bound=G, seed=seed + k) for k in range(3)]
         for adv in advs:
-            theta = np.zeros(3)
-            w = np.zeros(3)
-            for t in range(30):
-                g = adv.grad(t, theta, w, rng)
-                assert np.linalg.norm(g) <= G + 1e-12
-                theta = theta - g
-                w = 0.1 * theta
+            for trace in run_games(player, adv, configs, 30):
+                assert row_norms(trace.g).max() <= G + 1e-12
 
 
 class TestOrthogonalDuelInvariants:
@@ -154,22 +169,15 @@ class TestOrthogonalDuelInvariants:
 
 class TestStochasticAdversaries:
     def test_rademacher_line_stays_on_line(self):
-        adv = RademacherLine(G=2.0)
-        rng = make_rng(5)
-        for t in range(20):
-            g = adv.grad(t, np.zeros(3), None, rng)
-            assert g[1] == 0.0 and g[2] == 0.0
-            assert abs(g[0]) == 2.0
+        gs = RademacherLine(G=2.0).gradient_block([make_rng(5), make_rng(6)], 20, 3)
+        assert not gs[:, :, 1:].any()
+        assert np.array_equal(np.abs(gs[:, :, 0]), np.full((2, 20), 2.0))
 
     def test_gaussian_random_norm(self):
-        adv = GaussianRandom(G=0.7)
-        rng = make_rng(6)
-        gs = np.array([adv.grad(t, np.zeros(2), None, rng) for t in range(50)])
+        gs = GaussianRandom(G=0.7).gradient_block([make_rng(6)], 50, 2)[0]
         np.testing.assert_allclose(np.linalg.norm(gs, axis=1), 0.7, rtol=1e-12)
         assert np.std(gs[:, 0]) > 0.1  # directions actually vary
 
     def test_fixed_direction_constant(self):
-        adv = FixedDirection(G=1.0, direction=(0.0, 1.0))
-        rng = make_rng(7)
-        for t in range(5):
-            np.testing.assert_allclose(adv.grad(t, np.zeros(2), None, rng), [0.0, 1.0])
+        gs = FixedDirection(G=1.0, direction=(0.0, 1.0)).gradient_block([make_rng(7)], 5, 2)
+        np.testing.assert_allclose(gs, np.tile([0.0, 1.0], (1, 5, 1)))

@@ -210,6 +210,25 @@ class TestRunCommand:
         assert "error: --seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        path, _ = write_spec(tmp_path, MINIMAL_SPEC)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["run", "--spec", str(path), "--out", str(taken)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {taken}: File exists\n"
+        assert taken.read_text() == "not a directory"
+
+    def test_an_overflowing_power_envelope_is_vacuous(self, tmp_path):
+        # u_norm**q = (1e150)**3 leaves float64: the bound is inf and holds, not a crashed group
+        spec = MINIMAL_SPEC.replace("tag: ogd\n  eta: 0.31622776601683794", "tag: power\n  W: 1.0\n  p: 1.5")
+        spec = spec.replace("{norm: 1.0, direction_seed: 1}", "{norm: 1.0e+150, direction_seed: 1}")
+        path, out = write_spec(tmp_path, spec)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["all_hold"] and verdict["errors"] == [] and verdict["n_checks"] == 2
+        rows = list(csv.DictReader((out / "summary.csv").open()))
+        assert [(r["u_norm"], r["bound"], r["holds"]) for r in rows[1:]] == [("1e+150", "inf", "True")]
+
     def test_sweep_cardinality_and_seed_ladder(self, tmp_path):
         sweep = """\
 game: {dim: 2, grad_bound: 1.0, horizon: 12, seed: 100}
@@ -491,6 +510,16 @@ rounds: 25
         assert not (out / "curves.csv").exists()
 
 
+    def test_an_out_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        path, out = write_spec(tmp_path, CURVES_SPEC)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        target = tmp_path / "missing" / "c.csv"
+        assert main(["curves", str(out), "--out", str(target)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+
 class TestJobCount:
     @pytest.mark.parametrize("jobs", ["0", "-2", "many", "1.5"])
     def test_the_flag_must_be_a_positive_integer(self, tmp_path, capsys, jobs):
@@ -552,3 +581,17 @@ print(repr(oracles.gaussian_expectation(lambda x: abs(x), 0.0, 1.0)), "scipy.int
         value, loaded = out.split()
         assert float(value) == pytest.approx(0.7978845608028654, rel=1e-10)  # E|Z| = sqrt(2 / pi)
         assert loaded == "True"
+
+
+class TestBenchmarkHooks:
+    def test_every_name_the_benchmark_tracer_wraps_exists(self):
+        # perfbench/tracing.py wraps library functions and methods by name; a
+        # name it wraps that is gone raises AttributeError.  In a child, so no
+        # module of this process stays wrapped.
+        run_child("""
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, instrument_cli, instrument_oracles
+instrument_cli(Tracer())
+instrument_oracles(Tracer())
+""", ROOT / "perfbench")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -37,7 +38,8 @@ from minimax_online import (
     write_trace_csv,
     write_trace_json,
 )
-from minimax_online.core import DimensionMismatchError, row_norms
+from minimax_online.core import (DimensionMismatchError, orthonormal_complement_sample, random_unit_vector,
+                                 row_norms, unit_direction)
 from minimax_online.engine import _states, trace_from_dict, trace_to_dict
 
 
@@ -56,6 +58,60 @@ def ogd(eta):
 def small_trace(seed=0, rounds=12, dim=2, eta=0.2):
     cfg = GameConfig(dim=dim, grad_bound=1.0, horizon=rounds, seed=seed)
     return run_game(ogd(eta), GaussianRandom(G=1.0), cfg, rounds)
+
+
+# --- the one-run reference ---------------------------------------------------
+
+def reference_grad(adversary, t, theta, w, rng):
+    """A built-in adversary's gradient at round t for one run: state theta,
+    pending play w, the run's stream rng, read as the batch forms read it."""
+    G, d = adversary.G, theta.size
+    if isinstance(adversary, OrthogonalMinimax):
+        return G * orthonormal_complement_sample(theta, rng)
+    if isinstance(adversary, ParallelMinimax):
+        sign = {"grow": -1.0, "shrink": 1.0, "alternate": -1.0 if t % 2 == 0 else 1.0}.get(
+            adversary.sign_policy)
+        if sign is None:  # "random"
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+        that = unit_direction(theta)
+        return sign * G * that if that.any() else G * random_unit_vector(rng, d)
+    if isinstance(adversary, RademacherLine):
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return sign * G * reference_line(adversary.direction, d)
+    if isinstance(adversary, GaussianRandom):
+        return G * random_unit_vector(rng, d)
+    if isinstance(adversary, FixedDirection):
+        return G * reference_line(adversary.direction, d)
+    if isinstance(adversary, GreedyVsComparator):
+        diff = w - np.asarray(adversary.comparator, dtype=np.float64)
+        n = np.linalg.norm(diff)
+        return np.zeros_like(diff) if n == 0.0 else G * diff / n
+    raise TypeError(f"no reference gradient for {type(adversary).__name__}")
+
+
+def reference_line(direction, d):
+    return np.eye(d)[0] if direction is None else unit_direction(np.asarray(direction, dtype=np.float64))
+
+
+def reference_run_game(strategy, adversary, config, rounds):
+    """The min-then-max loop for one run, round by round: one play (the
+    player's response to one state) and one reference_grad per round.  A value
+    that leaves the float64 range raises OverflowError naming the round."""
+    rng = make_rng(config.seed)
+    d = config.dim
+    w_rows, g_rows, th_rows = (np.zeros((rounds, d)) for _ in range(3))
+    losses = np.zeros(rounds)
+    theta = np.zeros(d)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(rounds):
+                w = strategy.response(t, theta, norm(theta))
+                g = reference_grad(adversary, t, theta, w, rng)
+                theta = theta - g
+                w_rows[t], g_rows[t], th_rows[t], losses[t] = w, g, theta, w @ g
+    except FloatingPointError as exc:
+        raise OverflowError(f"round {t + 1}: {exc}") from exc
+    return Trace(config, strategy.tag, adversary.tag, w_rows, g_rows, th_rows, losses)
 
 
 class TestRunGame:
@@ -95,24 +151,48 @@ class TestRunGame:
             run_game(strat, FixedDirection(G=1.0), cfg_unknown, 8)
 
     def test_adversary_norm_checked(self):
-        class Cheater:
-            tag = "cheater"
-            def grad(self, t, theta, w, rng):
-                return np.array([2.0, 0.0])
+        class Cheater(FixedDirection):
+            def gradient_block(self, rngs, rounds, dim):
+                return 2.0 * super().gradient_block(rngs, rounds, dim)
 
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=3, seed=0)
-        with pytest.raises(ValueError):
-            run_game(ogd(0.1), Cheater(), cfg, 3)
+        with pytest.raises(ValueError, match="round 1: adversary emitted"):
+            run_game(ogd(0.1), Cheater(G=1.0), cfg, 3)
 
-    def test_nan_gradient_rejected(self):
-        class NanCheater:
-            tag = "nan_cheater"
-            def grad(self, t, theta, w, rng):
-                return np.array([math.nan, 0.0])
+    @pytest.mark.parametrize("path", ["block", "round by round"])
+    def test_nan_gradient_rejected(self, path):
+        class NanBlock(FixedDirection):
+            def gradient_block(self, rngs, rounds, dim):
+                return np.full((len(rngs), rounds, dim), math.nan)
 
+        class NanRounds(ParallelMinimax):
+            def grads(self, t, theta, r, w, rngs):
+                return np.full_like(theta, math.nan)
+
+        adversary = NanBlock(G=1.0) if path == "block" else NanRounds(G=1.0)
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=3, seed=0)
-        with pytest.raises(ValueError):
-            run_game(ogd(0.1), NanCheater(), cfg, 3)
+        with pytest.raises(ValueError, match="round 1: adversary emitted"):
+            run_game(ogd(0.1), adversary, cfg, 3)
+
+    @pytest.mark.parametrize("extra", [(0, 0, 1), (0, 1, 0), (1, 0, 0)], ids=["width", "rounds", "runs"])
+    def test_a_gradient_block_of_the_wrong_shape_is_rejected(self, extra):
+        class WrongBlock(FixedDirection):
+            def gradient_block(self, rngs, rounds, dim):
+                return np.zeros((len(rngs) + extra[0], rounds + extra[1], dim + extra[2]))
+
+        configs = [GameConfig(dim=2, grad_bound=1.0, seed=seed) for seed in (0, 1)]
+        want = (2 + extra[0], 4 + extra[1], 2 + extra[2])
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"gradient block {want}, expected (2, 4, 2)")):
+            run_games(ogd(0.1), WrongBlock(G=1.0), configs, 4)
+
+    def test_gradients_of_the_wrong_shape_are_rejected(self):
+        class WrongRounds(ParallelMinimax):
+            def grads(self, t, theta, r, w, rngs):
+                return np.zeros((theta.shape[0], theta.shape[1] + 1))
+
+        configs = [GameConfig(dim=2, grad_bound=1.0, seed=seed) for seed in (0, 1)]
+        with pytest.raises(DimensionMismatchError, match=re.escape("round 1: plays (2, 2), gradients (2, 3)")):
+            run_games(ogd(0.1), WrongRounds(G=1.0), configs, 4)
 
 
 def lockstep_player(tag, T):
@@ -144,7 +224,7 @@ STRATEGY_TAGS = ["ogd", "power", "normal_knownT", "adaptive_normal"]
 ADVERSARY_TAGS = ["orthogonal_minimax", "parallel_minimax", "parallel_shrink", "parallel_alternate",
                   "parallel_random", "rademacher_line", "gaussian_random", "fixed_direction",
                   "greedy_vs_comparator"]
-# run_games against run_game: the largest gap, over the largest entry of the
+# run_games against reference_run_game: the largest gap, over the largest entry of the
 # field (for losses, of sum_i |w_i g_i|; for eps, of that plus |q_t|), was
 # 5.3e-15 at T = 60 and 1.2e-14 at T = 1000, over every pair here, d in
 # {1, 2, 4, 16} and seeds 0-3
@@ -181,12 +261,12 @@ class TestRunGames:
 
     @pytest.mark.parametrize("a_tag", ADVERSARY_TAGS)
     @pytest.mark.parametrize("s_tag", STRATEGY_TAGS)
-    def test_agrees_with_run_game(self, s_tag, a_tag):
+    def test_agrees_with_reference_run_game(self, s_tag, a_tag):
         T = 60
         for d in (2, 16):
             player, adversary, configs = lockstep_group(s_tag, a_tag, d, T, range(4))
             for cfg, got in zip(configs, run_games(player, adversary, configs, T)):
-                ref = run_game(player, adversary, cfg, T)
+                ref = reference_run_game(player, adversary, cfg, T)
                 for tr in (ref, got):
                     attach_epsilon(tr, player.potential)
                 term = np.abs(ref.w * ref.g).sum(axis=1)
@@ -204,7 +284,7 @@ class TestRunGames:
         player = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=0.7))
         configs = [GameConfig(dim=3, grad_bound=0.7, seed=seed) for seed in (0, 5, 9)]
         for cfg, got in zip(configs, run_games(player, adversary, configs, 200)):
-            assert got.g.tobytes() == run_game(player, adversary, cfg, 200).g.tobytes()
+            assert got.g.tobytes() == reference_run_game(player, adversary, cfg, 200).g.tobytes()
 
     # fixed_direction gives its gradient block at once, parallel_minimax answers round by round
     @pytest.mark.parametrize("adversary", [FixedDirection(G=1.0), ParallelMinimax(G=1.0)])
@@ -215,7 +295,7 @@ class TestRunGames:
         with pytest.raises(OverflowError, match="round 3407"):
             run_games(player, adversary, configs, 4000)
         with pytest.raises(OverflowError, match="round 3407"):
-            run_game(player, adversary, configs[0], 4000)
+            reference_run_game(player, adversary, configs[0], 4000)
 
     @pytest.mark.parametrize("path", ["block", "round by round"])
     @pytest.mark.parametrize("stretch", [1.5, 1e200])
@@ -271,9 +351,8 @@ class TestRegret:
 
         class One:
             tag = "one"
-            needs_horizon = False
-            def play(self, t, theta):
-                return np.array([1.0, 0.0])
+            def response(self, t, theta, r, out=None):
+                return np.ones_like(theta) * [1.0, 0.0]
 
         trace = run_game(One(), FixedDirection(G=1.0), cfg, 1)
         assert regret(trace, np.zeros(2)) == 1.0
@@ -356,10 +435,8 @@ class TestDualityWitness:
 
     def test_adaptive_traces_agree(self):
         strat = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.5, G=1.0))
-        traces = []
-        for seed in range(3):
-            cfg = GameConfig(dim=2, grad_bound=1.0, seed=seed)
-            traces.append(run_game(strat, GaussianRandom(G=1.0), cfg, 80))
+        configs = [GameConfig(dim=2, grad_bound=1.0, seed=seed) for seed in range(3)]
+        traces = run_games(strat, GaussianRandom(G=1.0), configs, 80)
         pot = strat.potential
         eps_hat = max(epsilon_ledger(tr, pot).sum() for tr in traces)
         T = 80
@@ -483,7 +560,8 @@ class TestSerialization:
         T = 40
         for d in (2, 3):
             player, adversary, configs = lockstep_group(s_tag, a_tag, d, T, range(3))
-            traces = run_games(player, adversary, configs, T) + [run_game(player, adversary, configs[0], T)]
+            traces = run_games(player, adversary, configs, T)
+            traces.append(reference_run_game(player, adversary, configs[0], T))
             for k, trace in enumerate(traces):
                 attach_epsilon(trace, player.potential)
                 path = tmp_path / f"d{d}_{k}.json"

@@ -179,6 +179,13 @@ class TestRegretBound:
         pot = PowerPotential(W=1.0, p=1.0, G=1.0, T=25)
         assert regret_bound(pot, 1.5, 25) == math.inf
 
+    def test_power_vacuous_where_the_conjugate_overflows(self):
+        # q = 3 at p = 1.5: u_norm**3 leaves float64 at u_norm = 1e150, as ogd's u_norm**2 does at 1e160
+        pot = PowerPotential(W=1.0, p=1.5, G=1.0, T=10)
+        assert regret_bound(pot, 1e150, 10) == math.inf
+        assert regret_bound(QuadraticPotential(eta=0.3, G=1.0), 1e160, 10) == math.inf
+        assert regret_bound(pot, 1e100, 10) == pytest.approx(1e300 / 3.0, rel=1e-12)
+
     def test_adaptive_additive_term(self):
         a = 3.0 * math.pi / 4.0 + 0.1
         pot = AdaptiveNormalPotential(eps=1.0, a=a, G=1.0)

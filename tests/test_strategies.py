@@ -13,6 +13,7 @@ from minimax_online import (
     PowerPotential,
     QuadraticPotential,
     make_rng,
+    norm,
     run_game,
     solve_orthogonal,
     solve_parallel,
@@ -22,7 +23,9 @@ from minimax_online.checks import adversary_quartet
 
 
 def play(pot, t, theta):
-    return PotentialPlayer(pot).play(t, theta)
+    """The play at round t for the one state theta."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return PotentialPlayer(pot).response(t, theta, norm(theta))
 
 
 class TestOgdPlay:
@@ -134,7 +137,7 @@ class TestMinimaxConsistency:
             theta = r * v / np.linalg.norm(v)
             spec = OneRoundSpec(h=lambda x: pot.radial(t + 1, abs(x)), theta=theta, G=pot.G)
             sol = solve_orthogonal(spec) if pot.regime == ORTHOGONAL else solve_parallel(spec)
-            np.testing.assert_allclose(player.play(t, theta), sol.player_play, atol=1e-8)
+            np.testing.assert_allclose(player.response(t, theta, norm(theta)), sol.player_play, atol=1e-8)
 
 
 class TestIdenticalPlaysAgainstMinimaxAdversary:
