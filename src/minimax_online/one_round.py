@@ -198,9 +198,12 @@ def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
     left_of = np.concatenate((betas[:1], betas[:-1]))[:, None]
     width_of = np.concatenate((betas[1:], betas[-1:]))[:, None] - left_of
 
+    vals = np.empty_like(hvals)  # alpha*beta + h on the beta grid, rewritten at every step
+
     def psi(alpha):
         """The inner max at each row's alpha, and the beta attaining it."""
-        vals = alpha[:, None] * betas + hvals
+        np.multiply(alpha[:, None], betas, out=vals)
+        np.add(vals, hvals, out=vals)
         k = np.argmax(vals, axis=1)
         fine = left_of[k] + width_of[k] * _REFINE
         refined = alpha[:, None] * fine + eval_on_array(h, xmap(r, fine, G))

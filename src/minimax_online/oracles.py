@@ -9,6 +9,7 @@ quadrature.  Tests compare these against the analytic implementations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -180,12 +181,22 @@ class RecursionSpec:
     r_pad: float = 1.0
 
     def __post_init__(self):
+        for name in ("T", "n_r", "grid_n"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.T < 1 or self.T > 6:
             raise ResourceBudgetError("recursion oracle supports 1 <= T <= 6")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if not self.G > 0:
-            raise ValueError("G must be positive")
+        if not 0.0 < self.G < math.inf:
+            raise ValueError("G must be positive and finite")
+        if not 0.0 <= self.r_pad < math.inf:
+            raise ValueError("r_pad must be nonnegative and finite")
+        if self.n_r < 2:
+            raise ValueError("n_r must be >= 2")
+        if self.grid_n < 101:
+            raise ValueError("grid_n must be >= 101")
         if self.n_r > 4097 or self.grid_n > 8193:
             raise ResourceBudgetError("grid resolution beyond the desk-scale budget")
 
@@ -197,20 +208,39 @@ def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
     gradient ball are rotation invariant, so the value depends on theta only
     through its norm; see ``one_round_value_full_2d`` for the empirical
     cross-check of that reduction).  Each stage solves the scalar one-round
-    reduction against the interpolated table at every grid radius at once,
-    with ``one_round.minmax_values``.
+    reduction against the interpolated table of the next stage, at every
+    radius it needs at once, with ``one_round.minmax_values``.
+
+    A stage tabulates only the grid prefix the stage before it reads.  Stage t
+    needs the radii up to the first grid point >= ||theta||.  The solve at
+    radius r reads the next table at xmap(r, beta, G) for beta in [-G, G],
+    which is largest at beta = -G in floating point too, and at r + G (the
+    slope probe), so stage s + 1 needs the radii up to the first grid point
+    >= the larger of the two at stage s's last radius.  Every kernel row
+    depends on its radius alone, and ``np.interp`` on a prefix that covers x
+    returns the bits it returns on the whole grid, so the value is the one
+    every stage solved on the whole grid would give.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if t > spec.T:
-        raise ValueError("t must be <= T")
+    if theta.shape != (spec.dim,) or not np.all(np.isfinite(theta)):
+        raise ValueError(f"theta must be a finite vector of shape ({spec.dim},), got shape {theta.shape}")
+    if not isinstance(t, numbers.Integral) or not 0 <= t <= spec.T:
+        raise ValueError(f"t must be an integer in [0, T={spec.T}], got {t!r}")
     r0 = float(np.linalg.norm(theta))
     r_max = r0 + spec.G * (spec.T - t + 1) + spec.r_pad
     grid = np.linspace(0.0, r_max, spec.n_r)
-    table = eval_on_array(spec.f, grid)
     xmap = plane_distance if spec.dim == 2 else line_distance
-    for _ in range(spec.T - 1, t - 1, -1):
-        table = minmax_values(lambda xs, tab=table: np.interp(xs, grid, tab), xmap, grid, spec.G, spec.grid_n)
-    return float(np.interp(r0, grid, table))
+    rows = [int(np.searchsorted(grid, r0)) + 1]  # rows[k]: the grid points the table of stage t + k needs
+    for _ in range(spec.T - t):
+        r = grid[rows[-1] - 1]
+        reach = max(r + spec.G, float(xmap(r, -spec.G, spec.G)))
+        rows.append(min(spec.n_r, int(np.searchsorted(grid, reach)) + 1))
+    # f on the whole grid (one cheap call): a profile whose bits depend on the array's length cannot move the value
+    table = eval_on_array(spec.f, grid)[:rows[-1]]
+    for n in reversed(rows[:-1]):
+        table = minmax_values(lambda xs, tab=table: np.interp(xs, grid[:tab.size], tab),
+                              xmap, grid[:n], spec.G, spec.grid_n)
+    return float(np.interp(r0, grid[:table.size], table))
 
 
 def one_round_value_full_2d(h, theta, G: float, n_phi: int = 720) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimax_online import (
     PowerPotential,
@@ -11,9 +13,11 @@ from minimax_online import (
     gaussian_dominance_check,
     gaussian_expectation,
     one_round_value_full_2d,
+    oracles,
     rademacher_smoothing_exact,
 )
-from minimax_online._search import finite_difference
+from minimax_online._search import eval_on_array, finite_difference
+from minimax_online.one_round import line_distance, minmax_values, plane_distance
 from minimax_online.oracles import DivergenceError, ResourceBudgetError
 
 
@@ -194,6 +198,81 @@ class TestRecursiveGameValue:
         coarse = conditional_value_recursive(RecursionSpec(f=f, G=1.0, T=2, dim=2, n_r=129), 0, np.zeros(2))
         fine = conditional_value_recursive(RecursionSpec(f=f, G=1.0, T=2, dim=2, n_r=257), 0, np.zeros(2))
         assert abs(coarse - fine) <= 1e-3 * (1.0 + abs(fine))
+
+
+def reference_conditional_value_recursive(spec, t, theta):
+    """Backward induction with every stage solved on the whole radial grid."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    r0 = float(np.linalg.norm(theta))
+    grid = np.linspace(0.0, r0 + spec.G * (spec.T - t + 1) + spec.r_pad, spec.n_r)
+    table = eval_on_array(spec.f, grid)
+    xmap = plane_distance if spec.dim == 2 else line_distance
+    for _ in range(spec.T - 1, t - 1, -1):
+        table = minmax_values(lambda xs, tab=table: np.interp(xs, grid, tab), xmap, grid, spec.G, spec.grid_n)
+    return float(np.interp(r0, grid, table))
+
+
+PROFILES = {
+    "power": lambda c: (lambda x: np.abs(x) ** (1.0 + c) / (1.0 + c)),
+    "exp_quadratic": lambda c: (lambda x: np.exp(np.asarray(x) ** 2 / (4.0 + 8.0 * c))),
+    "hyperbolic": lambda c: (lambda x: np.sqrt(np.asarray(x) ** 2 + 1.0)),
+}
+
+
+class TestReachableRadii:
+    """Each stage solves only the grid prefix the stage before it reads."""
+
+    @given(dim=st.sampled_from([1, 2]), T=st.integers(1, 4), data=st.data(), r0=st.floats(0.0, 4.0),
+           angle=st.floats(0.0, 2.0 * math.pi), G=st.floats(0.2, 2.5), n_r=st.integers(2, 160),
+           grid_n=st.integers(101, 300), r_pad=st.floats(0.0, 2.0),
+           profile=st.sampled_from(sorted(PROFILES)), c=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_whole_grid_bit_for_bit(self, dim, T, data, r0, angle, G, n_r, grid_n, r_pad,
+                                               profile, c):
+        t = data.draw(st.integers(0, T), label="t")
+        theta = [r0 * math.cos(angle), r0 * math.sin(angle)] if dim == 2 else [r0 * math.cos(angle)]
+        spec = RecursionSpec(f=PROFILES[profile](c), G=G, T=T, dim=dim, n_r=n_r, grid_n=grid_n, r_pad=r_pad)
+        assert conditional_value_recursive(spec, t, theta) == reference_conditional_value_recursive(spec, t, theta)
+
+    @pytest.mark.parametrize("dim,T,counts", [(2, 2, [65, 1]), (1, 3, [105, 53, 1])])
+    def test_radii_per_stage_of_the_benchmark_calls(self, monkeypatch, dim, T, counts):
+        seen = []
+
+        def counting(h, xmap, radii, G, grid_n):
+            seen.append(len(radii))
+            return minmax_values(h, xmap, radii, G, grid_n)
+
+        monkeypatch.setattr(oracles, "minmax_values", counting)
+        spec = RecursionSpec(f=lambda x: np.abs(x) ** 1.5 / 1.5, G=1.0, T=T, dim=dim)
+        conditional_value_recursive(spec, 0, np.zeros(dim))
+        assert seen == counts
+
+
+class TestRecursionValidation:
+    SPEC = dict(f=lambda x: np.abs(x) ** 1.5 / 1.5, G=1.0, T=2, dim=2)
+
+    @pytest.mark.parametrize("t", [-1, 3, 1.0])
+    def test_rejects_a_bad_round(self, t):
+        with pytest.raises(ValueError):
+            conditional_value_recursive(RecursionSpec(**self.SPEC), t, np.zeros(2))
+
+    @pytest.mark.parametrize("theta", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), [math.nan, 0.0],
+                                       [math.inf, 0.0]], ids=["3-vector", "1-vector", "matrix", "nan", "inf"])
+    def test_rejects_a_state_of_the_wrong_shape_or_not_finite(self, theta):
+        with pytest.raises(ValueError):
+            conditional_value_recursive(RecursionSpec(**self.SPEC), 0, theta)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_r", 1), ("n_r", 65.0), ("grid_n", 1), ("grid_n", 100), ("r_pad", -0.9), ("r_pad", -5.0),
+        ("r_pad", math.inf), ("r_pad", math.nan), ("G", math.inf), ("G", math.nan), ("G", 0.0), ("T", 2.5),
+    ])
+    def test_spec_rejects_a_bad_value(self, field, value):
+        with pytest.raises(ValueError):
+            RecursionSpec(**{**self.SPEC, field: value})
+
+    def test_smallest_grids_accepted(self):
+        spec = RecursionSpec(**self.SPEC, n_r=2, grid_n=101, r_pad=0.0)
+        assert math.isfinite(conditional_value_recursive(spec, 0, np.zeros(2)))
 
 
 class TestRadialReductionValidation:
