@@ -351,7 +351,8 @@ def write_trace_csv(trace: Trace, path) -> None:
         map(str, range(1, trace.n_rounds + 1)),
         map(repr, trace.losses.tolist()),
         map(repr, (0.0 - np.cumsum(trace.losses)).tolist()),  # 0.0 - keeps row 1 at 0.0, not -0.0
-        (repr(math.sqrt(row.dot(row))) for row in trace.theta),  # np.linalg.norm's own steps for a 1-D row
+        # np.linalg.norm's own steps for a 1-D row: matmul of a (1, d) by a (d, 1) matrix is that dot
+        map(repr, np.sqrt(np.matmul(trace.theta[:, None, :], trace.theta[:, :, None])).ravel().tolist()),
         [""] * trace.n_rounds if trace.eps is None else map(repr, trace.eps.tolist()),
     ]
     if d <= MAX_COORD_COLUMNS:

@@ -259,8 +259,8 @@ class TestMinmaxKernel:
     @pytest.mark.parametrize("h", [lambda x: np.abs(x) ** 1.5, lambda x: np.exp(x * x / 8.0), np.abs],
                              ids=["power", "exponential", "linear"])
     def test_h_calls_per_solve(self, h):
-        # one table of h on the beta grid, one slope probe, and one refinement
-        # per halving of the alpha bracket: at most 38 halvings
+        # one table of h on the beta grid, one slope probe, and one refinement per
+        # evaluated alpha; bisection alone takes 38 evaluations on these cases
         calls = 0
 
         def counted(x):
@@ -271,7 +271,54 @@ class TestMinmaxKernel:
         for theta, G in ((np.zeros(2), 1.0), (np.array([1.5, -0.5]), 0.8), (np.array([6.0, 2.0]), 2.0)):
             calls = 0
             solve_scalar_grid(OneRoundSpec(h=counted, theta=theta, G=G))
-            assert calls <= 41, (theta, G, calls)
+            assert calls <= 20, (theta, G, calls)
+
+    @given(**KERNEL_CASES)
+    @settings(max_examples=50, deadline=None)
+    def test_h_calls_within_the_safeguard_bound(self, radii, G, grid_n, p, xmap):
+        # per block: two tables, then at most two evaluations per halving of [-L, L] (a cut
+        # that does not halve it is followed by a midpoint), 38 halvings to reach tol, and
+        # one last cut
+        calls = 0
+
+        def h(x):
+            nonlocal calls
+            calls += 1
+            return np.abs(x) ** p / p
+
+        minmax_values(h, xmap, radii, G, grid_n)
+        assert calls <= math.ceil(len(radii) / BLOCK) * (2 + 2 * 38 + 1), calls
+
+
+class TestKernelInputs:
+    """Inputs the kernel cannot solve raise, and a NaN payoff is NaN, never a silent inf."""
+
+    @pytest.mark.parametrize("theta", [[np.nan, 0.0], [np.inf, 1.0], [-np.inf]])
+    def test_spec_rejects_a_theta_that_is_not_finite(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            OneRoundSpec(h=np.abs, theta=np.array(theta), G=1.0)
+
+    def test_spec_rejects_a_G_that_is_not_finite(self):
+        with pytest.raises(ValueError, match="G"):
+            OneRoundSpec(h=np.abs, theta=np.zeros(2), G=np.inf)
+
+    @pytest.mark.parametrize("radii", [[-0.5], [1.0, -1e-300], [np.inf], [0.0, np.nan]])
+    def test_kernel_rejects_radii_that_are_not_finite_and_nonnegative(self, radii):
+        with pytest.raises(ValueError, match="radii"):
+            minmax_values(np.abs, plane_distance, radii, 1.0, 101)
+
+    @pytest.mark.parametrize("G", [np.inf, np.nan, 0.0, -1.0])
+    def test_kernel_rejects_a_G_that_is_not_finite_and_positive(self, G):
+        with pytest.raises(ValueError, match="G"):
+            minmax_values(np.abs, plane_distance, [1.0], G, 101)
+
+    @pytest.mark.parametrize("h", [lambda x: np.full_like(x, np.nan),
+                                   lambda x: np.where(np.abs(x - 1.3) < 0.05, np.nan, x * x)],
+                             ids=["everywhere", "near_x_1.3"])
+    def test_a_nan_payoff_gives_nan(self, h):
+        assert math.isnan(solve_scalar_grid(OneRoundSpec(h=h, theta=np.array([1.0, 0.0]), G=1.0)))
+        got = minmax_values(h, line_distance, [0.0, 1.0, 4.0], 1.0, 101)
+        assert math.isnan(got[1]), got
 
 
 class TestLowerBound:
