@@ -466,8 +466,9 @@ def cmd_curves(args) -> int:
         print(f"error: {meta_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     u_norms = [float(np.linalg.norm(u)) for u in comparators]
-    # "<bound_u>,<u_norm>\n" per round, once per (strategy entry, comparator, T)
-    tails = {}
+    # "<bound_u>,<u_norm>\n" per round, once per (comparator, T) of one strategy entry at a
+    # time: the traces are sorted, so the run_sN-* files of entry sN are contiguous
+    tails, tails_entry = {}, None
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")  # a failed call leaves no partial curves.csv
     try:
@@ -486,8 +487,10 @@ def cmd_curves(args) -> int:
                     print(f"error: {path}: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
                 T = trace.n_rounds
+                if entry != tails_entry:
+                    tails, tails_entry = {}, entry
                 for ci, (u, u_norm) in enumerate(zip(comparators, u_norms)):
-                    key = (entry, ci, T)
+                    key = (ci, T)
                     if key not in tails:
                         tails[key] = [f"{regret_bound(potentials[entry], u_norm, t)!r},{u_norm!r}\n"
                                       for t in range(1, T + 1)]

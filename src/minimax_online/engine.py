@@ -32,7 +32,10 @@ by a few ulps.
 
 A JSON trace stores g but not theta: theta is -cumsum(g), and
 ``read_trace_json`` rebuilds it with the engine's own ``_states``, bit for
-bit.  ``write_trace_json`` refuses a trace whose theta is anything else.
+bit.  ``write_trace_json`` refuses a trace whose theta is anything else, and
+one holding a float JSON has no spelling for (inf, nan).  It encodes with
+orjson, imported on its first call; the reader stays on the stdlib ``json``,
+so only a run that writes JSON traces loads orjson.
 """
 
 from __future__ import annotations
@@ -422,13 +425,22 @@ def trace_from_dict(data: dict) -> Trace:
 
 
 def write_trace_json(trace: Trace, path) -> None:
-    """The trace without theta, which must be -cumsum(g) (as every engine
-    trace's is), else ValueError: a JSON trace rebuilds theta from g."""
+    """The trace without theta, in one orjson call: compact separators, and
+    each float as the shortest text that reads back to it (``1e-7``, not
+    ``1e-07``).  theta must be -cumsum(g), as every engine trace's is, since a
+    JSON trace rebuilds it from g; and w, g, losses and eps must be finite,
+    since JSON has no inf or nan.  Else ValueError, and no file is written."""
+    import orjson  # here, so that a sweep without JSON traces never loads it
+
+    for key in ("w", "g", "losses", "eps"):
+        values = getattr(trace, key)
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(f"{key!r} holds inf or nan, which a JSON trace cannot store")
     if not np.array_equal(trace.theta, _json_states(trace.g), equal_nan=True):
         raise ValueError("trace.theta is not -cumsum(g), and a JSON trace does not store it")
-    text = json.dumps(trace_to_dict(trace))  # one call: the C encoder, not the per-item one
-    with open(path, "w") as fh:
-        fh.write(text)
+    data = orjson.dumps(trace_to_dict(trace), option=orjson.OPT_SERIALIZE_NUMPY)  # numpy scalars in a config
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_trace_json(path) -> Trace:

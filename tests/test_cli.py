@@ -552,24 +552,48 @@ def run_child(code, *args):
     return proc.stdout
 
 
-class TestColdStart:
-    def test_sweeps_and_referee_never_load_scipy_or_a_process_pool(self, tmp_path):
-        run_child("""
-import sys
+REFEREE_CALLS = """
 import numpy as np
-from minimax_online import cli, one_round, oracles
-spec, out = sys.argv[1:]
-assert cli.main(["run", "--spec", spec, "--out", out]) == 0
-assert cli.main(["curves", out]) == 0
+from minimax_online import one_round, oracles
 f = lambda x: np.abs(x) ** 1.5 / 1.5
 oracles.conditional_value_recursive(oracles.RecursionSpec(f=f, G=1.0, T=2, dim=1, n_r=65, grid_n=129), 0, [0.0])
 one = one_round.OneRoundSpec(h=lambda x: (x * x + 1.0) ** 0.75 / 1.5, theta=[1.0, 0.5], G=1.0)
 one_round.solve_scalar_grid(one)
 one_round.solve_orthogonal(one)
+"""
+
+
+class TestColdStart:
+    def test_sweeps_and_referee_never_load_scipy_or_a_process_pool(self, tmp_path):
+        run_child("""
+import sys
+from minimax_online import cli
+spec, out = sys.argv[1:]
+assert cli.main(["run", "--spec", spec, "--out", out]) == 0
+assert cli.main(["curves", out]) == 0
+""" + REFEREE_CALLS + """
 loaded = [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
 assert not loaded, loaded
 """, ROOT / "scripts" / "specs" / "minimal.yaml", tmp_path / "out")
         assert (tmp_path / "out" / "curves.csv").exists()
+
+    def test_only_writing_a_json_trace_loads_orjson(self, tmp_path):
+        # curves reads JSON traces with the stdlib json, so reading loads no orjson
+        spec = ROOT / "scripts" / "specs" / "minimal.yaml"
+        assert main(["run", "--spec", str(spec), "--format", "json", "--out", str(tmp_path / "traces")]) == 0
+        run_child("""
+import sys
+from minimax_online import cli
+spec, traces, out = sys.argv[1:]
+assert cli.main(["run", "--spec", spec, "--format", "csv", "--out", out + "/csv"]) == 0
+assert cli.main(["curves", traces, "--out", out + "/curves.csv"]) == 0
+assert cli.main(["verify", "--lemma", "one-round"]) == 0
+""" + REFEREE_CALLS + """
+assert "orjson" not in sys.modules
+assert cli.main(["run", "--spec", spec, "--format", "json", "--out", out + "/json"]) == 0
+assert "orjson" in sys.modules
+""", spec, tmp_path / "traces", tmp_path)
+        assert (tmp_path / "curves.csv").exists() and list((tmp_path / "json").glob("run_*.json"))
 
     def test_quadrature_fallback_imports_scipy_when_it_runs(self):
         out = run_child("""

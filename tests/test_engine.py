@@ -481,49 +481,85 @@ def reference_write_trace_csv(trace, path):
             writer.writerow(row)
 
 
-def reference_write_trace_json(trace, path):
-    """The streaming ``json.dump`` writer the one-call one must match byte for byte."""
-    with open(path, "w") as fh:
-        json.dump(trace_to_dict(trace), fh)
-
-
-def extreme_trace():
-    """Hand-built d = 2 trace holding signed zeros, subnormals, huge values, inf and nan."""
-    specials = [-0.0, 5e-324, 1e300, math.inf, math.nan, 0.0, -1e300, -math.inf]
-    losses = np.array(specials)
-    w = np.array([specials, specials[::-1]]).T.copy()
-    g = np.array([specials[3:] + specials[:3], specials[::2] + specials[1::2]]).T.copy()
-    with np.errstate(invalid="ignore"):  # inf - inf
+def special_trace(specials):
+    """Hand-built d = 2 trace whose w, g, losses and eps each hold every float of specials."""
+    losses = np.array(specials, dtype=np.float64)
+    w = np.array([specials, specials[::-1]], dtype=np.float64).T.copy()
+    g = np.array([specials[3:] + specials[:3], specials[::2] + specials[1::2]], dtype=np.float64).T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # max + max, inf - inf
         theta = _states(g)  # what a JSON trace rebuilds
-    cfg = GameConfig(dim=2, grad_bound=1.0, horizon=len(specials), seed=0)
+    cfg = GameConfig(dim=2, grad_bound=1.0, horizon=max(len(specials), 1), seed=0)
     return Trace(cfg, "stub", "stub", w, g, theta, losses, eps=losses[::-1].copy())
 
 
-WRITER_CASES = {
+EXTREME_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e-7, 1e-5, 1e16, 0.0]
+
+
+def extreme_trace():
+    """Signed zeros, the smallest subnormal and normal, huge values, and the
+    floats whose JSON spelling is not their repr."""
+    return special_trace(EXTREME_FLOATS)
+
+
+def nonfinite_trace():
+    """extreme_trace's shape, with inf, nan and -inf in w, g, losses and eps."""
+    return special_trace(EXTREME_FLOATS[:-3] + [math.inf, math.nan, -math.inf])
+
+
+WRITER_CASES = {  # every trace a JSON trace can store
     "d2_ledger": lambda: attach_epsilon(small_trace(rounds=40), QuadraticPotential(eta=0.2, G=1.0)),
     "d9": lambda: small_trace(seed=3, rounds=25, dim=9),
     "eps_none": lambda: small_trace(seed=5, rounds=25),
     "zero_rounds": lambda: run_game(ogd(0.2), GaussianRandom(G=1.0),
                                     GameConfig(dim=2, grad_bound=1.0, seed=0), 0),
     "extreme": extreme_trace,
+    "numpy_config": lambda: run_game(ogd(0.2), GaussianRandom(G=1.0),
+                                     GameConfig(dim=2, grad_bound=np.float64(1.0), horizon=8, seed=1), 8),
 }
+ALL_CASES = {**WRITER_CASES, "nonfinite": nonfinite_trace}
+
+
+def assert_same_trace(back, trace):
+    assert back.config == trace.config
+    assert (back.strategy_tag, back.adversary_tag) == (trace.strategy_tag, trace.adversary_tag)
+    for name, value in fields_of(trace).items():  # tobytes: the sign of every zero too
+        if value is None:
+            assert getattr(back, name) is None, name
+        else:
+            assert getattr(back, name).tobytes() == value.tobytes(), name
 
 
 class TestWriterBytes:
-    @pytest.mark.parametrize("case", list(WRITER_CASES))
+    @pytest.mark.parametrize("case", list(ALL_CASES))
     def test_csv_matches_reference(self, tmp_path, case):
-        trace = WRITER_CASES[case]()
+        trace = ALL_CASES[case]()
         with np.errstate(all="ignore"):
             reference_write_trace_csv(trace, tmp_path / "ref.csv")
             write_trace_csv(trace, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("case", list(WRITER_CASES))
-    def test_json_matches_reference(self, tmp_path, case):
+    def test_json_reads_back_bit_for_bit(self, tmp_path, case):
         trace = WRITER_CASES[case]()
-        reference_write_trace_json(trace, tmp_path / "ref.json")
-        write_trace_json(trace, tmp_path / "out.json")
-        assert (tmp_path / "out.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        path = tmp_path / "out.json"
+        write_trace_json(trace, path)
+        data, ref = json.loads(path.read_text()), trace_to_dict(trace)
+        assert list(data) == ["config", "strategy_tag", "adversary_tag", "w", "g", "losses", "eps"]
+        assert list(data["config"]) == ["dim", "grad_bound", "horizon", "seed"]
+        assert data == ref
+        for key in ("w", "g", "losses", "eps"):  # tobytes: the sign of every zero too
+            if ref[key] is not None:
+                assert np.array(data[key]).tobytes() == np.array(ref[key]).tobytes(), key
+        assert_same_trace(read_trace_json(path), trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+    def test_json_round_trip_of_finite_floats(self, tmp_path_factory, floats):
+        trace = special_trace(floats)
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        write_trace_json(trace, path)
+        assert_same_trace(read_trace_json(path), trace)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30))
@@ -571,29 +607,26 @@ class TestSerialization:
                 for name, value in fields_of(trace).items():  # tobytes: the sign of every zero too
                     assert getattr(back, name).tobytes() == value.tobytes(), (name, d, k)
 
-    def test_json_keys_are_the_documented_ones(self, tmp_path):
-        path = tmp_path / "trace.json"
-        write_trace_json(attach_epsilon(small_trace(rounds=5), QuadraticPotential(eta=0.2, G=1.0)), path)
-        data = json.loads(path.read_text())
-        assert list(data) == ["config", "strategy_tag", "adversary_tag", "w", "g", "losses", "eps"]
-        assert list(data["config"]) == ["dim", "grad_bound", "horizon", "seed"]
-
-    @pytest.mark.parametrize("case", ["d2_ledger", "zero_rounds", "extreme"])
+    @pytest.mark.parametrize("case", ["d2_ledger", "zero_rounds", "extreme", "nonfinite"])
     def test_a_file_with_theta_reads_the_same(self, tmp_path, case):
-        # files written before theta was dropped hold it between g and losses
-        trace = WRITER_CASES[case]()
+        # files written by json.dumps before theta was dropped hold it between g
+        # and losses, and NaN or Infinity where the trace held nan or inf
+        trace = ALL_CASES[case]()
         items = list(trace_to_dict(trace).items())
         data = dict(items[:5] + [("theta", trace.theta.tolist())] + items[5:])
         (tmp_path / "old.json").write_text(json.dumps(data))
-        write_trace_json(trace, tmp_path / "new.json")
-        old, new = read_trace_json(tmp_path / "old.json"), read_trace_json(tmp_path / "new.json")
-        assert old.config == new.config == trace.config
-        for name, value in fields_of(trace).items():
-            got = [getattr(old, name), getattr(new, name)]
-            if value is None:
-                assert got == [None, None], name
-            else:
-                assert got[0].tobytes() == got[1].tobytes() == value.tobytes(), name
+        assert_same_trace(read_trace_json(tmp_path / "old.json"), trace)
+
+    @pytest.mark.parametrize("key", ["w", "g", "losses", "eps"])
+    def test_write_refuses_a_non_finite_float(self, tmp_path, key):
+        trace, bad = extreme_trace(), nonfinite_trace()
+        setattr(trace, key, getattr(bad, key))
+        if key == "g":
+            trace.theta = bad.theta
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError, match=f"'{key}' holds inf or nan"):
+            write_trace_json(trace, path)
+        assert not path.exists()
 
     def test_write_refuses_a_theta_that_is_not_minus_cumsum_g(self, tmp_path):
         trace = small_trace(rounds=6)
