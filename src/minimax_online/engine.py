@@ -33,9 +33,10 @@ by a few ulps.
 A JSON trace stores g but not theta: theta is -cumsum(g), and
 ``read_trace_json`` rebuilds it with the engine's own ``_states``, bit for
 bit.  ``write_trace_json`` refuses a trace whose theta is anything else, and
-one holding a float JSON has no spelling for (inf, nan).  It encodes with
-orjson, imported on its first call; the reader stays on the stdlib ``json``,
-so only a run that writes JSON traces loads orjson.
+one holding a float JSON has no spelling for (inf, nan).  Both trace writers
+encode with orjson, imported on the first write: the JSON writer in its own
+spelling, the CSV writer respelled as ``repr``'s, byte for byte.  The reader
+stays on the stdlib ``json``, so only a run that writes traces loads orjson.
 """
 
 from __future__ import annotations
@@ -347,24 +348,92 @@ MAX_COORD_COLUMNS = 8
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Rows end in CR LF, floats are written as ``repr`` (shortest round trip)
-    and ``eps_t`` is empty without a ledger; no field ever needs quoting."""
+    and ``eps_t`` is empty without a ledger; no field ever needs quoting.
+
+    The rows come from one orjson call on the (T, k) float columns: orjson
+    writes the same shortest round-trip digits as ``repr``, and
+    ``_repr_rows`` turns its spelling into ``repr``'s."""
     d = trace.config.dim
     header = list(CSV_BASE_COLUMNS)
-    columns = [
-        map(str, range(1, trace.n_rounds + 1)),
-        map(repr, trace.losses.tolist()),
-        map(repr, (0.0 - np.cumsum(trace.losses)).tolist()),  # 0.0 - keeps row 1 at 0.0, not -0.0
-        # np.linalg.norm's own steps for a 1-D row: matmul of a (1, d) by a (d, 1) matrix is that dot
-        map(repr, np.sqrt(np.matmul(trace.theta[:, None, :], trace.theta[:, :, None])).ravel().tolist()),
-        [""] * trace.n_rounds if trace.eps is None else map(repr, trace.eps.tolist()),
-    ]
     if d <= MAX_COORD_COLUMNS:
         header += [f"w_{i}" for i in range(d)] + [f"g_{i}" for i in range(d)]
-        columns += [map(repr, col) for col in trace.w.T.tolist()]
-        columns += [map(repr, col) for col in trace.g.T.tolist()]
-    lines = [",".join(header), *map(",".join, zip(*columns))]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        if trace.n_rounds:
+            fh.write(b"1,")
+            fh.write(memoryview(_repr_rows(trace, len(header) - 1))[2:-2])  # less orjson's [[ and ]]
+            fh.write(b"\r\n")
+
+
+def _repr_rows(trace: Trace, k: int) -> bytes:
+    """orjson's ``[[...],...,[...]]`` of the k float columns of trace's CSV
+    rows, with every float spelled as its ``repr`` and every ``],[`` as CR LF
+    and the next row's round.
+
+    orjson and ``repr`` spell a float alike but for three cases.  A float
+    with |x| >= 1e16 is ``1e16`` to orjson and ``1e+16`` to ``repr``: one
+    pass over the buffer adds the ``+``.  A float with 1e-9 <= |x| < 1e-4 is
+    ``0.0000123`` or ``1.2e-7`` to orjson, and inf and nan are ``null``: these
+    (and an empty ``eps_t``) go in as ``null``, then as ``%b`` placeholders;
+    the rounds go in as ``%d``, and one ``%`` call fills both."""
+    import orjson  # here, so that importing the engine never loads it
+
+    T, d = trace.n_rounds, trace.config.dim
+    table = np.empty((T, k))
+    table[:, 0] = trace.losses
+    table[:, 1] = 0.0 - np.cumsum(trace.losses)  # 0.0 - keeps row 1 at 0.0, not -0.0
+    # np.linalg.norm's own steps for a 1-D row: matmul of a (1, d) by a (d, 1) matrix is that dot
+    table[:, 2] = np.sqrt(np.matmul(trace.theta[:, None, :], trace.theta[:, :, None])).ravel()
+    table[:, 3] = np.nan if trace.eps is None else trace.eps
+    if k > 4:
+        table[:, 4:4 + d] = trace.w
+        table[:, 4 + d:] = trace.g
+    mag = np.abs(table)
+    odd = ((mag >= 1e-9) & (mag < 1e-4)) | ~np.isfinite(mag)
+    big = bool(np.any(mag >= 1e16))
+    tiny = big and bool(np.any((mag > 0) & (mag < 1e-9)))  # 1e-10 to both: the + comes off again
+    del mag
+    slots = np.zeros((T, k + 1), dtype=bool)  # in buffer order: a row's round, then its odd floats
+    slots[1:, 0] = True
+    slots[:, 1:] = odd
+    column = np.nonzero(slots)[1]
+    del slots
+    fills = np.empty(column.size, dtype=object)
+    fills[column == 0] = range(2, T + 1)
+    fills[column > 0] = _odd_reprs(table[odd], blank=(trace.eps is None) & (column[column > 0] == 4))
+    table[odd] = np.nan  # orjson writes null
+    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
+    del table  # each pass below copies the rows; hold no more than it needs
+    if big:
+        rows = rows.replace(b"e", b"e+")
+        if tiny:
+            rows = rows.replace(b"e+-", b"e-")
+    rows = rows.replace(b"null", b"%b")
+    rows = rows.replace(b"],[", b"\r\n%d,")
+    return rows % tuple(fills)
+
+
+def _odd_reprs(values: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """The ``repr`` bytes of values, each with 1e-9 <= |x| < 1e-4 or not
+    finite, as an object array; empty where blank.  A float that orjson spells
+    ``0.0000123`` or ``1.2e-7`` goes through orjson and byte edits, for speed:
+    the sweeps hold tens of thousands of them."""
+    import orjson
+
+    texts = np.full(values.size, b"", dtype=object)
+    mag = np.abs(values)
+    fixed, short = (mag >= 1e-5) & (mag < 1e-4), mag < 1e-5
+    if fixed.any():  # 0.0000123 -> #123 -> 1.23 -> 1.23e-05
+        text = orjson.dumps(values[fixed], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"0.0000", b"#")
+        for digit in b"123456789":
+            text = text.replace(b"#%c" % digit, b"%c." % digit)
+        texts[fixed] = (text.replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e").split(b",")
+    if short.any():  # 1.2e-7 -> 1.2e-07
+        texts[short] = orjson.dumps(values[short], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(
+            b"e-", b"e-0").split(b",")
+    rest = ~(fixed | short | blank)  # inf, -inf, nan
+    texts[rest] = [repr(x).encode() for x in values[rest].tolist()]
+    return texts
 
 
 def trace_to_dict(trace: Trace) -> dict:

@@ -577,23 +577,27 @@ assert not loaded, loaded
 """, ROOT / "scripts" / "specs" / "minimal.yaml", tmp_path / "out")
         assert (tmp_path / "out" / "curves.csv").exists()
 
-    def test_only_writing_a_json_trace_loads_orjson(self, tmp_path):
-        # curves reads JSON traces with the stdlib json, so reading loads no orjson
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_only_writing_a_trace_loads_orjson(self, tmp_path, fmt):
+        # both trace writers encode with orjson; curves reads JSON traces with the
+        # stdlib json, so importing the CLI, reading a spec or traces, verify and
+        # the referee load no orjson
         spec = ROOT / "scripts" / "specs" / "minimal.yaml"
         assert main(["run", "--spec", str(spec), "--format", "json", "--out", str(tmp_path / "traces")]) == 0
         run_child("""
 import sys
 from minimax_online import cli
-spec, traces, out = sys.argv[1:]
-assert cli.main(["run", "--spec", spec, "--format", "csv", "--out", out + "/csv"]) == 0
+spec, traces, out, fmt = sys.argv[1:]
+assert "orjson" not in sys.modules
+cli.parse_experiment_spec(spec)
 assert cli.main(["curves", traces, "--out", out + "/curves.csv"]) == 0
 assert cli.main(["verify", "--lemma", "one-round"]) == 0
 """ + REFEREE_CALLS + """
 assert "orjson" not in sys.modules
-assert cli.main(["run", "--spec", spec, "--format", "json", "--out", out + "/json"]) == 0
+assert cli.main(["run", "--spec", spec, "--format", fmt, "--out", out + "/run"]) == 0
 assert "orjson" in sys.modules
-""", spec, tmp_path / "traces", tmp_path)
-        assert (tmp_path / "curves.csv").exists() and list((tmp_path / "json").glob("run_*.json"))
+""", spec, tmp_path / "traces", tmp_path, fmt)
+        assert (tmp_path / "curves.csv").exists() and list((tmp_path / "run").glob(f"run_*.{fmt}"))
 
     def test_quadrature_fallback_imports_scipy_when_it_runs(self):
         out = run_child("""

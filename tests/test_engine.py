@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minimax_online import (
@@ -507,6 +507,33 @@ def nonfinite_trace():
     return special_trace(EXTREME_FLOATS[:-3] + [math.inf, math.nan, -math.inf])
 
 
+def float_trace(floats, d, with_eps):
+    """Hand-built trace of T = len(floats) rounds in d dimensions whose w, g,
+    losses and (with_eps) eps each hold every float of floats."""
+    x = np.array(floats, dtype=np.float64)
+    T = x.size
+    w = np.resize(x, T * d).reshape(T, d)
+    g = np.resize(x[::-1], T * d).reshape(T, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _states(g)
+    cfg = GameConfig(dim=d, grad_bound=1.0, horizon=max(T, 1), seed=0)
+    return Trace(cfg, "stub", "stub", w, g, theta, x, eps=x[::-1].copy() if with_eps else None)
+
+
+# the floats on each side of a spelling boundary of the CSV writer (orjson
+# spells 1e-9 <= |x| < 1e-5 as 1.2e-7, 1e-5 <= |x| < 1e-4 as 0.0000123, and
+# |x| >= 1e16 as 1e16), and the smallest subnormal
+SPELLING_BOUNDARIES = [x for b in (1e-9, 1e-5, 1e-4, 1e16) for x in (b, float(np.nextafter(b, 0.0)))] + [5e-324]
+
+
+def at_spelling_boundaries(test):
+    """An @example of each float of SPELLING_BOUNDARIES and its negative at
+    d = 2 with a ledger, and one of all of them at d = 9 without."""
+    for x in SPELLING_BOUNDARIES:
+        test = example(floats=[x, -x], d=2, with_eps=True)(test)
+    return example(floats=SPELLING_BOUNDARIES, d=9, with_eps=False)(test)
+
+
 WRITER_CASES = {  # every trace a JSON trace can store
     "d2_ledger": lambda: attach_epsilon(small_trace(rounds=40), QuadraticPotential(eta=0.2, G=1.0)),
     "d9": lambda: small_trace(seed=3, rounds=25, dim=9),
@@ -560,6 +587,40 @@ class TestWriterBytes:
         path = tmp_path_factory.mktemp("json") / "out.json"
         write_trace_json(trace, path)
         assert_same_trace(read_trace_json(path), trace)
+
+    @settings(max_examples=300, deadline=None)
+    @given(floats=st.lists(st.floats(width=64), max_size=30), d=st.sampled_from([2, 9]), with_eps=st.booleans())
+    @at_spelling_boundaries
+    def test_csv_matches_reference_on_any_floats(self, tmp_path_factory, floats, d, with_eps):
+        # st.floats draws nan, inf, subnormals and -0.0 too
+        tmp_path = tmp_path_factory.mktemp("any")
+        trace = float_trace(floats, d, with_eps)
+        with np.errstate(all="ignore"):
+            reference_write_trace_csv(trace, tmp_path / "ref.csv")
+            write_trace_csv(trace, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("a_tag", ADVERSARY_TAGS)
+    @pytest.mark.parametrize("s_tag", STRATEGY_TAGS)
+    def test_csv_of_engine_traces_matches_reference(self, tmp_path, s_tag, a_tag):
+        for d in (2, 9):
+            player, adversary, configs = lockstep_group(s_tag, a_tag, d, 40, range(2))
+            for k, trace in enumerate(run_games(player, adversary, configs, 40)):
+                if k:  # run 0 keeps no ledger, so its eps_t is empty
+                    attach_epsilon(trace, player.potential)
+                reference_write_trace_csv(trace, tmp_path / "ref.csv")
+                write_trace_csv(trace, tmp_path / "out.csv")
+                assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), (d, k)
+
+    def test_csv_of_a_long_adaptive_run_matches_reference(self, tmp_path):
+        # adaptive_normal against fixed_direction: |w| passes 1e16 within 1000 rounds
+        player, adversary, configs = lockstep_group("adaptive_normal", "fixed_direction", 4, 1000, range(2))
+        for k, trace in enumerate(run_games(player, adversary, configs, 1000)):
+            attach_epsilon(trace, player.potential)
+            assert np.abs(trace.w).max() > 1e16
+            reference_write_trace_csv(trace, tmp_path / "ref.csv")
+            write_trace_csv(trace, tmp_path / "out.csv")
+            assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), k
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30))
