@@ -42,7 +42,7 @@ from . import strategies as strat_mod
 from .core import GameConfig, UNKNOWN_HORIZON, make_rng, random_unit_vector
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
 from .engine import (attach_epsilon, regret_bound, run_game, run_games, verify_bound,  # noqa: F401
-                     write_trace_csv, write_trace_json, read_trace_json)
+                     write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
 from .one_round import ORTHOGONAL, PARALLEL
 from .potentials import AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential
 
@@ -375,26 +375,29 @@ def cmd_run(args) -> int:
                         "status": "error", "message": message} for k in range(spec.repeats)]
 
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w") as fh:
-        cols = ["run_id", "strategy", "adversary", "seed", "u_norm", "direction_seed",
-                "regret", "bound", "slack", "holds"]
-        fh.write(",".join(cols) + "\n")
-        for row in all_rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
-
+    cols = ["run_id", "strategy", "adversary", "seed", "u_norm", "direction_seed",
+            "regret", "bound", "slack", "holds"]
     n_runs = len(groups) * spec.repeats
     violations = [row for row in all_rows if not row["holds"]]
-    with open(out_dir / "verdict.json", "w") as fh:
-        json.dump({"all_hold": not violations and not errors, "n_runs": n_runs, "n_checks": len(all_rows),
-                   "violations": violations, "errors": errors}, fh, indent=2)
-    with open(out_dir / "sweep.json", "w") as fh:
-        json.dump({
+    files = {
+        summary_path: "\n".join([",".join(cols)] + [",".join(str(row[c]) for c in cols) for row in all_rows]) + "\n",
+        out_dir / "verdict.json": json.dumps({
+            "all_hold": not violations and not errors, "n_runs": n_runs, "n_checks": len(all_rows),
+            "violations": violations, "errors": errors}, indent=2),
+        out_dir / "sweep.json": json.dumps({
             "game": {"dim": spec.game.dim, "grad_bound": spec.game.grad_bound,
                      "horizon": spec.game.horizon, "seed": spec.game.seed},
             "strategies": spec.strategies, "adversaries": spec.adversaries,
             "comparators": spec.comparators, "rounds": spec.rounds,
             "format": spec.out_format, "repeats": spec.repeats,
-        }, fh, indent=2)
+        }, indent=2),
+    }
+    for path, text in files.items():
+        try:
+            path.write_text(text)
+        except OSError as exc:  # like an unwritable --out: a config error, not a bound violation
+            print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
     print(f"{n_runs} runs, {len(all_rows)} bound checks, "
           f"{len(violations)} violations -> {summary_path}")
@@ -466,14 +469,14 @@ def cmd_curves(args) -> int:
         print(f"error: {meta_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     u_norms = [float(np.linalg.norm(u)) for u in comparators]
-    # "<bound_u>,<u_norm>\n" per round, once per (comparator, T) of one strategy entry at a
-    # time: the traces are sorted, so the run_sN-* files of entry sN are contiguous
-    tails, tails_entry = {}, None
+    # bound_u per round, once per (comparator, T) of one strategy entry at a time: the
+    # traces are sorted, so the run_sN-* files of entry sN are contiguous
+    bounds, bounds_entry = {}, None
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")  # a failed call leaves no partial curves.csv
     try:
-        with open(tmp_path, "w") as fh:
-            fh.write("t,run_id,regret_u,bound_u,u_norm\n")
+        with open(tmp_path, "wb") as fh:
+            fh.write(b"t,run_id,regret_u,bound_u,u_norm\n")
             for path in traces:
                 run_id = path.stem[len("run_"):]
                 entry = run_id.split("-", 1)[0]
@@ -487,17 +490,17 @@ def cmd_curves(args) -> int:
                     print(f"error: {path}: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
                 T = trace.n_rounds
-                if entry != tails_entry:
-                    tails, tails_entry = {}, entry
+                if entry != bounds_entry:
+                    bounds, bounds_entry = {}, entry
                 for ci, (u, u_norm) in enumerate(zip(comparators, u_norms)):
-                    key = (ci, T)
-                    if key not in tails:
-                        tails[key] = [f"{regret_bound(potentials[entry], u_norm, t)!r},{u_norm!r}\n"
-                                      for t in range(1, T + 1)]
-                    per_round = np.einsum("td,td->t", trace.g, trace.w - u[None, :])
-                    cumulative = np.cumsum(per_round).tolist()
-                    fh.write("".join([f"{t},{run_id},{r!r},{tail}" for t, r, tail
-                                      in zip(range(1, T + 1), cumulative, tails[key])]))
+                    if (ci, T) not in bounds:
+                        bounds[ci, T] = np.array([regret_bound(potentials[entry], u_norm, t)
+                                                  for t in range(1, T + 1)], dtype=np.float64)
+                    table = np.empty((T, 3))
+                    table[:, 0] = np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u[None, :]))
+                    table[:, 1] = bounds[ci, T]
+                    table[:, 2] = u_norm
+                    write_repr_rows(fh, table, range(1, T + 1), b"\n", const=run_id)
         os.replace(tmp_path, out_path)
     except OSError as exc:  # the output location cannot be written; a trace read error returned above
         print(f"error: {out_path}: {exc.strerror or exc}", file=sys.stderr)

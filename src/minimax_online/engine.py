@@ -35,8 +35,11 @@ A JSON trace stores g but not theta: theta is -cumsum(g), and
 bit.  ``write_trace_json`` refuses a trace whose theta is anything else, and
 one holding a float JSON has no spelling for (inf, nan).  Both trace writers
 encode with orjson, imported on the first write: the JSON writer in its own
-spelling, the CSV writer respelled as ``repr``'s, byte for byte.  The reader
-stays on the stdlib ``json``, so only a run that writes traces loads orjson.
+spelling, from the trace's float64 arrays; every CSV of floats (a trace CSV,
+and the rows of ``curves``) through ``write_repr_rows``, which respells
+orjson's floats as ``repr``'s, byte for byte.  The reader stays on the stdlib
+``json``, so only writing a trace, or rows through ``write_repr_rows``,
+loads orjson.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -350,77 +354,87 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Rows end in CR LF, floats are written as ``repr`` (shortest round trip)
     and ``eps_t`` is empty without a ledger; no field ever needs quoting.
 
-    The rows come from one orjson call on the (T, k) float columns: orjson
-    writes the same shortest round-trip digits as ``repr``, and
-    ``_repr_rows`` turns its spelling into ``repr``'s."""
-    d = trace.config.dim
+    The rows are one ``write_repr_rows`` call on the (T, k) float columns,
+    the round as its lead."""
+    T, d = trace.n_rounds, trace.config.dim
     header = list(CSV_BASE_COLUMNS)
     if d <= MAX_COORD_COLUMNS:
         header += [f"w_{i}" for i in range(d)] + [f"g_{i}" for i in range(d)]
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\r\n")
-        if trace.n_rounds:
-            fh.write(b"1,")
-            fh.write(memoryview(_repr_rows(trace, len(header) - 1))[2:-2])  # less orjson's [[ and ]]
-            fh.write(b"\r\n")
-
-
-def _repr_rows(trace: Trace, k: int) -> bytes:
-    """orjson's ``[[...],...,[...]]`` of the k float columns of trace's CSV
-    rows, with every float spelled as its ``repr`` and every ``],[`` as CR LF
-    and the next row's round.
-
-    orjson and ``repr`` spell a float alike but for three cases.  A float
-    with |x| >= 1e16 is ``1e16`` to orjson and ``1e+16`` to ``repr``: one
-    pass over the buffer adds the ``+``.  A float with 1e-9 <= |x| < 1e-4 is
-    ``0.0000123`` or ``1.2e-7`` to orjson, and inf and nan are ``null``: these
-    (and an empty ``eps_t``) go in as ``null``, then as ``%b`` placeholders;
-    the rounds go in as ``%d``, and one ``%`` call fills both."""
-    import orjson  # here, so that importing the engine never loads it
-
-    T, d = trace.n_rounds, trace.config.dim
-    table = np.empty((T, k))
+    table = np.empty((T, len(header) - 1))
     table[:, 0] = trace.losses
     table[:, 1] = 0.0 - np.cumsum(trace.losses)  # 0.0 - keeps row 1 at 0.0, not -0.0
     # np.linalg.norm's own steps for a 1-D row: matmul of a (1, d) by a (d, 1) matrix is that dot
     table[:, 2] = np.sqrt(np.matmul(trace.theta[:, None, :], trace.theta[:, :, None])).ravel()
-    table[:, 3] = np.nan if trace.eps is None else trace.eps
-    if k > 4:
+    if trace.eps is not None:
+        table[:, 3] = trace.eps
+    if len(header) > 5:
         table[:, 4:4 + d] = trace.w
         table[:, 4 + d:] = trace.g
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        write_repr_rows(fh, table, range(1, T + 1), b"\r\n", blank=3 if trace.eps is None else None)
+
+
+def write_repr_rows(fh, table: np.ndarray, lead: Sequence[int], sep: bytes,
+                    const: Optional[str] = None, blank: Optional[int] = None) -> None:
+    """Write one CSV row per row i of the (T, k) float64 table: lead[i], then
+    const if given, then the k floats, each spelled as its ``repr`` but the
+    column blank, if given, which is empty; every row ends in sep.  Nothing
+    is quoted, so const must hold no comma and no line break.  The table is
+    overwritten.
+
+    The floats go through one orjson call: orjson writes the same shortest
+    round-trip digits as ``repr`` and spells a float alike but for three
+    cases.  A float with |x| >= 1e16 is ``1e16`` to orjson and ``1e+16`` to
+    ``repr``: one pass over the buffer adds the ``+``.  A float with
+    1e-9 <= |x| < 1e-4 is ``0.0000123`` or ``1.2e-7`` to orjson, and inf and
+    nan are ``null``: these (and the blank column) go in as ``null``, then as
+    ``%b`` placeholders; every ``],[`` becomes sep, a ``%d`` placeholder for
+    the next row's lead and const, and one ``%`` call fills both kinds."""
+    import orjson  # here, so that importing the engine never loads it
+
+    T, k = table.shape
+    if T == 0:
+        return
+    if blank is not None:
+        table[:, blank] = np.nan
     mag = np.abs(table)
     odd = ((mag >= 1e-9) & (mag < 1e-4)) | ~np.isfinite(mag)
     big = bool(np.any(mag >= 1e16))
     tiny = big and bool(np.any((mag > 0) & (mag < 1e-9)))  # 1e-10 to both: the + comes off again
     del mag
-    slots = np.zeros((T, k + 1), dtype=bool)  # in buffer order: a row's round, then its odd floats
+    slots = np.zeros((T, k + 1), dtype=bool)  # in buffer order: a row's lead, then its odd floats
     slots[1:, 0] = True
     slots[:, 1:] = odd
     column = np.nonzero(slots)[1]
     del slots
     fills = np.empty(column.size, dtype=object)
-    fills[column == 0] = range(2, T + 1)
-    fills[column > 0] = _odd_reprs(table[odd], blank=(trace.eps is None) & (column[column > 0] == 4))
+    fills[column == 0] = lead[1:]
+    fills[column > 0] = _odd_reprs(table[odd])
+    if blank is not None:
+        fills[column == blank + 1] = b""
     table[odd] = np.nan  # orjson writes null
     rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
-    del table  # each pass below copies the rows; hold no more than it needs
     if big:
         rows = rows.replace(b"e", b"e+")
         if tiny:
             rows = rows.replace(b"e+-", b"e-")
+    cells = b"" if const is None else const.encode() + b","
     rows = rows.replace(b"null", b"%b")
-    rows = rows.replace(b"],[", b"\r\n%d,")
-    return rows % tuple(fills)
+    rows = rows.replace(b"],[", sep + b"%d," + cells.replace(b"%", b"%%"))
+    fh.write(b"%d," % lead[0] + cells)
+    fh.write(memoryview(rows % tuple(fills))[2:-2])  # less orjson's [[ and ]]
+    fh.write(sep)
 
 
-def _odd_reprs(values: np.ndarray, blank: np.ndarray) -> np.ndarray:
+def _odd_reprs(values: np.ndarray) -> np.ndarray:
     """The ``repr`` bytes of values, each with 1e-9 <= |x| < 1e-4 or not
-    finite, as an object array; empty where blank.  A float that orjson spells
+    finite, as an object array.  A float that orjson spells
     ``0.0000123`` or ``1.2e-7`` goes through orjson and byte edits, for speed:
     the sweeps hold tens of thousands of them."""
     import orjson
 
-    texts = np.full(values.size, b"", dtype=object)
+    texts = np.empty(values.size, dtype=object)
     mag = np.abs(values)
     fixed, short = (mag >= 1e-5) & (mag < 1e-4), mag < 1e-5
     if fixed.any():  # 0.0000123 -> #123 -> 1.23 -> 1.23e-05
@@ -431,13 +445,14 @@ def _odd_reprs(values: np.ndarray, blank: np.ndarray) -> np.ndarray:
     if short.any():  # 1.2e-7 -> 1.2e-07
         texts[short] = orjson.dumps(values[short], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(
             b"e-", b"e-0").split(b",")
-    rest = ~(fixed | short | blank)  # inf, -inf, nan
+    rest = ~(fixed | short)  # inf, -inf, nan
     texts[rest] = [repr(x).encode() for x in values[rest].tolist()]
     return texts
 
 
-def trace_to_dict(trace: Trace) -> dict:
-    """Every field but theta, which is -cumsum(g)."""
+def trace_to_dict(trace: Trace, array=np.ndarray.tolist) -> dict:
+    """Every field but theta, which is -cumsum(g); each array field as
+    array(field), a list by default."""
     return {
         "config": {
             "dim": trace.config.dim,
@@ -447,10 +462,10 @@ def trace_to_dict(trace: Trace) -> dict:
         },
         "strategy_tag": trace.strategy_tag,
         "adversary_tag": trace.adversary_tag,
-        "w": trace.w.tolist(),
-        "g": trace.g.tolist(),
-        "losses": trace.losses.tolist(),
-        "eps": None if trace.eps is None else trace.eps.tolist(),
+        "w": array(trace.w),
+        "g": array(trace.g),
+        "losses": array(trace.losses),
+        "eps": None if trace.eps is None else array(trace.eps),
     }
 
 
@@ -496,9 +511,11 @@ def trace_from_dict(data: dict) -> Trace:
 def write_trace_json(trace: Trace, path) -> None:
     """The trace without theta, in one orjson call: compact separators, and
     each float as the shortest text that reads back to it (``1e-7``, not
-    ``1e-07``).  theta must be -cumsum(g), as every engine trace's is, since a
-    JSON trace rebuilds it from g; and w, g, losses and eps must be finite,
-    since JSON has no inf or nan.  Else ValueError, and no file is written."""
+    ``1e-07``).  orjson gets the arrays as C-contiguous float64 arrays, not
+    lists, and writes the bytes it writes for the lists.  theta must be
+    -cumsum(g), as every engine trace's is, since a JSON trace rebuilds it
+    from g; and w, g, losses and eps must be finite, since JSON has no inf
+    or nan.  Else ValueError, and no file is written."""
     import orjson  # here, so that a sweep without JSON traces never loads it
 
     for key in ("w", "g", "losses", "eps"):
@@ -507,7 +524,9 @@ def write_trace_json(trace: Trace, path) -> None:
             raise ValueError(f"{key!r} holds inf or nan, which a JSON trace cannot store")
     if not np.array_equal(trace.theta, _json_states(trace.g), equal_nan=True):
         raise ValueError("trace.theta is not -cumsum(g), and a JSON trace does not store it")
-    data = orjson.dumps(trace_to_dict(trace), option=orjson.OPT_SERIALIZE_NUMPY)  # numpy scalars in a config
+    # orjson refuses an array that is not C-contiguous; float32 is cast, as tolist would widen it
+    data = orjson.dumps(trace_to_dict(trace, partial(np.ascontiguousarray, dtype=np.float64)),
+                        option=orjson.OPT_SERIALIZE_NUMPY)
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -26,7 +26,7 @@ from minimax_online.cli import (
     regret_bound,
 )
 from minimax_online.core import GameConfig
-from minimax_online.engine import read_trace_json
+from minimax_online.engine import Trace, _states, read_trace_json, write_trace_json
 from minimax_online.one_round import PARALLEL
 from minimax_online.strategies import PotentialPlayer
 
@@ -217,6 +217,13 @@ class TestRunCommand:
         assert main(["run", "--spec", str(path), "--out", str(taken)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {taken}: File exists\n"
         assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("name", ["summary.csv", "verdict.json", "sweep.json"])
+    def test_a_sweep_file_that_cannot_be_written_exits_2(self, tmp_path, capsys, name):
+        path, out = write_spec(tmp_path, MINIMAL_SPEC)
+        (out / name).mkdir(parents=True)
+        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {out / name}: Is a directory\n"
 
     def test_an_overflowing_power_envelope_is_vacuous(self, tmp_path):
         # u_norm**q = (1e150)**3 leaves float64: the bound is inf and holds, not a crashed group
@@ -412,7 +419,73 @@ UNREADABLE_TRACES = {
 }
 
 
+def reference_write_curves(trace_dir, path):
+    """The row-by-row f-string writer whose bytes curves must match."""
+    meta = json.loads((trace_dir / "sweep.json").read_text())
+    game = GameConfig(**meta["game"])
+    potentials = {f"s{i}": build_strategy(entry, game).potential for i, entry in enumerate(meta["strategies"])}
+    comparators = [comparator_vector(c["norm"], c["direction_seed"], game.dim) for c in meta["comparators"]]
+    with open(path, "w") as fh:
+        fh.write("t,run_id,regret_u,bound_u,u_norm\n")
+        for trace_path in sorted(trace_dir.glob("run_*.json")):
+            run_id = trace_path.stem[len("run_"):]
+            potential = potentials[run_id.split("-", 1)[0]]
+            trace = read_trace_json(trace_path)
+            for u in comparators:
+                u_norm = float(np.linalg.norm(u))
+                cumulative = np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u[None, :])).tolist()
+                for t, r in zip(range(1, trace.n_rounds + 1), cumulative):
+                    fh.write(f"{t},{run_id},{r!r},{regret_bound(potential, u_norm, t)!r},{u_norm!r}\n")
+
+
+def odd_spelling_trace(path):
+    """Overwrite the trace at path with one of T = 40 rounds whose regrets
+    against u = 0 run from 1e-10 through [1e-9, 1e-4) and on past 1e16."""
+    regrets = np.concatenate((np.logspace(-10, -4.1, 30), np.logspace(16, 20, 10)))
+    w, g = np.ones((40, 2)), np.zeros((40, 2))
+    g[:, 0] = np.diff(regrets, prepend=0.0)
+    trace = Trace(GameConfig(dim=2, grad_bound=1.0, seed=0), "stub", "stub", w, g, _states(g), g[:, 0].copy())
+    write_trace_json(trace, path)
+    return path
+
+
+def percent_run_id(path):
+    return path.rename(path.with_name("run_s0-%d%s%%_a0-gaussian_random_k000.json"))
+
+
+# spec, then an edit of the last trace, as in UNREADABLE_TRACES
+CURVES_BYTE_CASES = {
+    # p = 1 has no bound past W: bound_u is inf for the norm 2 comparator
+    "vacuous": ("""\
+game: {dim: 2, grad_bound: 1.0, horizon: 30, seed: 4}
+strategy: {tag: power, W: 1.0, p: 1.0}
+adversary: {tag: gaussian_random}
+comparators:
+  - {norm: 0.5, direction_seed: 0}
+  - {norm: 2.0, direction_seed: 4}
+outputs: {dir: OUTDIR, format: json}
+repeats: 2
+""", None),
+    # u_norm and bound_u near 1e17, regret_u tiny against u = 0
+    "odd_spellings": (CURVES_SPEC.replace("{norm: 1.0, direction_seed: 4}",
+                                          "{norm: 0.0, direction_seed: 0}\n  - {norm: 1.0e+17, direction_seed: 4}"),
+                      odd_spelling_trace),
+    "percent_run_id": (CURVES_SPEC, percent_run_id),
+}
+
+
 class TestCurvesCommand:
+    @pytest.mark.parametrize("case", list(CURVES_BYTE_CASES))
+    def test_matches_the_reference_writer_byte_for_byte(self, tmp_path, case):
+        spec, edit = CURVES_BYTE_CASES[case]
+        path, out = write_spec(tmp_path, spec)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        if edit is not None:
+            edit(sorted(out.glob("run_*.json"))[-1])
+        assert main(["curves", str(out)]) == EXIT_OK
+        reference_write_curves(out, tmp_path / "ref.csv")
+        assert (out / "curves.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_tidy_output_and_monotone_adaptive_bound(self, tmp_path):
         sweep = """\
 game: {dim: 2, grad_bound: 1.0, horizon: unknown, seed: 1}
@@ -577,27 +650,31 @@ assert not loaded, loaded
 """, ROOT / "scripts" / "specs" / "minimal.yaml", tmp_path / "out")
         assert (tmp_path / "out" / "curves.csv").exists()
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_only_writing_a_trace_loads_orjson(self, tmp_path, fmt):
-        # both trace writers encode with orjson; curves reads JSON traces with the
-        # stdlib json, so importing the CLI, reading a spec or traces, verify and
-        # the referee load no orjson
+    @pytest.mark.parametrize("writer", ["csv", "json", "curves"])
+    def test_only_writing_floats_loads_orjson(self, tmp_path, writer):
+        # both trace writers and curves write floats with orjson; importing the CLI,
+        # reading a spec, verify and the referee load no orjson
         spec = ROOT / "scripts" / "specs" / "minimal.yaml"
         assert main(["run", "--spec", str(spec), "--format", "json", "--out", str(tmp_path / "traces")]) == 0
         run_child("""
 import sys
 from minimax_online import cli
-spec, traces, out, fmt = sys.argv[1:]
+spec, traces, out, writer = sys.argv[1:]
 assert "orjson" not in sys.modules
 cli.parse_experiment_spec(spec)
-assert cli.main(["curves", traces, "--out", out + "/curves.csv"]) == 0
 assert cli.main(["verify", "--lemma", "one-round"]) == 0
 """ + REFEREE_CALLS + """
 assert "orjson" not in sys.modules
-assert cli.main(["run", "--spec", spec, "--format", fmt, "--out", out + "/run"]) == 0
+if writer == "curves":
+    assert cli.main(["curves", traces, "--out", out + "/curves.csv"]) == 0
+else:
+    assert cli.main(["run", "--spec", spec, "--format", writer, "--out", out + "/run"]) == 0
 assert "orjson" in sys.modules
-""", spec, tmp_path / "traces", tmp_path, fmt)
-        assert (tmp_path / "curves.csv").exists() and list((tmp_path / "run").glob(f"run_*.{fmt}"))
+""", spec, tmp_path / "traces", tmp_path, writer)
+        if writer == "curves":
+            assert (tmp_path / "curves.csv").exists()
+        else:
+            assert list((tmp_path / "run").glob(f"run_*.{writer}"))
 
     def test_quadrature_fallback_imports_scipy_when_it_runs(self):
         out = run_child("""

@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 import re
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,7 @@ from minimax_online import (
 )
 from minimax_online.core import (DimensionMismatchError, orthonormal_complement_sample, random_unit_vector,
                                  row_norms, unit_direction)
-from minimax_online.engine import _states, trace_from_dict, trace_to_dict
+from minimax_online.engine import _states, trace_from_dict, trace_to_dict, write_repr_rows
 
 
 class ZeroPotential:
@@ -547,6 +549,32 @@ WRITER_CASES = {  # every trace a JSON trace can store
 ALL_CASES = {**WRITER_CASES, "nonfinite": nonfinite_trace}
 
 
+def non_contiguous_trace():
+    """small_trace with w and g in Fortran order, and eps a strided view."""
+    trace = attach_epsilon(small_trace(seed=2, rounds=15, dim=3), QuadraticPotential(eta=0.2, G=1.0))
+    trace.w, trace.g = np.asfortranarray(trace.w), np.asfortranarray(trace.g)
+    trace.eps = np.repeat(trace.eps, 2)[::2]
+    assert not (trace.w.flags.c_contiguous or trace.g.flags.c_contiguous or trace.eps.flags.c_contiguous)
+    return trace
+
+
+def float32_trace():
+    """A hand-built trace whose w, g, theta, losses and eps are float32."""
+    trace = attach_epsilon(small_trace(seed=4, rounds=12, dim=2), QuadraticPotential(eta=0.2, G=1.0))
+    w, g, eps = (x.astype(np.float32) for x in (trace.w, trace.g, trace.eps))
+    return Trace(trace.config, "stub", "stub", w, g, _states(g), np.einsum("td,td->t", w, g), eps)
+
+
+def reference_repr_rows(table, lead, sep, const, blank):
+    """The rows of write_repr_rows, cell by cell: lead, const, then each float's repr."""
+    rows = []
+    for i, floats in enumerate(table.tolist()):
+        cells = [str(lead[i])] + ([] if const is None else [const])
+        cells += ["" if j == blank else repr(x) for j, x in enumerate(floats)]
+        rows.append(",".join(cells).encode() + sep)
+    return b"".join(rows)
+
+
 def assert_same_trace(back, trace):
     assert back.config == trace.config
     assert (back.strategy_tag, back.adversary_tag) == (trace.strategy_tag, trace.adversary_tag)
@@ -579,6 +607,29 @@ class TestWriterBytes:
             if ref[key] is not None:
                 assert np.array(data[key]).tobytes() == np.array(ref[key]).tobytes(), key
         assert_same_trace(read_trace_json(path), trace)
+
+    @pytest.mark.parametrize("case", list(WRITER_CASES) + ["non_contiguous", "float32"])
+    def test_json_is_orjson_of_the_list_form(self, tmp_path, case):
+        trace = {**WRITER_CASES, "non_contiguous": non_contiguous_trace, "float32": float32_trace}[case]()
+        write_trace_json(trace, tmp_path / "out.json")
+        want = orjson.dumps(trace_to_dict(trace), option=orjson.OPT_SERIALIZE_NUMPY)
+        assert (tmp_path / "out.json").read_bytes() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(floats=st.lists(st.floats(width=64), max_size=30), d=st.sampled_from([2, 9]), with_eps=st.booleans())
+    @at_spelling_boundaries
+    @pytest.mark.parametrize("sep", [b"\r\n", b"\n"])
+    def test_repr_rows_match_repr_on_any_floats(self, sep, floats, d, with_eps):
+        # with_eps picks the columns around the floats: a curves row's run id (with a %
+        # that the codec's own % call must not read), or a trace row's blank eps_t
+        x = np.array(floats, dtype=np.float64)
+        table = np.resize(x, x.size * d).reshape(x.size, d)
+        lead = range(1, x.size + 1)
+        const, blank = ("s0-%d%%_a1-x_k000", None) if with_eps else (None, d // 2)
+        want = reference_repr_rows(table, lead, sep, const, blank)
+        fh = io.BytesIO()
+        write_repr_rows(fh, table, lead, sep, const=const, blank=blank)
+        assert fh.getvalue() == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
