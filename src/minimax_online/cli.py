@@ -483,6 +483,8 @@ def cmd_curves(args) -> int:
                 try:
                     if entry not in potentials:
                         raise ValueError(f"strategy entry {entry!r} is not in sweep.json")
+                    if any(c in run_id for c in ",\r\n"):  # curves.csv quotes nothing
+                        raise ValueError(f"run id {run_id!r} holds a comma or a line break")
                     trace = read_trace_json(path)
                     if trace.config.dim != game.dim:
                         raise ValueError(f"dim {trace.config.dim}, but sweep.json has game.dim {game.dim}")

@@ -34,20 +34,23 @@ A JSON trace stores g but not theta: theta is -cumsum(g), and
 ``read_trace_json`` rebuilds it with the engine's own ``_states``, bit for
 bit.  ``write_trace_json`` refuses a trace whose theta is anything else, and
 one holding a float JSON has no spelling for (inf, nan).  Both trace writers
-encode with orjson, imported on the first write: the JSON writer in its own
-spelling, from the trace's float64 arrays; every CSV of floats (a trace CSV,
-and the rows of ``curves``) through ``write_repr_rows``, which respells
-orjson's floats as ``repr``'s, byte for byte.  The reader stays on the stdlib
-``json``, so only writing a trace, or rows through ``write_repr_rows``,
-loads orjson.
+encode with orjson: the JSON writer in its own spelling, from the trace's
+float64 arrays; every CSV of floats (a trace CSV, and the rows of
+``curves``) through ``write_repr_rows``, which respells orjson's floats as
+``repr``'s, byte for byte.  ``read_trace_json`` decodes with orjson too, one
+call per (T, d) row array, and reads a file that orjson refuses (an older
+one holding ``NaN``, say) with the stdlib ``json``.  orjson is imported by
+these functions, on their first call, so importing the engine never loads
+it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -531,6 +534,51 @@ def write_trace_json(trace: Trace, path) -> None:
         fh.write(data)
 
 
+@cache
+def _row_array_patterns():
+    """A row array's key (``"w"``, ``"g"`` or ``"theta"``) up to its ``[``,
+    and its end: a row array holds only numbers, never a quote, so it ends at
+    the first ``]`` that is followed, after optional whitespace, by another."""
+    return re.compile(rb'"(w|g|theta)"\s*:\s*(?=\[)'), re.compile(rb"\]\s*\]")
+
+
 def read_trace_json(path) -> Trace:
-    with open(path) as fh:
-        return trace_from_dict(json.load(fh))
+    """The trace in the JSON file at path, as ``trace_from_dict`` reads the
+    file's object; a file that holds none raises ValueError.
+
+    Each (T, d) row array, ``w`` and ``g``, is decoded by its own orjson call
+    from the file's bytes into a float64 array, and the rest of the file
+    (config, tags, losses, eps), those arrays cut out, by one more;
+    ``theta``, which older files hold, is cut out and never decoded.  orjson
+    builds a tree of the whole text it is given before it makes any Python
+    object, so a tree of one array at a time keeps the reader's peak memory
+    where the stdlib ``json`` had it.  Files written with ``json.dumps``
+    (``", "`` and ``": "`` separators, or indented) read the same way.
+    orjson refuses ``NaN`` and ``Infinity``, which such files may hold: a
+    file that orjson refuses, or whose row array has no end (a truncated
+    file, or a trace of no rounds, whose arrays are ``[]``) or is not a
+    table of numbers, is read whole by the stdlib ``json``, so that it
+    reads, or fails, as it always did."""
+    import orjson  # here, so that importing the engine never loads it
+
+    with open(path, "rb") as fh:
+        text = fh.read()
+    key_at, end_at = _row_array_patterns()
+    view, parts, rows, pos = memoryview(text), [], {}, 0
+    try:
+        while (key := key_at.search(text, pos)) is not None:
+            end = end_at.search(text, key.end())
+            if end is None:
+                raise ValueError("a row array has no end")
+            if key[1] != b"theta":  # to float64 at once, so that one array's lists are alive at a time
+                rows[key[1].decode()] = np.array(orjson.loads(view[key.end():end.end()]), dtype=np.float64)
+            parts += (view[pos:key.end()], b"null")
+            pos = end.end()
+        parts.append(view[pos:])
+        data = orjson.loads(b"".join(parts))
+    except (TypeError, ValueError):  # orjson.JSONDecodeError, or numpy's on a ragged or non-numeric row
+        data = json.loads(text)
+    else:
+        if isinstance(data, dict):
+            data.update(rows)
+    return trace_from_dict(data)

@@ -408,14 +408,31 @@ def overwrite(path):
     return path
 
 
+def overwrite_with_a_list(path):
+    path.write_text("[]")
+    return path
+
+
+def truncate_in_g(path):
+    """Cut the file halfway through its g array, so that g has no end."""
+    text = path.read_bytes()
+    start, stop = text.index(b'"g":'), text.index(b'"losses":')
+    path.write_bytes(text[:(start + stop) // 2])
+    return path
+
+
 # each takes the path of a good trace, spoils it, and returns the spoiled file's path
 UNREADABLE_TRACES = {
     "truncated": truncate,
+    "truncated_in_g": truncate_in_g,
     "not_json": overwrite,
+    "not_an_object": overwrite_with_a_list,
     "missing_key": lambda path: edit_trace(path, lambda d: d.pop("g")),
     "g_short_a_row": lambda path: edit_trace(path, lambda d: d["g"].pop()),
     "g_ragged": lambda path: edit_trace(path, lambda d: d["g"][2].append(0.5)),
+    "object_in_g": lambda path: edit_trace(path, lambda d: d["g"][2].__setitem__(0, {})),
     "entry_not_in_sweep": lambda path: path.rename(path.with_name("run_s1-ogd_a0-gaussian_random_k000.json")),
+    "comma_in_run_id": lambda path: path.rename(path.with_name(f"{path.stem},x.json")),
 }
 
 
@@ -650,14 +667,16 @@ assert not loaded, loaded
 """, ROOT / "scripts" / "specs" / "minimal.yaml", tmp_path / "out")
         assert (tmp_path / "out" / "curves.csv").exists()
 
-    @pytest.mark.parametrize("writer", ["csv", "json", "curves"])
+    @pytest.mark.parametrize("writer", ["csv", "json", "curves", "read"])
     def test_only_writing_floats_loads_orjson(self, tmp_path, writer):
-        # both trace writers and curves write floats with orjson; importing the CLI,
-        # reading a spec, verify and the referee load no orjson
+        # both trace writers and curves write floats with orjson, and read_trace_json
+        # reads them with it; importing the CLI, reading a spec, verify and the
+        # referee load no orjson
         spec = ROOT / "scripts" / "specs" / "minimal.yaml"
         assert main(["run", "--spec", str(spec), "--format", "json", "--out", str(tmp_path / "traces")]) == 0
         run_child("""
 import sys
+from pathlib import Path
 from minimax_online import cli
 spec, traces, out, writer = sys.argv[1:]
 assert "orjson" not in sys.modules
@@ -667,13 +686,15 @@ assert cli.main(["verify", "--lemma", "one-round"]) == 0
 assert "orjson" not in sys.modules
 if writer == "curves":
     assert cli.main(["curves", traces, "--out", out + "/curves.csv"]) == 0
+elif writer == "read":
+    assert cli.read_trace_json(sorted(Path(traces).glob("run_*.json"))[0]).n_rounds == 10
 else:
     assert cli.main(["run", "--spec", spec, "--format", writer, "--out", out + "/run"]) == 0
 assert "orjson" in sys.modules
 """, spec, tmp_path / "traces", tmp_path, writer)
         if writer == "curves":
             assert (tmp_path / "curves.csv").exists()
-        else:
+        elif writer != "read":
             assert list((tmp_path / "run").glob(f"run_*.{writer}"))
 
     def test_quadrature_fallback_imports_scipy_when_it_runs(self):

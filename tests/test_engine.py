@@ -575,6 +575,14 @@ def reference_repr_rows(table, lead, sep, const, blank):
     return b"".join(rows)
 
 
+def json_dumps_with_theta(trace, indent):
+    """The trace as files written by json.dumps before theta was dropped hold
+    it: theta between g and losses, NaN or Infinity where the trace holds nan
+    or inf."""
+    items = list(trace_to_dict(trace).items())
+    return json.dumps(dict(items[:5] + [("theta", trace.theta.tolist())] + items[5:]), indent=indent)
+
+
 def assert_same_trace(back, trace):
     assert back.config == trace.config
     assert (back.strategy_tag, back.adversary_tag) == (trace.strategy_tag, trace.adversary_tag)
@@ -728,6 +736,34 @@ class TestSerialization:
         data = dict(items[:5] + [("theta", trace.theta.tolist())] + items[5:])
         (tmp_path / "old.json").write_text(json.dumps(data))
         assert_same_trace(read_trace_json(tmp_path / "old.json"), trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(floats=st.lists(st.floats(width=64), max_size=30), d=st.sampled_from([2, 9]), with_eps=st.booleans())
+    @at_spelling_boundaries
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_json_dumps_spellings_read_as_json_reads_them(self, tmp_path_factory, indent, floats, d, with_eps):
+        # files written by json.dumps, with theta, ", " and ": " separators (or
+        # indented), and NaN, Infinity, -0.0 and subnormals among the floats:
+        # orjson's split or the stdlib fallback must give json.loads's bits
+        text = json_dumps_with_theta(float_trace(floats, d, with_eps), indent)
+        path = tmp_path_factory.mktemp("legacy") / "old.json"
+        path.write_text(text)
+        assert_same_trace(read_trace_json(path), trace_from_dict(json.loads(text)))
+
+    @pytest.mark.parametrize("indent", [None, 1])
+    @pytest.mark.parametrize("case, fallback", [("d2_ledger", False), ("d9", False), ("extreme", False),
+                                                ("zero_rounds", True), ("nonfinite", True)])
+    def test_only_files_orjson_refuses_or_without_rows_read_with_json(self, tmp_path, monkeypatch,
+                                                                       case, fallback, indent):
+        # json.dumps's spellings go through orjson; NaN and Infinity, which orjson
+        # refuses, and the [] arrays of a trace of no rounds, through json.loads
+        trace = ALL_CASES[case]()
+        path = tmp_path / "old.json"
+        path.write_text(json_dumps_with_theta(trace, indent))
+        calls = []
+        monkeypatch.setattr(json, "loads", lambda text, loads=json.loads: calls.append(text) or loads(text))
+        assert_same_trace(read_trace_json(path), trace)
+        assert bool(calls) == fallback
 
     @pytest.mark.parametrize("key", ["w", "g", "losses", "eps"])
     def test_write_refuses_a_non_finite_float(self, tmp_path, key):
