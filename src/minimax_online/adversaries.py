@@ -2,14 +2,17 @@
 
 Every adversary plays R runs in lockstep (``engine.run_games``), each run on
 its own stream (owned by the caller), so row k depends on run k alone; every
-gradient has ||g|| <= G.  The state-blind adversaries, whose gradients
-depend on neither the state nor the plays, give the whole (R, T, d) gradient
-block at once: ``gradient_block(rngs, rounds, dim)``.  The others answer
-round by round, because they move second: ``draws(rngs, rounds, dim)`` is
-called once per game, and ``grads(t, theta, r, w, draws)`` answers the
-(R, d) states theta, of norms r, and the players' pending plays w with an
-(R, d) block of gradients.  The minimax adversaries ignore w, the greedy one
-uses it.
+gradient has ||g|| <= G.  An adversary that never reads the player's plays
+gives the whole (R, T, d) gradient block at once,
+``gradient_block(rngs, rounds, dim)``.  The state-blind ones (Rademacher
+line, random direction, fixed direction) draw it.  The minimax adversaries
+answer the state alone (G orthogonal to theta, or +-G along it), so their
+block is their own recurrence theta <- theta - g: ``grads(t, theta, r,
+rngs)`` gives round t's (R, d) gradients against the states theta, of norms
+r.  The greedy adversary reads the plays, so it answers round by round,
+moving second: ``draws(rngs, rounds, dim)`` is called once per game, and
+``grads(t, theta, r, w, draws)`` answers the states and the players' pending
+plays w with an (R, d) block of gradients.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import complement_rows, fallback_direction, nonzero_norms, random_unit_rows, row_norms, unit_direction
+from .core import (DimensionMismatchError, complement_rows, fallback_direction, nonzero_norms, random_unit_rows,
+                   row_norms, unit_direction)
 
 
 def _line(direction, dim: int) -> np.ndarray:
@@ -29,15 +33,25 @@ def _line(direction, dim: int) -> np.ndarray:
     return unit_direction(np.asarray(direction, dtype=np.float64))
 
 
-class _RoundByRound:
-    """Batch form of an adversary that reads its streams round by round."""
+class _PlayBlind:
+    """An adversary whose gradients read the state and its streams, never the
+    plays: its gradient block is its own recurrence, one ``grads`` call per
+    round, and the states are the engine's theta - g, bit for bit."""
 
-    def draws(self, rngs, rounds, dim):
-        return rngs
+    def gradient_block(self, rngs, rounds, dim):
+        block = np.empty((len(rngs), rounds, dim))
+        theta = np.zeros((len(rngs), dim))
+        for t in range(rounds):
+            g = self.grads(t, theta, row_norms(theta), rngs)
+            if g.shape != theta.shape:
+                raise DimensionMismatchError(f"round {t + 1}: gradients {g.shape}, expected {theta.shape}")
+            theta = theta - g
+            block[:, t] = g
+        return block
 
 
 @dataclass(frozen=True)
-class OrthogonalMinimax(_RoundByRound):
+class OrthogonalMinimax(_PlayBlind):
     """Plays G orthogonal to theta; requires dim >= 2."""
 
     G: float
@@ -45,12 +59,57 @@ class OrthogonalMinimax(_RoundByRound):
     tag = "orthogonal_minimax"
     min_dim = 2  # theta has no orthogonal complement at d = 1
 
-    def grads(self, t, theta, r, w, rngs):
+    def grads(self, t, theta, r, rngs):
         return self.G * complement_rows(theta, r, rngs)
+
+    def gradient_block(self, rngs, rounds, dim):
+        """The ``grads`` recurrence's block, bit for bit.  At dim >= 3 each
+        run's stream is read by one standard_normal call: unless a draw is
+        redrawn, every round reads one row of d normals, and complement_rows'
+        arithmetic on that row gives the same g.  A redraw shifts the
+        stream, so then the streams are rewound and the group is played by
+        ``grads``, round by round, as it is at dim = 2."""
+        if dim >= 3:
+            states = [rng.bit_generator.state for rng in rngs]
+            block = self._drawn_block(rngs, rounds, dim)
+            if block is not None:
+                return block
+            for rng, state in zip(rngs, states):
+                rng.bit_generator.state = state
+        return super().gradient_block(rngs, rounds, dim)
+
+    def _drawn_block(self, rngs, rounds, dim):
+        """The gradient block from each run's (rounds, dim) normals, each row
+        overwritten by its g; None where complement_rows would redraw (a
+        round-0 draw of norm below 1e-12, or a draw within 1e-8 of theta's
+        line) or draw last (a state of norm 0)."""
+        block = np.empty((len(rngs), rounds, dim))
+        for k, rng in enumerate(rngs):
+            rng.standard_normal((rounds, dim), out=block[k])
+        theta = np.zeros((len(rngs), dim))
+        for t in range(rounds):
+            v = block[:, t].copy()  # contiguous, as complement_rows' draws are, so its row dots sum alike
+            if t == 0:  # theta = 0: random_unit_vector's draw
+                m = row_norms(v)
+                if not min(m.tolist()) >= 1e-12:
+                    return None
+            else:
+                r = row_norms(theta)
+                if not min(r.tolist()) > 0.0:
+                    return None
+                u = theta / r[:, None]
+                for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
+                    v -= np.einsum("ij,ij->i", v, u)[:, None] * u
+                m = row_norms(v)
+                if not min(m.tolist()) > 1e-8:
+                    return None
+            v /= m[:, None]
+            theta = theta - np.multiply(self.G, v, out=block[:, t])
+        return block
 
 
 @dataclass(frozen=True)
-class ParallelMinimax(_RoundByRound):
+class ParallelMinimax(_PlayBlind):
     """Plays +-G along theta_hat.
 
     sign_policy: "grow" (default) plays g = -G theta_hat so that
@@ -77,7 +136,7 @@ class ParallelMinimax(_RoundByRound):
             return -1.0 if t % 2 == 0 else 1.0
         return 1.0 if rng.random() < 0.5 else -1.0
 
-    def grads(self, t, theta, r, w, rngs):
+    def grads(self, t, theta, r, rngs):
         if self.sign_policy == "random":
             sign = np.array([self._sign(t, rng) for rng in rngs])[:, None]
         else:

@@ -19,11 +19,13 @@ starting capital in the t = 0 term, so the ledger stays exact for both
 conventions.
 
 One game loop plays this protocol: ``run_games`` plays R runs of one
-(PotentialPlayer, built-in adversary) pair in lockstep, round t of every run
-in one (R, d) array step; against a state-blind adversary, whose gradients
-are all drawn before the first play, every round's play is in one array
-step.  Each run keeps its own Philox stream, so a run's trace does not
-depend on the other runs of its batch.  ``run_game`` is the one-run call of
+(PotentialPlayer, built-in adversary) pair in lockstep.  An adversary that
+never reads the plays (every built-in one but the greedy) gives its whole
+gradient block before the first play, so every round's play is in one array
+step; the greedy one, which reads the plays, is answered round by round,
+round t of every run in one (R, d) array step.  Each run keeps its own
+Philox stream, so a run's trace does not depend on the other runs of its
+batch.  ``run_game`` is the one-run call of
 the same loop.  The tests hold it to a reference, ``reference_run_game`` in
 tests/test_engine.py: one play and one one-run gradient per round, for one
 run.  A lockstep trace differs from the reference's only where a dot product
@@ -112,17 +114,20 @@ def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
 
 
 def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -> List[Trace]:
-    """Execute the min-then-max loop for every config, in lockstep: all runs'
-    round t is one (R, d) array step.
+    """Execute the min-then-max loop for every config, in lockstep: all runs
+    advance together as (R, d) arrays.
 
     The configs share dim and grad_bound; run k uses configs[k].seed.  The
-    strategy needs ``response(t, theta, r)`` (PotentialPlayer) and the
-    adversary either ``gradient_block`` or ``draws`` and ``grads`` (every
-    built-in adversary).  Against a gradient block every state is known
-    before the first play, so all rounds' plays are one array call.
-    Known-horizon strategies must be run for exactly config.horizon rounds.
-    The plays and gradients must have the game's shape (else
-    DimensionMismatchError), and each round is checked on all rows:
+    strategy needs ``response(t, theta, r)`` (PotentialPlayer).  An
+    adversary that never reads the plays gives ``gradient_block(rngs, rounds,
+    dim)``, the (R, rounds, d) gradients of the whole game; every state is
+    then known before the first play, so all rounds' plays are one array
+    call.  An adversary that reads the plays gives ``draws(rngs, rounds,
+    dim)``, called once, and ``grads(t, theta, r, w, draws)``, which answers
+    round t's plays w, and is played round by round, all runs' round t in
+    one (R, d) array step.  Known-horizon strategies must be run for exactly
+    config.horizon rounds.  The plays and gradients must have the game's
+    shape (else DimensionMismatchError), and each round is checked on all rows:
     ||g|| <= G(1 + 1e-9) + 1e-9, and a play inside the float64 range
     (OverflowError otherwise); an error names the first round that fails.
     Row k of the result is the trace of run_games([configs[k]]), bit for bit.
@@ -159,7 +164,7 @@ def _states(g_rows: np.ndarray) -> np.ndarray:
 
 def _lockstep(strategy, adversary, rngs, shape, rounds: int, G: float):
     """The plays and gradients, (R, T, d) each, of a game of shape (R, d)
-    played round by round."""
+    played round by round, against an adversary that reads the plays."""
     draws = adversary.draws(rngs, rounds, shape[1])
     w_rows = np.zeros((shape[0], rounds, shape[1]))
     g_rows = np.zeros_like(w_rows)
@@ -477,8 +482,24 @@ def _json_states(g: np.ndarray) -> np.ndarray:
         return _states(g)
 
 
+def _floats(data: dict, key: str) -> np.ndarray:
+    """data[key] as a float64 array; ValueError if it is a list holding null
+    (None), which numpy would read as nan.  Only an array holding nan is
+    searched, since a list without None gives none (a ``NaN`` of an older
+    file reads as nan, as it always did)."""
+    value = data[key]
+    arr = np.asarray(value, dtype=np.float64)
+    if np.isnan(arr).any() and _holds_none(value):
+        raise ValueError(f"{key!r} holds null, which is not a number")
+    return arr
+
+
+def _holds_none(value) -> bool:
+    return isinstance(value, list) and any(x is None or _holds_none(x) for x in value)
+
+
 def _float_array(data: dict, key: str, shape: tuple) -> np.ndarray:
-    arr = np.asarray(data[key], dtype=np.float64)
+    arr = _floats(data, key)
     if arr.shape != shape and not (arr.size == 0 and shape[0] == 0):  # [] is zero rows of any width
         raise ValueError(f"{key!r} has shape {arr.shape}, expected {shape}")
     return arr.reshape(shape)
@@ -486,11 +507,12 @@ def _float_array(data: dict, key: str, shape: tuple) -> np.ndarray:
 
 def trace_from_dict(data: dict) -> Trace:
     """The trace of trace_to_dict's output, theta rebuilt from g; a theta key
-    (older files have one) is ignored.  A missing key, a bad config, or w, g
-    or eps not of T = len(losses) rows raises ValueError."""
+    (older files have one) is ignored.  A missing key, a bad config, w, g or
+    eps not of T = len(losses) rows, or a null (None) in w, g, losses or eps
+    raises ValueError; ``"eps": null`` is a trace without a ledger."""
     try:
         cfg = GameConfig(**data["config"])
-        losses = np.asarray(data["losses"], dtype=np.float64)
+        losses = _floats(data, "losses")
         if losses.ndim != 1:
             raise ValueError(f"'losses' has shape {losses.shape}, expected (T,)")
         rows = (losses.size, cfg.dim)
@@ -557,8 +579,8 @@ def read_trace_json(path) -> Trace:
     orjson refuses ``NaN`` and ``Infinity``, which such files may hold: a
     file that orjson refuses, or whose row array has no end (a truncated
     file, or a trace of no rounds, whose arrays are ``[]``) or is not a
-    table of numbers, is read whole by the stdlib ``json``, so that it
-    reads, or fails, as it always did."""
+    table of numbers (one holding null, say), is read whole by the stdlib
+    ``json``, whose dict ``trace_from_dict`` then reads or refuses."""
     import orjson  # here, so that importing the engine never loads it
 
     with open(path, "rb") as fh:
@@ -571,7 +593,9 @@ def read_trace_json(path) -> Trace:
             if end is None:
                 raise ValueError("a row array has no end")
             if key[1] != b"theta":  # to float64 at once, so that one array's lists are alive at a time
-                rows[key[1].decode()] = np.array(orjson.loads(view[key.end():end.end()]), dtype=np.float64)
+                rows[key[1].decode()] = arr = np.array(orjson.loads(view[key.end():end.end()]), dtype=np.float64)
+                if np.isnan(arr).any():  # orjson reads no NaN, so a null was there: json.loads keeps it None
+                    raise ValueError("a row array holds null")
             parts += (view[pos:key.end()], b"null")
             pos = end.end()
         parts.append(view[pos:])

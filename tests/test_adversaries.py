@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,27 +20,100 @@ from minimax_online import (
     run_game,
     run_games,
 )
-from minimax_online.core import UnsupportedDimensionError, row_norms
+from minimax_online.core import DimensionMismatchError, UnsupportedDimensionError, row_norms
 from minimax_online.checks import adversary_quartet
 
 
 def answer(adv, t, theta, w=None, seeds=None):
-    """A round-by-round adversary's round-t gradients against the states theta
-    (one row per run) and the pending plays w, run k on the stream of
-    seeds[k] (seed k by default)."""
+    """An adversary's round-t gradients against the states theta (one row per
+    run), run k on the stream of seeds[k] (seed k by default): a minimax
+    adversary's to the states alone, the greedy one's to the pending plays w."""
     theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
     rngs = [make_rng(k) for k in (range(len(theta)) if seeds is None else seeds)]
+    if w is None:
+        return adv.grads(t, theta, row_norms(theta), rngs)
     return adv.grads(t, theta, row_norms(theta), w, adv.draws(rngs, 1, theta.shape[1]))
 
 
 def walk(adv, theta, rounds, rngs):
-    """theta after each of rounds rounds against adv, which ignores the plays;
+    """theta after each of rounds rounds against the minimax adversary adv;
     one row per run, run k on rngs[k]."""
     states = []
     for t in range(rounds):
-        theta = theta - adv.grads(t, theta, row_norms(theta), None, rngs)
+        theta = theta - adv.grads(t, theta, row_norms(theta), rngs)
         states.append(theta)
     return states
+
+
+def recurrence(adv, rngs, rounds, dim):
+    """The (R, rounds, dim) gradients of the minimax adversary adv from theta = 0,
+    one grads call per round, run k on rngs[k]."""
+    theta, block = np.zeros((len(rngs), dim)), np.empty((len(rngs), rounds, dim))
+    for t in range(rounds):
+        block[:, t] = adv.grads(t, theta, row_norms(theta), rngs)
+        theta = theta - block[:, t]
+    return block
+
+
+class ScriptedStream:
+    """A stand-in for a run's Generator: its normals are read from a script, in
+    order, and its state is its position in the script."""
+
+    def __init__(self, normals):
+        self.normals = np.asarray(normals, dtype=np.float64).ravel()
+        self.state = 0
+        self.bit_generator = self
+
+    def standard_normal(self, size, out=None):
+        values = self.normals[self.state:self.state + int(np.prod(size))].reshape(size)
+        self.state += values.size
+        if out is None:
+            return values.copy()
+        out[...] = values
+        return out
+
+
+MINIMAX = {"orthogonal": OrthogonalMinimax(G=1.0), "orthogonal_G0.7": OrthogonalMinimax(G=0.7),
+           **{f"parallel_{policy}": ParallelMinimax(G=1.0, sign_policy=policy)
+              for policy in ("grow", "shrink", "alternate", "random")}}
+
+
+class TestGradientBlocks:
+    @pytest.mark.parametrize("R", [1, 4])
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("name", list(MINIMAX))
+    def test_block_is_the_grads_recurrence_bit_for_bit(self, name, d, R):
+        adv = MINIMAX[name]
+        for seed in (0, 17, 2**31):
+            seeds = [seed + 101 * k for k in range(R)]
+            got = adv.gradient_block([make_rng(s) for s in seeds], 60, d)
+            assert got.tobytes() == recurrence(adv, [make_rng(s) for s in seeds], 60, d).tobytes(), seed
+
+    @pytest.mark.parametrize("spoil", ["draw_on_theta_line", "round_0_draw_of_norm_0"])
+    def test_a_redraw_replays_the_group_round_by_round(self, spoil):
+        # run 1's draw for round 1 repeats round 0's, which lies on theta's line, or its
+        # round-0 draw is 0: either is drawn again, one row of normals later than the rest
+        rounds, d = 30, 4
+        scripts = make_rng(3).standard_normal((3, rounds + 4, d))
+        if spoil == "draw_on_theta_line":
+            scripts[1, 1] = scripts[1, 0]
+        else:
+            scripts[1, 0] = 0.0
+        adv = OrthogonalMinimax(G=1.0)
+        streams = [ScriptedStream(script) for script in scripts]
+        got = adv.gradient_block(streams, rounds, d)
+        assert [s.state for s in streams] == [rounds * d, (rounds + 1) * d, rounds * d]
+        assert got.tobytes() == recurrence(adv, [ScriptedStream(script) for script in scripts], rounds, d).tobytes()
+        np.testing.assert_allclose(row_norms(got), 1.0, rtol=1e-15)
+
+    def test_a_gradient_of_the_wrong_shape_names_its_round(self):
+        class WrongShape(ParallelMinimax):
+            def grads(self, t, theta, r, rngs):
+                g = super().grads(t, theta, r, rngs)
+                return g if t < 2 else g[:, :-1]
+
+        with pytest.raises(DimensionMismatchError, match=re.escape("round 3: gradients (2, 2), expected (2, 3)")):
+            WrongShape(G=1.0).gradient_block([make_rng(0), make_rng(1)], 5, 3)
 
 
 class TestOrthogonalMinimax:

@@ -431,6 +431,8 @@ UNREADABLE_TRACES = {
     "g_short_a_row": lambda path: edit_trace(path, lambda d: d["g"].pop()),
     "g_ragged": lambda path: edit_trace(path, lambda d: d["g"][2].append(0.5)),
     "object_in_g": lambda path: edit_trace(path, lambda d: d["g"][2].__setitem__(0, {})),
+    "null_in_g": lambda path: edit_trace(path, lambda d: d["g"][2].__setitem__(0, None)),
+    "null_in_losses": lambda path: edit_trace(path, lambda d: d["losses"].__setitem__(1, None)),
     "entry_not_in_sweep": lambda path: path.rename(path.with_name("run_s1-ogd_a0-gaussian_random_k000.json")),
     "comma_in_run_id": lambda path: path.rename(path.with_name(f"{path.stem},x.json")),
 }

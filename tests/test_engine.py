@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -84,6 +85,8 @@ def reference_grad(adversary, t, theta, w, rng):
         return G * random_unit_vector(rng, d)
     if isinstance(adversary, FixedDirection):
         return G * reference_line(adversary.direction, d)
+    if isinstance(adversary, AgainstThePlay):
+        return (-G if w[0] > 0.0 else G) * np.eye(d)[0]
     if isinstance(adversary, GreedyVsComparator):
         diff = w - np.asarray(adversary.comparator, dtype=np.float64)
         n = np.linalg.norm(diff)
@@ -114,6 +117,26 @@ def reference_run_game(strategy, adversary, config, rounds):
     except FloatingPointError as exc:
         raise OverflowError(f"round {t + 1}: {exc}") from exc
     return Trace(config, strategy.tag, adversary.tag, w_rows, g_rows, th_rows, losses)
+
+
+@dataclass(frozen=True)
+class AgainstThePlay:
+    """A test adversary that reads the plays, so run_games answers it round by
+    round: G along the first axis, against the sign of the play's first
+    coordinate (+G when it is 0).  The players here play along theta, so theta
+    runs down that axis as against fixed_direction."""
+
+    G: float
+
+    tag = "against_the_play"
+
+    def draws(self, rngs, rounds, dim):
+        return None
+
+    def grads(self, t, theta, r, w, draws):
+        g = np.zeros_like(w)
+        g[:, 0] = np.where(w[:, 0] > 0.0, -self.G, self.G)
+        return g
 
 
 class TestRunGame:
@@ -167,11 +190,11 @@ class TestRunGame:
             def gradient_block(self, rngs, rounds, dim):
                 return np.full((len(rngs), rounds, dim), math.nan)
 
-        class NanRounds(ParallelMinimax):
-            def grads(self, t, theta, r, w, rngs):
+        class NanRounds(GreedyVsComparator):
+            def grads(self, t, theta, r, w, u):
                 return np.full_like(theta, math.nan)
 
-        adversary = NanBlock(G=1.0) if path == "block" else NanRounds(G=1.0)
+        adversary = NanBlock(G=1.0) if path == "block" else NanRounds(G=1.0, comparator=(1.0, 0.0))
         cfg = GameConfig(dim=2, grad_bound=1.0, horizon=3, seed=0)
         with pytest.raises(ValueError, match="round 1: adversary emitted"):
             run_game(ogd(0.1), adversary, cfg, 3)
@@ -188,13 +211,13 @@ class TestRunGame:
             run_games(ogd(0.1), WrongBlock(G=1.0), configs, 4)
 
     def test_gradients_of_the_wrong_shape_are_rejected(self):
-        class WrongRounds(ParallelMinimax):
-            def grads(self, t, theta, r, w, rngs):
+        class WrongRounds(GreedyVsComparator):
+            def grads(self, t, theta, r, w, u):
                 return np.zeros((theta.shape[0], theta.shape[1] + 1))
 
         configs = [GameConfig(dim=2, grad_bound=1.0, seed=seed) for seed in (0, 1)]
         with pytest.raises(DimensionMismatchError, match=re.escape("round 1: plays (2, 2), gradients (2, 3)")):
-            run_games(ogd(0.1), WrongRounds(G=1.0), configs, 4)
+            run_games(ogd(0.1), WrongRounds(G=1.0, comparator=(1.0, 0.0)), configs, 4)
 
 
 def lockstep_player(tag, T):
@@ -229,7 +252,11 @@ ADVERSARY_TAGS = ["orthogonal_minimax", "parallel_minimax", "parallel_shrink", "
 # run_games against reference_run_game: the largest gap, over the largest entry of the
 # field (for losses, of sum_i |w_i g_i|; for eps, of that plus |q_t|), was
 # 5.3e-15 at T = 60 and 1.2e-14 at T = 1000, over every pair here, d in
-# {1, 2, 4, 16} and seeds 0-3
+# {1, 2, 4, 16} and seeds 0-3, with every adversary but the greedy played as a
+# gradient block.  The largest is orthogonal_minimax's g, whose row dots
+# einsum sums in another order than the reference's v @ u; parallel_minimax's
+# largest is 1.9e-15 (its w at T = 60; its g and theta are the reference's),
+# the state-blind adversaries' 4.1e-16, and greedy_vs_comparator's 0
 LOCKSTEP_RTOL = 1e-13
 
 
@@ -288,8 +315,9 @@ class TestRunGames:
         for cfg, got in zip(configs, run_games(player, adversary, configs, 200)):
             assert got.g.tobytes() == reference_run_game(player, adversary, cfg, 200).g.tobytes()
 
-    # fixed_direction gives its gradient block at once, parallel_minimax answers round by round
-    @pytest.mark.parametrize("adversary", [FixedDirection(G=1.0), ParallelMinimax(G=1.0)])
+    # fixed_direction and parallel_minimax give their gradient blocks at once, AgainstThePlay
+    # answers the plays round by round
+    @pytest.mark.parametrize("adversary", [FixedDirection(G=1.0), ParallelMinimax(G=1.0), AgainstThePlay(G=1.0)])
     def test_overflow_raises_overflow_error(self, adversary):
         # adaptive_normal against one line that theta grows along leaves float64 after about 3.4k rounds
         player = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=1.0))
@@ -309,13 +337,13 @@ class TestRunGames:
                 block[-1, 1] *= stretch
                 return block
 
-        class LongRounds(ParallelMinimax):
-            def grads(self, t, theta, r, w, rngs):
-                g = super().grads(t, theta, r, w, rngs)
+        class LongRounds(GreedyVsComparator):
+            def grads(self, t, theta, r, w, u):
+                g = super().grads(t, theta, r, w, u)
                 g[-1] *= stretch if t == 1 else 1.0
                 return g
 
-        adversary = LongBlock(G=1.0) if path == "block" else LongRounds(G=1.0)
+        adversary = LongBlock(G=1.0) if path == "block" else LongRounds(G=1.0, comparator=(1.0, 0.0, 0.0))
         player = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=1.0))
         configs = [GameConfig(dim=3, grad_bound=1.0, seed=seed) for seed in (0, 1)]
         with pytest.raises(ValueError, match="round 2: adversary emitted"):
@@ -792,6 +820,8 @@ class TestSerialization:
         pytest.param(lambda d: d["g"][0].append(0.0), "sequence", id="g_ragged"),
         pytest.param(lambda d: d.update(eps=[0.0]), r"'eps' has shape \(1,\)", id="eps_short"),
         pytest.param(lambda d: d["config"].update(dim="2"), "'<' not supported", id="dim_str"),
+        pytest.param(lambda d: d["w"][3].__setitem__(1, None), "'w' holds null", id="null_in_w"),
+        pytest.param(lambda d: d["eps"].__setitem__(5, None), "'eps' holds null", id="null_in_eps"),
     ])
     def test_a_malformed_dict_raises_value_error(self, edit, match):
         data = trace_to_dict(attach_epsilon(small_trace(rounds=6), QuadraticPotential(eta=0.2, G=1.0)))
