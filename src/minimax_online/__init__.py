@@ -21,7 +21,6 @@ from .one_round import (
     OneRoundSolution,
     OneRoundSpec,
     classify_regime,
-    lower_bound_value,
     solve_orthogonal,
     solve_parallel,
     solve_scalar_grid,

@@ -22,14 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DimensionMismatchError, complement_rows, fallback_direction, nonzero_norms, random_unit_rows,
+from .core import (DimensionMismatchError, complement_rows, nonzero_norms, random_unit_rows, random_unit_vector,
                    row_norms, unit_direction)
 
 
 def _line(direction, dim: int) -> np.ndarray:
     """Unit vector along direction; the first axis when direction is None."""
     if direction is None:
-        return fallback_direction(dim)
+        return np.eye(1, dim)[0]
     return unit_direction(np.asarray(direction, dtype=np.float64))
 
 
@@ -144,7 +144,7 @@ class ParallelMinimax(_PlayBlind):
         g = sign * self.G * (theta / nonzero_norms(r)[:, None])
         if not all(r.tolist()):  # theta = 0 gives no direction: a random one, from the run's stream
             for k in np.flatnonzero(r == 0.0):
-                g[k] = self.G * fallback_direction(theta.shape[1], rngs[k])
+                g[k] = self.G * random_unit_vector(rngs[k], theta.shape[1])
         return g
 
 

@@ -16,9 +16,9 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .adversaries import FixedDirection, GaussianRandom, OrthogonalMinimax, ParallelMinimax
-from .core import make_rng, random_unit_vector
-from .one_round import (ORTHOGONAL, PARALLEL, OneRoundSpec, classify_regime, lower_bound_value,
-                        solve_orthogonal, solve_parallel, solve_scalar_grid)
+from .core import make_rng, random_unit_vector, row_norms
+from .one_round import (ORTHOGONAL, PARALLEL, OneRoundSpec, classify_regime, line_distance, minmax_values,
+                        plane_distance, solve_orthogonal, solve_parallel, solve_scalar_grid, worst_case_payoff)
 from .oracles import RecursionSpec, argmax_at_zero_check, conditional_value_recursive, gaussian_dominance_check
 from .potentials import (AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential,
                          exp_conjugate_numeric, exp_conjugate_upper_bound)
@@ -102,17 +102,18 @@ def random_one_round_specs(regime: str, n: int, rng) -> list:
 def one_round(seed: int, regime: Optional[str] = None) -> Iterator[Row]:
     """Closed form vs grid oracle on 50 random problems per regime (both
     regimes unless one is given), two rows per regime: the largest gap
-    |closed - grid| / (1 + |closed|), and the smallest margin grid - lower bound."""
+    |closed - grid| / (1 + |closed|), and the smallest margin grid - lower
+    bound, the orthogonal value, which bounds H from below whenever d >= 2."""
     rng = make_rng(seed)
     for reg in ([ORTHOGONAL, PARALLEL] if regime is None else [regime]):
         worst = 0.0
         margin = math.inf
         for spec in random_one_round_specs(reg, 50, rng):
-            closed = (solve_orthogonal(spec, rng) if reg == ORTHOGONAL
-                      else solve_parallel(spec)).value
+            lower = solve_orthogonal(spec).value
+            closed = lower if reg == ORTHOGONAL else solve_parallel(spec).value
             grid = solve_scalar_grid(spec)
             worst = float(np.maximum(worst, abs(closed - grid) / (1.0 + abs(closed))))
-            margin = float(np.minimum(margin, grid - lower_bound_value(spec)))
+            margin = float(np.minimum(margin, grid - lower))
         yield Row("one-round", f"{reg}: max |closed-grid| rel {worst:.2e}", worst <= 1e-3, worst)
         yield Row("one-round", f"{reg}: grid >= lower bound", margin >= -1e-6, margin)
 
@@ -141,6 +142,44 @@ def regime() -> Iterator[Row]:
         pot = player.potential
         found = classify_regime(lambda x: pot.radial(t, abs(x)), probes)
         yield Row("regime", f"{label} t={t}: {found}", found == pot.regime, None)
+
+
+PLAYER_TOL = 1e-9  # scaled gap; the floor is 4.1e-16, a play scaled by 1.001 gives 4.9e-7 or more
+
+
+def player() -> Iterator[Row]:
+    """Each player of ``envelope_players(1000, 1)`` is the one-round minimax
+    play against q_{t+1}: its ``response`` at t in {1, 10, 100, 998} to the 33
+    states theta = r e_1, r on [0, min(t, 30) G], against V, the kernel's game
+    value ``minmax_values(q_{t+1})`` there.  Two rows per (player, d), each
+    the largest |x - V| / (1 + |V|): x is the play's worst-case payoff
+    (``worst_case_payoff``), then the payoff that the regime's minimax
+    adversary gets against the play (``OrthogonalMinimax.grads``, or the mean
+    over ``ParallelMinimax``'s shrink and grow; state k on stream make_rng(k)).
+    Every player plays at d = 2 (``plane_distance``), the parallel-regime
+    ones also at d = 1 (``line_distance``)."""
+    G = 1.0
+    for label, plr in envelope_players(1000, G):
+        pot = plr.potential
+        orthogonal = pot.regime == ORTHOGONAL
+        advs = ([OrthogonalMinimax(G=G)] if orthogonal
+                else [ParallelMinimax(G=G, sign_policy=sign) for sign in ("shrink", "grow")])
+        for d, xmap in [(2, plane_distance)] + ([] if orthogonal else [(1, line_distance)]):
+            gaps = np.zeros(2)
+            for t in (1, 10, 100, 998):
+                h = lambda x, t=t: pot.radial(t + 1, np.abs(x))
+                r = np.linspace(0.0, min(t, 30) * G, 33)
+                theta = np.outer(r, np.eye(1, d)[0])
+                V = minmax_values(h, xmap, r, G, 513)
+                w = plr.response(t, theta, r)
+                P = worst_case_payoff(h, xmap, r, G, w[:, 0], 513)
+                rngs = [make_rng(k) for k in range(r.size)]
+                replies = [adv.grads(t, theta, r, rngs) for adv in advs]
+                A = np.mean([np.einsum("ij,ij->i", w, g) + h(row_norms(theta - g)) for g in replies], axis=0)
+                gaps = np.maximum(gaps, np.max(np.abs([P - V, A - V]) / (1.0 + np.abs(V)), axis=1))
+            for side, gap in zip(("player", "adversary"), gaps.tolist()):
+                yield Row("player", f"{label} d={d} {side}: max gap {gap:.1e} <= {PLAYER_TOL:.0e}",
+                          gap <= PLAYER_TOL, gap)
 
 
 # --- sweep tables -----------------------------------------------------------

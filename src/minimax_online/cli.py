@@ -416,6 +416,7 @@ SUITES = {
     "one-round": partial(checks.one_round, seed=1),
     "recursion": checks.recursion,
     "regime": checks.regime,
+    "player": checks.player,
 }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -118,16 +118,6 @@ def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         rng.bit_generator.state = state
         return np.array([random_unit_vector(rng, dim) for _ in range(n)]).reshape(n, dim)
     return v / norms[:, None]
-
-
-def fallback_direction(dim: int, rng: Optional[np.random.Generator] = None) -> Point:
-    """A direction for when theta = 0 gives none: a random unit vector drawn
-    from rng, or the first axis without one."""
-    if rng is not None:
-        return random_unit_vector(rng, dim)
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return e
 
 
 def orthonormal_complement_sample(theta: Point, rng: np.random.Generator) -> Point:

@@ -8,6 +8,9 @@ regimes, distinguished by the sign of h''(x) - h'(x)/x:
 * parallel (h'' >= h'/x, or d = 1): the adversary plays +-G along theta, and
   H = (h(||theta|| + G) + h(||theta|| - G)) / 2.
 
+Only the values live here.  The plays are ``strategies.PotentialPlayer``'s
+and the minimax adversaries'; ``checks.player`` holds both to the kernel below.
+
 The independent numeric referee is ``minmax_values``, one kernel for the
 scalar reduction min_a max_{b in [-G, G]} ab + h(x(r, b)), where r = ||theta||
 and x is ||theta - g|| for a full-norm g with component b along theta:
@@ -18,26 +21,22 @@ one alpha per radius: the best grid beta, refined on a local grid spanning its
 two neighbours, gives the payoff and its maximizing beta, a subgradient, so
 the payoff's tangent line there.  The next alpha is where the lines at the two
 ends of the bracket cross, or the midpoint; the crossing value is a certified
-lower bound that stops a radius early.  ``solve_scalar_grid`` is the kernel at
-one radius and validates both closed forms; the backward-induction oracle
-runs it over the radial grid at each stage.
+lower bound that stops a radius early.  ``worst_case_payoff`` is that inner
+max at given alphas: the payoff of a play alpha * theta_hat against its best
+reply.  ``solve_scalar_grid`` is the kernel at one radius and validates both
+closed forms; the backward-induction oracle runs it over the radial grid at
+each stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from ._search import eval_on_array, finite_difference
-from .core import (
-    UnsupportedDimensionError,
-    fallback_direction,
-    make_rng,
-    orthonormal_complement_sample,
-    unit_direction,
-)
+from .core import UnsupportedDimensionError
 
 ORTHOGONAL = "orthogonal"
 PARALLEL = "parallel"
@@ -49,16 +48,13 @@ class OneRoundSpec:
     """One-round game data: scalar profile h, state theta, gradient bound G.
 
     h must be even, convex, and increasing on [0, inf); it is always evaluated
-    at nonnegative arguments here.  Optional derivative handles sharpen the
-    closed forms; central differences are used when absent.  theta must be
-    finite and G finite and > 0 (ValueError).
+    at nonnegative arguments here.  theta must be finite and G finite and > 0
+    (ValueError).
     """
 
     h: Callable[[float], float]
     theta: np.ndarray
     G: float
-    h_prime: Optional[Callable[[float], float]] = None
-    h_second: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -71,13 +67,15 @@ class OneRoundSpec:
 @dataclass
 class OneRoundSolution:
     value: float
-    player_play: np.ndarray
-    adversary_play: np.ndarray
     regime: str
 
 
-def classify_regime(h, probe_grid, h_prime=None, h_second=None, tol: float = 1e-6) -> str:
-    """Tag h as orthogonal / parallel / numeric from its derivative ratio.
+REGIME_TOL = 1e-6  # classify_regime's relative slack on h'' against h'/x
+
+
+def classify_regime(h, probe_grid) -> str:
+    """Tag h as orthogonal / parallel / numeric from its derivative ratio by central differences,
+    whose slack adds the second difference's rounding floor.
 
     A quadratic h satisfies both conditions with equality; the boundary case
     is tagged parallel (both closed forms coincide there).
@@ -87,66 +85,33 @@ def classify_regime(h, probe_grid, h_prime=None, h_second=None, tol: float = 1e-
         raise ValueError("probe_grid must contain at least 32 points")
     if np.any(probes <= 0):
         raise ValueError("probe points must be positive")
-    d1 = h_prime if h_prime is not None else (lambda x: finite_difference(h, x, 1))
-    d2 = h_second if h_second is not None else (lambda x: finite_difference(h, x, 2))
-    numeric_second = h_second is None
-    ortho_ok = True
-    par_ok = True
+    ortho_ok = par_ok = True
     for x in probes:
         x = float(x)
-        ratio = d1(x) / x
-        second = d2(x)
-        slack = tol * (1.0 + abs(ratio) + abs(second))
-        if numeric_second:
-            # rounding floor of the central second difference
-            step = 1e-5 * max(abs(x), 1.0)
-            slack += 32.0 * np.finfo(float).eps * (abs(float(h(x))) + 1.0) / (step * step)
+        ratio = finite_difference(h, x, 1) / x
+        second = finite_difference(h, x, 2)
+        step = 1e-5 * max(abs(x), 1.0)
+        slack = (REGIME_TOL * (1.0 + abs(ratio) + abs(second))
+                 + 32.0 * np.finfo(float).eps * (abs(float(h(x))) + 1.0) / (step * step))
         if second > ratio + slack:
             ortho_ok = False
         if second < ratio - slack:
             par_ok = False
-    if par_ok:
-        return PARALLEL
-    if ortho_ok:
-        return ORTHOGONAL
-    return NUMERIC
+    return PARALLEL if par_ok else ORTHOGONAL if ortho_ok else NUMERIC
 
 
-def solve_orthogonal(spec: OneRoundSpec, rng: Optional[np.random.Generator] = None) -> OneRoundSolution:
-    """Closed form for the orthogonal regime (requires dim >= 2)."""
+def solve_orthogonal(spec: OneRoundSpec) -> OneRoundSolution:
+    """The orthogonal regime's value h(sqrt(||theta||^2 + G^2)); requires dim >= 2."""
     if spec.theta.size < 2:
         raise UnsupportedDimensionError("orthogonal regime requires dim >= 2")
-    if rng is None:
-        rng = make_rng(0)
     r = float(np.linalg.norm(spec.theta))
-    s = np.sqrt(r * r + spec.G * spec.G)
-    slope = spec.h_prime(s) if spec.h_prime is not None else finite_difference(spec.h, s)
-    w_star = spec.theta * (slope / s)
-    g_star = spec.G * orthonormal_complement_sample(spec.theta, rng)
-    return OneRoundSolution(float(spec.h(s)), w_star, g_star, ORTHOGONAL)
+    return OneRoundSolution(float(spec.h(np.sqrt(r * r + spec.G * spec.G))), ORTHOGONAL)
 
 
-def solve_parallel(
-    spec: OneRoundSpec,
-    sign: float = 1.0,
-    rng: Optional[np.random.Generator] = None,
-) -> OneRoundSolution:
-    """Closed form for the parallel regime (any dim, including d = 1).
-
-    The adversary play is sign * G * theta_hat; both signs are optimal, and
-    sign=+1 (shrinking ||theta||) is the default.  When theta = 0 the play is
-    G along the first axis, or a random unit direction if rng is given.
-    """
-    if sign not in (1.0, -1.0):
-        raise ValueError("sign must be +1 or -1")
+def solve_parallel(spec: OneRoundSpec) -> OneRoundSolution:
+    """The parallel regime's value (h(||theta|| + G) + h(||theta|| - G)) / 2 (any dim, including d = 1)."""
     r = float(np.linalg.norm(spec.theta))
-    hi = float(spec.h(r + spec.G))
-    lo = float(spec.h(abs(r - spec.G)))  # h is even
-    value = 0.5 * (hi + lo)
-    that = unit_direction(spec.theta)
-    w_star = that * ((hi - lo) / (2.0 * spec.G))
-    g_star = spec.G * fallback_direction(spec.theta.size, rng) if r == 0.0 else sign * spec.G * that
-    return OneRoundSolution(value, w_star, g_star, PARALLEL)
+    return OneRoundSolution(0.5 * (float(spec.h(r + spec.G)) + float(spec.h(abs(r - spec.G)))), PARALLEL)
 
 
 BLOCK = 32  # radii solved together
@@ -165,30 +130,9 @@ def line_distance(r, beta, G):
     return np.abs(r - beta)
 
 
-def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
-    """min over alpha of max over beta in [-G, G] of alpha*beta + h(xmap(r, beta, G)), per radius r.
-
-    All radii are solved in lockstep, BLOCK at a time, which bounds the
-    temporaries at BLOCK x grid_n.  h is tabulated once on a grid_n-point beta
-    grid.  The payoff is convex in alpha and, by Danskin's theorem, the beta
-    attaining the inner max is a subgradient of it: the evaluation at alpha
-    gives the line value + beta (alpha' - alpha) below the payoff, and beta < 0
-    puts the minimum right of alpha, beta >= 0 left of it.  The bracket starts
-    at [-L, L], L = 2 * (largest slope of h on [0, r + G]) + 1e-6, and each end
-    keeps the line of the evaluation that set it.  Each step evaluates one
-    alpha per radius: where the two lines cross, if that is inside the bracket
-    and the bracket has kept the pace of one halving per two evaluations, else
-    the midpoint.  A radius stops when its bracket is within
-    tol = 1e-11 * max(1, L) or when its best payoff is within 1e-3 * G * tol of
-    the lines' value where they cross, a lower bound on the minimum.  The pace
-    rule caps a solve at 77 evaluations, twice bisection's 38 halvings plus
-    one; smooth and piecewise linear payoffs take about 4-20.  The value is
-    the smallest payoff evaluated.  The inner max takes the best grid point and
-    refines it on a REFINE_N-point grid spanning its two neighbours.  Every
-    operation acts row by row, so a radius gets the same value alone as in a
-    batch, bit for bit.  Radii must be finite and >= 0 and G finite and > 0
-    (ValueError); a NaN payoff gives NaN.
-    """
+def _by_block(radii, G: float, grid_n: int, solve) -> np.ndarray:
+    """solve(rows, radii[rows] shaped (m, 1), the grid_n-point beta grid) for each slice rows of BLOCK
+    radii, which bounds the temporaries at BLOCK x grid_n; ValueError unless radii >= 0 and 0 < G < inf."""
     radii = np.asarray(radii, dtype=np.float64)
     if not np.all((0.0 <= radii) & (radii < np.inf)):
         raise ValueError("radii must be nonnegative and finite")
@@ -197,8 +141,59 @@ def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
     betas = np.linspace(-G, G, grid_n)
     out = np.empty(radii.size)
     for s in range(0, radii.size, BLOCK):
-        out[s:s + BLOCK] = _minmax_block(h, xmap, radii[s:s + BLOCK, None], G, betas)
+        rows = slice(s, s + BLOCK)
+        out[rows] = solve(rows, radii[rows, None], betas)
     return out
+
+
+def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
+    """min over alpha of max over beta in [-G, G] of alpha*beta + h(xmap(r, beta, G)), per radius r.
+
+    All radii are solved in lockstep, BLOCK at a time.  h is tabulated once
+    on a grid_n-point beta grid.  The payoff is convex in alpha and, by
+    Danskin's theorem, the beta attaining the inner max is a subgradient of
+    it: the evaluation at alpha gives the line value + beta (alpha' - alpha)
+    below the payoff, and beta < 0 puts the minimum right of alpha, beta >= 0
+    left of it.  The bracket starts at [-L, L], L = 2 * (largest slope of h
+    on [0, r + G]) + 1e-6, and each end keeps the line of the evaluation that
+    set it.  Each step evaluates one alpha per radius: where the two lines
+    cross, if that is inside the bracket and the bracket has kept the pace of
+    one halving per two evaluations, else the midpoint.  A radius stops when
+    its bracket is within tol = 1e-11 * max(1, L) or when its best payoff is
+    within 1e-3 * G * tol of the lines' value where they cross, a lower bound
+    on the minimum.  The pace rule caps a solve at 77 evaluations, twice
+    bisection's 38 halvings plus one; smooth and piecewise linear payoffs take
+    about 4-20.  The value is the smallest payoff evaluated.  The inner max is
+    ``_inner_max``.  Every operation acts row by row, so a radius gets the
+    same value alone as in a batch, bit for bit.  Radii must be finite and
+    >= 0 and G finite and > 0 (ValueError); a NaN payoff gives NaN.
+    """
+    return _by_block(radii, G, grid_n, lambda rows, r, betas: _minmax_block(h, xmap, r, G, betas))
+
+
+def worst_case_payoff(h, xmap, radii, G: float, alphas, grid_n: int) -> np.ndarray:
+    """max over beta in [-G, G] of alpha*beta + h(xmap(r, beta, G)) for each
+    radius r and its alpha (alphas broadcasts against radii): the payoff of
+    the play alpha * theta_hat against the best reply, by ``minmax_values``'
+    inner max on the same grid_n-point beta grid."""
+    alphas = np.broadcast_to(np.asarray(alphas, dtype=np.float64), np.shape(radii))
+    return _by_block(radii, G, grid_n, lambda rows, r, betas: _inner_max(
+        h, xmap, r, G, betas, eval_on_array(h, xmap(r, betas, G)), alphas[rows])[0])
+
+
+def _inner_max(h, xmap, r, G: float, betas: np.ndarray, hvals: np.ndarray, alpha: np.ndarray):
+    """max over beta of alpha*beta + h(xmap(r, beta, G)) for each row of r (m, 1) at its alpha, and
+    the beta attaining it: the best point of the grid betas, where h is hvals (m, grid_n), refined on
+    a REFINE_N-point grid spanning its two neighbours."""
+    rows = np.arange(r.shape[0])
+    vals = alpha[:, None] * betas + hvals
+    k = np.argmax(vals, axis=1)
+    left = betas[np.maximum(k - 1, 0), None]
+    fine = left + (betas[np.minimum(k + 1, betas.size - 1), None] - left) * _REFINE
+    refined = alpha[:, None] * fine + eval_on_array(h, xmap(r, fine, G))
+    j = np.argmax(refined, axis=1)
+    coarse_top, fine_top = vals[rows, k], refined[rows, j]
+    return np.maximum(coarse_top, fine_top), np.where(fine_top > coarse_top, fine[rows, j], betas[k])
 
 
 def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
@@ -210,24 +205,6 @@ def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
     max_slope = np.max(np.abs(np.diff(eval_on_array(h, probe), axis=1)), axis=1) / step[:, 0]
     L = 2.0 * max_slope + 1e-6
     tol = 1e-11 * np.maximum(1.0, L)
-
-    rows = np.arange(r.shape[0])
-    # the refinement interval of grid point k runs from its left to its right neighbour
-    left_of = np.concatenate((betas[:1], betas[:-1]))[:, None]
-    width_of = np.concatenate((betas[1:], betas[-1:]))[:, None] - left_of
-
-    vals = np.empty_like(hvals)  # alpha*beta + h on the beta grid, rewritten at every step
-
-    def psi(alpha):
-        """The inner max at each row's alpha, and the beta attaining it."""
-        np.multiply(alpha[:, None], betas, out=vals)
-        np.add(vals, hvals, out=vals)
-        k = np.argmax(vals, axis=1)
-        fine = left_of[k] + width_of[k] * _REFINE
-        refined = alpha[:, None] * fine + eval_on_array(h, xmap(r, fine, G))
-        j = np.argmax(refined, axis=1)
-        coarse_top, fine_top = vals[rows, k], refined[rows, j]
-        return np.maximum(coarse_top, fine_top), np.where(fine_top > coarse_top, fine[rows, j], betas[k])
 
     # an evaluation at x gives beta < 0 (the minimum is right of x: x becomes a) or
     # beta >= 0 (x becomes b); each end keeps the line value + beta (alpha - x) of the
@@ -246,7 +223,7 @@ def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
         # two evaluations; the midpoint otherwise
         cutting = (b - a <= 2.0 * L * 0.5 ** (0.5 * n)) & (cross > a) & (cross < b)
         x = np.where(cutting, cross, 0.5 * (a + b))
-        value, beta = psi(x)
+        value, beta = _inner_max(h, xmap, r, G, betas, hvals, x)
         best = np.where(active, np.minimum(best, value), best)
         right = active & (beta < 0.0)
         left = active & ~(beta < 0.0)
@@ -263,22 +240,15 @@ def solve_scalar_grid(spec: OneRoundSpec, grid_n: int = 1001) -> float:
     """Numeric one-round value via the scalar reduction (the grid oracle).
 
     The value min over alpha of max over beta in [-G, G] of alpha*beta +
-    h(sqrt(||theta||^2 - 2 beta ||theta|| + G^2)) from ``minmax_values`` at
-    the one radius ||theta||: cutting planes from the maximizing beta (a
-    subgradient) over the player scalar alpha, and a grid_n-point beta grid
-    refined around its best point for the adversary scalar beta.  Valid for
-    d >= 2 geometry; accuracy ~1e-3 relative or better on the families used
-    here.
+    h(||theta - g||) from ``minmax_values`` at the one radius ||theta||:
+    cutting planes from the maximizing beta (a subgradient) over the player
+    scalar alpha, and a grid_n-point beta grid refined around its best point
+    for the adversary scalar beta.  ||theta - g|| is ``line_distance`` when
+    theta has one coordinate and ``plane_distance`` otherwise; accuracy ~1e-3
+    relative or better on the families used here.
     """
     if grid_n < 101:
         raise ValueError("grid_n must be >= 101")
     r = float(np.linalg.norm(spec.theta))
-    return float(minmax_values(spec.h, plane_distance, [r], spec.G, grid_n)[0])
-
-
-def lower_bound_value(spec: OneRoundSpec) -> float:
-    """h(sqrt(||theta||^2 + G^2)), a lower bound on H whenever d >= 2."""
-    if spec.theta.size < 2:
-        raise UnsupportedDimensionError("lower bound requires dim >= 2")
-    r = float(np.linalg.norm(spec.theta))
-    return float(spec.h(np.sqrt(r * r + spec.G * spec.G)))
+    xmap = line_distance if spec.theta.size == 1 else plane_distance
+    return float(minmax_values(spec.h, xmap, [r], spec.G, grid_n)[0])

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  Criteria 01, 02, 03 and 10 read the rows of the checks that
+report.  Criteria 01, 02, 03, 10 and 11 read the rows of the checks that
 ``minimax-online verify`` runs, at the gate's own seeds, so their tolerances
 live in ``minimax_online.checks``; time bounds and all else are pinned here.
 """
@@ -222,3 +222,12 @@ def test_criterion_10_conjugate_bound_and_peak_at_origin():
     ok = conjugate.ok and peak_ok
     _report(10, "conjugate envelope and gap peak at origin", ok,
             f"max conjugate excess {conjugate.value:.2e}, peak-at-origin grid {peak_ok}")
+
+
+def test_criterion_11_players_are_one_round_minimax():
+    start = time.monotonic()
+    rows = list(checks.player())
+    elapsed = time.monotonic() - start
+    ok = len(rows) == 20 and all(row.ok for row in rows) and elapsed < 30.0
+    _report(11, "every envelope player is the one-round minimax play", ok,
+            f"worst scaled gap {max(row.value for row in rows):.2e} (tol {checks.PLAYER_TOL:.0e}), {elapsed:.1f}s")

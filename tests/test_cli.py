@@ -379,6 +379,33 @@ class TestVerifyCommand:
         assert rows[0].label == "mislabelled t=1: orthogonal"
 
 
+    def test_player_suite(self, capsys):
+        assert main(["verify", "--lemma", "player"]) == EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(("PASS", "FAIL"))]
+        # two rows per (player, d): six players at d = 2, the four parallel-regime ones at d = 1
+        assert len(rows) == 20 and all(row.startswith("player ") and row.endswith("PASS") for row in rows)
+        assert all("<= 1e-09" in row for row in rows)
+
+    def test_player_rows_fail_on_scaled_plays(self, monkeypatch):
+        response = PotentialPlayer.response
+        monkeypatch.setattr(PotentialPlayer, "response",
+                            lambda self, t, theta, r, out=None: 1.001 * response(self, t, theta, r))
+        rows = list(checks.player())
+        # against a play off the minimax one, the best reply gains; the minimax
+        # adversaries equalize, so they get the game value from any play along theta
+        assert [row.ok for row in rows if " player:" in row.label] == [False] * 10
+        assert all(row.value >= 3e-7 for row in rows if " player:" in row.label)
+        assert all(row.ok for row in rows if " adversary:" in row.label)
+
+    @pytest.mark.parametrize("cls", [adversaries.OrthogonalMinimax, adversaries.ParallelMinimax])
+    def test_adversary_rows_fail_on_short_gradients(self, monkeypatch, cls):
+        grads = cls.grads
+        monkeypatch.setattr(cls, "grads", lambda self, t, theta, r, rngs: 0.999 * grads(self, t, theta, r, rngs))
+        rows = [row for row in checks.player() if " adversary:" in row.label]
+        orthogonal = [row.label.startswith("C power") for row in rows]
+        assert [not row.ok for row in rows] == [o == (cls is adversaries.OrthogonalMinimax) for o in orthogonal]
+
+
 CURVES_SPEC = """\
 game: {dim: 2, grad_bound: 1.0, horizon: unknown, seed: 1}
 strategy: {tag: ogd, eta: 0.2}

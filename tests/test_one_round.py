@@ -10,7 +10,6 @@ from minimax_online import (
     RecursionSpec,
     classify_regime,
     conditional_value_recursive,
-    lower_bound_value,
     solve_orthogonal,
     solve_parallel,
     solve_scalar_grid,
@@ -19,7 +18,7 @@ from minimax_online.core import UnsupportedDimensionError, make_rng
 from minimax_online import checks
 from minimax_online._search import INVPHI, eval_on_array
 from minimax_online.one_round import (BLOCK, NUMERIC, ORTHOGONAL, PARALLEL, _PROBE, _REFINE, line_distance,
-                                      minmax_values, plane_distance)
+                                      minmax_values, plane_distance, worst_case_payoff)
 
 PROBES = np.linspace(0.05, 5.0, 40)
 
@@ -43,11 +42,6 @@ class TestClassifyRegime:
         probes = np.concatenate([np.linspace(0.05, 0.9, 20), np.linspace(1.5, 4.0, 20)])
         assert classify_regime(h, probes) == NUMERIC
 
-    def test_uses_derivative_handles(self):
-        tag = classify_regime(lambda x: x * x, PROBES,
-                              h_prime=lambda x: 2 * x, h_second=lambda x: 2.0)
-        assert tag == PARALLEL
-
     def test_needs_32_probes(self):
         with pytest.raises(ValueError):
             classify_regime(lambda x: x * x, np.linspace(0.1, 1.0, 10))
@@ -57,22 +51,27 @@ class TestSolveOrthogonal:
     def test_linear_profile(self):
         spec = OneRoundSpec(h=lambda x: x, theta=np.array([3.0, 0.0]), G=4.0)
         sol = solve_orthogonal(spec)
-        assert sol.value == pytest.approx(5.0, rel=1e-9)
-        np.testing.assert_allclose(sol.player_play, [0.6, 0.0], atol=1e-9)
-        assert abs(np.linalg.norm(sol.adversary_play) - 4.0) <= 1e-9
-        assert abs(sol.adversary_play @ spec.theta) <= 1e-10
+        assert sol.value == 5.0 and sol.regime == ORTHOGONAL
 
     def test_zero_state(self):
-        spec = OneRoundSpec(h=lambda x: x, theta=np.zeros(2), G=1.0)
-        sol = solve_orthogonal(spec)
-        assert sol.value == pytest.approx(1.0)
-        np.testing.assert_allclose(sol.player_play, [0.0, 0.0])
+        assert solve_orthogonal(OneRoundSpec(h=lambda x: x, theta=np.zeros(2), G=1.0)).value == 1.0
+        assert solve_orthogonal(OneRoundSpec(h=lambda x: x * x, theta=np.zeros(2), G=2.0)).value == 4.0
 
     def test_smoothed_linear(self):
         spec = OneRoundSpec(h=lambda x: math.sqrt(x * x + 1.0), theta=np.array([1.0, 0.0]), G=1.0)
-        sol = solve_orthogonal(spec)
-        assert sol.value == pytest.approx(math.sqrt(3.0), rel=1e-9)
-        np.testing.assert_allclose(sol.player_play, [1.0 / math.sqrt(3.0), 0.0], atol=1e-7)
+        assert solve_orthogonal(spec).value == pytest.approx(math.sqrt(3.0), rel=1e-15)
+
+    def test_exp_quadratic(self):
+        spec = OneRoundSpec(h=lambda x: math.exp(x * x / 8.0), theta=np.array([1.0, 0.0]), G=1.0)
+        assert solve_orthogonal(spec).value == pytest.approx(1.2840254166877414, rel=1e-12)
+
+    def test_bounds_the_grid_value_from_below(self):
+        # any full-norm g orthogonal to theta gets h(sqrt(r^2 + G^2)) whatever w is, so
+        # the orthogonal value bounds H from below at d >= 2, in both regimes
+        rng = make_rng(23)
+        for regime in (ORTHOGONAL, PARALLEL):
+            for spec in checks.random_one_round_specs(regime, 20, rng):
+                assert solve_scalar_grid(spec) >= solve_orthogonal(spec).value - 1e-6
 
     def test_rejects_dim_one(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -81,42 +80,20 @@ class TestSolveOrthogonal:
 
 class TestSolveParallel:
     def test_quartic(self):
-        spec = OneRoundSpec(h=lambda x: x**4, theta=np.array([1.0, 0.0]), G=1.0)
-        sol = solve_parallel(spec)
-        assert sol.value == pytest.approx(8.0, rel=1e-12)
-        np.testing.assert_allclose(sol.player_play, [8.0, 0.0], rtol=1e-12)
+        sol = solve_parallel(OneRoundSpec(h=lambda x: x**4, theta=np.array([1.0, 0.0]), G=1.0))
+        assert sol.value == 8.0 and sol.regime == PARALLEL
 
     def test_absolute_value_at_zero(self):
-        spec = OneRoundSpec(h=lambda x: abs(x), theta=np.zeros(2), G=1.0)
-        sol = solve_parallel(spec)
-        assert sol.value == pytest.approx(1.0)
-        np.testing.assert_allclose(sol.player_play, [0.0, 0.0])
-        assert abs(np.linalg.norm(sol.adversary_play) - 1.0) <= 1e-12
+        assert solve_parallel(OneRoundSpec(h=lambda x: abs(x), theta=np.zeros(2), G=1.0)).value == 1.0
 
-    def test_quadratic_recovers_gradient_play(self):
-        theta = np.array([0.0, 2.0])
-        spec = OneRoundSpec(h=lambda x: x * x, theta=theta, G=1.0)
-        sol = solve_parallel(spec)
-        assert sol.value == pytest.approx(5.0, rel=1e-12)
-        np.testing.assert_allclose(sol.player_play, 2.0 * theta, rtol=1e-12)
-
-    def test_sign_choices_both_full_norm(self):
-        spec = OneRoundSpec(h=lambda x: x**4, theta=np.array([0.0, 3.0]), G=2.0)
-        plus = solve_parallel(spec, sign=1.0)
-        minus = solve_parallel(spec, sign=-1.0)
-        np.testing.assert_allclose(plus.adversary_play, [0.0, 2.0], atol=1e-12)
-        np.testing.assert_allclose(minus.adversary_play, [0.0, -2.0], atol=1e-12)
-        assert plus.value == minus.value
+    def test_quadratic(self):
+        spec = OneRoundSpec(h=lambda x: x * x, theta=np.array([0.0, 2.0]), G=1.0)
+        assert solve_parallel(spec).value == pytest.approx(5.0, rel=1e-15)
 
     def test_quadratic_boundary_matches_orthogonal_formula(self):
-        # at h = x^2 the two closed forms coincide in value and play
-        theta = np.array([1.5, -0.5])
-        spec = OneRoundSpec(h=lambda x: x * x, theta=theta, G=0.8,
-                            h_prime=lambda x: 2.0 * x)
-        par = solve_parallel(spec)
-        orth = solve_orthogonal(spec)
-        assert par.value == pytest.approx(orth.value, rel=1e-12)
-        np.testing.assert_allclose(par.player_play, orth.player_play, rtol=1e-9)
+        # at h = x^2 the two closed forms coincide
+        spec = OneRoundSpec(h=lambda x: x * x, theta=np.array([1.5, -0.5]), G=0.8)
+        assert solve_parallel(spec).value == pytest.approx(solve_orthogonal(spec).value, rel=1e-12)
 
 
 class TestScalarGrid:
@@ -149,39 +126,6 @@ class TestScalarGrid:
                             lambda spec: math.nan if next(calls) == 25 else solve_scalar_grid(spec))
         rows = list(checks.one_round(seed=7, regime=PARALLEL))
         assert [row.ok for row in rows] == [False, False], rows
-
-    def test_saddle_point_verification(self):
-        rng = make_rng(11)
-        delta = 1e-3
-        for regime in (ORTHOGONAL, PARALLEL):
-            for spec in checks.random_one_round_specs(regime, 8, rng):
-                sol = (solve_orthogonal(spec, rng) if regime == ORTHOGONAL
-                       else solve_parallel(spec))
-                r = float(np.linalg.norm(spec.theta))
-                that = spec.theta / r if r > 0 else np.zeros_like(spec.theta)
-                c_star = float(sol.player_play @ that) if r > 0 else 0.0
-
-                def max_payoff_along_theta(c):
-                    betas = np.linspace(-spec.G, spec.G, 801)
-                    xs = np.sqrt(np.maximum(r * r - 2 * betas * r + spec.G**2, 0.0))
-                    hv = np.array([float(spec.h(x)) for x in xs])
-                    return float(np.max(c * betas + hv))
-
-                base = max_payoff_along_theta(c_star)
-                assert max_payoff_along_theta(c_star + delta) >= base - 1e-9 * (1 + abs(base))
-                assert max_payoff_along_theta(c_star - delta) >= base - 1e-9 * (1 + abs(base))
-
-                # perturbing the adversary play on the sphere never increases payoff
-                def payoff(g):
-                    return float(sol.player_play @ g + spec.h(np.linalg.norm(spec.theta - g)))
-
-                base_g = payoff(sol.adversary_play)
-                perp = np.array([-sol.adversary_play[1], sol.adversary_play[0]])
-                if np.linalg.norm(perp) > 0:
-                    perp /= np.linalg.norm(perp)
-                for angle in (delta, -delta):
-                    g_rot = math.cos(angle) * sol.adversary_play + math.sin(angle) * spec.G * perp
-                    assert payoff(g_rot) <= base_g + 1e-6 * (1 + abs(base_g))
 
 
 def reference_minmax_values(h, xmap, radii, G, grid_n):
@@ -290,6 +234,45 @@ class TestMinmaxKernel:
         assert calls <= math.ceil(len(radii) / BLOCK) * (2 + 2 * 38 + 1), calls
 
 
+class TestWorstCasePayoff:
+    """The kernel's inner max at given alphas: a play's payoff against the best reply."""
+
+    def test_orthogonal_example(self):
+        # h = |x|, ||theta|| = 3, G = 4: the play 0.6 theta_hat is met best by beta = 0
+        assert worst_case_payoff(np.abs, plane_distance, [3.0], 4.0, [0.6], 1001)[0] == pytest.approx(5.0, abs=1e-12)
+
+    def test_rejects_alphas_that_do_not_match_the_radii(self):
+        with pytest.raises(ValueError):
+            worst_case_payoff(np.abs, line_distance, [0.0, 1.0, 2.0], 1.0, [0.5, 0.5], 101)
+
+    @given(alphas=st.lists(st.floats(-5.0, 5.0), min_size=40, max_size=40), **KERNEL_CASES)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_a_dense_grid_and_never_beats_the_value(self, alphas, radii, G, grid_n, p, xmap):
+        h = lambda x: np.abs(x) ** p / p
+        alphas = np.array(alphas[:len(radii)])
+        got = worst_case_payoff(h, xmap, radii, G, alphas, grid_n)
+        betas = np.linspace(-G, G, 100001)
+        dense = np.array([np.max(a * betas + h(xmap(r, betas, G))) for r, a in zip(radii, alphas)])
+        assert np.all(np.abs(got - dense) <= 1e-6 * (1.0 + np.abs(dense))), (got, dense)
+        # min over alpha of the payoff is the value, up to the kernel's stopping tolerance
+        value = minmax_values(h, xmap, radii, G, grid_n)
+        assert np.all(got >= value - 1e-9 * (1.0 + np.abs(value))), (got, value)
+
+    @given(**KERNEL_CASES)
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_one_radius_at_a_time(self, radii, G, grid_n, p, xmap):
+        h = lambda x: np.abs(x) ** p / p
+        alphas = np.linspace(-1.0, 1.0, len(radii))
+        batch = worst_case_payoff(h, xmap, radii, G, alphas, grid_n)
+        alone = [worst_case_payoff(h, xmap, [r], G, [a], grid_n)[0] for r, a in zip(radii, alphas)]
+        assert batch.tolist() == alone
+
+    @pytest.mark.parametrize("radii,G", [([-0.5], 1.0), ([np.inf], 1.0), ([1.0], 0.0), ([1.0], np.nan)])
+    def test_rejects_what_the_kernel_rejects(self, radii, G):
+        with pytest.raises(ValueError):
+            worst_case_payoff(np.abs, plane_distance, radii, G, [0.0], 101)
+
+
 class TestKernelInputs:
     """Inputs the kernel cannot solve raise, and a NaN payoff is NaN, never a silent inf."""
 
@@ -321,26 +304,8 @@ class TestKernelInputs:
         assert math.isnan(got[1]), got
 
 
-class TestLowerBound:
-    def test_examples(self):
-        assert lower_bound_value(OneRoundSpec(h=lambda x: x, theta=np.array([3.0, 0.0]), G=4.0)) == 5.0
-        assert lower_bound_value(OneRoundSpec(h=lambda x: x * x, theta=np.zeros(2), G=2.0)) == 4.0
-        spec = OneRoundSpec(h=lambda x: math.exp(x * x / 8.0), theta=np.array([1.0, 0.0]), G=1.0)
-        assert lower_bound_value(spec) == pytest.approx(1.2840254166877414, rel=1e-12)
-
-    def test_grid_dominates_lower_bound(self):
-        rng = make_rng(23)
-        for regime in (ORTHOGONAL, PARALLEL):
-            for spec in checks.random_one_round_specs(regime, 20, rng):
-                assert solve_scalar_grid(spec) >= lower_bound_value(spec) - 1e-6
-
-    def test_rejects_dim_one(self):
-        with pytest.raises(UnsupportedDimensionError):
-            lower_bound_value(OneRoundSpec(h=lambda x: x, theta=np.array([2.0]), G=1.0))
-
-
 class TestDimOneParallel:
-    """The parallel closed form holds at d = 1 for every convex h tested."""
+    """The parallel closed form and the grid oracle hold at d = 1 for every convex h tested."""
 
     @pytest.mark.parametrize("name,h", [
         ("abs", lambda x: np.abs(x)),
@@ -353,5 +318,13 @@ class TestDimOneParallel:
         for r in (0.0, 0.6, 2.0):
             spec1 = RecursionSpec(f=h, G=G, T=1, dim=1, n_r=401)
             oracle = conditional_value_recursive(spec1, 0, np.array([r]))
-            closed = solve_parallel(OneRoundSpec(h=h, theta=np.array([r]), G=G)).value
-            assert closed == pytest.approx(oracle, rel=2e-3, abs=2e-3)
+            spec = OneRoundSpec(h=h, theta=np.array([r]), G=G)
+            assert solve_parallel(spec).value == pytest.approx(oracle, rel=2e-3, abs=2e-3)
+            assert solve_scalar_grid(spec) == pytest.approx(oracle, rel=2e-3, abs=2e-3)
+
+    def test_grid_oracle_plays_on_the_line(self):
+        # the plane's geometry would give sqrt(0.6^2 + 1) = 1.16619 for h = |x|
+        spec = OneRoundSpec(h=np.abs, theta=np.array([0.6]), G=1.0)
+        assert solve_scalar_grid(spec) == pytest.approx(1.0, abs=1e-12)
+        assert solve_scalar_grid(spec) == minmax_values(np.abs, line_distance, [0.6], 1.0, 1001)[0]
+        assert solve_parallel(spec).value == 1.0

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minimax_online
 from minimax_online import (
     PowerPotential,
     RecursionSpec,
@@ -291,3 +294,23 @@ class TestRadialReductionValidation:
         full = one_round_value_full_2d(h, theta, 1.0)
         reduced = solve_scalar_grid(OneRoundSpec(h=h, theta=theta, G=1.0))
         assert abs(full - reduced) <= 1e-3 * (1.0 + abs(reduced))
+
+
+class TestRefereeIndependence:
+    """The referee (the one-round kernel and the oracles) imports none of the
+    closed forms it checks, nor the code that runs or checks them."""
+
+    CHECKED = {"potentials", "strategies", "adversaries", "engine", "checks"}
+
+    @pytest.mark.parametrize("module", ["one_round.py", "oracles.py"])
+    def test_imports_no_closed_form(self, module):
+        tree = ast.parse((Path(minimax_online.__file__).parent / module).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):  # from .potentials import x, or from . import potentials
+                names.add(node.module or "")
+                names.update(alias.name for alias in node.names)
+        parts = {part for name in names for part in name.split(".")}
+        assert "numpy" in parts and not parts & self.CHECKED, sorted(names)

@@ -7,7 +7,6 @@ from minimax_online import (
     AdaptiveNormalPotential,
     GameConfig,
     NormalKnownTPotential,
-    OneRoundSpec,
     OrthogonalMinimax,
     PotentialPlayer,
     PowerPotential,
@@ -15,10 +14,8 @@ from minimax_online import (
     make_rng,
     norm,
     run_game,
-    solve_orthogonal,
-    solve_parallel,
 )
-from minimax_online.one_round import ORTHOGONAL
+from minimax_online.one_round import minmax_values, plane_distance, worst_case_payoff
 from minimax_online.checks import adversary_quartet
 
 
@@ -123,21 +120,26 @@ MINIMAX_FAMILIES = [
 
 
 class TestMinimaxConsistency:
-    """Each play equals the one-round closed-form play for its next-step potential."""
+    """Each play is parallel to theta and is the one-round minimax play for its
+    next-step potential: its worst-case payoff is the kernel's game value."""
 
     @pytest.mark.parametrize("pot", MINIMAX_FAMILIES, ids=[pot.tag for pot in MINIMAX_FAMILIES])
     def test_play_matches_one_round_solver(self, pot):
         player = PotentialPlayer(pot)
         rng = make_rng(31)
-        for k in range(300):
+        for k in range(40):
             t = int(rng.integers(0, getattr(pot, "T", 12)))
             d = int(rng.integers(2, 17))
             r = 0.0 if k % 10 == 0 else float(rng.uniform(0.0, 4.0))
             v = rng.standard_normal(d)
             theta = r * v / np.linalg.norm(v)
-            spec = OneRoundSpec(h=lambda x: pot.radial(t + 1, abs(x)), theta=theta, G=pot.G)
-            sol = solve_orthogonal(spec) if pot.regime == ORTHOGONAL else solve_parallel(spec)
-            np.testing.assert_allclose(player.response(t, theta, norm(theta)), sol.player_play, atol=1e-8)
+            w = player.response(t, theta, norm(theta))
+            alpha = float(w @ theta) / r if r > 0 else 0.0
+            np.testing.assert_allclose(w, alpha * theta / max(r, 1e-300), rtol=0, atol=1e-15 * (1 + abs(alpha)))
+            h = lambda x: pot.radial(t + 1, np.abs(x))
+            value = minmax_values(h, plane_distance, [r], pot.G, 513)[0]
+            payoff = worst_case_payoff(h, plane_distance, [r], pot.G, [alpha], 513)[0]
+            assert abs(payoff - value) <= 1e-9 * (1.0 + abs(value)), (t, d, r, payoff, value)
 
 
 class TestIdenticalPlaysAgainstMinimaxAdversary:
