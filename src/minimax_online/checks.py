@@ -154,8 +154,10 @@ def player() -> Iterator[Row]:
     value ``minmax_values(q_{t+1})`` there.  Two rows per (player, d), each
     the largest |x - V| / (1 + |V|): x is the play's worst-case payoff
     (``worst_case_payoff``), then the payoff that the regime's minimax
-    adversary gets against the play (``OrthogonalMinimax.grads``, or the mean
-    over ``ParallelMinimax``'s shrink and grow; state k on stream make_rng(k)).
+    adversary gets against the play (``OrthogonalMinimax.grads``, or each of
+    ``ParallelMinimax``'s shrink and grow, the larger gap; state k on stream
+    make_rng(k)).  Each sign alone holds the play too: the minimax play is the
+    one that equalizes them.
     Every player plays at d = 2 (``plane_distance``), the parallel-regime
     ones also at d = 1 (``line_distance``)."""
     G = 1.0
@@ -175,8 +177,8 @@ def player() -> Iterator[Row]:
                 P = worst_case_payoff(h, xmap, r, G, w[:, 0], 513)
                 rngs = [make_rng(k) for k in range(r.size)]
                 replies = [adv.grads(t, theta, r, rngs) for adv in advs]
-                A = np.mean([np.einsum("ij,ij->i", w, g) + h(row_norms(theta - g)) for g in replies], axis=0)
-                gaps = np.maximum(gaps, np.max(np.abs([P - V, A - V]) / (1.0 + np.abs(V)), axis=1))
+                A = [np.einsum("ij,ij->i", w, g) + h(row_norms(theta - g)) for g in replies]
+                gaps = np.maximum(gaps, [np.max(np.abs(x - V) / (1.0 + np.abs(V))) for x in (P, A)])
             for side, gap in zip(("player", "adversary"), gaps.tolist()):
                 yield Row("player", f"{label} d={d} {side}: max gap {gap:.1e} <= {PLAYER_TOL:.0e}",
                           gap <= PLAYER_TOL, gap)

@@ -6,7 +6,10 @@ Subcommands:
   cell, write per-run traces plus a summary table and a machine-readable
   verdict; exit 0 only if every measured regret respects its envelope.  The
   repeats of one (strategy, adversary) pair form a group, played in lockstep
-  by ``engine.run_games``; ``--jobs`` spreads the groups over processes.
+  by ``engine.run_games``.  The groups of one adversary form a column, run
+  one after another; a play-blind adversary's gradient block depends only on
+  the seeds, so a column computes it once and every strategy replays it.
+  ``--jobs`` spreads the columns over processes.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
 * ``curves <trace_dir>``: emit tidy per-round regret-vs-envelope CSV; a
@@ -278,13 +281,32 @@ def _run_id(spec: ExperimentSpec, si: int, ai: int, k: int) -> str:
     return f"s{si}-{spec.strategies[si]['tag']}_a{ai}-{spec.adversaries[ai]['tag']}_k{k:03d}"
 
 
+class _SharedBlock:
+    """A play-blind adversary whose gradient block one column computes once:
+    the first call computes the inner adversary's block, later calls return
+    that array.  Every group of a column asks with the same seeds, rounds and
+    dim, and the block reads nothing else, so each group gets what it would
+    compute itself.  A call that raises stores nothing."""
+
+    def __init__(self, adversary):
+        self.adversary = adversary
+        self.tag = adversary.tag
+        self.block = None
+
+    def gradient_block(self, rngs, rounds, dim):
+        if self.block is None:
+            self.block = self.adversary.gradient_block(rngs, rounds, dim)
+            self.block.flags.writeable = False  # every group reads it; none may write it
+        return self.block
+
+
 def _execute_cell(args):
-    """One (strategy, adversary) group, its repeats played in lockstep; returns
-    its summary rows, run by run.  The group's traces are written before it
-    returns, so only one group's arrays are alive at a time."""
-    spec, si, ai, out_dir = args
+    """One (strategy, adversary) group, its repeats played in lockstep against
+    the column's adversary; returns its summary rows, run by run.  The group's
+    traces are written before it returns, so only one group's plays are alive
+    at a time."""
+    spec, si, ai, adversary, out_dir = args
     strategy = build_strategy(spec.strategies[si], spec.game)
-    adversary = build_adversary(spec.adversaries[ai], spec.game)
     configs = [replace(spec.game, seed=spec.game.seed + k) for k in range(spec.repeats)]
     comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
                    for comp in spec.comparators]
@@ -309,14 +331,23 @@ def _execute_cell(args):
     return rows
 
 
-def _execute_group(args):
-    """(summary rows, None), or ([], message) when the group raised; the
-    traceback then goes to stderr."""
-    try:
-        return _execute_cell(args), None
-    except Exception as exc:  # a crash in one group must not hide the others' verdicts
-        traceback.print_exc()
-        return [], f"{type(exc).__name__}: {exc}"
+def _execute_column(args):
+    """Every strategy's group against adversary ai, in strategy order: for
+    each, (summary rows, None), or ([], message) when the group raised; the
+    traceback then goes to stderr and the column's other groups still run.  A
+    play-blind adversary's block is computed once and shared by the column."""
+    spec, ai, out_dir = args
+    adversary = build_adversary(spec.adversaries[ai], spec.game)
+    if hasattr(adversary, "gradient_block"):
+        adversary = _SharedBlock(adversary)
+    results = []
+    for si in range(len(spec.strategies)):
+        try:
+            results.append((_execute_cell((spec, si, ai, adversary, out_dir)), None))
+        except Exception as exc:  # a crash in one group must not hide the others' verdicts
+            traceback.print_exc()
+            results.append(([], f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def _job_count(flag: Optional[str]) -> int:
@@ -356,28 +387,29 @@ def cmd_run(args) -> int:
         print(f"error: {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    groups = [(spec, si, ai, str(out_dir))
-              for si in range(len(spec.strategies))
-              for ai in range(len(spec.adversaries))]
+    # adversary-major, so only one column's gradient block is alive at a time
+    columns = [(spec, ai, str(out_dir)) for ai in range(len(spec.adversaries))]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at module level: --jobs 1 never loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_execute_group, groups))
+            results = list(pool.map(_execute_column, columns))
     else:
-        results = [_execute_group(group) for group in groups]
+        results = [_execute_column(column) for column in columns]
     all_rows, errors = [], []
-    for (_, si, ai, _), (rows, message) in zip(groups, results):
-        all_rows += rows
-        if message is not None:
-            print(f"error: group s{si}-a{ai} raised {message}", file=sys.stderr)
-            errors += [{"run_id": _run_id(spec, si, ai, k), "seed": spec.game.seed + k,
-                        "status": "error", "message": message} for k in range(spec.repeats)]
+    for si in range(len(spec.strategies)):  # back in (strategy, adversary, repeat) order
+        for ai, column in enumerate(results):
+            rows, message = column[si]
+            all_rows += rows
+            if message is not None:
+                print(f"error: group s{si}-a{ai} raised {message}", file=sys.stderr)
+                errors += [{"run_id": _run_id(spec, si, ai, k), "seed": spec.game.seed + k,
+                            "status": "error", "message": message} for k in range(spec.repeats)]
 
     summary_path = out_dir / "summary.csv"
     cols = ["run_id", "strategy", "adversary", "seed", "u_norm", "direction_seed",
             "regret", "bound", "slack", "holds"]
-    n_runs = len(groups) * spec.repeats
+    n_runs = len(spec.strategies) * len(spec.adversaries) * spec.repeats
     violations = [row for row in all_rows if not row["holds"]]
     files = {
         summary_path: "\n".join([",".join(cols)] + [",".join(str(row[c]) for c in cols) for row in all_rows]) + "\n",

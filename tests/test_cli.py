@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from minimax_online import adversaries, checks, potentials
+from minimax_online import adversaries, checks, cli, engine, potentials
 from minimax_online.cli import (
     ADVERSARIES,
     EXIT_BOUND_VIOLATION,
@@ -295,10 +295,13 @@ rounds: 200
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_crashing_group_exits_4_and_the_others_finish(self, tmp_path, capsys, jobs):
-        # adaptive_normal against one fixed line overflows float64 near round 3.4k
+        # adaptive_normal against one fixed line overflows float64 near round 3.4k;
+        # ogd plays the same fixed_direction column from its block after the crash
         sweep = """\
 game: {dim: 2, grad_bound: 1.0, horizon: unknown, seed: 0}
-strategy: {tag: adaptive_normal, eps: 1.0, a: 2.4}
+strategies:
+  - {tag: adaptive_normal, eps: 1.0, a: 2.4}
+  - {tag: ogd, eta: 0.1}
 adversaries:
   - {tag: fixed_direction}
   - {tag: gaussian_random}
@@ -313,14 +316,89 @@ rounds: 4000
         assert main(["run", "--spec", str(path), "--jobs", str(jobs)]) == EXIT_CELL_ERROR
         assert "OverflowError" in capsys.readouterr().err
         verdict = json.loads((out / "verdict.json").read_text())
-        assert not verdict["all_hold"] and verdict["n_runs"] == 4 and verdict["n_checks"] == 4
+        assert not verdict["all_hold"] and verdict["n_runs"] == 8 and verdict["n_checks"] == 12
         errors = verdict["errors"]
         assert [e["run_id"] for e in errors] == [f"s0-adaptive_normal_a0-fixed_direction_k00{k}" for k in (0, 1)]
         assert all(e["status"] == "error" and e["message"].startswith("OverflowError") for e in errors)
         rows = list(csv.DictReader((out / "summary.csv").open()))
-        assert [r["run_id"] for r in rows] == [f"s0-adaptive_normal_a1-gaussian_random_k00{k}"
-                                               for k in (0, 0, 1, 1)]
+        groups = ["s0-adaptive_normal_a1-gaussian_random", "s1-ogd_a0-fixed_direction", "s1-ogd_a1-gaussian_random"]
+        assert [r["run_id"] for r in rows] == [f"{group}_k00{k}" for group in groups for k in (0, 0, 1, 1)]
         assert sorted(p.name for p in out.glob("run_*")) == [f"run_{r['run_id']}.csv" for r in rows[::2]]
+
+    def test_a_play_blind_block_is_computed_once_per_column(self, tmp_path, monkeypatch):
+        sweep = """\
+game: {dim: 3, grad_bound: 1.0, horizon: 30, seed: 4}
+strategies:
+  - {tag: ogd, eta: 0.2}
+  - {tag: power, W: 1.0, p: 1.5}
+  - {tag: normal_knownT, eps: 1.0, a: 2.4}
+adversaries:
+  - {tag: orthogonal_minimax}
+  - {tag: parallel_minimax, sign_policy: shrink}
+  - {tag: greedy_vs_comparator, comparator: [1.0, 0.0, 0.0]}
+outputs: {dir: OUTDIR, format: json}
+repeats: 2
+"""
+        calls = []
+        for cls in (adversaries.OrthogonalMinimax, adversaries.ParallelMinimax):
+            def counted(self, rngs, rounds, dim, block=cls.gradient_block):
+                calls.append(self.tag)
+                return block(self, rngs, rounds, dim)
+            monkeypatch.setattr(cls, "gradient_block", counted)
+        played = []
+
+        def recorded(strategy, adversary, configs, rounds):
+            traces = engine.run_games(strategy, adversary, configs, rounds)
+            played.append((strategy, configs, rounds, traces))
+            return traces
+        monkeypatch.setattr(cli, "run_games", recorded)
+        path, _ = write_spec(tmp_path, sweep)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        assert calls == ["orthogonal_minimax", "parallel_minimax"]  # one per column, not one per group
+        assert len(played) == 9
+        spec = parse_experiment_spec(path)
+        monkeypatch.undo()
+        for strategy, configs, rounds, traces in played:
+            ai = [entry["tag"] for entry in spec.adversaries].index(traces[0].adversary_tag)
+            alone = engine.run_games(strategy, cli.build_adversary(spec.adversaries[ai], spec.game), configs, rounds)
+            for shared, own in zip(traces, alone):
+                for key in ("w", "g", "theta", "losses"):
+                    assert getattr(shared, key).tobytes() == getattr(own, key).tobytes(), \
+                        (shared.strategy_tag, shared.adversary_tag, key)
+
+    def test_a_raising_block_fails_every_group_of_its_column(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def boom(self, rngs, rounds, dim):
+            calls.append(self.tag)
+            raise ValueError(f"no block of {rounds} rounds")
+        monkeypatch.setattr(adversaries.ParallelMinimax, "gradient_block", boom)
+        sweep = """\
+game: {dim: 2, grad_bound: 1.0, horizon: unknown, seed: 0}
+strategies:
+  - {tag: ogd, eta: 0.2}
+  - {tag: adaptive_normal, eps: 1.0, a: 2.4}
+adversaries:
+  - {tag: parallel_minimax}
+  - {tag: orthogonal_minimax}
+outputs: {dir: OUTDIR, format: csv}
+repeats: 2
+rounds: 20
+"""
+        path, out = write_spec(tmp_path, sweep)
+        assert main(["run", "--spec", str(path)]) == EXIT_CELL_ERROR
+        assert calls == ["parallel_minimax"] * 2  # a block that raised is not kept: each group asks again
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: group s{si}-a0 raised ValueError: no block of 20 rounds" for si in (0, 1)]
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["errors"] == [
+            {"run_id": f"s{si}-{tag}_a0-parallel_minimax_k00{k}", "seed": k, "status": "error",
+             "message": "ValueError: no block of 20 rounds"}
+            for si, tag in enumerate(("ogd", "adaptive_normal")) for k in (0, 1)]
+        rows = list(csv.DictReader((out / "summary.csv").open()))
+        assert [r["run_id"] for r in rows] == [f"s{si}-{tag}_a1-orthogonal_minimax_k00{k}"
+                                               for si, tag in enumerate(("ogd", "adaptive_normal")) for k in (0, 1)]
 
     def test_trace_bytes_do_not_depend_on_the_repeat_count(self, tmp_path):
         sweep = """\
@@ -391,11 +469,14 @@ class TestVerifyCommand:
         monkeypatch.setattr(PotentialPlayer, "response",
                             lambda self, t, theta, r, out=None: 1.001 * response(self, t, theta, r))
         rows = list(checks.player())
-        # against a play off the minimax one, the best reply gains; the minimax
-        # adversaries equalize, so they get the game value from any play along theta
+        # against a play off the minimax one, the best reply gains, and the two
+        # parallel signs no longer pay the same; the orthogonal adversary's g is
+        # orthogonal to any play along theta, so it gets the game value still
         assert [row.ok for row in rows if " player:" in row.label] == [False] * 10
         assert all(row.value >= 3e-7 for row in rows if " player:" in row.label)
-        assert all(row.ok for row in rows if " adversary:" in row.label)
+        adversary = [row for row in rows if " adversary:" in row.label]
+        assert [row.ok for row in adversary] == [row.label.startswith("C power") for row in adversary]
+        assert all(row.value >= 1e-5 for row in adversary if not row.ok)
 
     @pytest.mark.parametrize("cls", [adversaries.OrthogonalMinimax, adversaries.ParallelMinimax])
     def test_adversary_rows_fail_on_short_gradients(self, monkeypatch, cls):
