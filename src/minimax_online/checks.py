@@ -16,7 +16,8 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .adversaries import FixedDirection, GaussianRandom, OrthogonalMinimax, ParallelMinimax
-from .core import make_rng, random_unit_vector, row_norms
+from .core import GameConfig, make_rng, random_unit_vector, row_norms
+from .engine import epsilon_ledger, run_games
 from .one_round import (ORTHOGONAL, PARALLEL, OneRoundSpec, classify_regime, line_distance, minmax_values,
                         plane_distance, solve_orthogonal, solve_parallel, solve_scalar_grid, worst_case_payoff)
 from .oracles import RecursionSpec, argmax_at_zero_check, conditional_value_recursive, gaussian_dominance_check
@@ -182,6 +183,28 @@ def player() -> Iterator[Row]:
             for side, gap in zip(("player", "adversary"), gaps.tolist()):
                 yield Row("player", f"{label} d={d} {side}: max gap {gap:.1e} <= {PLAYER_TOL:.0e}",
                           gap <= PLAYER_TOL, gap)
+
+
+BUDGET_TOL = 1e-9  # scaled excess
+
+
+def budget() -> Iterator[Row]:
+    """The slack each player used, q_0(0) + sum_{s<=t} eps_s, against its
+    ``budget(t)`` at every round t of acceptance criterion 07's sweep:
+    ``envelope_players(400, 1)`` x ``adversary_quartet(1)``, d = 4, seeds
+    0..19.  One row per (player, adversary), the largest excess scaled by
+    1 + |budget(t)|."""
+    T, G = 400, 1.0
+    configs = [GameConfig(dim=4, grad_bound=G, horizon=T, seed=seed) for seed in range(20)]
+    for (label, plr), adv in product(envelope_players(T, G), adversary_quartet(G)):
+        pot = plr.potential
+        start, allowed = pot.radial(0, 0.0), pot.budget(np.arange(1, T + 1))  # q_0(0) is 0 for ogd and adaptive
+        worst = -math.inf
+        for trace in run_games(plr, adv, configs, T):
+            used = start + np.cumsum(epsilon_ledger(trace, pot))
+            worst = float(np.maximum(worst, np.max((used - allowed) / (1.0 + np.abs(allowed)))))
+        yield Row("budget", f"{label} vs {adv.tag}: max excess {worst:.1e} <= {BUDGET_TOL:.0e}",
+                  worst <= BUDGET_TOL, worst)
 
 
 # --- sweep tables -----------------------------------------------------------

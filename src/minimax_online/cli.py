@@ -54,6 +54,8 @@ EXIT_BOUND_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_CELL_ERROR = 4
 
+SEED_MAX = 2**64 - 1  # make_rng keys each run's stream with one uint64
+
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
@@ -71,9 +73,9 @@ def _find_key_line(text: str, key: str) -> Optional[int]:
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "a mapping"}
 
 
-def _coerce(value, kind, what: str, text: str = "", key: Optional[str] = None, minimum=None):
-    """value as kind and at least minimum (if given), else a ConfigError naming
-    what, at the line of key (what by default).
+def _coerce(value, kind, what: str, text: str = "", key: Optional[str] = None, minimum=None, maximum=None):
+    """value as kind within [minimum, maximum] (each if given), else a
+    ConfigError naming what, at the line of key (what by default).
 
     int takes an integral number and float a finite one; a bool or a string is
     neither.  str, list and dict take only a value of their own type.
@@ -90,6 +92,8 @@ def _coerce(value, kind, what: str, text: str = "", key: Optional[str] = None, m
         raise ConfigError(f"{what} must be {_KINDS[kind]}, got {value!r}", _find_key_line(text, key or what))
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}", _find_key_line(text, key or what))
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{what} must be <= {maximum}", _find_key_line(text, key or what))
     return kind(value)
 
 
@@ -221,7 +225,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     horizon = game_sec.get("horizon", UNKNOWN_HORIZON)
     if horizon != UNKNOWN_HORIZON:
         horizon = _coerce(horizon, int, "game.horizon", text, "horizon")
-    seed = _coerce(game_sec.get("seed", 0), int, "game.seed", text, "seed", minimum=0)
+    seed = _coerce(game_sec.get("seed", 0), int, "game.seed", text, "seed", minimum=0, maximum=SEED_MAX)
     try:
         game = GameConfig(dim=dim, grad_bound=grad_bound, horizon=horizon, seed=seed)
     except ValueError as exc:
@@ -250,7 +254,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         comparators.append({
             "norm": _coerce(comp["norm"], float, "comparator norm", text, "norm", minimum=0),
             "direction_seed": _coerce(comp.get("direction_seed", 0), int, "comparator direction_seed", text,
-                                      "direction_seed", minimum=0)})
+                                      "direction_seed", minimum=0, maximum=SEED_MAX)})
 
     outputs = _coerce(raw.get("outputs", {}), dict, "outputs", text)
     _require_keys(outputs, {"dir", "format"}, set(), "outputs", text)
@@ -260,6 +264,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     out_dir = _coerce(outputs.get("dir", "out"), str, "outputs.dir", text, "dir")
 
     repeats = _coerce(raw.get("repeats", 1), int, "repeats", text, minimum=1)
+    _coerce(seed + repeats - 1, int, "game.seed + repeats - 1", text, "seed", maximum=SEED_MAX)
 
     rounds = raw.get("rounds")
     if rounds is None:
@@ -319,8 +324,7 @@ def _execute_cell(args):
             write_trace_csv(trace, Path(out_dir) / f"run_{run_id}.csv")
         if spec.out_format in ("json", "both"):
             write_trace_json(trace, Path(out_dir) / f"run_{run_id}.json")
-        for comp, u in zip(spec.comparators, comparators):
-            report = verify_bound(trace, strategy, [u])[0]
+        for comp, report in zip(spec.comparators, verify_bound(trace, strategy, comparators)):
             rows.append({
                 "run_id": run_id, "strategy": strategy.tag, "adversary": adversary.tag,
                 "seed": trace.config.seed, "u_norm": report.u_norm,
@@ -368,14 +372,12 @@ def cmd_run(args) -> int:
     try:
         jobs = _job_count(args.jobs)
         spec = parse_experiment_spec(args.spec)
+        if args.seed is not None:  # the last repeat's seed is --seed + repeats - 1
+            seed = _coerce(args.seed, int, "--seed", minimum=0, maximum=SEED_MAX - (spec.repeats - 1))
+            spec.game = replace(spec.game, seed=seed)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be >= 0", file=sys.stderr)
-            return EXIT_CONFIG
-        spec.game = replace(spec.game, seed=args.seed)
     if args.out is not None:
         spec.out_dir = args.out
     if args.format is not None:
@@ -449,6 +451,7 @@ SUITES = {
     "recursion": checks.recursion,
     "regime": checks.regime,
     "player": checks.player,
+    "budget": checks.budget,
 }
 
 
@@ -496,15 +499,13 @@ def cmd_curves(args) -> int:
         game = GameConfig(**meta["game"])
         potentials = {f"s{i}": build_strategy(entry, game).potential
                       for i, entry in enumerate(meta["strategies"])}
-        comparators = [comparator_vector(c["norm"], c["direction_seed"], game.dim)
-                       for c in meta["comparators"]]
+        comparators = [comparator_vector(_coerce(c["norm"], float, "norm", minimum=0),
+                                         _coerce(c["direction_seed"], int, "direction_seed", minimum=0, maximum=SEED_MAX),
+                                         game.dim) for c in meta["comparators"]]
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"error: {meta_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     u_norms = [float(np.linalg.norm(u)) for u in comparators]
-    # bound_u per round, once per (comparator, T) of one strategy entry at a time: the
-    # traces are sorted, so the run_sN-* files of entry sN are contiguous
-    bounds, bounds_entry = {}, None
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")  # a failed call leaves no partial curves.csv
     try:
@@ -521,19 +522,15 @@ def cmd_curves(args) -> int:
                     trace = read_trace_json(path)
                     if trace.config.dim != game.dim:
                         raise ValueError(f"dim {trace.config.dim}, but sweep.json has game.dim {game.dim}")
+                    T = trace.n_rounds  # bound_u of every comparator at every round (t <= the horizon), in one call
+                    bounds = regret_bound(potentials[entry], np.array(u_norms)[:, None], np.arange(1, T + 1))
                 except (OSError, ValueError) as exc:
                     print(f"error: {path}: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
-                T = trace.n_rounds
-                if entry != bounds_entry:
-                    bounds, bounds_entry = {}, entry
-                for ci, (u, u_norm) in enumerate(zip(comparators, u_norms)):
-                    if (ci, T) not in bounds:
-                        bounds[ci, T] = np.array([regret_bound(potentials[entry], u_norm, t)
-                                                  for t in range(1, T + 1)], dtype=np.float64)
+                for u, u_norm, bound in zip(comparators, u_norms, bounds):
                     table = np.empty((T, 3))
                     table[:, 0] = np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u[None, :]))
-                    table[:, 1] = bounds[ci, T]
+                    table[:, 1] = bound
                     table[:, 2] = u_norm
                     write_repr_rows(fh, table, range(1, T + 1), b"\n", const=run_id)
         os.replace(tmp_path, out_path)

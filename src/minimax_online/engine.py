@@ -267,16 +267,17 @@ class BoundReport:
 
 def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
                  tol: float = 1e-6) -> List[BoundReport]:
-    """Compare measured regret against the envelope of the strategy's potential."""
-    T = trace.n_rounds
+    """Compare measured regret against the envelope of the strategy's potential
+    at T, all comparators' envelopes in one ``regret_bound`` call."""
+    us = [np.asarray(u, dtype=np.float64) for u in comparators]
+    norms = [float(np.linalg.norm(u)) for u in us]
+    bounds = regret_bound(strategy.potential, norms, max(trace.n_rounds, 1)).tolist()
     reports = []
-    for u in comparators:
-        u = np.asarray(u, dtype=np.float64)
+    for u, u_norm, bound in zip(us, norms, bounds):
         actual = regret(trace, u)
-        bound = regret_bound(strategy.potential, float(np.linalg.norm(u)), max(T, 1))
         slack = bound - actual
         holds = bool(slack >= -tol * (1.0 + abs(bound))) if math.isfinite(bound) else True
-        reports.append(BoundReport(u, float(np.linalg.norm(u)), actual, bound, slack, holds))
+        reports.append(BoundReport(u, u_norm, actual, bound, slack, holds))
     return reports
 
 

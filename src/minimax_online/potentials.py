@@ -1,41 +1,49 @@
 """Time-indexed potential functions, their one-round plays, and their envelopes.
 
-Four families are implemented, all convex radial functions q_t(||theta||)
-of the cumulative negative-gradient state theta:
+Four families of convex radial functions q_t(||theta||) of the cumulative
+negative-gradient state theta.  With the slack ledger of ``engine``, eps_s =
+q_s(theta_s) - q_{s-1}(theta_{s-1}) + <w_s, g_s> and theta_0 = 0, the regret
+telescopes to
 
-* QuadraticPotential      (eta/2) x^2, the same for every t            (tag ogd)
-* PowerPotential          (W/p) * (x^2 + G^2 (T-t))^(p/2),  p in [1, 2] (tag power)
-* NormalKnownTPotential   eps * (1 - pi G^2 (T-t) / (2aT))^(-1/2)
-                              * exp(x^2 / (2aT - pi G^2 (T-t)))        (tag normal_knownT)
-* AdaptiveNormalPotential beta_t * exp(x^2 / (2at)),  beta_t = eps / log^2(t+1)
-                                                                        (tag adaptive_normal)
+    Regret_t(u) = q_0(0) + sum_{s<=t} eps_s + <theta_t, u> - q_t(theta_t)
+               <= budget(t) + q_t^*(u),   q_t^*(u) = sup_x (<x, u> - q_t(x)),
 
-The power and known-horizon Normal families are horizon-aware (indexed
-t = 0..T); the adaptive family has no horizon and is defined for t >= 1
-with the convention that its value at t = 0 is zero (beta_0 is undefined,
-and the first-round borrowing is carried by the slack ledger instead).
+so each family gives ``budget(t)`` and ``conjugate_bound(u_norm, t)``, and
+``regret_bound`` adds them.  A known-horizon envelope is the one of the
+player tuned to T, and it holds at every t <= T.
 
-Each class carries its spec ``tag``, the ``regime`` of the one-round game
-against it, and the one radial quantity the minimax play in that regime
-needs (see ``strategies.PotentialPlayer``): the slope q_t'(x) for the
-orthogonal (power) family, the radial difference D_t(r) = q_t(r + G) -
-q_t(r - G) for the parallel ones.  These quantities and ``radial`` itself
-are written once, over numpy arrays: t is an int or an array and x an
-array, so one formula serves a single play, a lockstep batch of plays
-(``engine.run_games``) and a run's whole slack ledger.  np.exp overflows to
-inf rather than raising; the engine traps that.  Each class also carries its
-regret envelope ``regret_bound(u_norm, T)``.
+* ogd (QuadraticPotential): (eta/2) x^2.  eps_t = (eta/2) ||g_t||^2, so
+  budget(t) = eta G^2 t / 2; the conjugate is u^2 / (2 eta).
+* power (PowerPotential): (W/p) (x^2 + G^2 (T-t))^(p/2), p in [1, 2].
+  eps_t <= 0, so budget(t) = q_0(0).  q_t >= q_T, whose conjugate is
+  u^q / (q W^(q-1)), q = p/(p-1); at p = 1, 0 for u <= W and VACUOUS past W.
+* normal_knownT (NormalKnownTPotential): c_t exp(x^2 / d_t), c_t = eps (1 -
+  pi G^2 (T-t) / (2aT))^(-1/2), d_t = 2aT - pi G^2 (T-t).  eps_t <= 0, so
+  budget(t) = q_0(0); conjugate ``exp_conjugate_upper_bound(d_t/2, c_t, u)``.
+* adaptive_normal (AdaptiveNormalPotential): beta_t exp(x^2 / (2at)), beta_t
+  = eps / log^2(t+1), for t >= 1, and q_0 = 0 (beta_0 is undefined).
+  budget(t) is beta_1 e^(G^2/(2a)) >= eps_1 plus, for s = 2..t, the Gaussian
+  step beta_s (1 - pi G^2/(2as))^(-1/2) - beta_{s-1}: the coin is dominated
+  by N(0, pi G^2 / 2) (``checks.gaussian_dominance``) and the gap peaks at
+  the origin (``checks.argmax_zero``).  Conjugate
+  ``exp_conjugate_upper_bound(a t, beta_t, u)``.
 
-The conjugate side: ``conjugate_numeric`` evaluates sup_a (a*u - f(a)) by
-golden-section search, ``exp_conjugate_upper_bound`` is the closed-form
-envelope for exponential-quadratic potentials, and ``regret_bound`` checks
-its arguments and returns a potential's regret envelope.
+Each class also carries its spec ``tag``, the ``regime`` of the one-round
+game against it, and the one radial quantity the minimax play in that
+regime needs (see ``strategies.PotentialPlayer``): the slope q_t'(x) for
+the orthogonal (power) family, the radial difference D_t(r) = q_t(r + G) -
+q_t(r - G) for the parallel ones.  These, ``radial`` and the envelope
+halves are written once over numpy arrays (t an int or an array, x an
+array), so one formula serves a play, a lockstep batch of plays
+(``engine.run_games``), a run's slack ledger and an envelope column.
+np.exp overflows to inf rather than raising; the engine traps that.
+``conjugate_numeric`` evaluates sup_a (a*u - f(a)) by golden-section search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +62,9 @@ class BoundaryHitError(RuntimeError):
 
 def _check_rounds(t, lo: int, hi) -> None:
     """Raise unless every round index in t (an int or an array) lies in [lo, hi]."""
-    low, high = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+    low, high = (t.min(initial=lo), t.max(initial=lo)) if isinstance(t, np.ndarray) else (t, t)
     if not lo <= low <= high <= hi:
-        raise ValueError(f"round index t={t} outside [{lo}, {hi}]")
+        raise ValueError(f"round index {low if low < lo else high} outside [{lo}, {hi}]")
 
 
 def _value(self, t: int, theta) -> float:
@@ -93,8 +101,11 @@ class QuadraticPotential:
         """q(r + G) - q(r - G) = 2 eta G r, so the play is w = eta * theta."""
         return 2.0 * self.eta * self.G * r
 
-    def regret_bound(self, u_norm: float, T: int) -> float:
-        return u_norm * u_norm / (2.0 * self.eta) + 0.5 * self.eta * self.G * self.G * T
+    def budget(self, t):
+        return 0.5 * self.eta * self.G * self.G * t
+
+    def conjugate_bound(self, u_norm, t):
+        return u_norm * u_norm / (2.0 * self.eta)
 
 
 @dataclass(frozen=True)
@@ -139,18 +150,15 @@ class PowerPotential:
         s2 = self._s2(t, x)
         return self.W * x * np.where(s2 > 0.0, s2, 1.0) ** ((self.p - 2.0) / 2.0)
 
-    def regret_bound(self, u_norm: float, T: int) -> float:
-        """At p = 1 there is no bound for u_norm > W; VACUOUS (inf) is returned
-        there, and where u_norm**q leaves the float64 range."""
-        root_t = self.G * math.sqrt(T)
+    def budget(self, t):
+        return self.radial(0, 0.0 * t)
+
+    def conjugate_bound(self, u_norm, t):
+        """q_T's conjugate at every t; VACUOUS past W at p = 1, and where
+        u_norm**q leaves the float64 range."""
         if self.p == 1.0:
-            return self.W * root_t if u_norm <= self.W else VACUOUS
-        q = self.q
-        try:
-            conjugate = u_norm**q / (self.W ** (q - 1.0) * q)
-        except OverflowError:  # float ** raises where float * gives inf
-            return VACUOUS
-        return conjugate + (self.W / self.p) * root_t**self.p
+            return np.where(u_norm <= self.W, 0.0, VACUOUS)
+        return u_norm**self.q / (self.W ** (self.q - 1.0) * self.q)
 
 
 class _ExpQuadratic:
@@ -168,6 +176,10 @@ class _ExpQuadratic:
         c, d = self.shape(t)
         return -c * np.exp((r + self.G) ** 2 / d) * np.expm1(-4.0 * self.G / d * r)
 
+    def conjugate_bound(self, u_norm, t):
+        c, d = self.shape(t)
+        return exp_conjugate_upper_bound(d / 2.0, c, u_norm)
+
 
 @dataclass(frozen=True)
 class NormalKnownTPotential(_ExpQuadratic):
@@ -177,7 +189,6 @@ class NormalKnownTPotential(_ExpQuadratic):
     a: float
     G: float
     T: int
-    sigma2: float = field(default=SIGMA2, init=False)
 
     tag = "normal_knownT"
     value = _value
@@ -189,7 +200,8 @@ class NormalKnownTPotential(_ExpQuadratic):
             raise ValueError("G must be positive")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if not self.a > math.pi * self.G * self.G / 2.0:
+        # a > pi G^2 / 2, in shape(0)'s own arithmetic, so that q_0 is finite also where a rounds onto the edge
+        if not (self.a > 0.0 and 1.0 - math.pi * self.G * self.G * self.T / (2.0 * self.a * self.T) > 0.0):
             raise ValueError(
                 f"require a > pi*G^2/2 = {math.pi * self.G * self.G / 2.0:.6g}, got a={self.a}"
             )
@@ -200,12 +212,8 @@ class NormalKnownTPotential(_ExpQuadratic):
         pref = (1.0 - shrink / (2.0 * self.a * self.T)) ** -0.5
         return self.eps * pref, 2.0 * self.a * self.T - shrink
 
-    def regret_bound(self, u_norm: float, T: int) -> float:
-        eps, a, G = self.eps, self.a, self.G
-        envelope = u_norm * math.sqrt(
-            2.0 * a * T * math.log(math.sqrt(a * T) * u_norm / eps + 1.0)
-        )
-        return envelope + eps * ((1.0 - math.pi * G * G / (2.0 * a)) ** -0.5 - 1.0)
+    def budget(self, t):
+        return self.radial(0, 0.0 * t)
 
 
 @dataclass(frozen=True)
@@ -243,12 +251,14 @@ class AdaptiveNormalPotential(_ExpQuadratic):
             return 0.0 * x
         return super().radial(t, x)
 
-    def regret_bound(self, u_norm: float, T: int) -> float:
-        eps, a, G = self.eps, self.a, self.G
-        envelope = u_norm * math.sqrt(
-            2.0 * a * T * math.log(math.sqrt(a * T) * u_norm * math.log(T + 1.0) ** 2 / eps + 1.0)
-        )
-        return envelope + eps * (math.pi * G * G / a - 1.0)
+    def budget(self, t):
+        """Round 1's bound, then the Gaussian steps (module docstring), summed."""
+        s = np.arange(1, np.max(t, initial=1) + 1)
+        beta = self.beta(s)
+        steps = beta * (1.0 - SIGMA2 * self.G * self.G / (self.a * s)) ** -0.5
+        steps[0] = beta[0] * math.exp(self.G * self.G / (2.0 * self.a))
+        steps[1:] -= beta[:-1]
+        return np.cumsum(steps)[np.asarray(t) - 1]
 
 
 def conjugate_numeric(f, u_norm: float, search_bound: float, tol: float = 1e-8) -> float:
@@ -314,28 +324,33 @@ def exp_conjugate_numeric(alpha: float, beta: float, u_norm: float) -> float:
     raise BoundaryHitError("conjugate search bound did not stabilize")
 
 
-def exp_conjugate_upper_bound(alpha: float, beta: float, w_norm: float) -> float:
+def exp_conjugate_upper_bound(alpha, beta, w_norm):
     """Closed-form envelope of the conjugate of beta*exp(x^2/(2 alpha)).
 
     Returns ||w|| sqrt(2 alpha log(sqrt(alpha) ||w|| / beta + 1)) - beta, which
-    dominates the numeric conjugate for all alpha, beta > 0 and w.
+    dominates the numeric conjugate for all alpha, beta > 0 and w.  Each
+    argument is a number or an array; they broadcast.
     """
-    if alpha <= 0 or beta <= 0:
+    alpha, beta, w_norm = np.asarray(alpha), np.asarray(beta), np.asarray(w_norm)
+    if not (np.all(alpha > 0) and np.all(beta > 0)):
         raise ValueError("alpha and beta must be positive")
-    if w_norm < 0:
+    if np.any(w_norm < 0):
         raise ValueError("w_norm must be nonnegative")
-    return w_norm * math.sqrt(2.0 * alpha * math.log(math.sqrt(alpha) * w_norm / beta + 1.0)) - beta
+    return w_norm * np.sqrt(2.0 * alpha * np.log(np.sqrt(alpha) * w_norm / beta + 1.0)) - beta
 
 
-def regret_bound(potential, u_norm: float, T: int) -> float:
-    """Theoretical regret envelope of the player of ``potential`` at comparator
-    norm u_norm after T rounds.
-
-    T is explicit, also for the known-horizon families, so that an envelope
-    can be read off at every round t <= T of a run.
+def regret_bound(potential, u_norm, t):
+    """budget(t) + conjugate_bound(u_norm, t), the ledger envelope of the
+    module docstring: the regret of the player of ``potential`` after t
+    rounds against every comparator of norm u_norm.  u_norm and t (>= 1, and
+    <= T for a known horizon) are numbers or arrays; they broadcast, and two
+    numbers give a float.  A conjugate that leaves the float64 range is
+    VACUOUS (inf), silently.
     """
-    if u_norm < 0:
+    u_norm = np.asarray(u_norm, dtype=np.float64)
+    if np.any(u_norm < 0):
         raise ValueError("u_norm must be nonnegative")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    return potential.regret_bound(u_norm, T)
+    _check_rounds(t, 1, getattr(potential, "T", math.inf))
+    with np.errstate(over="ignore"):
+        bound = potential.budget(t) + potential.conjugate_bound(u_norm, t)
+    return bound if np.ndim(bound) else float(bound)

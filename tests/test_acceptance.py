@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  Criteria 01, 02, 03, 10 and 11 read the rows of the checks that
+report.  Criteria 01, 02, 03, 10, 11 and 12 read the rows of the checks that
 ``minimax-online verify`` runs, at the gate's own seeds, so their tolerances
 live in ``minimax_online.checks``; time bounds and all else are pinned here.
 """
@@ -231,3 +231,12 @@ def test_criterion_11_players_are_one_round_minimax():
     ok = len(rows) == 20 and all(row.ok for row in rows) and elapsed < 30.0
     _report(11, "every envelope player is the one-round minimax play", ok,
             f"worst scaled gap {max(row.value for row in rows):.2e} (tol {checks.PLAYER_TOL:.0e}), {elapsed:.1f}s")
+
+
+def test_criterion_12_slack_within_budget():
+    start = time.monotonic()
+    rows = list(checks.budget())
+    elapsed = time.monotonic() - start
+    ok = len(rows) == 24 and all(row.ok for row in rows) and elapsed < 30.0
+    _report(12, "slack used within each player's budget(t) at every round", ok,
+            f"worst scaled excess {max(row.value for row in rows):.2e} (tol {checks.BUDGET_TOL:.0e}), {elapsed:.1f}s")

@@ -144,6 +144,41 @@ class TestMalformedScalars:
         assert not out.exists()
 
 
+class TestSeedRange:
+    """make_rng keys each run's stream with one uint64, so every seed a run
+    uses must lie in [0, 2**64 - 1]; one that does not is a config error (exit
+    2, one error line), found before any group runs."""
+
+    TOP = 2**64 - 1
+
+    @pytest.mark.parametrize("edits,message", [
+        ([("seed: 3", f"seed: {TOP + 1}")], f"line 5: game.seed must be <= {TOP}"),
+        ([("seed: 3", f"seed: {TOP}"), ("repeats: 1", "repeats: 2")],
+         f"line 5: game.seed + repeats - 1 must be <= {TOP}"),
+        ([("direction_seed: 1}", f"direction_seed: {TOP + 1}}}")], f"comparator direction_seed must be <= {TOP}"),
+    ], ids=["game_seed", "last_repeat_seed", "direction_seed"])
+    def test_a_spec_seed_past_64_bits_exits_2(self, tmp_path, capsys, edits, message):
+        spec = MINIMAL_SPEC
+        for old, new in edits:
+            spec = spec.replace(old, new)
+        path, out = write_spec(tmp_path, spec)
+        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeats,seed,code", [(1, TOP, EXIT_OK), (1, TOP + 1, EXIT_CONFIG),
+                                                   (3, TOP - 1, EXIT_CONFIG)])
+    def test_the_seed_override_and_its_repeats_fit_in_64_bits(self, tmp_path, capsys, repeats, seed, code):
+        path, out = write_spec(tmp_path, MINIMAL_SPEC.replace("repeats: 1", f"repeats: {repeats}"))
+        assert main(["run", "--spec", str(path), "--seed", str(seed)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err == f"error: --seed must be <= {self.TOP - repeats + 1}\n"
+            assert not out.exists()
+        else:
+            assert err == "" and json.loads((out / "verdict.json").read_text())["all_hold"]
+
+
 # one valid value for every spec field of every registered class
 FIELD_SAMPLES = {"eta": 0.2, "W": 1.0, "p": 1.5, "eps": 1.0, "a": 2.5, "sign_policy": "alternate",
                  "direction": [0.0, 1.0], "comparator": [0.5, -0.5]}
@@ -274,9 +309,11 @@ repeats: 2
             q = serial_out / p.name
             assert json.loads(p.read_text()) == json.loads(q.read_text())
 
-    def test_bound_violation_exits_1(self, tmp_path):
-        # whipsaw adversary drives measured regret(0) past the adaptive
-        # envelope's additive constant (deterministic given the seed)
+    def test_bound_violation_exits_1(self, tmp_path, monkeypatch):
+        # the envelope is a theorem, so a violation needs a wrong one: without its slack
+        # budget, the adaptive envelope at u = 0 is -beta_T, and the whipsaw adversary's
+        # measured regret(0) is positive (deterministic given the seed)
+        monkeypatch.setattr(potentials.AdaptiveNormalPotential, "budget", lambda self, t: 0.0 * t)
         sweep = """\
 game: {dim: 2, grad_bound: 1.0, horizon: unknown, seed: 0}
 strategy: {tag: adaptive_normal, eps: 1.0, a: 2.4}
@@ -288,7 +325,7 @@ repeats: 1
 rounds: 200
 """
         path, out = write_spec(tmp_path, sweep)
-        assert main(["run", "--spec", str(path)]) == EXIT_BOUND_VIOLATION
+        assert main(["run", "--spec", str(path), "--jobs", "1"]) == EXIT_BOUND_VIOLATION  # the patch lives in this process
         verdict = json.loads((out / "verdict.json").read_text())
         assert not verdict["all_hold"] and len(verdict["violations"]) == 1
 
@@ -463,6 +500,20 @@ class TestVerifyCommand:
         # two rows per (player, d): six players at d = 2, the four parallel-regime ones at d = 1
         assert len(rows) == 20 and all(row.startswith("player ") and row.endswith("PASS") for row in rows)
         assert all("<= 1e-09" in row for row in rows)
+
+    def test_budget_suite(self, capsys):
+        assert main(["verify", "--lemma", "budget"]) == EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(("PASS", "FAIL"))]
+        assert len(rows) == 24 and all(row.startswith("budget ") and row.endswith("PASS") for row in rows)
+
+    def test_budget_rows_fail_on_the_old_adaptive_constant(self, monkeypatch):
+        # eps (pi G^2 / a - 1) + beta_t, the envelope's old constant as a budget, leaves out eps_1
+        pot = potentials.AdaptiveNormalPotential
+        monkeypatch.setattr(pot, "budget", lambda self, t: self.eps * (np.pi * self.G ** 2 / self.a - 1.0)
+                            + self.beta(t))
+        rows = list(checks.budget())
+        assert [row.ok for row in rows] == [not row.label.startswith("I adaptive") for row in rows]
+        assert all(row.value > 0.05 for row in rows if not row.ok)
 
     def test_player_rows_fail_on_scaled_plays(self, monkeypatch):
         response = PotentialPlayer.response
@@ -677,6 +728,38 @@ rounds: 25
                  float(r["u_norm"])) for r in csv.DictReader((out / "curves.csv").open())]
         assert len(expected) == 3 * 2 * 2 * 25  # entries x repeats x comparators x rounds
         assert rows == expected
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("direction_seed", TestSeedRange.TOP + 1, f"direction_seed must be <= {TestSeedRange.TOP}"),
+        # run refuses these comparators too; a negative norm would flip the comparator, nan write nan rows
+        ("norm", -1.0, "norm must be >= 0"),
+        ("norm", float("nan"), "norm must be a finite number, got nan"),
+    ], ids=["direction_seed_past_64_bits", "negative_norm", "nan_norm"])
+    def test_a_comparator_run_refuses_in_sweep_json_exits_2(self, tmp_path, capsys, key, value, message):
+        path, out = write_spec(tmp_path, CURVES_SPEC)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        meta_path = out / "sweep.json"
+        meta = json.loads(meta_path.read_text())
+        meta["comparators"][0][key] = value
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["curves", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {meta_path}: ConfigError: {message}\n"
+        assert not (out / "curves.csv").exists()
+
+    def test_a_trace_past_its_entrys_horizon_exits_2(self, tmp_path, capsys):
+        # a known-horizon envelope exists for t <= T only
+        spec = CURVES_SPEC.replace("horizon: unknown", "horizon: 6").replace("{tag: ogd, eta: 0.2}",
+                                                                             "{tag: power, W: 1.0, p: 1.5}")
+        path, out = write_spec(tmp_path, spec)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        meta_path = out / "sweep.json"
+        meta_path.write_text(meta_path.read_text().replace('"horizon": 6', '"horizon": 4'))
+        capsys.readouterr()
+        assert main(["curves", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(": round index 6 outside [1, 4]\n") and err.count("\n") == 1
+        assert not (out / "curves.csv").exists()
 
     def test_missing_traces_exit_2(self, tmp_path, capsys):
         assert main(["curves", str(tmp_path)]) == EXIT_CONFIG

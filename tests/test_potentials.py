@@ -1,16 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimax_online import (
     AdaptiveNormalPotential,
+    FixedDirection,
+    GameConfig,
     NormalKnownTPotential,
+    PotentialPlayer,
     PowerPotential,
     QuadraticPotential,
     conjugate_numeric,
     exp_conjugate_upper_bound,
+    regret,
     regret_bound,
+    run_game,
 )
 from minimax_online import checks
 from minimax_online._search import finite_difference
@@ -82,9 +90,13 @@ class TestNormalKnownTPotential:
         two = NormalKnownTPotential(eps=2.0, a=2.0, G=1.0, T=2)
         assert two.radial(1, 0.0) == 2.0 * one.radial(1, 0.0)
 
-    def test_variance_precondition(self):
-        with pytest.raises(ValueError):
-            NormalKnownTPotential(eps=1.0, a=math.pi / 2.0, G=1.0, T=2)
+    @pytest.mark.parametrize("a,G,T", [(math.pi / 2.0, 1.0, 2), (-1.0, 1.0, 2), (math.nan, 1.0, 2),
+                                       ((1.0 + 2.0**-52) * math.pi * 0.01 * 0.01 / 2.0, 0.01, 1675)])
+    def test_variance_precondition(self, a, G, T):
+        # the last a passes a > pi G^2 / 2 but rounds 1 - pi G^2 T / (2aT) to 0, where q_0 is not finite
+        assert not a > math.pi * G * G / 2.0 or 1.0 - math.pi * G * G * T / (2.0 * a * T) == 0.0
+        with pytest.raises(ValueError, match=r"require a > pi\*G\^2/2"):
+            NormalKnownTPotential(eps=1.0, a=a, G=G, T=T)
 
     def test_quadrature_consistency_sample(self):
         pot = NormalKnownTPotential(eps=1.0, a=2.5, G=1.0, T=5)
@@ -187,10 +199,43 @@ class TestRegretBound:
         assert regret_bound(pot, 1e100, 10) == pytest.approx(1e300 / 3.0, rel=1e-12)
 
     def test_adaptive_additive_term(self):
+        # budget(T) - beta_T: round 1's beta_1 e^(G^2/(2a)), then the Gaussian steps
         a = 3.0 * math.pi / 4.0 + 0.1
         pot = AdaptiveNormalPotential(eps=1.0, a=a, G=1.0)
+        beta = lambda t: 1.0 / math.log(t + 1.0) ** 2
         for T in (1, 10, 1000):
-            assert regret_bound(pot, 0.0, T) == pytest.approx(math.pi / a - 1.0, rel=1e-12)
+            spent = beta(1) * math.exp(1.0 / (2.0 * a)) + sum(
+                beta(s) * (1.0 - math.pi / (2.0 * a * s)) ** -0.5 - beta(s - 1) for s in range(2, T + 1))
+            assert regret_bound(pot, 0.0, T) == pytest.approx(spent - beta(T), rel=1e-12)
+
+    @pytest.mark.parametrize("a,constant", [(2.4, 0.931), (3.0, 0.723), (6.0, 0.342)])
+    def test_adaptive_constant_at_T_1000(self, a, constant):
+        assert regret_bound(AdaptiveNormalPotential(eps=1.0, a=a, G=1.0), 0.0, 1000) == pytest.approx(
+            constant, abs=5e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(1e-3, 1e3), ratio=st.floats(1.0, 1e6, exclude_min=True),
+           G=st.floats(1e-2, 1e2), T=st.integers(1, 5000), data=st.data())
+    def test_envelope_at_u_0_is_nonnegative(self, eps, ratio, G, T, data):
+        # a regret of 0 (all g = 0) is always possible, so no envelope may be negative
+        t = data.draw(st.integers(1, T))
+        for make in (lambda: AdaptiveNormalPotential(eps=eps, a=ratio * 3.0 * math.pi * G * G / 4.0, G=G),
+                     lambda: NormalKnownTPotential(eps=eps, a=ratio * math.pi * G * G / 2.0, G=G, T=T)):
+            try:
+                pot = make()
+            except ValueError:  # a that rounds onto its precondition's edge
+                continue
+            assert regret_bound(pot, 0.0, t) >= 0.0
+
+    def test_the_envelope_is_budget_plus_conjugate_bound_over_arrays(self):
+        u, t = np.array([[0.0], [0.5], [30.0]]), np.arange(1, 41)
+        for pot in (QuadraticPotential(eta=0.3, G=1.0), PowerPotential(W=1.0, p=1.5, G=1.0, T=40),
+                    PowerPotential(W=1.0, p=1.0, G=1.0, T=40), NormalKnownTPotential(eps=1.0, a=2.5, G=1.0, T=40),
+                    AdaptiveNormalPotential(eps=1.0, a=2.5, G=1.0)):
+            column = regret_bound(pot, u, t)
+            assert column.shape == (3, 40)
+            assert np.array_equal(column, pot.budget(t) + pot.conjugate_bound(u, t))
+            assert [[regret_bound(pot, float(x), int(s)) for s in t] for x in u[:, 0]] == column.tolist()
 
     def test_normal_knownt_additive_term(self):
         pot = NormalKnownTPotential(eps=2.0, a=2.0, G=1.0, T=7)
@@ -202,10 +247,22 @@ class TestRegretBound:
             regret_bound(PowerPotential(W=0.3, p=2.0, G=1.5, T=50), 2.0, 50), rel=1e-12)
 
     def test_known_horizon_envelope_at_earlier_round(self):
-        # the horizon argument is used, not the potential's own T, so an
-        # envelope can be read at every round of a run
+        # the envelope at t < T is the one of the player tuned to T, not of one tuned to t
         pot = PowerPotential(W=1.0 / 10.0, p=2.0, G=1.0, T=100)
-        assert regret_bound(pot, 1.0, 25) == pytest.approx(6.25, rel=1e-12)
+        assert regret_bound(pot, 1.0, 25) == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("pot,u_norm,t,measured,envelope", [
+        (PowerPotential(W=1.0, p=1.0, G=1.0, T=1000), 1.0, 91, 26.34058, 31.62278),
+        (NormalKnownTPotential(eps=1.0, a=2.5, G=1.0, T=1000), 1000.0, 139, 132072.5, 151807.1),
+    ], ids=["power_p1", "normal_knownT"])
+    def test_known_horizon_envelope_holds_before_T(self, pot, u_norm, t, measured, envelope):
+        # against fixed_direction with u along theta_t; a horizon-t envelope drew 9.54 and 82,669
+        trace = run_game(PotentialPlayer(pot), FixedDirection(G=1.0), GameConfig(2, 1.0, horizon=1000), 1000)
+        u = u_norm * trace.theta[t - 1] / np.linalg.norm(trace.theta[t - 1])
+        prefix = dataclasses.replace(trace, w=trace.w[:t], g=trace.g[:t], losses=trace.losses[:t])
+        assert regret(prefix, u) == pytest.approx(measured, rel=1e-6)
+        assert regret_bound(pot, u_norm, t) == pytest.approx(envelope, rel=1e-6)
+        assert regret(prefix, u) <= regret_bound(pot, u_norm, t)
 
     def test_argument_checks(self):
         pot = QuadraticPotential(eta=0.3, G=1.0)
