@@ -19,12 +19,18 @@ The spec file is YAML with a fixed schema; unknown keys are rejected with a
 line-anchored message (exit 2).  An output location that cannot be written
 exits 2 as well.  Bound violations exit 1.  A group that
 raises is recorded in verdict.json, the other groups still run, and ``run``
-exits 4.
+exits 4.  Any other exception that escapes a subcommand is an internal
+error: its traceback goes to stderr and the exit code is 5.
+
+A process imports only what its subcommand runs: ``run`` and ``curves``
+never load the one-round solvers, the oracles or the checks, and ``curves``
+never loads PyYAML.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -32,27 +38,24 @@ import sys
 import time
 import traceback
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
-import yaml
 
 from . import adversaries as adv_mod
-from . import checks
 from . import strategies as strat_mod
-from .core import GameConfig, UNKNOWN_HORIZON, make_rng, random_unit_vector
+from .core import ORTHOGONAL, PARALLEL, GameConfig, UNKNOWN_HORIZON, make_rng, random_unit_vector
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
-from .engine import (attach_epsilon, regret_bound, run_game, run_games, verify_bound,  # noqa: F401
-                     write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
-from .one_round import ORTHOGONAL, PARALLEL
+from .engine import (attach_epsilon, regret_bound, repr_spellings, run_game, run_games,  # noqa: F401
+                     verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
 from .potentials import AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_CELL_ERROR = 4
+EXIT_INTERNAL = 5
 
 SEED_MAX = 2**64 - 1  # make_rng keys each run's stream with one uint64
 
@@ -204,6 +207,8 @@ def comparator_vector(norm: float, direction_seed: int, dim: int) -> np.ndarray:
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
+    import yaml  # here, so that curves and verify never load it
+
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
@@ -316,6 +321,9 @@ def _execute_cell(args):
     comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
                    for comp in spec.comparators]
     traces = run_games(strategy, adversary, configs, spec.rounds)
+    # every trace of the group has this potential and T: one envelope call for all of them
+    bounds = regret_bound(strategy.potential, [float(np.linalg.norm(u)) for u in comparators],
+                          max(spec.rounds, 1)).tolist()
     rows = []
     for k, trace in enumerate(traces):
         attach_epsilon(trace, strategy.potential)
@@ -324,7 +332,7 @@ def _execute_cell(args):
             write_trace_csv(trace, Path(out_dir) / f"run_{run_id}.csv")
         if spec.out_format in ("json", "both"):
             write_trace_json(trace, Path(out_dir) / f"run_{run_id}.json")
-        for comp, report in zip(spec.comparators, verify_bound(trace, strategy, comparators)):
+        for comp, report in zip(spec.comparators, verify_bound(trace, strategy, comparators, bounds=bounds)):
             rows.append({
                 "run_id": run_id, "strategy": strategy.tag, "adversary": adversary.tag,
                 "seed": trace.config.seed, "u_norm": report.u_norm,
@@ -442,20 +450,23 @@ def cmd_run(args) -> int:
 
 # --- verify ---------------------------------------------------------------
 
-# verify's seeds; the acceptance gate runs the same checks at its own seeds
+# suite -> (its function in checks, verify's keyword arguments); the acceptance
+# gate runs the same checks at its own seeds
 SUITES = {
-    "gaussian-dominance": checks.gaussian_dominance,
-    "argmax-zero": checks.argmax_zero,
-    "conjugate-bound": partial(checks.conjugate_bound, seed=0),
-    "one-round": partial(checks.one_round, seed=1),
-    "recursion": checks.recursion,
-    "regime": checks.regime,
-    "player": checks.player,
-    "budget": checks.budget,
+    "gaussian-dominance": ("gaussian_dominance", {}),
+    "argmax-zero": ("argmax_zero", {}),
+    "conjugate-bound": ("conjugate_bound", {"seed": 0}),
+    "one-round": ("one_round", {"seed": 1}),
+    "recursion": ("recursion", {}),
+    "regime": ("regime", {}),
+    "player": ("player", {}),
+    "budget": ("budget", {}),
 }
 
 
 def cmd_verify(args) -> int:
+    from . import checks  # here, so that run and curves never load the solvers and oracles it checks
+
     if args.all:
         names = list(SUITES)
     elif args.lemma:
@@ -466,7 +477,10 @@ def cmd_verify(args) -> int:
     rows, seconds = [], {}
     for name in names:
         start = time.perf_counter()
-        rows.extend(SUITES[name](regime=args.regime) if name == "one-round" else SUITES[name]())
+        check, kwargs = SUITES[name]
+        if name == "one-round":
+            kwargs = {**kwargs, "regime": args.regime}
+        rows.extend(getattr(checks, check)(**kwargs))
         seconds[name] = time.perf_counter() - start
     width = max(len(row.label) for row in rows)
     for row in rows:
@@ -481,6 +495,20 @@ def cmd_verify(args) -> int:
             print(f"  {row.suite}: {row.label}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
+
+
+def _curve_templates(potential, u_norms, T: int) -> List[bytes]:
+    """Per comparator, its T rows of curves.csv with t, bound_u and u_norm
+    spelled, and a ``%b`` slot each for run_id and regret_u.  Every comparator's
+    bound_u at every round (t <= the horizon) comes from one regret_bound
+    call."""
+    bounds = regret_bound(potential, np.array(u_norms)[:, None], np.arange(1, T + 1))
+    templates = []
+    for u_norm, bound in zip(u_norms, bounds):
+        fh = io.BytesIO()
+        write_repr_rows(fh, np.column_stack((bound, np.full(T, u_norm))), range(1, T + 1), b"\n", const="%b,%b")
+        templates.append(fh.getvalue())
+    return templates
 
 
 def cmd_curves(args) -> int:
@@ -508,12 +536,14 @@ def cmd_curves(args) -> int:
     u_norms = [float(np.linalg.norm(u)) for u in comparators]
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")  # a failed call leaves no partial curves.csv
+    entry, templates = None, {}
     try:
         with open(tmp_path, "wb") as fh:
             fh.write(b"t,run_id,regret_u,bound_u,u_norm\n")
-            for path in traces:
+            for path in traces:  # sorted, so each entry's traces come one after another
                 run_id = path.stem[len("run_"):]
-                entry = run_id.split("-", 1)[0]
+                if run_id.split("-", 1)[0] != entry:  # a new entry: only its templates stay alive
+                    entry, templates = run_id.split("-", 1)[0], {}
                 try:
                     if entry not in potentials:
                         raise ValueError(f"strategy entry {entry!r} is not in sweep.json")
@@ -522,17 +552,16 @@ def cmd_curves(args) -> int:
                     trace = read_trace_json(path)
                     if trace.config.dim != game.dim:
                         raise ValueError(f"dim {trace.config.dim}, but sweep.json has game.dim {game.dim}")
-                    T = trace.n_rounds  # bound_u of every comparator at every round (t <= the horizon), in one call
-                    bounds = regret_bound(potentials[entry], np.array(u_norms)[:, None], np.arange(1, T + 1))
+                    T = trace.n_rounds
+                    if T not in templates:
+                        templates[T] = _curve_templates(potentials[entry], u_norms, T)
                 except (OSError, ValueError) as exc:
                     print(f"error: {path}: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
-                for u, u_norm, bound in zip(comparators, u_norms, bounds):
-                    table = np.empty((T, 3))
-                    table[:, 0] = np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u[None, :]))
-                    table[:, 1] = bound
-                    table[:, 2] = u_norm
-                    write_repr_rows(fh, table, range(1, T + 1), b"\n", const=run_id)
+                fills = [run_id.encode()] * (2 * T)
+                for u, template in zip(comparators, templates[T]):
+                    fills[1::2] = repr_spellings(np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u[None, :])))
+                    fh.write(template % tuple(fills))
         os.replace(tmp_path, out_path)
     except OSError as exc:  # the output location cannot be written; a trace read error returned above
         print(f"error: {out_path}: {exc.strerror or exc}", file=sys.stderr)
@@ -568,7 +597,11 @@ def main(argv=None) -> int:
     p_curves.set_defaults(func=cmd_curves)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception:  # a fault of the program, never reported as a verdict
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

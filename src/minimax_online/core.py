@@ -19,6 +19,11 @@ TOL_ORTHO = 1e-12
 
 UNKNOWN_HORIZON = "unknown"
 
+# The two one-round regimes a potential declares (see ``one_round``): here, so
+# that the players import them without the one-round solvers.
+ORTHOGONAL = "orthogonal"
+PARALLEL = "parallel"
+
 Point = np.ndarray
 
 

@@ -266,12 +266,15 @@ class BoundReport:
 
 
 def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
-                 tol: float = 1e-6) -> List[BoundReport]:
+                 tol: float = 1e-6, bounds: Optional[Sequence[float]] = None) -> List[BoundReport]:
     """Compare measured regret against the envelope of the strategy's potential
-    at T, all comparators' envelopes in one ``regret_bound`` call."""
+    at T, all comparators' envelopes in one ``regret_bound`` call; or, if
+    given, against bounds, those envelopes already computed (every trace of a
+    group shares its potential and T)."""
     us = [np.asarray(u, dtype=np.float64) for u in comparators]
     norms = [float(np.linalg.norm(u)) for u in us]
-    bounds = regret_bound(strategy.potential, norms, max(trace.n_rounds, 1)).tolist()
+    if bounds is None:
+        bounds = regret_bound(strategy.potential, norms, max(trace.n_rounds, 1)).tolist()
     reports = []
     for u, u_norm, bound in zip(us, norms, bounds):
         actual = regret(trace, u)
@@ -392,26 +395,16 @@ def write_repr_rows(fh, table: np.ndarray, lead: Sequence[int], sep: bytes,
     is quoted, so const must hold no comma and no line break.  The table is
     overwritten.
 
-    The floats go through one orjson call: orjson writes the same shortest
-    round-trip digits as ``repr`` and spells a float alike but for three
-    cases.  A float with |x| >= 1e16 is ``1e16`` to orjson and ``1e+16`` to
-    ``repr``: one pass over the buffer adds the ``+``.  A float with
-    1e-9 <= |x| < 1e-4 is ``0.0000123`` or ``1.2e-7`` to orjson, and inf and
-    nan are ``null``: these (and the blank column) go in as ``null``, then as
-    ``%b`` placeholders; every ``],[`` becomes sep, a ``%d`` placeholder for
-    the next row's lead and const, and one ``%`` call fills both kinds."""
-    import orjson  # here, so that importing the engine never loads it
-
+    The floats go through one ``_repr_text`` call, whose odd floats (and the
+    blank column) are ``%b`` placeholders; every ``],[`` becomes sep, a
+    ``%d`` placeholder for the next row's lead and const, and one ``%`` call
+    fills both kinds."""
     T, k = table.shape
     if T == 0:
         return
     if blank is not None:
         table[:, blank] = np.nan
-    mag = np.abs(table)
-    odd = ((mag >= 1e-9) & (mag < 1e-4)) | ~np.isfinite(mag)
-    big = bool(np.any(mag >= 1e16))
-    tiny = big and bool(np.any((mag > 0) & (mag < 1e-9)))  # 1e-10 to both: the + comes off again
-    del mag
+    rows, odd, odd_fills = _repr_text(table)
     slots = np.zeros((T, k + 1), dtype=bool)  # in buffer order: a row's lead, then its odd floats
     slots[1:, 0] = True
     slots[:, 1:] = odd
@@ -419,21 +412,52 @@ def write_repr_rows(fh, table: np.ndarray, lead: Sequence[int], sep: bytes,
     del slots
     fills = np.empty(column.size, dtype=object)
     fills[column == 0] = lead[1:]
-    fills[column > 0] = _odd_reprs(table[odd])
+    fills[column > 0] = odd_fills
     if blank is not None:
         fills[column == blank + 1] = b""
-    table[odd] = np.nan  # orjson writes null
-    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
-    if big:
-        rows = rows.replace(b"e", b"e+")
-        if tiny:
-            rows = rows.replace(b"e+-", b"e-")
     cells = b"" if const is None else const.encode() + b","
-    rows = rows.replace(b"null", b"%b")
     rows = rows.replace(b"],[", sep + b"%d," + cells.replace(b"%", b"%%"))
     fh.write(b"%d," % lead[0] + cells)
     fh.write(memoryview(rows % tuple(fills))[2:-2])  # less orjson's [[ and ]]
     fh.write(sep)
+
+
+def repr_spellings(values: np.ndarray) -> List[bytes]:
+    """The ``repr`` bytes of each float of the 1-D float64 array values, as
+    ``write_repr_rows`` spells them.  values is overwritten."""
+    if values.size == 0:
+        return []
+    text, _, odd_fills = _repr_text(values)
+    return (text % tuple(odd_fills))[1:-1].split(b",")
+
+
+def _repr_text(table: np.ndarray):
+    """(text, odd, fills): orjson's text of the float64 array table, in which
+    every float is spelled as its ``repr`` but the odd ones, flagged in odd,
+    which are ``%b`` placeholders for their ``repr`` bytes, fills in order.
+    The odd entries of table are overwritten with nan.
+
+    orjson writes the same shortest round-trip digits as ``repr`` and spells
+    a float alike but for three cases.  A float with |x| >= 1e16 is ``1e16``
+    to orjson and ``1e+16`` to ``repr``: one pass over the buffer adds the
+    ``+``.  A float with 1e-9 <= |x| < 1e-4 is ``0.0000123`` or ``1.2e-7`` to
+    orjson, and inf and nan are ``null``: these are the odd ones, which go in
+    as ``null``, then as ``%b``."""
+    import orjson  # here, so that importing the engine never loads it
+
+    mag = np.abs(table)
+    odd = ((mag >= 1e-9) & (mag < 1e-4)) | ~np.isfinite(mag)
+    big = bool(np.any(mag >= 1e16))
+    tiny = big and bool(np.any((mag > 0) & (mag < 1e-9)))  # 1e-10 to both: the + comes off again
+    del mag
+    fills = _odd_reprs(table[odd])
+    table[odd] = np.nan  # orjson writes null
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
+    if big:
+        text = text.replace(b"e", b"e+")
+        if tiny:
+            text = text.replace(b"e+-", b"e-")
+    return text.replace(b"null", b"%b"), odd, fills
 
 
 def _odd_reprs(values: np.ndarray) -> np.ndarray:

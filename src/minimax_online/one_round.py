@@ -36,10 +36,8 @@ from typing import Callable
 import numpy as np
 
 from ._search import eval_on_array, finite_difference
-from .core import UnsupportedDimensionError
+from .core import ORTHOGONAL, PARALLEL, UnsupportedDimensionError
 
-ORTHOGONAL = "orthogonal"
-PARALLEL = "parallel"
 NUMERIC = "numeric"
 
 

@@ -48,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import golden_section_max
-from .core import norm
-from .one_round import ORTHOGONAL, PARALLEL
+from .core import ORTHOGONAL, PARALLEL, norm
 
 SIGMA2 = math.pi / 2.0  # per-step variance of the Gaussian surrogate
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import nonzero_norms
-from .one_round import ORTHOGONAL
+from .core import ORTHOGONAL, nonzero_norms
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from minimax_online.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_CELL_ERROR,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     POTENTIALS,
     ConfigError,
@@ -362,6 +363,34 @@ rounds: 4000
         assert [r["run_id"] for r in rows] == [f"{group}_k00{k}" for group in groups for k in (0, 0, 1, 1)]
         assert sorted(p.name for p in out.glob("run_*")) == [f"run_{r['run_id']}.csv" for r in rows[::2]]
 
+    def test_an_internal_error_exits_5_with_its_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("broken subcommand")
+
+        monkeypatch.setattr(cli, "cmd_run", broken)
+        assert main(["run", "--spec", str(tmp_path / "spec.yaml")]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: broken subcommand\n")
+
+    def test_one_envelope_call_per_group(self, tmp_path, monkeypatch):
+        # the repeats of a group share their potential and T, so their envelopes too
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return regret_bound(*args)
+
+        monkeypatch.setattr(cli, "regret_bound", counted)
+        monkeypatch.setattr(engine, "regret_bound", counted)
+        path, out = write_spec(tmp_path, CURVES_SPEC.replace("adversary: {tag: gaussian_random}", """\
+adversaries:
+  - {tag: gaussian_random}
+  - {tag: fixed_direction}""").replace("repeats: 2", "repeats: 3"))
+        assert main(["run", "--spec", str(path), "--jobs", "1"]) == EXIT_OK
+        assert len(calls) == 2
+        assert len(list(csv.DictReader((out / "summary.csv").open()))) == 6
+
     def test_a_play_blind_block_is_computed_once_per_column(self, tmp_path, monkeypatch):
         sweep = """\
 game: {dim: 3, grad_bound: 1.0, horizon: 30, seed: 4}
@@ -627,6 +656,11 @@ def odd_spelling_trace(path):
     return path
 
 
+def cut_short(path, rounds=4):
+    """Keep the first rounds rounds of the trace at path."""
+    return edit_trace(path, lambda d: d.update({key: d[key][:rounds] for key in ("w", "g", "losses", "eps")}))
+
+
 def percent_run_id(path):
     return path.rename(path.with_name("run_s0-%d%s%%_a0-gaussian_random_k000.json"))
 
@@ -649,6 +683,17 @@ repeats: 2
                                           "{norm: 0.0, direction_seed: 0}\n  - {norm: 1.0e+17, direction_seed: 4}"),
                       odd_spelling_trace),
     "percent_run_id": (CURVES_SPEC, percent_run_id),
+    # two traces of one entry, of 6 and 4 rounds: a template per T
+    "cut_short": (CURVES_SPEC, cut_short),
+    # two entries of one tag: a template per entry, not per tag
+    "one_family_two_entries": (CURVES_SPEC.replace("strategy: {tag: ogd, eta: 0.2}", """\
+strategies:
+  - {tag: ogd, eta: 0.2}
+  - {tag: ogd, eta: 0.5}"""), None),
+    # u_norm and bound_u in [1e-9, 1e-4), both spelled through the odd-float path
+    "tiny_comparators": (CURVES_SPEC.replace("eta: 0.2", "eta: 1.0e-6").replace(
+        "{norm: 1.0, direction_seed: 4}", "{norm: 3.0e-6, direction_seed: 4}\n  - {norm: 3.0e-5, direction_seed: 5}"),
+        None),
 }
 
 
@@ -889,6 +934,59 @@ assert "orjson" in sys.modules
             assert (tmp_path / "curves.csv").exists()
         elif writer != "read":
             assert list((tmp_path / "run").glob(f"run_*.{writer}"))
+
+    def test_run_and_curves_load_only_what_they_run(self, tmp_path):
+        # neither loads the one-round solvers, the oracles or the checks; curves reads no YAML
+        spec = ROOT / "scripts" / "specs" / "minimal.yaml"
+        assert main(["run", "--spec", str(spec), "--format", "json", "--out", str(tmp_path / "traces")]) == 0
+        run_child("""
+import sys
+from minimax_online import cli
+spec, traces, out = sys.argv[1:]
+referee = ("minimax_online.one_round", "minimax_online.oracles", "minimax_online.checks")
+assert cli.main(["curves", traces, "--out", out + "/curves.csv"]) == 0
+loaded = [m for m in ("yaml",) + referee if m in sys.modules]
+assert not loaded, loaded
+assert cli.main(["run", "--spec", spec, "--out", out + "/run"]) == 0
+loaded = [m for m in referee if m in sys.modules]
+assert not loaded, loaded
+""", spec, tmp_path / "traces", tmp_path)
+        assert (tmp_path / "curves.csv").exists() and (tmp_path / "run" / "summary.csv").exists()
+
+    def test_the_referee_never_loads_the_engine(self):
+        run_child("import sys" + REFEREE_CALLS + """
+loaded = [m for m in ("minimax_online.engine", "minimax_online.checks") if m in sys.modules]
+assert not loaded, loaded
+""")
+
+    def test_every_package_export_resolves(self):
+        # the names the package exported when its __init__ imported every module
+        names = """GameConfig make_rng norm orthonormal_complement_sample random_unit_vector unit_direction
+            AdaptiveNormalPotential NormalKnownTPotential PowerPotential QuadraticPotential conjugate_numeric
+            exp_conjugate_upper_bound regret_bound OneRoundSolution OneRoundSpec classify_regime solve_orthogonal
+            solve_parallel solve_scalar_grid PotentialPlayer FixedDirection GaussianRandom GreedyVsComparator
+            OrthogonalMinimax ParallelMinimax RademacherLine BoundReport RadialBenchmark Trace attach_epsilon
+            comparator_grid duality_witness epsilon_ledger read_trace_json regret run_game run_games verify_bound
+            write_trace_csv write_trace_json RecursionSpec argmax_at_zero_check conditional_value_recursive
+            gaussian_dominance_check gaussian_expectation one_round_value_full_2d rademacher_smoothing_exact
+            __version__""".split()
+        run_child("""
+import importlib, sys
+import minimax_online
+assert not [m for m in sys.modules if m.startswith("minimax_online.")]
+names = sys.argv[1:]
+exec("from minimax_online import " + ", ".join(names))
+for name in names[:-1]:
+    obj = getattr(minimax_online, name)
+    assert obj is getattr(importlib.import_module(obj.__module__), name), name
+    assert name in dir(minimax_online) and name in minimax_online.__all__, name
+try:
+    minimax_online.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+""", *names)
 
     def test_quadrature_fallback_imports_scipy_when_it_runs(self):
         out = run_child("""

@@ -43,7 +43,7 @@ from minimax_online import (
 )
 from minimax_online.core import (DimensionMismatchError, orthonormal_complement_sample, random_unit_vector,
                                  row_norms, unit_direction)
-from minimax_online.engine import _states, trace_from_dict, trace_to_dict, write_repr_rows
+from minimax_online.engine import _states, repr_spellings, trace_from_dict, trace_to_dict, write_repr_rows
 
 
 class ZeroPotential:
@@ -666,6 +666,13 @@ class TestWriterBytes:
         fh = io.BytesIO()
         write_repr_rows(fh, table, lead, sep, const=const, blank=blank)
         assert fh.getvalue() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(floats=st.lists(st.floats(width=64), max_size=30))
+    @example(floats=[*SPELLING_BOUNDARIES, *(-x for x in SPELLING_BOUNDARIES)])
+    def test_repr_spellings_match_repr_on_any_floats(self, floats):
+        # the spelling of curves' regret column, by the helper that write_repr_rows spells with
+        assert repr_spellings(np.array(floats, dtype=np.float64)) == [repr(x).encode() for x in floats]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
