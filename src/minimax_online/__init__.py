@@ -10,21 +10,19 @@ import importlib
 
 # exported name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(("GameConfig", "make_rng", "norm", "orthonormal_complement_sample", "random_unit_vector",
-                     "unit_direction"), "core"),
+    **dict.fromkeys(("GameConfig", "make_rng", "norm", "random_unit_vector", "unit_direction"), "core"),
     **dict.fromkeys(("AdaptiveNormalPotential", "NormalKnownTPotential", "PowerPotential", "QuadraticPotential",
-                     "conjugate_numeric", "exp_conjugate_upper_bound", "regret_bound"), "potentials"),
+                     "exp_conjugate_upper_bound", "regret_bound"), "potentials"),
     **dict.fromkeys(("OneRoundSolution", "OneRoundSpec", "classify_regime", "solve_orthogonal", "solve_parallel",
                      "solve_scalar_grid"), "one_round"),
     "PotentialPlayer": "strategies",
     **dict.fromkeys(("FixedDirection", "GaussianRandom", "GreedyVsComparator", "OrthogonalMinimax",
                      "ParallelMinimax", "RademacherLine"), "adversaries"),
-    **dict.fromkeys(("BoundReport", "RadialBenchmark", "Trace", "attach_epsilon", "comparator_grid",
-                     "duality_witness", "epsilon_ledger", "read_trace_json", "regret", "run_game", "run_games",
-                     "verify_bound", "write_trace_csv", "write_trace_json"), "engine"),
-    **dict.fromkeys(("RecursionSpec", "argmax_at_zero_check", "conditional_value_recursive",
-                     "gaussian_dominance_check", "gaussian_expectation", "one_round_value_full_2d",
-                     "rademacher_smoothing_exact"), "oracles"),
+    **dict.fromkeys(("BoundReport", "Trace", "attach_epsilon", "comparator_grid", "epsilon_ledger",
+                     "read_trace_json", "regret", "run_game", "run_games", "verify_bound", "write_trace_csv",
+                     "write_trace_json"), "engine"),
+    **dict.fromkeys(("RecursionSpec", "argmax_at_zero_check", "conditional_value_recursive", "conjugate_numeric",
+                     "gaussian_dominance_check", "gaussian_expectation", "rademacher_smoothing_exact"), "oracles"),
 }
 
 __all__ = list(_EXPORTS)

@@ -205,4 +205,8 @@ class GreedyVsComparator:
 
     def grads(self, t, theta, r, w, u):
         diff = w - u
-        return self.G * diff / nonzero_norms(row_norms(diff))[:, None]
+        n = row_norms(diff)
+        g = self.G * diff / nonzero_norms(n)[:, None]
+        for k in np.flatnonzero(n < 1e-150):  # too few digits to divide by: unit_direction rescales first
+            g[k] = self.G * unit_direction(diff[k])
+        return g

@@ -1,5 +1,5 @@
-"""Oracle-backed checks and sweep tables shared by ``minimax-online verify``,
-the acceptance gate and the example scripts.
+"""Oracle-backed checks and sweep tables shared by ``minimax-online verify``
+and the acceptance gate.
 
 Each check yields rows that carry the number measured and whether it is within
 the check's tolerance, pinned here.  Checks that draw take their seed as an argument.
@@ -20,9 +20,10 @@ from .core import GameConfig, make_rng, random_unit_vector, row_norms
 from .engine import epsilon_ledger, run_games
 from .one_round import (ORTHOGONAL, PARALLEL, OneRoundSpec, classify_regime, line_distance, minmax_values,
                         plane_distance, solve_orthogonal, solve_parallel, solve_scalar_grid, worst_case_payoff)
-from .oracles import RecursionSpec, argmax_at_zero_check, conditional_value_recursive, gaussian_dominance_check
+from .oracles import (RecursionSpec, argmax_at_zero_check, conditional_value_recursive, exp_conjugate_numeric,
+                      gaussian_dominance_check)
 from .potentials import (AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential,
-                         exp_conjugate_numeric, exp_conjugate_upper_bound)
+                         exp_conjugate_upper_bound)
 from .strategies import PotentialPlayer
 
 

@@ -34,10 +34,12 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 import traceback
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import List, Optional
 
@@ -206,12 +208,28 @@ def comparator_vector(norm: float, direction_seed: int, dim: int) -> np.ndarray:
     return norm * random_unit_vector(make_rng(int(direction_seed)), dim)
 
 
-def parse_experiment_spec(path) -> ExperimentSpec:
+@cache
+def _spec_loader():
+    """PyYAML's SafeLoader, which follows YAML 1.1 and so reads a float with
+    an exponent but no dot or no exponent sign (1e-3, 1E5, 2.5e3) as a
+    string, with YAML 1.2's reading of those as floats added."""
     import yaml  # here, so that curves and verify never load it
+
+    class SpecLoader(yaml.SafeLoader):
+        pass
+
+    SpecLoader.add_implicit_resolver("tag:yaml.org,2002:float",
+                                     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+                                     list("-+.0123456789"))
+    return SpecLoader
+
+
+def parse_experiment_spec(path) -> ExperimentSpec:
+    import yaml
 
     text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_spec_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = None if mark is None else mark.line + 1

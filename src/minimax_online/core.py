@@ -14,9 +14,6 @@ from typing import Union
 
 import numpy as np
 
-# Orthogonality of sampled complement directions is checked at TOL_ORTHO.
-TOL_ORTHO = 1e-12
-
 UNKNOWN_HORIZON = "unknown"
 
 # The two one-round regimes a potential declares (see ``one_round``): here, so
@@ -125,39 +122,17 @@ def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return v / norms[:, None]
 
 
-def orthonormal_complement_sample(theta: Point, rng: np.random.Generator) -> Point:
-    """A unit vector orthogonal to theta (any unit vector when theta = 0).
-
-    Requires dim >= 2.  In d = 2 the vector is the rotated direction
-    (-theta_1, theta_0)/||theta|| with an rng-chosen sign, which is orthogonal
-    to working precision; in higher dimensions a random Gaussian draw is
-    projected out of theta's direction twice and normalized.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    d = theta.size
-    if d < 2:
-        raise UnsupportedDimensionError("orthogonal complement requires dim >= 2")
-    n = norm(theta)
-    if n == 0.0:
-        return random_unit_vector(rng, d)
-    if d == 2:
-        v = np.array([-theta[1], theta[0]]) / n
-        if rng.random() < 0.5:
-            v = -v
-        return v
-    u = theta / n
-    while True:
-        v = rng.standard_normal(d)
-        v -= (v @ u) * u
-        v -= (v @ u) * u  # second projection pass for orthogonality to ~1e-16
-        m = norm(v)
-        if m > 1e-8:
-            return v / m
-
-
 def complement_rows(theta: np.ndarray, r: np.ndarray, rngs) -> np.ndarray:
-    """orthonormal_complement_sample for each row of theta (R, d), whose norms
-    are r; row k reads rngs[k] exactly as that function reads its stream."""
+    """A unit vector orthogonal to each row of theta (R, d), whose norms are
+    r; row k reads only rngs[k].  Requires d >= 2.
+
+    In d = 2 a row's vector is its rotated direction (-theta_1, theta_0)/||theta||
+    with a sign drawn by rng.random(); in higher dimensions it is a Gaussian
+    draw, projected out of theta's direction twice and normalized, and drawn
+    again, one standard_normal(d) per try, while its projected norm is at
+    most 1e-8.  A row with theta = 0 gets any unit vector,
+    ``random_unit_vector``, drawn after the others, and a row whose theta is
+    not finite gets NaN."""
     R, d = theta.shape
     if d < 2:
         raise UnsupportedDimensionError("orthogonal complement requires dim >= 2")
@@ -173,9 +148,12 @@ def complement_rows(theta: np.ndarray, r: np.ndarray, rngs) -> np.ndarray:
         for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
             v -= np.einsum("ij,ij->i", v, u)[:, None] * u
         m = row_norms(v)
-        if not min(m.tolist()) > 1e-8:  # a draw too close to theta's line: finish the row as the one-row loop does
-            for k in np.flatnonzero(~(m > 1e-8)):
-                v[k], m[k] = orthonormal_complement_sample(theta[k], rngs[k]), 1.0
+        for k in np.flatnonzero(m <= 1e-8):  # a draw too close to theta's line: draw that row again
+            while m[k] <= 1e-8:
+                v[k] = rngs[k].standard_normal(d)
+                for _ in range(2):
+                    v[k] -= (v[k] @ u[k]) * u[k]
+                m[k] = norm(v[k])
         v /= m[:, None]
     for k in zero:
         v[k] = random_unit_vector(rngs[k], d)

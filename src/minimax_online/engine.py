@@ -58,7 +58,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import DimensionMismatchError, GameConfig, make_rng, random_unit_vector, row_norms
-from .potentials import BoundaryHitError, conjugate_numeric, regret_bound
+from .potentials import regret_bound
 
 GRAD_NORM_SLACK = 1e-9
 
@@ -208,9 +208,10 @@ def _round_checks(g_rows: np.ndarray, G: float, bad_play=None) -> None:
     raise there: OverflowError where a play left the float64 range (bad_play,
     one flag per round), else ValueError where some ||g|| exceeds
     G(1 + 1e-9) + 1e-9 or is NaN.  A game played round by round traps its
-    overflow as it happens, and checks only the rounds before it."""
-    limit = (G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK) ** 2
-    bad = ~(np.einsum("rti,rti->rt", g_rows, g_rows) <= limit).all(axis=0)
+    overflow as it happens, and checks only the rounds before it.  The norms
+    are ``row_norms``', exact also where their squares leave the float64
+    range (a G past 1e154, say)."""
+    bad = ~(row_norms(g_rows) <= G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK).all(axis=0)
     failed = np.flatnonzero(bad if bad_play is None else bad | bad_play)
     if failed.size:
         t = int(failed[0])
@@ -221,7 +222,7 @@ def _round_checks(g_rows: np.ndarray, G: float, bad_play=None) -> None:
 
 
 def regret(trace: Trace, u) -> float:
-    """sum_t <g_t, w_t - u>, computed round by round."""
+    """sum_t <g_t, w_t - u>, in one einsum over the rounds."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (trace.config.dim,):
         raise DimensionMismatchError(f"comparator shape {u.shape}, expected ({trace.config.dim},)")
@@ -279,7 +280,10 @@ def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
     for u, u_norm, bound in zip(us, norms, bounds):
         actual = regret(trace, u)
         slack = bound - actual
-        holds = bool(slack >= -tol * (1.0 + abs(bound))) if math.isfinite(bound) else True
+        if math.isfinite(bound):
+            holds = bool(slack >= -tol * (1.0 + abs(bound)))
+        else:  # only +inf is vacuous, and a NaN regret holds under no bound
+            holds = bound == math.inf and not math.isnan(actual)
         reports.append(BoundReport(u, u_norm, actual, bound, slack, holds))
     return reports
 
@@ -296,64 +300,6 @@ def comparator_grid(dim: int, rng: np.random.Generator,
         for _ in range(directions):
             grid.append(n * random_unit_vector(rng, dim))
     return grid
-
-
-@dataclass
-class RadialBenchmark:
-    """Benchmark B(theta) = f(||theta||) with numeric conjugate and gradient."""
-
-    f: callable
-
-    def value(self, theta) -> float:
-        return float(self.f(float(np.linalg.norm(theta))))
-
-    def conjugate(self, u_norm: float) -> float:
-        bound = 10.0 * (u_norm + 1.0)
-        for _ in range(60):
-            try:
-                return conjugate_numeric(self.f, u_norm, bound)
-            except BoundaryHitError:
-                bound *= 2.0
-        raise BoundaryHitError("benchmark conjugate search bound did not stabilize")
-
-    def gradient(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        r = float(np.linalg.norm(theta))
-        if r == 0.0:
-            return np.zeros_like(theta)
-        step = 1e-6 * max(r, 1.0)
-        slope = (self.f(r + step) - self.f(r - step)) / (2.0 * step)
-        return slope * theta / r
-
-
-def duality_witness(traces: Sequence[Trace], benchmark: RadialBenchmark,
-                    eps_hat: float, comparators: Sequence[np.ndarray],
-                    tol: float = 1e-6) -> bool:
-    """Check the reward/regret duality on a sample of traces.
-
-    Reward side: Reward >= B(theta_T) - eps_hat on every trace.  Regret side:
-    Regret(u) <= B*(u) + eps_hat for every grid comparator and for the
-    induced comparator u = grad B(theta_T) of each trace.  Returns whether
-    the two sides agree (both hold or both fail), which is the sampled form
-    of the equivalence.
-    """
-    reward_ok = True
-    for tr in traces:
-        b = benchmark.value(tr.theta_final)
-        if tr.reward < b - eps_hat - tol * (1.0 + abs(b)):
-            reward_ok = False
-            break
-    regret_ok = True
-    for tr in traces:
-        all_u = list(comparators) + [benchmark.gradient(tr.theta_final)]
-        for u in all_u:
-            rb = benchmark.conjugate(float(np.linalg.norm(u))) + eps_hat
-            if regret(tr, u) > rb + tol * (1.0 + abs(rb)):
-                regret_ok = False
-                break
-        if not regret_ok:
-            break
-    return reward_ok == regret_ok
 
 
 # --- serialization ---------------------------------------------------------

@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._search import eval_on_array, finite_difference
 from .core import ORTHOGONAL, PARALLEL, UnsupportedDimensionError
 
 NUMERIC = "numeric"
@@ -69,6 +68,16 @@ class OneRoundSolution:
 
 
 REGIME_TOL = 1e-6  # classify_regime's relative slack on h'' against h'/x
+
+
+def finite_difference(f, x: float, order: int = 1) -> float:
+    """Central difference of order 1 or 2 with step 1e-5 * max(|x|, 1)."""
+    h = 1e-5 * max(abs(x), 1.0)
+    if order == 1:
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+    if order == 2:
+        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+    raise ValueError("order must be 1 or 2")
 
 
 def classify_regime(h, probe_grid) -> str:
@@ -116,6 +125,18 @@ BLOCK = 32  # radii solved together
 REFINE_N = 65  # points of the local beta grid that refines each argmax
 _PROBE = np.arange(256.0)  # the alpha bracket's slope probes on [0, r + G], in steps of (r + G) / 255
 _REFINE = np.linspace(0.0, 1.0, REFINE_N)
+
+
+def eval_on_array(f, xs) -> np.ndarray:
+    """f at every entry of xs: one vectorized call when f accepts arrays, else entry by entry."""
+    arr = np.asarray(xs, dtype=np.float64)
+    try:
+        vals = np.asarray(f(arr), dtype=np.float64)
+        if vals.shape == arr.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(f(float(x))) for x in arr.ravel()]).reshape(arr.shape)
 
 
 def plane_distance(r, beta, G):

@@ -3,7 +3,8 @@
 Nothing in this module reuses the closed-form potentials or strategies: the
 game values come from brute backward induction over discretized states, the
 expectations from exact binomial sums, Gauss-Hermite quadrature, or adaptive
-quadrature.  Tests compare these against the analytic implementations.
+quadrature, and the conjugates from golden-section search.  Tests and the
+``verify`` suites compare these against the analytic implementations.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._search import eval_on_array
-from .one_round import line_distance, minmax_values, plane_distance
+from .one_round import eval_on_array, line_distance, minmax_values, plane_distance
 from .one_round import solve_scalar_grid  # noqa: F401  (the benchmark's tracer wraps it by name here)
 
 MAX_GH_NODES = 256
 MIN_GH_NODES = 16
 GH_STABILITY_RTOL = 1e-8
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden section
 
 
 class ResourceBudgetError(RuntimeError):
@@ -31,6 +32,10 @@ class ResourceBudgetError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Quadrature failed to stabilize; the integral likely diverges."""
+
+
+class BoundaryHitError(RuntimeError):
+    """Numeric conjugate maximizer landed on the search boundary."""
 
 
 def rademacher_smoothing_exact(f, x: float, tau: int, G: float) -> float:
@@ -75,7 +80,7 @@ def _gh_eval(f, mean: float, variance: float, n: int) -> float:
 
 
 def _quad_fallback(f, mean: float, variance: float) -> float:
-    from scipy import integrate  # here, not at module level: only this fallback and the full 2-D solver use scipy
+    from scipy import integrate  # here, not at module level: only this fallback uses scipy
 
     s = math.sqrt(variance)
 
@@ -206,8 +211,8 @@ def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
 
     The value function is tabulated on a radial grid (the benchmark and the
     gradient ball are rotation invariant, so the value depends on theta only
-    through its norm; see ``one_round_value_full_2d`` for the empirical
-    cross-check of that reduction).  Each stage solves the scalar one-round
+    through its norm; tests/test_oracles.py cross-checks that reduction
+    against a full 2-D solve).  Each stage solves the scalar one-round
     reduction against the interpolated table of the next stage, at every
     radius it needs at once, with ``one_round.minmax_values``.
 
@@ -243,31 +248,90 @@ def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
     return float(np.interp(r0, grid[:table.size], table))
 
 
-def one_round_value_full_2d(h, theta, G: float, n_phi: int = 720) -> float:
-    """One-round value at d = 2 without the radial reduction.
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 300):
+    """The maximum of a unimodal scalar function on [lo, hi].
 
-    Minimizes over the full 2-D play w (Nelder-Mead from several starts) the
-    max over an angular grid of full-norm gradients; used to validate that
-    equal-norm states share the same value.
+    The bracket shrinks by the golden ratio per iteration, so ~60 iterations
+    reduce it by 1e-12; max_iter is a guard.
     """
-    from scipy import optimize
+    a, b = float(lo), float(hi)
+    if not b >= a:
+        raise ValueError("need hi >= lo")
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = f(d)
+    return fc if fc > fd else fd
 
-    theta = np.asarray(theta, dtype=np.float64)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    gx = G * np.cos(phis)
-    gy = G * np.sin(phis)
-    hx = theta[0] - gx
-    hy = theta[1] - gy
-    dist = np.sqrt(hx * hx + hy * hy)
-    hvals = eval_on_array(h, dist)
 
-    def payoff(w):
-        return float(np.max(w[0] * gx + w[1] * gy + hvals))
+def conjugate_numeric(f, u_norm: float, search_bound: float, tol: float = 1e-8) -> float:
+    """sup over [0, search_bound] of a*u_norm - f(a), by golden-section search.
 
-    best = None
-    for start in (np.zeros(2), 0.5 * theta, -0.5 * theta):
-        res = optimize.minimize(payoff, start, method="Nelder-Mead",
-                                options=dict(xatol=1e-9, fatol=1e-12, maxiter=4000))
-        if best is None or res.fun < best:
-            best = float(res.fun)
-    return best
+    f must be convex on the interval so the objective is concave.  If the
+    maximizer lands on the right boundary the supplied bound was too small
+    and BoundaryHitError is raised; the caller should enlarge it.
+    """
+    if u_norm < 0:
+        raise ValueError("u_norm must be nonnegative")
+    if not search_bound > 0:
+        raise ValueError("search_bound must be positive")
+
+    def objective(a):
+        # f may overflow well past the true maximizer; mask that region
+        try:
+            val = a * u_norm - f(a)
+        except OverflowError:
+            return -math.inf
+        return val if not math.isnan(val) else -math.inf
+
+    hi = search_bound
+    overflowed = not math.isfinite(objective(hi))
+    if overflowed:
+        # shrink to the finite region; the maximizer is interior to it
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if math.isfinite(objective(mid)):
+                lo = mid
+            else:
+                hi = mid
+        hi = lo
+
+    v = golden_section_max(objective, 0.0, hi, tol=min(tol, 1e-10 * (1.0 + hi)))
+    obj_zero = objective(0.0)
+    obj_edge = objective(hi)
+    v = max(v, obj_zero, obj_edge)
+    # a genuine boundary escape has the edge value dominating the interior;
+    # flat objectives (e.g. u_norm = 0 with constant f) are not escapes
+    if not overflowed and obj_edge >= v - 1e-12 * (1.0 + abs(v)) and obj_edge > obj_zero:
+        raise BoundaryHitError(
+            f"conjugate maximizer at search bound {search_bound}; enlarge the bound"
+        )
+    return v
+
+
+def default_exp_search_bound(alpha: float, u_norm: float) -> float:
+    """Initial search bound for conjugates of exp-type potentials."""
+    return 10.0 * (u_norm + 1.0) * (math.sqrt(alpha) + 1.0)
+
+
+def exp_conjugate_numeric(alpha: float, beta: float, u_norm: float) -> float:
+    """Numeric conjugate of f(x) = beta*exp(x^2/(2 alpha)), doubling on boundary hits."""
+    f = lambda x: beta * math.exp(x * x / (2.0 * alpha))
+    bound = default_exp_search_bound(alpha, u_norm)
+    for _ in range(60):
+        try:
+            return conjugate_numeric(f, u_norm, bound)
+        except BoundaryHitError:
+            bound *= 2.0
+    raise BoundaryHitError("conjugate search bound did not stabilize")

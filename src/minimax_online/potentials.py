@@ -37,7 +37,8 @@ halves are written once over numpy arrays (t an int or an array, x an
 array), so one formula serves a play, a lockstep batch of plays
 (``engine.run_games``), a run's slack ledger and an envelope column.
 np.exp overflows to inf rather than raising; the engine traps that.
-``conjugate_numeric`` evaluates sup_a (a*u - f(a)) by golden-section search.
+The numeric conjugate that referees the closed-form envelopes is
+``oracles.exp_conjugate_numeric``.
 """
 
 from __future__ import annotations
@@ -47,16 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_section_max
 from .core import ORTHOGONAL, PARALLEL, norm
 
 SIGMA2 = math.pi / 2.0  # per-step variance of the Gaussian surrogate
 
 VACUOUS = math.inf
-
-
-class BoundaryHitError(RuntimeError):
-    """Numeric conjugate maximizer landed on the search boundary."""
 
 
 def _check_rounds(t, lo: int, hi) -> None:
@@ -154,10 +150,16 @@ class PowerPotential:
 
     def conjugate_bound(self, u_norm, t):
         """q_T's conjugate at every t; VACUOUS past W at p = 1, and where
-        u_norm**q leaves the float64 range."""
+        u_norm**q leaves the float64 range.  Where both powers leave it (0/0
+        or inf/inf: u_norm = 0 with a tiny W, or u_norm and W both huge), the
+        same value as W (u_norm/W)^q / q, which is exactly 0 at u_norm = 0.
+        Every power is a numpy one, so none raises OverflowError, and none
+        warns."""
         if self.p == 1.0:
             return np.where(u_norm <= self.W, 0.0, VACUOUS)
-        return u_norm**self.q / (self.W ** (self.q - 1.0) * self.q)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bound = u_norm**self.q / (np.float64(self.W) ** (self.q - 1.0) * self.q)
+            return np.where(np.isnan(bound), (u_norm / self.W) ** self.q * self.W / self.q, bound)
 
 
 class _ExpQuadratic:
@@ -258,69 +260,6 @@ class AdaptiveNormalPotential(_ExpQuadratic):
         steps[0] = beta[0] * math.exp(self.G * self.G / (2.0 * self.a))
         steps[1:] -= beta[:-1]
         return np.cumsum(steps)[np.asarray(t) - 1]
-
-
-def conjugate_numeric(f, u_norm: float, search_bound: float, tol: float = 1e-8) -> float:
-    """sup over [0, search_bound] of a*u_norm - f(a), by golden-section search.
-
-    f must be convex on the interval so the objective is concave.  If the
-    maximizer lands on the right boundary the supplied bound was too small
-    and BoundaryHitError is raised; the caller should enlarge it.
-    """
-    if u_norm < 0:
-        raise ValueError("u_norm must be nonnegative")
-    if not search_bound > 0:
-        raise ValueError("search_bound must be positive")
-
-    def objective(a):
-        # f may overflow well past the true maximizer; mask that region
-        try:
-            val = a * u_norm - f(a)
-        except OverflowError:
-            return -math.inf
-        return val if not math.isnan(val) else -math.inf
-
-    hi = search_bound
-    overflowed = not math.isfinite(objective(hi))
-    if overflowed:
-        # shrink to the finite region; the maximizer is interior to it
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if math.isfinite(objective(mid)):
-                lo = mid
-            else:
-                hi = mid
-        hi = lo
-
-    x, v = golden_section_max(objective, 0.0, hi, tol=min(tol, 1e-10 * (1.0 + hi)))
-    obj_zero = objective(0.0)
-    obj_edge = objective(hi)
-    v = max(v, obj_zero, obj_edge)
-    # a genuine boundary escape has the edge value dominating the interior;
-    # flat objectives (e.g. u_norm = 0 with constant f) are not escapes
-    if not overflowed and obj_edge >= v - 1e-12 * (1.0 + abs(v)) and obj_edge > obj_zero:
-        raise BoundaryHitError(
-            f"conjugate maximizer at search bound {search_bound}; enlarge the bound"
-        )
-    return v
-
-
-def default_exp_search_bound(alpha: float, u_norm: float) -> float:
-    """Initial search bound for conjugates of exp-type potentials."""
-    return 10.0 * (u_norm + 1.0) * (math.sqrt(alpha) + 1.0)
-
-
-def exp_conjugate_numeric(alpha: float, beta: float, u_norm: float) -> float:
-    """Numeric conjugate of f(x) = beta*exp(x^2/(2 alpha)), doubling on boundary hits."""
-    f = lambda x: beta * math.exp(x * x / (2.0 * alpha))
-    bound = default_exp_search_bound(alpha, u_norm)
-    for _ in range(60):
-        try:
-            return conjugate_numeric(f, u_norm, bound)
-        except BoundaryHitError:
-            bound *= 2.0
-    raise BoundaryHitError("conjugate search bound did not stabilize")
 
 
 def exp_conjugate_upper_bound(alpha, beta, w_norm):

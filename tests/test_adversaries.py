@@ -179,6 +179,17 @@ class TestGreedyVsComparator:
         g = answer(GreedyVsComparator(G=1.0, comparator=u), 0, np.zeros(2), w=np.array([u]))
         assert np.array_equal(g, np.zeros((1, 2)))
 
+    def test_a_tiny_gap_gets_a_full_norm_direction(self):
+        # the norm of a subnormal gap has too few digits to divide by: (5e-324, 5e-324) / 5e-324 has norm sqrt(2)
+        adv = GreedyVsComparator(G=2.0, comparator=(5e-324, 5e-324))
+        w = np.array([[0.0, 0.0], [1e-200, -3e-200], [3.0, 4.0], [5e-324, 5e-324]])
+        g = answer(adv, 0, np.zeros((4, 2)), w=w)
+        np.testing.assert_allclose(row_norms(g), [2.0, 2.0, 2.0, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(g[:2], [[-np.sqrt(2.0), -np.sqrt(2.0)], [2.0 * 0.1 ** 0.5, -6.0 * 0.1 ** 0.5]],
+                                   rtol=1e-15)
+        # the other rows divide as before, bit for bit
+        assert g[2].tolist() == (2.0 * (w[2] - 5e-324) / 5.0).tolist()
+
     def test_instantaneous_regret_maximized(self):
         rng = make_rng(8)
         for _ in range(20):

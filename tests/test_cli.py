@@ -145,6 +145,32 @@ class TestMalformedScalars:
         assert not out.exists()
 
 
+class TestExponentFloats:
+    """PyYAML follows YAML 1.1, which reads 1e-3 as a string; the spec reader
+    reads YAML 1.2's floats with an exponent as floats."""
+
+    @pytest.mark.parametrize("spelling,value", [("1e-3", 1e-3), ("1E5", 1e5), ("2.5e-1", 0.25), (".5e1", 5.0),
+                                                ("+3e0", 3.0), ("1.0e+05", 1e5)])
+    def test_an_exponent_float_is_a_float(self, tmp_path, spelling, value):
+        path, out = write_spec(tmp_path, MINIMAL_SPEC.replace("eta: 0.31622776601683794", f"eta: {spelling}"))
+        assert parse_experiment_spec(path).strategies[0]["eta"] == value
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("spelling", ['"0.5"', "'1e-3'", "1e", "e5", "1e400"])
+    def test_a_quoted_or_malformed_number_is_still_refused(self, tmp_path, capsys, spelling):
+        path, out = write_spec(tmp_path, MINIMAL_SPEC.replace("eta: 0.31622776601683794", f"eta: {spelling}"))
+        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: strategy 'ogd': eta must be a finite number, got ")
+
+    @pytest.mark.parametrize("name", ["adaptive_sweep.yaml", "minimal.yaml", "envelope_sweep.yaml"])
+    def test_the_committed_specs_read_as_with_yaml_safe_load(self, name):
+        path = ROOT / "scripts" / "specs" / name
+        spec, raw = parse_experiment_spec(path), yaml.safe_load(path.read_text())
+        assert (spec.strategies, spec.adversaries) == (raw.get("strategies", [raw.get("strategy")]),
+                                                       raw.get("adversaries", [raw.get("adversary")]))
+        assert [c["norm"] for c in spec.comparators] == [c["norm"] for c in raw["comparators"]]
+
+
 class TestSeedRange:
     """make_rng keys each run's stream with one uint64, so every seed a run
     uses must lie in [0, 2**64 - 1]; one that does not is a config error (exit
@@ -961,14 +987,14 @@ assert not loaded, loaded
 
     def test_every_package_export_resolves(self):
         # the names the package exported when its __init__ imported every module
-        names = """GameConfig make_rng norm orthonormal_complement_sample random_unit_vector unit_direction
+        names = """GameConfig make_rng norm random_unit_vector unit_direction
             AdaptiveNormalPotential NormalKnownTPotential PowerPotential QuadraticPotential conjugate_numeric
             exp_conjugate_upper_bound regret_bound OneRoundSolution OneRoundSpec classify_regime solve_orthogonal
             solve_parallel solve_scalar_grid PotentialPlayer FixedDirection GaussianRandom GreedyVsComparator
-            OrthogonalMinimax ParallelMinimax RademacherLine BoundReport RadialBenchmark Trace attach_epsilon
-            comparator_grid duality_witness epsilon_ledger read_trace_json regret run_game run_games verify_bound
+            OrthogonalMinimax ParallelMinimax RademacherLine BoundReport Trace attach_epsilon
+            comparator_grid epsilon_ledger read_trace_json regret run_game run_games verify_bound
             write_trace_csv write_trace_json RecursionSpec argmax_at_zero_check conditional_value_recursive
-            gaussian_dominance_check gaussian_expectation one_round_value_full_2d rademacher_smoothing_exact
+            gaussian_dominance_check gaussian_expectation rademacher_smoothing_exact
             __version__""".split()
         run_child("""
 import importlib, sys

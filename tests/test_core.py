@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minimax_online import GameConfig, make_rng, norm, orthonormal_complement_sample, unit_direction
-from minimax_online.core import TOL_ORTHO, UnsupportedDimensionError, row_norms
+from minimax_online import GameConfig, make_rng, norm, unit_direction
+from minimax_online.core import UnsupportedDimensionError, complement_rows, row_norms
+
+# Orthogonality of sampled complement directions is checked at TOL_ORTHO.
+TOL_ORTHO = 1e-12
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -86,41 +89,54 @@ def test_unit_direction_idempotent(v):
     np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
+def complements(theta, seeds):
+    """complement_rows of the rows of theta, row k on the stream of seeds[k]."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+    return complement_rows(theta, row_norms(theta), [make_rng(seed) for seed in seeds])
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_complement_sample_contract(dim, seed):
     rng = make_rng(seed)
-    for trial_theta in (np.zeros(dim), rng.standard_normal(dim), 100.0 * rng.standard_normal(dim)):
-        v = orthonormal_complement_sample(trial_theta, rng)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-        assert abs(float(v @ trial_theta)) <= 1e-12 * max(np.linalg.norm(trial_theta), 1.0)
+    theta = np.array([np.zeros(dim), rng.standard_normal(dim), 100.0 * rng.standard_normal(dim)])
+    # three rows at once (one with theta = 0), then each row alone
+    for rows, seeds in [(theta, [seed, seed + 1, seed + 2])] + [(row, [seed]) for row in theta]:
+        v = complements(rows, seeds)
+        rows = np.atleast_2d(rows)
+        assert v.shape == rows.shape
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(np.einsum("ij,ij->i", v, rows)) <= 1e-12 * np.maximum(np.linalg.norm(rows, axis=1), 1.0))
 
 
 def test_complement_sample_axis():
-    v = orthonormal_complement_sample(np.array([1.0, 0.0]), make_rng(0))
+    v = complements([[1.0, 0.0]], [0])[0]
     assert v[0] == 0.0
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 def test_complement_sample_needs_dim2():
     with pytest.raises(UnsupportedDimensionError):
-        orthonormal_complement_sample(np.array([1.0]), make_rng(0))
+        complements([[1.0]], [0])
 
 
-@pytest.mark.parametrize("theta", [[1e-200, 2e-200, 0.0], [1e200, 2e200, 0.0]])
+@pytest.mark.parametrize("theta", [[1e-200, 2e-200, 0.0], [1e200, 2e200, 0.0], [5e-324, 0.0], [1e308, -1e308]])
 def test_complement_sample_at_float64_extremes(theta):
+    # alone, then in a batch with a zero row and a unit row
     theta = np.array(theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        v = orthonormal_complement_sample(theta, make_rng(0))
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    assert abs(float(v @ unit_direction(theta))) <= TOL_ORTHO
+    zero, unit = np.zeros_like(theta), np.eye(1, theta.size)[0]
+    for rows in (theta[None, :], np.array([zero, theta, unit])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = complements(rows, range(len(rows)))
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(np.einsum("ij,ij->i", v, [unit_direction(row) for row in rows])) <= TOL_ORTHO)
 
 
 def test_complement_gram_schmidt_case():
     theta = np.array([1.0, 1.0, 0.0])
-    v = orthonormal_complement_sample(theta, make_rng(3))
-    assert abs(float(v @ theta)) <= 1e-12 * np.linalg.norm(theta)
+    v = complements([theta, 2.0 * theta, -theta], [3, 4, 5])
+    assert np.all(np.abs(v @ theta) <= 1e-12 * np.linalg.norm(theta))
 
 
 def test_game_config_validation():

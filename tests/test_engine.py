@@ -25,11 +25,9 @@ from minimax_online import (
     PowerPotential,
     QuadraticPotential,
     RademacherLine,
-    RadialBenchmark,
     Trace,
     attach_epsilon,
     comparator_grid,
-    duality_witness,
     epsilon_ledger,
     make_rng,
     norm,
@@ -41,9 +39,10 @@ from minimax_online import (
     write_trace_csv,
     write_trace_json,
 )
-from minimax_online.core import (DimensionMismatchError, orthonormal_complement_sample, random_unit_vector,
-                                 row_norms, unit_direction)
+from minimax_online.core import (DimensionMismatchError, UnsupportedDimensionError, complement_rows,
+                                 random_unit_vector, row_norms, unit_direction)
 from minimax_online.engine import _states, repr_spellings, trace_from_dict, trace_to_dict, write_repr_rows
+from minimax_online.oracles import BoundaryHitError, conjugate_numeric
 
 
 class ZeroPotential:
@@ -64,6 +63,34 @@ def small_trace(seed=0, rounds=12, dim=2, eta=0.2):
 
 
 # --- the one-run reference ---------------------------------------------------
+
+def orthonormal_complement_sample(theta, rng):
+    """A unit vector orthogonal to theta (any unit vector when theta = 0), for
+    one run: in d = 2 the rotated direction (-theta_1, theta_0)/||theta|| with
+    an rng-chosen sign; in higher dimensions a Gaussian draw projected out of
+    theta's direction twice and normalized, drawn again while its projected
+    norm is at most 1e-8."""
+    theta = np.asarray(theta, dtype=np.float64)
+    d = theta.size
+    if d < 2:
+        raise UnsupportedDimensionError("orthogonal complement requires dim >= 2")
+    n = norm(theta)
+    if n == 0.0:
+        return random_unit_vector(rng, d)
+    if d == 2:
+        v = np.array([-theta[1], theta[0]]) / n
+        if rng.random() < 0.5:
+            v = -v
+        return v
+    u = theta / n
+    while True:
+        v = rng.standard_normal(d)
+        v -= (v @ u) * u
+        v -= (v @ u) * u  # second projection pass for orthogonality to ~1e-16
+        m = norm(v)
+        if m > 1e-8:
+            return v / m
+
 
 def reference_grad(adversary, t, theta, w, rng):
     """A built-in adversary's gradient at round t for one run: state theta,
@@ -370,6 +397,22 @@ class TestRunGames:
             run_games(player, GaussianRandom(G=1.0), configs, 5)
         assert run_games(player, GaussianRandom(G=1.0), [], 5) == []
 
+    def test_a_grad_bound_past_1e154_is_checked_exactly(self):
+        # the squared limit leaves the float64 range there: the check compares norms
+        player = PotentialPlayer(QuadraticPotential(eta=1e-250, G=1e200))
+        config = GameConfig(dim=2, grad_bound=1e200, seed=0)
+        trace = run_game(player, FixedDirection(G=1e200), config, 5)
+        assert trace.g[:, 0].tolist() == [1e200] * 5
+        with pytest.raises(ValueError, match=re.escape("round 1: adversary emitted ||g||=2e+200 > G=1e+200")):
+            run_game(player, FixedDirection(G=2e200), config, 5)
+
+    def test_an_orthogonal_state_past_the_float64_range_raises(self):
+        # the state overflows by round 2; the complement of an infinite state is NaN, not drawn again forever
+        player = PotentialPlayer(QuadraticPotential(eta=1e-300, G=1e308))
+        with pytest.raises(OverflowError, match="round 2: the play left the float64 range"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_game(player, OrthogonalMinimax(G=1e308), GameConfig(dim=3, grad_bound=1e308, seed=0), 20)
+
 
 class TestRegret:
     def test_zero_comparator_is_negative_reward(self):
@@ -455,6 +498,109 @@ class TestVerifyBound:
         trace = run_game(strat, GaussianRandom(G=1.0), cfg, T)
         report = verify_bound(trace, strat, [np.array([10.0, 0.0])])[0]
         assert math.isinf(report.regret_bound) and report.holds
+
+    @pytest.mark.parametrize("bound,actual,holds", [
+        (math.nan, 0.0, False), (-math.inf, -1e300, False), (math.inf, math.nan, False), (1.0, math.nan, False),
+        (math.inf, math.inf, True), (math.inf, 1e300, True), (1.0, -math.inf, True), (1.0, 1.0 + 1e-7, True),
+        (1.0, 1.0 + 1e-5, False)])
+    def test_only_a_plus_inf_bound_is_vacuous(self, bound, actual, holds):
+        # a trace of one round whose regret at u = 0 is actual
+        cfg = GameConfig(dim=1, grad_bound=1.0, seed=0)
+        trace = Trace(cfg, "stub", "stub", np.array([[1.0]]), np.array([[actual]]), np.array([[-actual]]),
+                      np.array([actual]))
+        with np.errstate(invalid="ignore"):
+            report = verify_bound(trace, None, [np.zeros(1)], bounds=[bound])[0]
+        assert report.holds is holds
+
+
+class ScriptedNormals:
+    """A stand-in for a run's Generator whose standard_normal(d) calls return
+    the rows of a script, in order; its state is the number of rows read."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+        self.state = 0
+
+    def standard_normal(self, d):
+        row = self.rows[self.state]
+        assert row.shape == (d,)
+        self.state += 1
+        return row.copy()
+
+
+class TestComplementRedraw:
+    def test_a_draw_on_thetas_line_is_drawn_again(self):
+        # row 1's first two draws lie on theta's line: it reads two more rows than the
+        # others, and its vector is the one-row reference's, bit for bit (a row drawn
+        # once is projected in a batch, which sums its dot products in another order)
+        theta = np.array([[1.0, 2.0, 2.0], [0.0, 3.0, 4.0], [-1.0, 0.5, 0.0]])
+        scripts = make_rng(5).standard_normal((3, 4, 3))
+        scripts[1, 0] = 2.0 * theta[1]
+        scripts[1, 1] = -1e-9 * theta[1]
+        streams = [ScriptedNormals(script) for script in scripts]
+        got = complement_rows(theta, row_norms(theta), streams)
+        assert [s.state for s in streams] == [1, 3, 1]
+        ref = np.array([orthonormal_complement_sample(row, ScriptedNormals(script))
+                        for row, script in zip(theta, scripts)])
+        assert got[1].tobytes() == ref[1].tobytes()
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.einsum("ij,ij->i", got, theta), 0.0, atol=1e-15)
+
+
+@dataclass
+class RadialBenchmark:
+    """Benchmark B(theta) = f(||theta||) with numeric conjugate and gradient."""
+
+    f: callable
+
+    def value(self, theta) -> float:
+        return float(self.f(float(np.linalg.norm(theta))))
+
+    def conjugate(self, u_norm: float) -> float:
+        bound = 10.0 * (u_norm + 1.0)
+        for _ in range(60):
+            try:
+                return conjugate_numeric(self.f, u_norm, bound)
+            except BoundaryHitError:
+                bound *= 2.0
+        raise BoundaryHitError("benchmark conjugate search bound did not stabilize")
+
+    def gradient(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        r = float(np.linalg.norm(theta))
+        if r == 0.0:
+            return np.zeros_like(theta)
+        step = 1e-6 * max(r, 1.0)
+        slope = (self.f(r + step) - self.f(r - step)) / (2.0 * step)
+        return slope * theta / r
+
+
+def duality_witness(traces, benchmark, eps_hat, comparators, tol=1e-6):
+    """Check the reward/regret duality on a sample of traces.
+
+    Reward side: Reward >= B(theta_T) - eps_hat on every trace.  Regret side:
+    Regret(u) <= B*(u) + eps_hat for every grid comparator and for the
+    induced comparator u = grad B(theta_T) of each trace.  Returns whether
+    the two sides agree (both hold or both fail), which is the sampled form
+    of the equivalence.
+    """
+    reward_ok = True
+    for tr in traces:
+        b = benchmark.value(tr.theta_final)
+        if tr.reward < b - eps_hat - tol * (1.0 + abs(b)):
+            reward_ok = False
+            break
+    regret_ok = True
+    for tr in traces:
+        all_u = list(comparators) + [benchmark.gradient(tr.theta_final)]
+        for u in all_u:
+            rb = benchmark.conjugate(float(np.linalg.norm(u))) + eps_hat
+            if regret(tr, u) > rb + tol * (1.0 + abs(rb)):
+                regret_ok = False
+                break
+        if not regret_ok:
+            break
+    return reward_ok == regret_ok
 
 
 class TestDualityWitness:

@@ -16,9 +16,9 @@ from minimax_online import (
 )
 from minimax_online.core import UnsupportedDimensionError, make_rng
 from minimax_online import checks
-from minimax_online._search import INVPHI, eval_on_array
-from minimax_online.one_round import (BLOCK, NUMERIC, ORTHOGONAL, PARALLEL, _PROBE, _REFINE, line_distance,
-                                      minmax_values, plane_distance, worst_case_payoff)
+from minimax_online.one_round import (BLOCK, NUMERIC, ORTHOGONAL, PARALLEL, _PROBE, _REFINE, eval_on_array,
+                                      line_distance, minmax_values, plane_distance, worst_case_payoff)
+from minimax_online.oracles import INVPHI
 
 PROBES = np.linspace(0.05, 5.0, 40)
 

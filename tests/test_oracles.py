@@ -15,12 +15,10 @@ from minimax_online import (
     conditional_value_recursive,
     gaussian_dominance_check,
     gaussian_expectation,
-    one_round_value_full_2d,
     oracles,
     rademacher_smoothing_exact,
 )
-from minimax_online._search import eval_on_array, finite_difference
-from minimax_online.one_round import line_distance, minmax_values, plane_distance
+from minimax_online.one_round import eval_on_array, finite_difference, line_distance, minmax_values, plane_distance
 from minimax_online.oracles import DivergenceError, ResourceBudgetError
 
 
@@ -276,6 +274,36 @@ class TestRecursionValidation:
     def test_smallest_grids_accepted(self):
         spec = RecursionSpec(**self.SPEC, n_r=2, grid_n=101, r_pad=0.0)
         assert math.isfinite(conditional_value_recursive(spec, 0, np.zeros(2)))
+
+
+def one_round_value_full_2d(h, theta, G, n_phi=720):
+    """One-round value at d = 2 without the radial reduction.
+
+    Minimizes over the full 2-D play w (Nelder-Mead from several starts) the
+    max over an angular grid of full-norm gradients; used to validate that
+    equal-norm states share the same value.
+    """
+    from scipy import optimize
+
+    theta = np.asarray(theta, dtype=np.float64)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    gx = G * np.cos(phis)
+    gy = G * np.sin(phis)
+    hx = theta[0] - gx
+    hy = theta[1] - gy
+    dist = np.sqrt(hx * hx + hy * hy)
+    hvals = eval_on_array(h, dist)
+
+    def payoff(w):
+        return float(np.max(w[0] * gx + w[1] * gy + hvals))
+
+    best = None
+    for start in (np.zeros(2), 0.5 * theta, -0.5 * theta):
+        res = optimize.minimize(payoff, start, method="Nelder-Mead",
+                                options=dict(xatol=1e-9, fatol=1e-12, maxiter=4000))
+        if best is None or res.fun < best:
+            best = float(res.fun)
+    return best
 
 
 class TestRadialReductionValidation:

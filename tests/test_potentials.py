@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,9 @@ from minimax_online import (
     run_game,
 )
 from minimax_online import checks
-from minimax_online._search import finite_difference
 from minimax_online.core import row_norms
-from minimax_online.oracles import gaussian_expectation
-from minimax_online.potentials import BoundaryHitError
+from minimax_online.one_round import finite_difference
+from minimax_online.oracles import BoundaryHitError, gaussian_expectation
 
 
 class TestPowerPotential:
@@ -182,6 +182,31 @@ class TestRegretBound:
     def test_power_p2(self):
         pot = PowerPotential(W=1.0 / 10.0, p=2.0, G=1.0, T=100)
         assert regret_bound(pot, 1.0, 100) == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("W", [1e-200, 5e-324, 1e-3, 1.0, 1e200, 1.7e308])
+    @pytest.mark.parametrize("p", [1.0000001, 1.5, 2.0])
+    def test_power_conjugate_is_zero_at_u_0_without_a_warning(self, W, p):
+        # at a tiny W, W^(q-1) underflows to 0, and u^q / (q W^(q-1)) was 0/0 = nan at u = 0
+        pot = PowerPotential(W=W, p=p, G=1.0, T=10)
+        with np.errstate(over="ignore"):  # q_0(0) overflows at W = 1.7e308
+            budget = pot.budget(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert pot.conjugate_bound(np.zeros(3), 10).tolist() == [0.0] * 3
+            assert regret_bound(pot, [0.0, 1.0], 10).tolist()[0] == budget
+
+    def test_power_conjugate_bits_past_u_0(self):
+        # where neither power leaves the float64 range, u^q / (q W^(q-1)) as it was; where both
+        # do (0/0, inf/inf), W (u/W)^q / q
+        pot = PowerPotential(W=0.7, p=1.5, G=1.0, T=10)
+        u = np.array([1e-300, 0.1, 1.0, 3.0, 1e100, 1e300])
+        with np.errstate(over="ignore", under="ignore"):
+            direct = u**pot.q / (pot.W ** (pot.q - 1.0) * pot.q)
+        assert pot.conjugate_bound(u, 10).tobytes() == direct.tobytes()
+        tiny, huge = PowerPotential(W=1e-200, p=1.5, G=1.0, T=10), PowerPotential(W=1e200, p=1.5, G=1.0, T=10)
+        assert tiny.conjugate_bound(np.array([1e-150, 1.0]), 10).tolist() == [(1e-150 / 1e-200) ** 3 * 1e-200 / 3,
+                                                                              math.inf]
+        assert huge.conjugate_bound(np.array([1e200]), 10).tolist() == [1e200 / 3]
 
     def test_power_p1(self):
         pot = PowerPotential(W=1.0, p=1.0, G=1.0, T=25)
