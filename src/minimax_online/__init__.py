@@ -19,8 +19,8 @@ _EXPORTS = {
     **dict.fromkeys(("FixedDirection", "GaussianRandom", "GreedyVsComparator", "OrthogonalMinimax",
                      "ParallelMinimax", "RademacherLine"), "adversaries"),
     **dict.fromkeys(("BoundReport", "Trace", "attach_epsilon", "comparator_grid", "epsilon_ledger",
-                     "read_trace_json", "regret", "run_game", "run_games", "verify_bound", "write_trace_csv",
-                     "write_trace_json"), "engine"),
+                     "read_trace_json", "regret", "run_column", "run_game", "run_games", "verify_bound",
+                     "write_trace_csv", "write_trace_json"), "engine"),
     **dict.fromkeys(("RecursionSpec", "argmax_at_zero_check", "conditional_value_recursive", "conjugate_numeric",
                      "gaussian_dominance_check", "gaussian_expectation", "rademacher_smoothing_exact"), "oracles"),
 }

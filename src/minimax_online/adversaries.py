@@ -1,6 +1,6 @@
 """Gradient generators: minimax adversaries plus stochastic and greedy stressors.
 
-Every adversary plays R runs in lockstep (``engine.run_games``), each run on
+Every adversary plays R runs in lockstep (``engine.run_column``), each run on
 its own stream (owned by the caller), so row k depends on run k alone; every
 gradient has ||g|| <= G.  An adversary that never reads the player's plays
 gives the whole (R, T, d) gradient block at once,
@@ -12,7 +12,8 @@ rngs)`` gives round t's (R, d) gradients against the states theta, of norms
 r.  The greedy adversary reads the plays, so it answers round by round,
 moving second: ``draws(rngs, rounds, dim)`` is called once per game, and
 ``grads(t, theta, r, w, draws)`` answers the states and the players' pending
-plays w with an (R, d) block of gradients.
+plays w with an (R, d) block of gradients; a column's groups are one game of
+their runs' rows, one ``grads`` call per round for all of them.
 """
 
 from __future__ import annotations

@@ -5,10 +5,14 @@ Subcommands:
 * ``run --spec spec.yaml``: execute every (strategy x adversary x repeat)
   cell, write per-run traces plus a summary table and a machine-readable
   verdict; exit 0 only if every measured regret respects its envelope.  The
-  repeats of one (strategy, adversary) pair form a group, played in lockstep
-  by ``engine.run_games``.  The groups of one adversary form a column, run
-  one after another; a play-blind adversary's gradient block depends only on
-  the seeds, so a column computes it once and every strategy replays it.
+  repeats of one (strategy, adversary) pair form a group, played in
+  lockstep.  The groups of one adversary form a column, played by one
+  ``engine.run_column`` call: a play-blind adversary's gradient block depends
+  only on the seeds, so the column computes it once and every strategy
+  replays it; the greedy adversary's groups share one round loop.  Each
+  group's traces are written and checked before the next group's are built.
+  Once a column raises, each of its groups not yet written is played alone
+  (``engine.run_games``), so a group records the error it raises alone.
   ``--jobs`` spreads the columns over processes.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
@@ -47,9 +51,10 @@ import numpy as np
 
 from . import adversaries as adv_mod
 from . import strategies as strat_mod
-from .core import ORTHOGONAL, PARALLEL, GameConfig, UNKNOWN_HORIZON, make_rng, random_unit_vector
+from .core import (ORTHOGONAL, PARALLEL, GameConfig, UNKNOWN_HORIZON, comparator_norm, make_rng,
+                   random_unit_vector)
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
-from .engine import (attach_epsilon, regret_bound, repr_spellings, run_game, run_games,  # noqa: F401
+from .engine import (attach_epsilon, regret_bound, repr_spellings, run_column, run_game, run_games,  # noqa: F401
                      verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
 from .potentials import AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential
 
@@ -309,38 +314,27 @@ def _run_id(spec: ExperimentSpec, si: int, ai: int, k: int) -> str:
     return f"s{si}-{spec.strategies[si]['tag']}_a{ai}-{spec.adversaries[ai]['tag']}_k{k:03d}"
 
 
-class _SharedBlock:
-    """A play-blind adversary whose gradient block one column computes once:
-    the first call computes the inner adversary's block, later calls return
-    that array.  Every group of a column asks with the same seeds, rounds and
-    dim, and the block reads nothing else, so each group gets what it would
-    compute itself.  A call that raises stores nothing."""
-
-    def __init__(self, adversary):
-        self.adversary = adversary
-        self.tag = adversary.tag
-        self.block = None
-
-    def gradient_block(self, rngs, rounds, dim):
-        if self.block is None:
-            self.block = self.adversary.gradient_block(rngs, rounds, dim)
-            self.block.flags.writeable = False  # every group reads it; none may write it
-        return self.block
+def _configs(spec: ExperimentSpec) -> List[GameConfig]:
+    """The game of each repeat k: its seed is game.seed + k."""
+    return [replace(spec.game, seed=spec.game.seed + k) for k in range(spec.repeats)]
 
 
 def _execute_cell(args):
-    """One (strategy, adversary) group, its repeats played in lockstep against
-    the column's adversary; returns its summary rows, run by run.  The group's
-    traces are written before it returns, so only one group's plays are alive
-    at a time."""
-    spec, si, ai, adversary, out_dir = args
-    strategy = build_strategy(spec.strategies[si], spec.game)
-    configs = [replace(spec.game, seed=spec.game.seed + k) for k in range(spec.repeats)]
+    """One (strategy, adversary) group: takes its traces, the next group of
+    the column, attaches their ledgers, writes and checks them, and returns
+    its summary rows, run by run.  A column that raised yields no more
+    groups: the group is then played alone, so that it raises what it
+    raises alone.  The traces are written before the call returns, so only
+    one group's states are alive at a time."""
+    spec, si, ai, strategy, adversary, column, out_dir = args
+    try:
+        traces = next(column)
+    except Exception:  # the column raised, at this group or an earlier one
+        traces = run_games(strategy, adversary, _configs(spec), spec.rounds)
     comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
                    for comp in spec.comparators]
-    traces = run_games(strategy, adversary, configs, spec.rounds)
     # every trace of the group has this potential and T: one envelope call for all of them
-    bounds = regret_bound(strategy.potential, [float(np.linalg.norm(u)) for u in comparators],
+    bounds = regret_bound(strategy.potential, [comparator_norm(u) for u in comparators],
                           max(spec.rounds, 1)).tolist()
     rows = []
     for k, trace in enumerate(traces):
@@ -362,18 +356,18 @@ def _execute_cell(args):
 
 
 def _execute_column(args):
-    """Every strategy's group against adversary ai, in strategy order: for
-    each, (summary rows, None), or ([], message) when the group raised; the
-    traceback then goes to stderr and the column's other groups still run.  A
-    play-blind adversary's block is computed once and shared by the column."""
+    """Every strategy's group against adversary ai, in strategy order, from
+    one ``engine.run_column`` call: for each, (summary rows, None), or ([],
+    message) when the group raised; the traceback then goes to stderr and
+    the column's other groups still run."""
     spec, ai, out_dir = args
     adversary = build_adversary(spec.adversaries[ai], spec.game)
-    if hasattr(adversary, "gradient_block"):
-        adversary = _SharedBlock(adversary)
+    strategies = [build_strategy(entry, spec.game) for entry in spec.strategies]
+    column = run_column(strategies, adversary, _configs(spec), spec.rounds)
     results = []
-    for si in range(len(spec.strategies)):
+    for si, strategy in enumerate(strategies):
         try:
-            results.append((_execute_cell((spec, si, ai, adversary, out_dir)), None))
+            results.append((_execute_cell((spec, si, ai, strategy, adversary, column, out_dir)), None))
         except Exception as exc:  # a crash in one group must not hide the others' verdicts
             traceback.print_exc()
             results.append(([], f"{type(exc).__name__}: {exc}"))
@@ -551,7 +545,7 @@ def cmd_curves(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"error: {meta_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    u_norms = [float(np.linalg.norm(u)) for u in comparators]
+    u_norms = [comparator_norm(u) for u in comparators]
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")  # a failed call leaves no partial curves.csv
     entry, templates = None, {}

@@ -76,6 +76,18 @@ def norm(a: Point) -> float:
     return n if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX else float(row_norms(a))
 
 
+def comparator_norm(u: np.ndarray) -> float:
+    """||u|| as np.linalg.norm gives it where its squares stay in the float64
+    range, so the u_norm a sweep spells keeps its bytes: where ``norm(u)`` is
+    0 or lies in [1e-150, 1e150].  Outside that range it is ``norm(u)``,
+    which is exact there, where np.linalg.norm's summed squares overflow to
+    inf or underflow, and raises no warning."""
+    if not u.any():  # the zero comparator, which norm finds only on its slow path
+        return 0.0
+    n = norm(u)
+    return float(np.linalg.norm(u)) if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX else n
+
+
 def unit_direction(theta: Point) -> Point:
     """theta / ||theta||, or the zero vector when theta is the zero vector.
 

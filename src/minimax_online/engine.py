@@ -18,19 +18,21 @@ Families whose value at t = 0 is nonzero (the known-horizon ones) carry their
 starting capital in the t = 0 term, so the ledger stays exact for both
 conventions.
 
-One game loop plays this protocol: ``run_games`` plays R runs of one
-(PotentialPlayer, built-in adversary) pair in lockstep.  An adversary that
-never reads the plays (every built-in one but the greedy) gives its whole
-gradient block before the first play, so every round's play is in one array
-step; the greedy one, which reads the plays, is answered round by round,
-round t of every run in one (R, d) array step.  Each run keeps its own
-Philox stream, so a run's trace does not depend on the other runs of its
-batch.  ``run_game`` is the one-run call of
-the same loop.  The tests hold it to a reference, ``reference_run_game`` in
-tests/test_engine.py: one play and one one-run gradient per round, for one
-run.  A lockstep trace differs from the reference's only where a dot product
-is summed in another order or a round index is an array rather than an int,
-by a few ulps.
+One game loop plays this protocol: ``run_column`` plays a column, every
+strategy's group of R runs against one adversary, each group in lockstep.
+An adversary that never reads the plays (every built-in one but the greedy)
+gives its whole gradient block before the first play: the column computes it
+and its states once, and each strategy's plays of every round are one array
+step.  The greedy one, which reads the plays, is answered round by round,
+round t of every run of every group in one (S R, d) array step.  Each run
+keeps its own Philox stream, so a run's trace depends neither on the other
+runs of its group nor on the other groups of its column.  ``run_games`` is
+the one-group call of the column, and ``run_game`` the one-run call of
+``run_games``.  The tests hold the loop to a reference, ``reference_run_game``
+in tests/test_engine.py: one play and one one-run gradient per round, for
+one run.  A lockstep trace differs from the reference's only where a dot
+product is summed in another order or a round index is an array rather than
+an int, by a few ulps.
 
 A JSON trace stores g but not theta: theta is -cumsum(g), and
 ``read_trace_json`` rebuilds it with the engine's own ``_states``, bit for
@@ -53,11 +55,11 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, GameConfig, make_rng, random_unit_vector, row_norms
+from .core import DimensionMismatchError, GameConfig, comparator_norm, make_rng, random_unit_vector, row_norms
 from .potentials import regret_bound
 
 GRAD_NORM_SLACK = 1e-9
@@ -114,42 +116,69 @@ def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
 
 
 def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -> List[Trace]:
-    """Execute the min-then-max loop for every config, in lockstep: all runs
-    advance together as (R, d) arrays.
+    """The traces of strategy's runs of configs: run_column with one strategy."""
+    return next(run_column([strategy], adversary, configs, rounds))
 
-    The configs share dim and grad_bound; run k uses configs[k].seed.  The
-    strategy needs ``response(t, theta, r)`` (PotentialPlayer).  An
-    adversary that never reads the plays gives ``gradient_block(rngs, rounds,
-    dim)``, the (R, rounds, d) gradients of the whole game; every state is
-    then known before the first play, so all rounds' plays are one array
-    call.  An adversary that reads the plays gives ``draws(rngs, rounds,
-    dim)``, called once, and ``grads(t, theta, r, w, draws)``, which answers
-    round t's plays w, and is played round by round, all runs' round t in
-    one (R, d) array step.  Known-horizon strategies must be run for exactly
-    config.horizon rounds.  The plays and gradients must have the game's
-    shape (else DimensionMismatchError), and each round is checked on all rows:
-    ||g|| <= G(1 + 1e-9) + 1e-9, and a play inside the float64 range
-    (OverflowError otherwise); an error names the first round that fails.
-    Row k of the result is the trace of run_games([configs[k]]), bit for bit.
+
+def run_column(strategies: Sequence, adversary, configs: Sequence[GameConfig],
+               rounds: int) -> Iterator[List[Trace]]:
+    """Yield, strategy by strategy, the traces of its group: its runs of
+    every config against adversary, in lockstep, all runs advancing together
+    as (R, d) arrays.  The work the groups share is done before the first
+    group is yielded; a group's states are built as it is yielded, so a
+    caller that drops each group before it asks for the next keeps one
+    group's states alive at a time.
+
+    The configs share dim and grad_bound; run k uses configs[k].seed, in
+    every group.  A strategy needs ``response(t, theta, r, out)``
+    (PotentialPlayer).  An adversary that never reads the plays gives
+    ``gradient_block(rngs, rounds, dim)``, the (R, rounds, d) gradients of
+    the whole game: the column computes it, its states and their norms once,
+    and each strategy's plays are one array call.  An adversary that reads
+    the plays gives ``draws(rngs, rounds, dim)``, called once, and
+    ``grads(t, theta, r, w, draws)``, which answers round t's plays w, and
+    is played round by round: the S groups are the S R rows of one game,
+    group s in rows s R to (s + 1) R - 1, each group on its own streams;
+    each round makes one ``grads`` call and one ``response`` per strategy,
+    written into its rows of the round's plays.  Known-horizon strategies
+    must be run for exactly config.horizon rounds.  The plays and gradients
+    must have the game's shape (else DimensionMismatchError), and each
+    round is checked on all rows: ||g|| <= G(1 + 1e-9) + 1e-9, and a play
+    inside the float64 range (OverflowError otherwise); an error names the
+    first round that fails, and ends the column.  Row k of a group is the
+    trace of run_games([configs[k]]) of its strategy, bit for bit.
     """
     if not configs:
-        return []
-    for cfg in configs:
-        _check_rounds(strategy, cfg, rounds)
+        for _ in strategies:
+            yield []
+        return
+    for strategy in strategies:
+        for cfg in configs:
+            _check_rounds(strategy, cfg, rounds)
     if any((cfg.dim, cfg.grad_bound) != (configs[0].dim, configs[0].grad_bound) for cfg in configs):
         raise ValueError("the configs of one lockstep group must share dim and grad_bound")
-    shape, G = (len(configs), configs[0].dim), configs[0].grad_bound
-    rngs = [make_rng(cfg.seed) for cfg in configs]
+    R, d, G = len(configs), configs[0].dim, configs[0].grad_bound
     if hasattr(adversary, "gradient_block"):
-        g_rows = adversary.gradient_block(rngs, rounds, shape[1])
-        if g_rows.shape != (shape[0], rounds, shape[1]):
-            raise DimensionMismatchError(
-                f"gradient block {g_rows.shape}, expected {(shape[0], rounds, shape[1])}")
+        g_rows = adversary.gradient_block([make_rng(cfg.seed) for cfg in configs], rounds, d)
+        if g_rows.shape != (R, rounds, d):
+            raise DimensionMismatchError(f"gradient block {g_rows.shape}, expected {(R, rounds, d)}")
         th_rows = _states(g_rows)
-        w_rows = _block_plays(strategy, g_rows, th_rows, G)
+        if len(strategies) > 1:  # every group's traces hold them: none may write them
+            g_rows.flags.writeable = th_rows.flags.writeable = False
+        r = np.zeros((R, rounds))  # the norm of the state each play answers: theta_0 = 0, theta_1, ...
+        r[:, 1:] = row_norms(th_rows)[:, :-1]
+        bad_g = _bad_gradients(g_rows, G)
+        for strategy in strategies:
+            yield _traces(strategy, adversary, configs, _block_plays(strategy, th_rows, r, g_rows, G, bad_g),
+                          g_rows, th_rows)
     else:
-        w_rows, g_rows = _lockstep(strategy, adversary, rngs, shape, rounds, G)
-        th_rows = _states(g_rows)
+        w_rows, g_rows = _lockstep(strategies, adversary, configs, rounds)
+        for s, strategy in enumerate(strategies):
+            rows = slice(s * R, (s + 1) * R)
+            yield _traces(strategy, adversary, configs, w_rows[rows], g_rows[rows], _states(g_rows[rows]))
+
+
+def _traces(strategy, adversary, configs, w_rows, g_rows, th_rows) -> List[Trace]:
     losses = np.einsum("rti,rti->rt", w_rows, g_rows)
     return [Trace(cfg, strategy.tag, adversary.tag, w_rows[k], g_rows[k], th_rows[k], losses[k])
             for k, cfg in enumerate(configs)]
@@ -162,25 +191,37 @@ def _states(g_rows: np.ndarray) -> np.ndarray:
     return np.subtract(0.0, th_rows, out=th_rows)  # 0.0 - keeps +0.0
 
 
-def _lockstep(strategy, adversary, rngs, shape, rounds: int, G: float):
-    """The plays and gradients, (R, T, d) each, of a game of shape (R, d)
-    played round by round, against an adversary that reads the plays."""
-    draws = adversary.draws(rngs, rounds, shape[1])
-    w_rows = np.zeros((shape[0], rounds, shape[1]))
+def _lockstep(strategies, adversary, configs, rounds: int):
+    """The plays and gradients, (S R, T, d) each, of the S groups of R runs
+    (one per config) that strategies play, round by round, against an
+    adversary that reads the plays: group s in rows s R to (s + 1) R - 1,
+    its run k on the stream of configs[k].seed."""
+    R, dim, G = len(configs), configs[0].dim, configs[0].grad_bound
+    rngs = [make_rng(cfg.seed) for _ in strategies for cfg in configs]
+    shape = (len(rngs), dim)
+    draws = adversary.draws(rngs, rounds, dim)
+    w_rows = np.zeros((shape[0], rounds, dim))
     g_rows = np.zeros_like(w_rows)
-    theta = np.zeros(shape)
+    theta, w = np.zeros(shape), np.zeros(shape)  # the states, and the round's plays
+    groups = []  # each strategy with its rows, and its views of the states and the plays
+    for s, strategy in enumerate(strategies):
+        rows = slice(s * R, (s + 1) * R)
+        groups.append((strategy, rows, theta[rows], w[rows]))
     try:
         with np.errstate(over="raise", invalid="raise"):
             for t in range(rounds):
                 r = row_norms(theta)
-                w = strategy.response(t, theta, r)
+                for strategy, rows, th, out in groups:
+                    play = strategy.response(t, th, r[rows], out=out)
+                    if play is not out:  # a strategy that returns its plays rather than writing them
+                        out[...] = play
                 g = adversary.grads(t, theta, r, w, draws)
-                if w.shape != shape or g.shape != shape:
+                if g.shape != shape:
                     raise DimensionMismatchError(
                         f"round {t + 1}: plays {w.shape}, gradients {g.shape}, expected {shape}")
-                theta = theta - g
                 w_rows[:, t] = w
                 g_rows[:, t] = g
+                np.subtract(theta, g, out=theta)
     except FloatingPointError as exc:
         _round_checks(g_rows[:, :t], G)
         raise OverflowError(f"round {t + 1}: {exc}") from exc
@@ -188,30 +229,38 @@ def _lockstep(strategy, adversary, rngs, shape, rounds: int, G: float):
     return w_rows, g_rows
 
 
-def _block_plays(strategy, g_rows: np.ndarray, th_rows: np.ndarray, G: float) -> np.ndarray:
+def _block_plays(strategy, th_rows: np.ndarray, r: np.ndarray, g_rows: np.ndarray, G: float,
+                 bad_g: np.ndarray) -> np.ndarray:
     """The plays, (R, T, d), against the gradients g_rows, whose states are
-    th_rows, in one array call."""
+    th_rows, in one array call; r holds the norms of the states the plays
+    answer, and bad_g the rounds whose gradients fail their check."""
     rounds = g_rows.shape[1]
     if rounds == 0:
         return np.zeros_like(g_rows)
     w = np.zeros_like(th_rows)  # first the state each play answers: theta_0 = 0, theta_1, ...
     w[:, 1:] = th_rows[:, :-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a play that leaves the range is found below
-        w = strategy.response(np.arange(rounds), w, row_norms(w), out=w)  # ... then, in place, the play
-    _round_checks(g_rows, G, bad_play=~np.isfinite(w).all(axis=(0, 2)))
+        w = strategy.response(np.arange(rounds), w, r, out=w)  # ... then, in place, the play
+    _round_checks(g_rows, G, bad_play=~np.isfinite(w).all(axis=(0, 2)), bad_g=bad_g)
     return w
 
 
-def _round_checks(g_rows: np.ndarray, G: float, bad_play=None) -> None:
+def _bad_gradients(g_rows: np.ndarray, G: float) -> np.ndarray:
+    """Per round, whether some run's ||g|| exceeds G(1 + 1e-9) + 1e-9 or is
+    NaN.  The norms are ``row_norms``', exact also where their squares leave
+    the float64 range (a G past 1e154, say)."""
+    return ~(row_norms(g_rows) <= G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK).all(axis=0)
+
+
+def _round_checks(g_rows: np.ndarray, G: float, bad_play=None, bad_g=None) -> None:
     """The round checks of a game, all rounds in one array call.  For the
     first round that fails one, raise what a round-by-round check would
     raise there: OverflowError where a play left the float64 range (bad_play,
-    one flag per round), else ValueError where some ||g|| exceeds
-    G(1 + 1e-9) + 1e-9 or is NaN.  A game played round by round traps its
-    overflow as it happens, and checks only the rounds before it.  The norms
-    are ``row_norms``', exact also where their squares leave the float64
-    range (a G past 1e154, say)."""
-    bad = ~(row_norms(g_rows) <= G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK).all(axis=0)
+    one flag per round), else ValueError where a gradient fails
+    ``_bad_gradients`` (bad_g, if the caller has it).  A game played round by
+    round traps its overflow as it happens, and checks only the rounds
+    before it."""
+    bad = _bad_gradients(g_rows, G) if bad_g is None else bad_g
     failed = np.flatnonzero(bad if bad_play is None else bad | bad_play)
     if failed.size:
         t = int(failed[0])
@@ -273,7 +322,7 @@ def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
     given, against bounds, those envelopes already computed (every trace of a
     group shares its potential and T)."""
     us = [np.asarray(u, dtype=np.float64) for u in comparators]
-    norms = [float(np.linalg.norm(u)) for u in us]
+    norms = [comparator_norm(u) for u in us]
     if bounds is None:
         bounds = regret_bound(strategy.potential, norms, max(trace.n_rounds, 1)).tolist()
     reports = []

@@ -44,6 +44,7 @@ The numeric conjugate that referees the closed-form envelopes is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,6 +232,8 @@ class AdaptiveNormalPotential(_ExpQuadratic):
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if self.eps < sys.float_info.min:  # a subnormal eps: beta_t = eps / log^2(t+1) underflows to 0
+            raise ValueError(f"eps must be at least {sys.float_info.min!r}, the smallest normal float64")
         if not self.G > 0:
             raise ValueError("G must be positive")
         if not self.a > 3.0 * math.pi * self.G * self.G / 4.0:

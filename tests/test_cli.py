@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -437,26 +438,33 @@ repeats: 2
                 calls.append(self.tag)
                 return block(self, rngs, rounds, dim)
             monkeypatch.setattr(cls, "gradient_block", counted)
-        played = []
+        columns, alone = [], []
 
-        def recorded(strategy, adversary, configs, rounds):
-            traces = engine.run_games(strategy, adversary, configs, rounds)
-            played.append((strategy, configs, rounds, traces))
-            return traces
-        monkeypatch.setattr(cli, "run_games", recorded)
+        def recorded(strategies, adversary, configs, rounds):
+            groups = []
+            columns.append((strategies, adversary.tag, configs, rounds, groups))
+            for traces in engine.run_column(strategies, adversary, configs, rounds):
+                groups.append(traces)
+                yield traces
+        monkeypatch.setattr(cli, "run_column", recorded)
+        monkeypatch.setattr(cli, "run_games", lambda *args: alone.append(args))
         path, _ = write_spec(tmp_path, sweep)
         assert main(["run", "--spec", str(path)]) == EXIT_OK
         assert calls == ["orthogonal_minimax", "parallel_minimax"]  # one per column, not one per group
-        assert len(played) == 9
         spec = parse_experiment_spec(path)
+        tags = [entry["tag"] for entry in spec.adversaries]
+        assert [column[1] for column in columns] == tags  # one engine call per column
+        assert [len(column[-1]) for column in columns] == [3, 3, 3] and alone == []  # no group played alone
         monkeypatch.undo()
-        for strategy, configs, rounds, traces in played:
-            ai = [entry["tag"] for entry in spec.adversaries].index(traces[0].adversary_tag)
-            alone = engine.run_games(strategy, cli.build_adversary(spec.adversaries[ai], spec.game), configs, rounds)
-            for shared, own in zip(traces, alone):
-                for key in ("w", "g", "theta", "losses"):
-                    assert getattr(shared, key).tobytes() == getattr(own, key).tobytes(), \
-                        (shared.strategy_tag, shared.adversary_tag, key)
+        for strategies, tag, configs, rounds, groups in columns:
+            adversary = cli.build_adversary(spec.adversaries[tags.index(tag)], spec.game)
+            for strategy, traces in zip(strategies, groups):
+                own = engine.run_games(strategy, adversary, configs, rounds)
+                assert len(traces) == len(own) == 2
+                for shared, mine in zip(traces, own):
+                    for key in ("w", "g", "theta", "losses"):
+                        assert getattr(shared, key).tobytes() == getattr(mine, key).tobytes(), \
+                            (shared.strategy_tag, shared.adversary_tag, key)
 
     def test_a_raising_block_fails_every_group_of_its_column(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -479,7 +487,8 @@ rounds: 20
 """
         path, out = write_spec(tmp_path, sweep)
         assert main(["run", "--spec", str(path)]) == EXIT_CELL_ERROR
-        assert calls == ["parallel_minimax"] * 2  # a block that raised is not kept: each group asks again
+        # the column asks once; a block that raised is not kept: each group, played alone, asks again
+        assert calls == ["parallel_minimax"] * 3
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: group s{si}-a0 raised ValueError: no block of 20 rounds" for si in (0, 1)]
@@ -491,6 +500,56 @@ rounds: 20
         rows = list(csv.DictReader((out / "summary.csv").open()))
         assert [r["run_id"] for r in rows] == [f"s{si}-{tag}_a1-orthogonal_minimax_k00{k}"
                                                for si, tag in enumerate(("ogd", "adaptive_normal")) for k in (0, 1)]
+
+    def test_a_group_that_raises_in_a_column_gets_its_own_error(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class RaisesAt(potentials.QuadraticPotential):
+            """ogd's potential, which refuses to give a play at round k or later."""
+
+            k: float = 1e9
+
+            tag = "raises_at"
+
+            def radial_diff(self, t, r):
+                if np.max(t) >= self.k:
+                    raise ValueError(f"no play at round {int(np.max(t))}")
+                return super().radial_diff(t, r)
+
+        monkeypatch.setitem(cli.POTENTIALS, "raises_at", RaisesAt)
+        sweep = """\
+game: {dim: 3, grad_bound: 1.0, horizon: 20, seed: 9}
+strategies:
+  - {tag: ogd, eta: 0.2}
+  - {tag: raises_at, eta: 0.3, k: K}
+  - {tag: power, W: 1.0, p: 1.5}
+adversaries:
+  - {tag: greedy_vs_comparator, comparator: [1.0, 0.0, 0.0]}
+  - {tag: rademacher_line}
+comparators:
+  - {norm: 0.0, direction_seed: 0}
+  - {norm: 1.0, direction_seed: 1}
+outputs: {dir: OUTDIR, format: both}
+repeats: 2
+"""
+        strategies = sweep.split("strategies:\n")[1].split("adversaries:")[0]
+        outs = {}
+        for name, k, text in (("column", 7, sweep), ("fine", 1e9, sweep),
+                              ("alone", 7, sweep.replace(strategies, "  - {tag: raises_at, eta: 0.3, k: K}\n"))):
+            (tmp_path / name).mkdir()
+            path, outs[name] = write_spec(tmp_path / name, text.replace("K", repr(k)))
+            assert main(["run", "--spec", str(path)]) == (EXIT_OK if name == "fine" else EXIT_CELL_ERROR)
+        errors = {name: json.loads((outs[name] / "verdict.json").read_text())["errors"] for name in ("column", "alone")}
+        # round by round the play of round 7 raises, as one block the whole game's plays
+        assert [e["message"] for e in errors["column"]] == [e["message"] for e in errors["alone"]] == [
+            f"ValueError: no play at round {t}" for t in (7, 7, 20, 20)]
+        assert [e["run_id"][:3] for e in errors["column"]] == ["s1-"] * 4
+        # the column's other groups keep their traces and summary rows, byte for byte
+        files = sorted(p.name for p in outs["column"].glob("run_*"))
+        assert files == sorted(p.name for p in outs["fine"].glob("run_s[02]-*")) and len(files) == 16
+        for name in files:
+            assert (outs["column"] / name).read_bytes() == (outs["fine"] / name).read_bytes(), name
+        lines = {name: (outs[name] / "summary.csv").read_text().splitlines() for name in ("column", "fine")}
+        assert lines["column"] == [line for line in lines["fine"] if ",raises_at," not in line]
 
     def test_trace_bytes_do_not_depend_on_the_repeat_count(self, tmp_path):
         sweep = """\
@@ -734,6 +793,35 @@ class TestCurvesCommand:
         assert main(["curves", str(out)]) == EXIT_OK
         reference_write_curves(out, tmp_path / "ref.csv")
         assert (out / "curves.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_huge_comparator_norms_stay_finite_in_run_and_curves(self, tmp_path):
+        # np.linalg.norm's squares overflow past about 1.34e154: a norm-1e155 comparator read as
+        # u_norm = inf, with a vacuous inf envelope, and numpy warned
+        sweep = """\
+game: {dim: 3, grad_bound: 1.0, horizon: 20, seed: 0}
+strategy: {tag: normal_knownT, eps: 1.0, a: 2.4}
+adversary: {tag: gaussian_random}
+comparators:
+  - {norm: 1.0e153, direction_seed: 1}
+  - {norm: 1.0e155, direction_seed: 2}
+outputs: {dir: OUTDIR, format: json}
+repeats: 1
+"""
+        path, out = write_spec(tmp_path, sweep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning in a group exits 4, in curves 5
+            assert main(["run", "--spec", str(path)]) == EXIT_OK
+            assert main(["curves", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader((out / "summary.csv").open()))
+        assert [float(row["u_norm"]) for row in rows] == pytest.approx([1e153, 1e155], rel=1e-15)
+        assert [float(row["bound"]) for row in rows] == pytest.approx(
+            regret_bound(potentials.NormalKnownTPotential(eps=1.0, a=2.4, G=1.0, T=20), [1e153, 1e155], 20),
+            rel=1e-12)
+        curves = list(csv.DictReader((out / "curves.csv").open()))
+        assert len(curves) == 2 * 20
+        assert all(np.isfinite([float(row[key]) for key in ("regret_u", "bound_u", "u_norm")]).all()
+                   for row in curves)
+        assert {float(row["u_norm"]) for row in curves} == {float(row["u_norm"]) for row in rows}
 
     def test_tidy_output_and_monotone_adaptive_bound(self, tmp_path):
         sweep = """\

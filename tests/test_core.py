@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minimax_online import GameConfig, make_rng, norm, unit_direction
-from minimax_online.core import UnsupportedDimensionError, complement_rows, row_norms
+from minimax_online.core import UnsupportedDimensionError, comparator_norm, complement_rows, row_norms
 
 # Orthogonality of sampled complement directions is checked at TOL_ORTHO.
 TOL_ORTHO = 1e-12
@@ -47,6 +47,26 @@ def test_norm_of_a_non_finite_vector():
         got = row_norms(np.array([[np.inf, 1.0], [1.0, 2.0], [np.nan, 1.0], [1e200, 1e200]]))
     assert got[0] == np.inf and np.isnan(got[2])
     assert got[[1, 3]].tolist() == [norm(np.array([1.0, 2.0])), norm(np.array([1e200, 1e200]))]
+
+
+def test_comparator_norm_is_linalg_norm_in_range_and_exact_outside():
+    # in range, np.linalg.norm's value, which a sweep's u_norm has always been spelled from; it
+    # differs from norm's by an ulp for some ordinary vectors
+    rng = make_rng(5)
+    differ = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for d in range(1, 17):
+            for scale in (1e-140, 1e-3, 1.0, 1e3, 1e140):
+                u = scale * rng.standard_normal(d)
+                assert comparator_norm(u) == float(np.linalg.norm(u))
+                differ += comparator_norm(u) != norm(u)
+        assert comparator_norm(np.zeros(4)) == 0.0
+        # outside it, np.linalg.norm's squares overflow to inf or underflow; norm is exact
+        for scale in (1e-300, 1e-160, 1e155, 1e300):
+            u = scale * np.array([0.6, 0.8, 0.0])
+            assert comparator_norm(u) == norm(u) == pytest.approx(scale, rel=1e-15)
+    assert differ > 0
 
 
 def test_unit_direction_examples():

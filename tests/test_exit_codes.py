@@ -161,6 +161,24 @@ def test_run_exit_code_says_what_happened(scratch, spec, seed):
     shutil.rmtree(work)
 
 
+@pytest.mark.parametrize("eps, code", [(5e-324, EXIT_CONFIG), (1e-310, EXIT_CONFIG),
+                                       (2.2250738585072014e-308, EXIT_OK), (1e-300, EXIT_OK)])
+@pytest.mark.parametrize("rounds", [20, 1000])
+def test_a_subnormal_adaptive_eps_is_refused_at_parse_time(scratch, eps, code, rounds):
+    # beta_t = eps / log^2(t+1) underflows to 0 from a subnormal eps, and the group crashed
+    spec = {"game": {"dim": 2, "grad_bound": 1.0, "seed": 0},
+            "strategy": {"tag": "adaptive_normal", "eps": eps, "a": 2.4},
+            "adversary": {"tag": "fixed_direction"}, "rounds": rounds}
+    work = Path(tempfile.mkdtemp(dir=scratch))
+    (work / "spec.yaml").write_text(to_yaml(spec) + "\n")
+    got, err = run_main(["run", "--spec", str(work / "spec.yaml"), "--out", str(work / "out"), "--jobs", "1"])
+    assert got == code, err
+    if code == EXIT_CONFIG:
+        assert_one_error_line(err)
+        assert "eps must be at least 2.2250738585072014e-308, the smallest normal float64" in err
+    shutil.rmtree(work)
+
+
 CURVES_SPEC = {
     "game": {"dim": 2, "grad_bound": 1.0, "horizon": 5, "seed": 1},
     "strategies": [{"tag": "ogd", "eta": 0.3}, {"tag": "normal_knownT", "eps": 1.0, "a": 2.5}],
