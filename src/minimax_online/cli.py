@@ -330,6 +330,8 @@ def _execute_cell(args):
     try:
         traces = next(column)
     except Exception:  # the column raised, at this group or an earlier one
+        traces = None
+    if traces is None:  # not in the handler, whose error would be chained to the group's own
         traces = run_games(strategy, adversary, _configs(spec), spec.rounds)
     comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
                    for comp in spec.comparators]

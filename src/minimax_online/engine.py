@@ -162,7 +162,8 @@ def run_column(strategies: Sequence, adversary, configs: Sequence[GameConfig],
         g_rows = adversary.gradient_block([make_rng(cfg.seed) for cfg in configs], rounds, d)
         if g_rows.shape != (R, rounds, d):
             raise DimensionMismatchError(f"gradient block {g_rows.shape}, expected {(R, rounds, d)}")
-        th_rows = _states(g_rows)
+        with np.errstate(over="ignore"):  # a state past the float64 range gives a play past it, found below
+            th_rows = _states(g_rows)
         if len(strategies) > 1:  # every group's traces hold them: none may write them
             g_rows.flags.writeable = th_rows.flags.writeable = False
         r = np.zeros((R, rounds))  # the norm of the state each play answers: theta_0 = 0, theta_1, ...

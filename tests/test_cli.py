@@ -390,6 +390,22 @@ rounds: 4000
         assert [r["run_id"] for r in rows] == [f"{group}_k00{k}" for group in groups for k in (0, 0, 1, 1)]
         assert sorted(p.name for p in out.glob("run_*")) == [f"run_{r['run_id']}.csv" for r in rows[::2]]
 
+    def test_a_state_past_the_float64_range_is_an_overflow_under_any_warning_filter(self, tmp_path):
+        # G = 1.7e308 along a fixed line: theta_2 overflows, and so does the play that answers it
+        sweep = """\
+game: {dim: 2, grad_bound: 1.7e308, horizon: unknown, seed: 0}
+strategy: {tag: ogd, eta: 0.3}
+adversary: {tag: fixed_direction}
+outputs: {dir: OUTDIR, format: csv}
+rounds: 5
+"""
+        path, out = write_spec(tmp_path, sweep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--spec", str(path)]) == EXIT_CELL_ERROR
+        errors = json.loads((out / "verdict.json").read_text())["errors"]
+        assert [e["message"] for e in errors] == ["OverflowError: round 2: the play left the float64 range"]
+
     def test_an_internal_error_exits_5_with_its_traceback(self, tmp_path, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("broken subcommand")
@@ -501,7 +517,7 @@ rounds: 20
         assert [r["run_id"] for r in rows] == [f"s{si}-{tag}_a1-orthogonal_minimax_k00{k}"
                                                for si, tag in enumerate(("ogd", "adaptive_normal")) for k in (0, 1)]
 
-    def test_a_group_that_raises_in_a_column_gets_its_own_error(self, tmp_path, monkeypatch):
+    def test_a_group_that_raises_in_a_column_gets_its_own_error(self, tmp_path, capsys, monkeypatch):
         @dataclasses.dataclass(frozen=True)
         class RaisesAt(potentials.QuadraticPotential):
             """ogd's potential, which refuses to give a play at round k or later."""
@@ -538,6 +554,9 @@ repeats: 2
             (tmp_path / name).mkdir()
             path, outs[name] = write_spec(tmp_path / name, text.replace("K", repr(k)))
             assert main(["run", "--spec", str(path)]) == (EXIT_OK if name == "fine" else EXIT_CELL_ERROR)
+            err = capsys.readouterr().err
+            # the traceback is the group's own, with the column's error not chained to it
+            assert err.count("Traceback") == (0 if name == "fine" else 2) and "During handling" not in err
         errors = {name: json.loads((outs[name] / "verdict.json").read_text())["errors"] for name in ("column", "alone")}
         # round by round the play of round 7 raises, as one block the whole game's plays
         assert [e["message"] for e in errors["column"]] == [e["message"] for e in errors["alone"]] == [
