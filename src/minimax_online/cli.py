@@ -336,8 +336,8 @@ def _execute_cell(args):
     comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
                    for comp in spec.comparators]
     # every trace of the group has this potential and T: one envelope call for all of them
-    bounds = regret_bound(strategy.potential, [comparator_norm(u) for u in comparators],
-                          max(spec.rounds, 1)).tolist()
+    norms = [comparator_norm(u) for u in comparators]
+    bounds = regret_bound(strategy.potential, norms, max(spec.rounds, 1)).tolist()
     rows = []
     for k, trace in enumerate(traces):
         attach_epsilon(trace, strategy.potential)
@@ -346,7 +346,8 @@ def _execute_cell(args):
             write_trace_csv(trace, Path(out_dir) / f"run_{run_id}.csv")
         if spec.out_format in ("json", "both"):
             write_trace_json(trace, Path(out_dir) / f"run_{run_id}.json")
-        for comp, report in zip(spec.comparators, verify_bound(trace, strategy, comparators, bounds=bounds)):
+        reports = verify_bound(trace, strategy, comparators, bounds=bounds, norms=norms)
+        for comp, report in zip(spec.comparators, reports):
             rows.append({
                 "run_id": run_id, "strategy": strategy.tag, "adversary": adversary.tag,
                 "seed": trace.config.seed, "u_norm": report.u_norm,

@@ -317,13 +317,16 @@ class BoundReport:
 
 
 def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
-                 tol: float = 1e-6, bounds: Optional[Sequence[float]] = None) -> List[BoundReport]:
+                 tol: float = 1e-6, bounds: Optional[Sequence[float]] = None,
+                 norms: Optional[Sequence[float]] = None) -> List[BoundReport]:
     """Compare measured regret against the envelope of the strategy's potential
     at T, all comparators' envelopes in one ``regret_bound`` call; or, if
     given, against bounds, those envelopes already computed (every trace of a
-    group shares its potential and T)."""
+    group shares its potential and T).  norms, if given, are the comparators'
+    ``comparator_norm``, computed once for the group."""
     us = [np.asarray(u, dtype=np.float64) for u in comparators]
-    norms = [comparator_norm(u) for u in us]
+    if norms is None:
+        norms = [comparator_norm(u) for u in us]
     if bounds is None:
         bounds = regret_bound(strategy.potential, norms, max(trace.n_rounds, 1)).tolist()
     reports = []

@@ -490,6 +490,11 @@ class TestVerifyBound:
         reports = verify_bound(trace, strat, grid)
         assert len(reports) == 21
         assert all(r.holds for r in reports)
+        # a group's envelopes and norms, computed once and passed in, give the same reports
+        given = verify_bound(trace, strat, grid, bounds=[r.regret_bound for r in reports],
+                             norms=[r.u_norm for r in reports])
+        fields = [(r.u_norm, r.regret_actual, r.regret_bound, r.holds) for r in reports]
+        assert [(r.u_norm, r.regret_actual, r.regret_bound, r.holds) for r in given] == fields
 
     def test_vacuous_bound_reported_as_holding(self):
         T = 9

@@ -273,8 +273,18 @@ class TestWorstCasePayoff:
             worst_case_payoff(np.abs, plane_distance, radii, G, [0.0], 101)
 
 
+def nan_near_1_3(x):
+    return np.where(np.abs(x - 1.3) < 0.05, np.nan, x * x)
+
+
+def exp_overflowing(x):
+    with np.errstate(over="ignore"):  # inf from x = 75.35 on
+        return np.exp(x * x / 8.0)
+
+
 class TestKernelInputs:
-    """Inputs the kernel cannot solve raise, and a NaN payoff is NaN, never a silent inf."""
+    """Inputs the kernel cannot solve raise, a NaN payoff is NaN, never a silent inf, and an
+    overflowing one is inf; a radius gets the same value alone as in a batch."""
 
     @pytest.mark.parametrize("theta", [[np.nan, 0.0], [np.inf, 1.0], [-np.inf]])
     def test_spec_rejects_a_theta_that_is_not_finite(self, theta):
@@ -295,13 +305,21 @@ class TestKernelInputs:
         with pytest.raises(ValueError, match="G"):
             minmax_values(np.abs, plane_distance, [1.0], G, 101)
 
-    @pytest.mark.parametrize("h", [lambda x: np.full_like(x, np.nan),
-                                   lambda x: np.where(np.abs(x - 1.3) < 0.05, np.nan, x * x)],
-                             ids=["everywhere", "near_x_1.3"])
-    def test_a_nan_payoff_gives_nan(self, h):
-        assert math.isnan(solve_scalar_grid(OneRoundSpec(h=h, theta=np.array([1.0, 0.0]), G=1.0)))
-        got = minmax_values(h, line_distance, [0.0, 1.0, 4.0], 1.0, 101)
-        assert math.isnan(got[1]), got
+    @pytest.mark.parametrize("h,radii,want", [
+        (lambda x: np.full_like(x, np.nan), [0.0, 1.0, 4.0], np.nan),
+        (nan_near_1_3, [0.0, 1.0, 4.0], np.nan),
+        # the slope probe on [0, r + 1] overflows at its last point only: L is inf, not NaN
+        (exp_overflowing, [0.0, 1.0, 74.4, 74.5, 74.6], np.inf),
+        # the last block holds one radius: finite values up to r = 0.25, NaN from 0.375 on
+        (nan_near_1_3, np.linspace(0.0, 4.0, BLOCK + 1), np.nan),
+    ], ids=["everywhere", "near_x_1.3", "exp_overflows", "block_plus_one"])
+    def test_a_non_finite_payoff_is_the_same_alone(self, h, radii, want):
+        assert np.array_equal(solve_scalar_grid(OneRoundSpec(h=h, theta=np.array([radii[-1], 0.0]), G=1.0)),
+                              want, equal_nan=True)
+        got = minmax_values(h, line_distance, radii, 1.0, 101)
+        assert np.array_equal(got[-1], want, equal_nan=True), got
+        alone = [minmax_values(h, line_distance, [r], 1.0, 101)[0] for r in radii]
+        assert np.array_equal(got, alone, equal_nan=True), (got, alone)
 
 
 class TestDimOneParallel:
