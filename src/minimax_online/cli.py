@@ -149,7 +149,7 @@ def _parse_entry(entry: dict, registry: dict, kind: str, build, game: GameConfig
     surface parameter precondition violations now."""
     entry = _coerce(entry, dict, f"{kind} entry", text)
     tag = entry.get("tag")
-    if tag not in registry:
+    if not isinstance(tag, str) or tag not in registry:  # a list or mapping tag is unhashable
         raise ConfigError(f"unknown {kind} tag {tag!r}", _find_key_line(text, "tag"))
     spec_fields = _spec_fields(registry[tag])
     _require_keys(entry, {"tag", *(f.name for f in spec_fields)},
@@ -159,7 +159,7 @@ def _parse_entry(entry: dict, registry: dict, kind: str, build, game: GameConfig
 
 def build_strategy(entry: dict, game: GameConfig) -> strat_mod.PotentialPlayer:
     tag = entry.get("tag")
-    if tag not in POTENTIALS:
+    if not isinstance(tag, str) or tag not in POTENTIALS:
         raise ConfigError(f"unknown strategy tag {tag!r}; choose from {sorted(POTENTIALS)}")
     cls = POTENTIALS[tag]
     try:
@@ -192,7 +192,7 @@ def _vector(name: str, value, dim: int) -> tuple:
 
 def build_adversary(entry: dict, game: GameConfig):
     tag = entry.get("tag")
-    if tag not in ADVERSARIES:
+    if not isinstance(tag, str) or tag not in ADVERSARIES:
         raise ConfigError(f"unknown adversary tag {tag!r}; choose from {sorted(ADVERSARIES)}")
     cls = ADVERSARIES[tag]
     params = {f.name: entry[f.name] for f in _spec_fields(cls) if f.name in entry}

@@ -55,7 +55,8 @@ def row_norms(a: np.ndarray) -> np.ndarray:
         rows = a[outside]  # only these rows are rescaled
         scale = np.abs(rows).max(axis=-1, initial=0.0)
         b = rows / np.where((scale > 0.0) & (scale < np.inf), scale, 1.0)[:, None]  # an infinite row stays as it is
-        n[outside] = scale * np.sqrt(np.einsum("ij,ij->i", b, b))
+        with np.errstate(over="ignore"):  # a finite row past float64's range: inf
+            n[outside] = scale * np.sqrt(np.einsum("ij,ij->i", b, b))
     return n
 
 

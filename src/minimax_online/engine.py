@@ -41,11 +41,15 @@ one holding a float JSON has no spelling for (inf, nan).  Both trace writers
 encode with orjson: the JSON writer in its own spelling, from the trace's
 float64 arrays; every CSV of floats (a trace CSV, and the rows of
 ``curves``) through ``write_repr_rows``, which respells orjson's floats as
-``repr``'s, byte for byte.  ``read_trace_json`` decodes with orjson too, one
-call per (T, d) row array, and reads a file that orjson refuses (an older
-one holding ``NaN``, say) with the stdlib ``json``.  orjson is imported by
-these functions, on their first call, so importing the engine never loads
-it.
+``repr``'s, byte for byte.  Its odd floats, those orjson spells unlike
+``repr`` (and inf and nan), are orjson's ``null``; the rows come from
+splitting orjson's text on ``null`` and on ``],[`` and joining the pieces
+with the odd floats' spellings and with each row's lead, which every trace
+of a sweep takes from one cache.  ``read_trace_json`` decodes with orjson
+too, one call per (T, d) row array, and reads a file that orjson refuses (an
+older one holding ``NaN``, say) with the stdlib ``json``.  orjson is
+imported by these functions, on their first call, so importing the engine
+never loads it.
 """
 
 from __future__ import annotations
@@ -394,31 +398,48 @@ def write_repr_rows(fh, table: np.ndarray, lead: Sequence[int], sep: bytes,
     is quoted, so const must hold no comma and no line break.  The table is
     overwritten.
 
-    The floats go through one ``_repr_text`` call, whose odd floats (and the
-    blank column) are ``%b`` placeholders; every ``],[`` becomes sep, a
-    ``%d`` placeholder for the next row's lead and const, and one ``%`` call
-    fills both kinds."""
-    T, k = table.shape
-    if T == 0:
+    The floats go through one ``_repr_text`` call, whose text holds orjson's
+    ``null`` for each odd float (and the blank column).  That text is split
+    on ``null`` and joined with the odd floats' spellings between the pieces;
+    the result, less orjson's ``[[`` and ``]]``, is split on ``],[`` into its
+    rows, and one more join puts each row after its lead: sep, lead[i] and
+    const, built once per (lead, sep, const) by ``_leads``.  No pass formats
+    the text, so const goes in as it is."""
+    if len(table) == 0:
         return
     if blank is not None:
         table[:, blank] = np.nan
-    rows, odd, odd_fills = _repr_text(table)
-    slots = np.zeros((T, k + 1), dtype=bool)  # in buffer order: a row's lead, then its odd floats
-    slots[1:, 0] = True
-    slots[:, 1:] = odd
-    column = np.nonzero(slots)[1]
-    del slots
-    fills = np.empty(column.size, dtype=object)
-    fills[column == 0] = lead[1:]
-    fills[column > 0] = odd_fills
+    text, odd, fills = _repr_text(table)
     if blank is not None:
-        fills[column == blank + 1] = b""
-    cells = b"" if const is None else const.encode() + b","
-    rows = rows.replace(b"],[", sep + b"%d," + cells.replace(b"%", b"%%"))
-    fh.write(b"%d," % lead[0] + cells)
-    fh.write(memoryview(rows % tuple(fills))[2:-2])  # less orjson's [[ and ]]
-    fh.write(sep)
+        fills[np.nonzero(odd)[1] == blank] = b""
+    pieces = text.split(b"null")
+    del text  # each step drops its input before the next: a lower peak RSS
+    text = _interleave(pieces, fills)
+    del pieces, fills
+    rows = text.split(b"],[")
+    del text
+    rows[0] = rows[0][2:]  # less orjson's [[ and ]]
+    rows[-1] = rows[-1][:-2]
+    key = lead if isinstance(lead, range) else tuple(lead)  # hashable; a range hashes without a copy
+    fh.write(_interleave(_leads(key, sep, const), rows))
+
+
+@cache
+def _leads(lead: Sequence[int], sep: bytes, const: Optional[str]) -> tuple:
+    """What goes before each row of ``write_repr_rows`` and after the last:
+    lead[0] and const, then sep, lead[i] and const for every next row, then
+    sep.  Built once per (lead, sep, const): every trace of a sweep, and every
+    comparator's rows of ``curves`` at one T, share it."""
+    cells = b"," if const is None else b",%b," % const.encode()
+    return (b"%d" % lead[0] + cells, *(sep + b"%d" % i + cells for i in lead[1:]), sep)
+
+
+def _interleave(outer, inner) -> bytes:
+    """outer[0] + inner[0] + outer[1] + ... + outer[-1], by one join: outer
+    holds one item more than inner."""
+    parts = [b""] * (len(outer) + len(inner))
+    parts[0::2], parts[1::2] = outer, inner
+    return b"".join(parts)
 
 
 def repr_spellings(values: np.ndarray) -> List[bytes]:
@@ -426,22 +447,22 @@ def repr_spellings(values: np.ndarray) -> List[bytes]:
     ``write_repr_rows`` spells them.  values is overwritten."""
     if values.size == 0:
         return []
-    text, _, odd_fills = _repr_text(values)
-    return (text % tuple(odd_fills))[1:-1].split(b",")
+    text, _, fills = _repr_text(values)
+    return _interleave(text.split(b"null"), fills)[1:-1].split(b",")
 
 
 def _repr_text(table: np.ndarray):
     """(text, odd, fills): orjson's text of the float64 array table, in which
     every float is spelled as its ``repr`` but the odd ones, flagged in odd,
-    which are ``%b`` placeholders for their ``repr`` bytes, fills in order.
-    The odd entries of table are overwritten with nan.
+    which are ``null``; fills holds their ``repr`` bytes, in order, as an
+    object array.  The odd entries of table are overwritten with nan.
 
     orjson writes the same shortest round-trip digits as ``repr`` and spells
     a float alike but for three cases.  A float with |x| >= 1e16 is ``1e16``
     to orjson and ``1e+16`` to ``repr``: one pass over the buffer adds the
     ``+``.  A float with 1e-9 <= |x| < 1e-4 is ``0.0000123`` or ``1.2e-7`` to
-    orjson, and inf and nan are ``null``: these are the odd ones, which go in
-    as ``null``, then as ``%b``."""
+    orjson, and inf and nan are ``null``: these are the odd ones, which table
+    holds as nan, so that orjson writes each as ``null``."""
     import orjson  # here, so that importing the engine never loads it
 
     mag = np.abs(table)
@@ -456,24 +477,28 @@ def _repr_text(table: np.ndarray):
         text = text.replace(b"e", b"e+")
         if tiny:
             text = text.replace(b"e+-", b"e-")
-    return text.replace(b"null", b"%b"), odd, fills
+    return text, odd, fills
 
 
 def _odd_reprs(values: np.ndarray) -> np.ndarray:
     """The ``repr`` bytes of values, each with 1e-9 <= |x| < 1e-4 or not
-    finite, as an object array.  A float that orjson spells
-    ``0.0000123`` or ``1.2e-7`` goes through orjson and byte edits, for speed:
-    the sweeps hold tens of thousands of them."""
+    finite, as an object array.  A float that orjson spells ``0.0000123`` or
+    ``1.2e-7`` goes through orjson and byte edits, for speed: the sweeps hold
+    tens of thousands of them.  In ``0.0000123`` the ``0.0000`` becomes a
+    ``#`` mark, and one numpy step over the bytes swaps each mark with the
+    digit after it and makes the mark a point: ``1.23``, then ``1.23e-05``."""
     import orjson
 
     texts = np.empty(values.size, dtype=object)
     mag = np.abs(values)
     fixed, short = (mag >= 1e-5) & (mag < 1e-4), mag < 1e-5
-    if fixed.any():  # 0.0000123 -> #123 -> 1.23 -> 1.23e-05
-        text = orjson.dumps(values[fixed], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"0.0000", b"#")
-        for digit in b"123456789":
-            text = text.replace(b"#%c" % digit, b"%c." % digit)
-        texts[fixed] = (text.replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e").split(b",")
+    if fixed.any():  # 0.0000123 -> #123 -> 1.23 -> 1.23e-05; 0.00001 -> #1 -> 1. -> 1e-05
+        text = bytearray(orjson.dumps(values[fixed], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"0.0000", b"#"))
+        buf = np.frombuffer(text, dtype=np.uint8)
+        mark = np.flatnonzero(buf == ord("#"))
+        buf[mark] = buf[mark + 1]
+        buf[mark + 1] = ord(".")
+        texts[fixed] = (bytes(text).replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e").split(b",")
     if short.any():  # 1.2e-7 -> 1.2e-07
         texts[short] = orjson.dumps(values[short], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(
             b"e-", b"e-0").split(b",")

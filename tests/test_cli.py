@@ -21,6 +21,7 @@ from minimax_online.cli import (
     EXIT_OK,
     POTENTIALS,
     ConfigError,
+    build_adversary,
     build_strategy,
     comparator_vector,
     main,
@@ -93,6 +94,21 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_experiment_spec(path)
         assert "mystery" in str(err.value)
+
+    @pytest.mark.parametrize("tag", ["[]", "{a: 1}"], ids=["list", "mapping"])
+    @pytest.mark.parametrize("kind,line", [("strategy", "tag: ogd"), ("adversary", "tag: fixed_direction")])
+    def test_a_tag_that_is_not_a_string_is_a_config_error(self, tmp_path, capsys, kind, line, tag):
+        # an unhashable tag is refused before the registry lookup: exit 2, one error line
+        build = build_strategy if kind == "strategy" else build_adversary
+        with pytest.raises(ConfigError, match=f"unknown {kind} tag"):
+            build({"tag": yaml.safe_load(tag)}, GameConfig(dim=2, grad_bound=1.0))
+        path, out = write_spec(tmp_path, MINIMAL_SPEC.replace(line, f"tag: {tag}"))
+        with pytest.raises(ConfigError, match=f"unknown {kind} tag"):
+            parse_experiment_spec(path)
+        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"unknown {kind} tag" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_horizon_needs_rounds(self, tmp_path):
         bad = MINIMAL_SPEC.replace("horizon: 10", "horizon: unknown").replace(

@@ -49,6 +49,14 @@ def test_norm_of_a_non_finite_vector():
     assert got[[1, 3]].tolist() == [norm(np.array([1.0, 2.0])), norm(np.array([1e200, 1e200]))]
 
 
+def test_row_norms_past_the_float64_range_is_inf_without_a_warning():
+    # finite coordinates whose norm, about 2.4e308, has no float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = row_norms(np.array([[1.7e308, 1.7e308], [3.0, 4.0]]))
+    assert got.tolist() == [np.inf, 5.0]
+
+
 def test_comparator_norm_is_linalg_norm_in_range_and_exact_outside():
     # in range, np.linalg.norm's value, which a sweep's u_norm has always been spelled from; it
     # differs from norm's by an ulp for some ordinary vectors

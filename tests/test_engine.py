@@ -705,6 +705,9 @@ def float_trace(floats, d, with_eps):
 # spells 1e-9 <= |x| < 1e-5 as 1.2e-7, 1e-5 <= |x| < 1e-4 as 0.0000123, and
 # |x| >= 1e16 as 1e16), and the smallest subnormal
 SPELLING_BOUNDARIES = [x for b in (1e-9, 1e-5, 1e-4, 1e16) for x in (b, float(np.nextafter(b, 0.0)))] + [5e-324]
+# floats that orjson spells 0.0000...: one-digit mantissas (1e-05 to repr, with no
+# point) and the largest float below 1e-4
+FIXED_RANGE_EDGES = [1e-05, -2e-05, 9.999999999999999e-05]
 
 
 def at_spelling_boundaries(test):
@@ -805,10 +808,12 @@ class TestWriterBytes:
     @settings(max_examples=300, deadline=None)
     @given(floats=st.lists(st.floats(width=64), max_size=30), d=st.sampled_from([2, 9]), with_eps=st.booleans())
     @at_spelling_boundaries
+    @example(floats=FIXED_RANGE_EDGES, d=2, with_eps=True)
+    @example(floats=FIXED_RANGE_EDGES, d=9, with_eps=False)
     @pytest.mark.parametrize("sep", [b"\r\n", b"\n"])
     def test_repr_rows_match_repr_on_any_floats(self, sep, floats, d, with_eps):
-        # with_eps picks the columns around the floats: a curves row's run id (with a %
-        # that the codec's own % call must not read), or a trace row's blank eps_t
+        # with_eps picks the columns around the floats: a curves row's run id (with a %,
+        # which must reach the row as it is), or a trace row's blank eps_t
         x = np.array(floats, dtype=np.float64)
         table = np.resize(x, x.size * d).reshape(x.size, d)
         lead = range(1, x.size + 1)
@@ -818,9 +823,25 @@ class TestWriterBytes:
         write_repr_rows(fh, table, lead, sep, const=const, blank=blank)
         assert fh.getvalue() == want
 
+    def test_repr_rows_match_repr_for_each_lead_sep_and_const(self):
+        # the calls take turns over leads that share T or their first value, and over
+        # sep and const, so rows written with another call's cached leads would show
+        leads = [range(5, 12), [5, 9, -3, 10**12, 0, 4, 2], range(1, 2), [7], range(1, 8)]
+        floats = np.array([*SPELLING_BOUNDARIES, *FIXED_RANGE_EDGES, np.inf, -np.nan, -0.0, 1.5, 1e300])
+        for _ in range(2):
+            for lead in leads:
+                for sep in (b"\r\n", b"\n"):
+                    for const, blank in ((None, None), ("s0-%d%%_a1-x_k000", None), (None, 2), ("null", 0)):
+                        table = np.resize(floats, (len(lead), 4))
+                        want = reference_repr_rows(table, lead, sep, const, blank)
+                        fh = io.BytesIO()
+                        write_repr_rows(fh, table, lead, sep, const=const, blank=blank)
+                        assert fh.getvalue() == want, (lead, sep, const, blank)
+
     @settings(max_examples=300, deadline=None)
     @given(floats=st.lists(st.floats(width=64), max_size=30))
     @example(floats=[*SPELLING_BOUNDARIES, *(-x for x in SPELLING_BOUNDARIES)])
+    @example(floats=FIXED_RANGE_EDGES)
     def test_repr_spellings_match_repr_on_any_floats(self, floats):
         # the spelling of curves' regret column, by the helper that write_repr_rows spells with
         assert repr_spellings(np.array(floats, dtype=np.float64)) == [repr(x).encode() for x in floats]
