@@ -21,12 +21,13 @@ evaluates one alpha per radius: the best grid beta, refined on a local grid
 spanning its two neighbours, gives the payoff and its maximizing beta, a
 subgradient, so the payoff's tangent line there.  The next alpha is where the
 lines at the two ends of the bracket cross, or the midpoint; the crossing
-value is a certified lower bound that stops a radius early.  A block of one
-radius has its own loop, the same steps on Python floats, and gets the same
-bits.  ``worst_case_payoff`` is that inner max at given alphas: the payoff of
-a play alpha * theta_hat against its best reply.  ``solve_scalar_grid`` is
-the kernel at one radius, on that loop, and validates both closed forms; the
-backward-induction oracle runs the kernel over the radial grid at each stage.
+value is a certified lower bound that stops a radius early.  The loop is
+written once, over four operations spelled for arrays or, for a block of one
+radius, for Python floats; both give the same bits.  ``worst_case_payoff`` is
+that inner max at given alphas: the payoff of a play alpha * theta_hat
+against its best reply.  ``solve_scalar_grid`` is the kernel at one radius
+and validates both closed forms; the backward-induction oracle runs the
+kernel over the radial grid at each stage.
 """
 
 from __future__ import annotations
@@ -171,28 +172,28 @@ def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
     """min over alpha of max over beta in [-G, G] of alpha*beta + h(xmap(r, beta, G)), per radius r.
 
     Radii are solved BLOCK at a time, in lockstep; a block of one radius
-    (every ``solve_scalar_grid`` call) has its own loop, the same steps on
-    Python floats.  h is tabulated once on a grid_n-point beta grid.  The
-    payoff is convex in alpha and, by Danskin's theorem, the beta attaining
-    the inner max is a subgradient of it: the evaluation at alpha gives the
-    line value + beta (alpha' - alpha) below the payoff, and beta < 0 puts
-    the minimum right of alpha, beta >= 0 left of it.  The bracket starts at
-    [-L, L], L = 2 * (largest slope of h on [0, r + G]) + 1e-6, and each end
-    keeps the line of the evaluation that set it.  Each step evaluates one
-    alpha per radius: where the two lines cross, if that is inside the
-    bracket and the bracket has kept the pace of one halving per two
-    evaluations, else the midpoint.  A radius stops when its bracket is within
-    tol = 1e-11 * max(1, L) or when its best payoff is within 1e-3 * G * tol
-    of the lines' value where they cross, a lower bound on the minimum.  The
-    pace rule caps a solve at 77 evaluations, twice bisection's 38 halvings
-    plus one; smooth and piecewise linear payoffs take about 4-20.  The value
-    is the smallest payoff evaluated.  The inner max is ``_inner_max``.  Every
-    operation acts row by row, and the one-radius loop does the same
-    arithmetic in the same order, with np.minimum's and np.maximum's NaN
-    rules and argmax's first index, so a radius gets the same value alone as
-    in a batch, bit for bit.  Radii must be finite and >= 0 and G finite
-    and > 0 (ValueError); a NaN payoff gives NaN, and a slope of h on
-    [0, r + G] that overflows to inf gives inf.
+    (every ``solve_scalar_grid`` call) runs the same loop on Python floats.
+    h is tabulated once on a grid_n-point beta grid.  The payoff is convex in
+    alpha and, by Danskin's theorem, the beta attaining the inner max is a
+    subgradient of it: the evaluation at alpha gives the line value + beta
+    (alpha' - alpha) below the payoff, and beta < 0 puts the minimum right of
+    alpha, beta >= 0 left of it.  The bracket starts at [-L, L], L = 2 *
+    (largest slope of h on [0, r + G]) + 1e-6, and each end keeps the line
+    of the evaluation that set it.  Each step evaluates one alpha per radius:
+    where the two lines cross, if that is inside the bracket and the bracket
+    has kept the pace of one halving per two evaluations, else the midpoint.
+    A radius stops when its bracket is within tol = 1e-11 * max(1, L) or when
+    its best payoff is within 1e-3 * G * tol of the lines' value where they
+    cross, a lower bound on the minimum.  The pace rule caps a solve at 77
+    evaluations, twice bisection's 38 halvings plus one; smooth and piecewise
+    linear payoffs take about 4-20.  The value is the smallest payoff
+    evaluated.  The inner max is ``_inner_max``.  Every operation acts row by
+    row, and its Python-float spelling does the same arithmetic in the same
+    order, with np.minimum's and np.maximum's NaN rules and argmax's first
+    index, so a radius gets the same value alone as in a batch, bit for bit.
+    Radii must be finite and >= 0 and G finite and > 0 (ValueError); a NaN
+    payoff gives NaN, and an h that overflows to inf on [0, r + G], or whose
+    slope there does, gives inf.
     """
     return _by_block(radii, G, grid_n, lambda rows, r, betas: _minmax_block(h, xmap, r, G, betas))
 
@@ -224,48 +225,21 @@ def _inner_max(h, xmap, r, G: float, betas: np.ndarray, hvals: np.ndarray, alpha
 
 def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
     """``minmax_values`` for one block of radii r, shaped (m, 1): the h table, slope probe, L and tol
-    of every radius, then the cutting planes, ``_minmax_one`` for a lone radius."""
+    of every radius, then ``_planes`` on the block's arrays, or on Python floats for a lone radius."""
     hvals = eval_on_array(h, xmap(r, betas, G))
     step = (r + G) / (_PROBE.size - 1)
     probe = _PROBE * step  # np.linspace(0, r + G, 256) row by row, bit for bit
     probe[:, -1:] = r + G
-    max_slope = np.max(np.abs(np.diff(eval_on_array(h, probe), axis=1)), axis=1) / step[:, 0]
-    L = 2.0 * max_slope + 1e-6
+    hprobe = eval_on_array(h, probe)
+    top = np.max(np.abs(hprobe), axis=1)  # NaN if the probe holds a NaN, else inf if it holds an inf
+    with np.errstate(over="ignore", invalid="ignore"):  # h or its slope overflows on the probe
+        max_slope = np.max(np.abs(np.diff(hprobe, axis=1)), axis=1) / step[:, 0]
+        L = 2.0 * np.where(np.isfinite(top), max_slope, top) + 1e-6
     tol = 1e-11 * np.maximum(1.0, L)
     if r.shape[0] == 1:  # on (1,) arrays the numpy calls' overhead would triple a solve's cost
-        return np.array([_minmax_one(h, xmap, r, G, betas, hvals[0], float(L[0]), float(tol[0]))])
-
-    # an evaluation at x gives beta < 0 (the minimum is right of x: x becomes a) or
-    # beta >= 0 (x becomes b); each end keeps the line value + beta (alpha - x) of the
-    # evaluation that set it, NaN until one has.  A stopped row keeps its state.  A NaN
-    # or infinite slope (h is NaN or overflows on the probe) makes its row's value L, NaN
-    # or inf: its bracket is NaN, so that it never steps and its midpoint is NaN without
-    # a warning
-    m = r.shape[0]
-    a = -np.where(np.isfinite(L), L, np.nan)
-    b = -a
-    va, ga, vb, gb, cross = (np.full(m, np.nan) for _ in range(5))
-    best = np.where(np.isnan(L), np.nan, np.inf)
-    lower = np.full(m, -np.inf)
-    for n in range(300):
-        active = (b - a > tol) & (best - lower > 1e-3 * G * tol)
-        if not active.any():
-            break
-        # cut where the two lines cross while the bracket keeps the pace of one halving per
-        # two evaluations; the midpoint otherwise
-        cutting = (b - a <= 2.0 * L * 0.5 ** (0.5 * n)) & (cross > a) & (cross < b)
-        x = np.where(cutting, cross, 0.5 * (a + b))
-        value, beta = _inner_max(h, xmap, r, G, betas, hvals, x)
-        best = np.where(active, np.minimum(best, value), best)
-        right = active & (beta < 0.0)
-        left = active & ~(beta < 0.0)
-        a, va, ga = np.where(right, x, a), np.where(right, value, va), np.where(right, beta, ga)
-        b, vb, gb = np.where(left, x, b), np.where(left, value, vb), np.where(left, beta, gb)
-        cross = (vb - va + ga * a - gb * b) / (ga - gb)
-        # both lines lie below the payoff, so their value where they cross bounds its minimum
-        lower = np.where(active & (ga < 0.0) & (gb >= 0.0),
-                         np.minimum(va + ga * (cross - a), vb + gb * (cross - b)), lower)
-    return best
+        inner = lambda x: _inner_max_one(h, xmap, r, G, betas, hvals[0], x)
+        return np.array([_planes(float(L[0]), float(tol[0]), G, inner, _FLOAT_OPS)])
+    return _planes(L, tol, G, lambda x: _inner_max(h, xmap, r, G, betas, hvals, x), _ARRAY_OPS)
 
 
 def _minimum(x: float, y: float) -> float:
@@ -278,28 +252,48 @@ def _maximum(x: float, y: float) -> float:
     return x if x > y or x != x else y
 
 
-def _minmax_one(h, xmap, r, G: float, betas: np.ndarray, hrow: np.ndarray, L: float, tol: float) -> float:
-    """``_minmax_block``'s cutting planes for a lone radius r, shaped (1, 1), whose h table is hrow:
-    the same steps in the same arithmetic order on Python floats, so the same value bit for bit.
-    Its ends cannot both be set with the same slope (ga < 0 <= gb), so no division is by zero."""
-    if not math.isfinite(L):
-        return L
-    a, b = -L, L
+# the four operations of the cutting planes: (where, minimum, any, isfinite)
+_ARRAY_OPS = (np.where, np.minimum, np.ndarray.any, np.isfinite)
+_FLOAT_OPS = (lambda c, x, y: x if c else y, _minimum, bool, math.isfinite)
+
+
+def _planes(L, tol, G: float, inner, ops):
+    """The cutting planes on alpha from the bracket [-L, L] to tol, where inner(alpha) is the inner
+    max and its maximizing beta: on arrays, a block's radii in lockstep (ops ``_ARRAY_OPS``), or on
+    Python floats, a lone radius (``_FLOAT_OPS``).  Both spellings of the four ops do the same
+    arithmetic in the same order, so a radius gets the same value either way, bit for bit."""
+    where, minimum, any_, isfinite = ops
+    # an evaluation at x gives beta < 0 (the minimum is right of x: x becomes a) or
+    # beta >= 0 or NaN (x becomes b); each end keeps the line value + beta (alpha - x) of
+    # the evaluation that set it, NaN until one has.  A stopped row keeps its state.  A
+    # NaN or infinite slope (h is NaN or overflows on the probe) makes its row's value L,
+    # NaN or inf: its bracket is NaN, so that it never steps and its midpoint is NaN
+    # without a warning
+    a = -where(isfinite(L), L, math.nan)
+    b = -a
     va = ga = vb = gb = cross = math.nan
-    best, lower = math.inf, -math.inf
+    best = where(isfinite(L), math.inf, L)
+    lower = -math.inf
     for n in range(300):
-        if not (b - a > tol and best - lower > 1e-3 * G * tol):
+        active = (b - a > tol) & (best - lower > 1e-3 * G * tol)
+        if not any_(active):
             break
-        x = cross if b - a <= 2.0 * L * 0.5 ** (0.5 * n) and a < cross < b else 0.5 * (a + b)
-        value, beta = _inner_max_one(h, xmap, r, G, betas, hrow, x)
-        best = _minimum(best, value)
-        if beta < 0.0:
-            a, va, ga = x, value, beta
-        else:
-            b, vb, gb = x, value, beta
+        # cut where the two lines cross while the bracket keeps the pace of one halving per
+        # two evaluations; the midpoint otherwise
+        cutting = (b - a <= 2.0 * L * 0.5 ** (0.5 * n)) & (cross > a) & (cross < b)
+        x = where(cutting, cross, 0.5 * (a + b))
+        value, beta = inner(x)
+        best = where(active, minimum(best, value), best)
+        right = active & (beta < 0.0)
+        left = active ^ right  # the other active rows, a NaN beta's too (~True is -2, not False)
+        a, va, ga = where(right, x, a), where(right, value, va), where(right, beta, ga)
+        b, vb, gb = where(left, x, b), where(left, value, vb), where(left, beta, gb)
+        # no division is by zero: both ends are set only with ga < 0 <= gb, and an unset
+        # end's NaN slope makes the crossing NaN
         cross = (vb - va + ga * a - gb * b) / (ga - gb)
-        if ga < 0.0 and gb >= 0.0:
-            lower = _minimum(va + ga * (cross - a), vb + gb * (cross - b))
+        # both lines lie below the payoff, so their value where they cross bounds its minimum
+        lower = where(active & (ga < 0.0) & (gb >= 0.0),
+                      minimum(va + ga * (cross - a), vb + gb * (cross - b)), lower)
     return best
 
 
@@ -321,7 +315,7 @@ def solve_scalar_grid(spec: OneRoundSpec, grid_n: int = 1001) -> float:
 
     The value min over alpha of max over beta in [-G, G] of alpha*beta +
     h(||theta - g||) from ``minmax_values`` at the one radius ||theta||, on
-    its one-radius loop (the value a batch gives that radius, bit for bit):
+    Python floats (the value a batch gives that radius, bit for bit):
     cutting planes from the maximizing beta (a subgradient) over the player
     scalar alpha, and a grid_n-point beta grid refined around its best point
     for the adversary scalar beta.  ||theta - g|| is ``line_distance`` when

@@ -184,10 +184,13 @@ KERNEL_CASES = dict(radii=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40)
 
 
 class TestMinmaxKernel:
-    @given(**KERNEL_CASES)
+    @given(table=st.booleans(), **KERNEL_CASES)
     @settings(max_examples=50, deadline=None)
-    def test_batch_equals_one_radius_at_a_time(self, radii, G, grid_n, p, xmap):
+    def test_batch_equals_one_radius_at_a_time(self, table, radii, G, grid_n, p, xmap):
         h = lambda x: np.abs(x) ** p / p
+        if table:  # an np.interp table, as every backward-induction stage's h: beta ties at the saddle
+            knots = np.linspace(0.0, 8.0, 257)
+            h = lambda x, hk=h(knots): np.interp(x, knots, hk)
         batch = minmax_values(h, xmap, radii, G, grid_n)
         alone = [minmax_values(h, xmap, [r], G, grid_n)[0] for r in radii]
         assert batch.tolist() == alone
@@ -310,9 +313,11 @@ class TestKernelInputs:
         (nan_near_1_3, [0.0, 1.0, 4.0], np.nan),
         # the slope probe on [0, r + 1] overflows at its last point only: L is inf, not NaN
         (exp_overflowing, [0.0, 1.0, 74.4, 74.5, 74.6], np.inf),
+        # h overflows at two or more probe points (76, 80), or only its slope does (74.3): inf
+        (exp_overflowing, [0.0, 74.3, 74.5, 76.0, 80.0], np.inf),
         # the last block holds one radius: finite values up to r = 0.25, NaN from 0.375 on
         (nan_near_1_3, np.linspace(0.0, 4.0, BLOCK + 1), np.nan),
-    ], ids=["everywhere", "near_x_1.3", "exp_overflows", "block_plus_one"])
+    ], ids=["everywhere", "near_x_1.3", "exp_overflows", "exp_overflows_twice", "block_plus_one"])
     def test_a_non_finite_payoff_is_the_same_alone(self, h, radii, want):
         assert np.array_equal(solve_scalar_grid(OneRoundSpec(h=h, theta=np.array([radii[-1], 0.0]), G=1.0)),
                               want, equal_nan=True)
