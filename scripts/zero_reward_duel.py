@@ -33,7 +33,7 @@ def main():
         w = np.linalg.norm(trace.w[t - 1])
         print(f"{t:>3} {trace.losses[t - 1]:>12.3e} {r:>10.6f} {shell:>10.6f} {w:>8.4f}")
     print(f"\ntotal reward      : {trace.reward:.3e} (zero in exact arithmetic)")
-    print(f"final state norm  : {np.linalg.norm(trace.theta_final):.6f} = G sqrt(T) = {G * math.sqrt(T):.6f}")
+    print(f"final state norm  : {np.linalg.norm(trace.theta[-1]):.6f} = G sqrt(T) = {G * math.sqrt(T):.6f}")
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ answer the state alone (G orthogonal to theta, or +-G along it), so their
 block is their own recurrence theta <- theta - g: ``grads(t, theta, r,
 rngs)`` gives round t's (R, d) gradients against the states theta, of norms
 r.  The greedy adversary reads the plays, so it answers round by round,
-moving second: ``draws(rngs, rounds, dim)`` is called once per game, and
-``grads(t, theta, r, w, draws)`` answers the states and the players' pending
-plays w with an (R, d) block of gradients; a column's groups are one game of
-their runs' rows, one ``grads`` call per round for all of them.
+moving second, and draws nothing: ``grads(t, theta, r, w)`` answers the
+states and the players' pending plays w with an (R, d) block of gradients; a
+column's groups are one game of their runs' rows, one ``grads`` call per
+round for all of them.
 """
 
 from __future__ import annotations
@@ -201,11 +201,8 @@ class GreedyVsComparator:
 
     tag = "greedy_vs_comparator"
 
-    def draws(self, rngs, rounds, dim):
-        return np.asarray(self.comparator, dtype=np.float64)
-
-    def grads(self, t, theta, r, w, u):
-        diff = w - u
+    def grads(self, t, theta, r, w):
+        diff = w - self.comparator  # numpy reads the tuple as float64
         n = row_norms(diff)
         g = self.G * diff / nonzero_norms(n)[:, None]
         for k in np.flatnonzero(n < 1e-150):  # too few digits to divide by: unit_direction rescales first

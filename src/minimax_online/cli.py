@@ -7,12 +7,12 @@ Subcommands:
   verdict; exit 0 only if every measured regret respects its envelope.  The
   repeats of one (strategy, adversary) pair form a group, played in
   lockstep.  The groups of one adversary form a column, played by one
-  ``engine.run_column`` call: a play-blind adversary's gradient block depends
-  only on the seeds, so the column computes it once and every strategy
-  replays it; the greedy adversary's groups share one round loop.  Each
-  group's traces are written and checked before the next group's are built.
-  Once a column raises, each of its groups not yet written is played alone
-  (``engine.run_games``), so a group records the error it raises alone.
+  ``engine.run_column`` call, which gives one function per group: a
+  play-blind adversary's gradient block depends only on the seeds, so the
+  column computes it once and every strategy replays it; the greedy
+  adversary's groups share one round loop.  Each group's traces are written
+  and checked before the next group's are built, and a group that fails
+  raises its own error from its own function, the one it raises alone.
   ``--jobs`` spreads the columns over processes.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
@@ -54,7 +54,7 @@ from . import strategies as strat_mod
 from .core import (ORTHOGONAL, PARALLEL, GameConfig, UNKNOWN_HORIZON, comparator_norm, make_rng,
                    random_unit_vector)
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
-from .engine import (attach_epsilon, regret_bound, repr_spellings, run_column, run_game, run_games,  # noqa: F401
+from .engine import (attach_epsilon, regret_bound, repr_spellings, run_column, run_game,  # noqa: F401
                      verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
 from .potentials import AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential
 
@@ -320,19 +320,12 @@ def _configs(spec: ExperimentSpec) -> List[GameConfig]:
 
 
 def _execute_cell(args):
-    """One (strategy, adversary) group: takes its traces, the next group of
-    the column, attaches their ledgers, writes and checks them, and returns
-    its summary rows, run by run.  A column that raised yields no more
-    groups: the group is then played alone, so that it raises what it
-    raises alone.  The traces are written before the call returns, so only
-    one group's states are alive at a time."""
-    spec, si, ai, strategy, adversary, column, out_dir = args
-    try:
-        traces = next(column)
-    except Exception:  # the column raised, at this group or an earlier one
-        traces = None
-    if traces is None:  # not in the handler, whose error would be chained to the group's own
-        traces = run_games(strategy, adversary, _configs(spec), spec.rounds)
+    """One (strategy, adversary) group: takes its traces from group, its
+    function of the column, attaches their ledgers, writes and checks them,
+    and returns its summary rows, run by run.  The traces are written before
+    the call returns, so only one group's states are alive at a time."""
+    spec, si, ai, strategy, adversary, group, out_dir = args
+    traces = group()
     comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
                    for comp in spec.comparators]
     # every trace of the group has this potential and T: one envelope call for all of them
@@ -366,11 +359,11 @@ def _execute_column(args):
     spec, ai, out_dir = args
     adversary = build_adversary(spec.adversaries[ai], spec.game)
     strategies = [build_strategy(entry, spec.game) for entry in spec.strategies]
-    column = run_column(strategies, adversary, _configs(spec), spec.rounds)
+    groups = run_column(strategies, adversary, _configs(spec), spec.rounds)
     results = []
-    for si, strategy in enumerate(strategies):
+    for si, (strategy, group) in enumerate(zip(strategies, groups)):
         try:
-            results.append((_execute_cell((spec, si, ai, strategy, adversary, column, out_dir)), None))
+            results.append((_execute_cell((spec, si, ai, strategy, adversary, group, out_dir)), None))
         except Exception as exc:  # a crash in one group must not hide the others' verdicts
             traceback.print_exc()
             results.append(([], f"{type(exc).__name__}: {exc}"))

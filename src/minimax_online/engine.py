@@ -19,20 +19,23 @@ starting capital in the t = 0 term, so the ledger stays exact for both
 conventions.
 
 One game loop plays this protocol: ``run_column`` plays a column, every
-strategy's group of R runs against one adversary, each group in lockstep.
-An adversary that never reads the plays (every built-in one but the greedy)
-gives its whole gradient block before the first play: the column computes it
-and its states once, and each strategy's plays of every round are one array
-step.  The greedy one, which reads the plays, is answered round by round,
-round t of every run of every group in one (S R, d) array step.  Each run
-keeps its own Philox stream, so a run's trace depends neither on the other
-runs of its group nor on the other groups of its column.  ``run_games`` is
-the one-group call of the column, and ``run_game`` the one-run call of
-``run_games``.  The tests hold the loop to a reference, ``reference_run_game``
-in tests/test_engine.py: one play and one one-run gradient per round, for
-one run.  A lockstep trace differs from the reference's only where a dot
-product is summed in another order or a round index is an array rather than
-an int, by a few ulps.
+strategy's group of R runs against one adversary, each group in lockstep,
+and gives one function per group.  An adversary that never reads the plays
+(every built-in one but the greedy) gives its whole gradient block before
+the first play: the column computes it and its states once, and each
+strategy's plays of every round are one array step.  The greedy one, which
+reads the plays and draws nothing, is answered round by round, round t of
+every run of every group in one (S R, d) array step.  Each run of a drawing
+adversary keeps its own Philox stream, so a run's trace depends neither on
+the other runs of its group nor on the other groups of its column.  Every
+group is checked by one ``_round_checks`` call, so a group that fails raises
+from its own function and the column's other groups keep their traces.
+``run_games`` is the one-group call of the column, and ``run_game`` the
+one-run call of ``run_games``.  The tests hold the loop to a reference,
+``reference_run_game`` in tests/test_engine.py: one play and one one-run
+gradient per round, for one run.  A lockstep trace differs from the
+reference's only where a dot product is summed in another order or a round
+index is an array rather than an int, by a few ulps.
 
 A JSON trace stores g but not theta: theta is -cumsum(g), and
 ``read_trace_json`` rebuilds it with the engine's own ``_states``, bit for
@@ -59,11 +62,12 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, GameConfig, comparator_norm, make_rng, random_unit_vector, row_norms
+from .core import (_NORM_SAFE_MAX, _NORM_SAFE_MIN, DimensionMismatchError, GameConfig, comparator_norm, make_rng,
+                   random_unit_vector, row_norms)
 from .potentials import regret_bound
 
 GRAD_NORM_SLACK = 1e-9
@@ -90,17 +94,6 @@ class Trace:
     def reward(self) -> float:
         return -float(np.sum(self.losses))
 
-    @property
-    def theta_final(self) -> np.ndarray:
-        if self.n_rounds == 0:
-            return np.zeros(self.config.dim)
-        return self.theta[-1]
-
-    def grad_total(self) -> np.ndarray:
-        if self.n_rounds == 0:
-            return np.zeros(self.config.dim)
-        return self.g.sum(axis=0)
-
 
 def _check_rounds(strategy, config: GameConfig, rounds: int) -> None:
     if rounds < 0:
@@ -121,41 +114,35 @@ def run_game(strategy, adversary, config: GameConfig, rounds: int) -> Trace:
 
 def run_games(strategy, adversary, configs: Sequence[GameConfig], rounds: int) -> List[Trace]:
     """The traces of strategy's runs of configs: run_column with one strategy."""
-    return next(run_column([strategy], adversary, configs, rounds))
+    return run_column([strategy], adversary, configs, rounds)[0]()
 
 
 def run_column(strategies: Sequence, adversary, configs: Sequence[GameConfig],
-               rounds: int) -> Iterator[List[Trace]]:
-    """Yield, strategy by strategy, the traces of its group: its runs of
-    every config against adversary, in lockstep, all runs advancing together
-    as (R, d) arrays.  The work the groups share is done before the first
-    group is yielded; a group's states are built as it is yielded, so a
-    caller that drops each group before it asks for the next keeps one
-    group's states alive at a time.
+               rounds: int) -> List[Callable[[], List[Trace]]]:
+    """One function of no argument per strategy, in strategy order, which
+    returns the traces of the strategy's group: its runs of every config
+    against adversary, in lockstep as (R, d) arrays.  The first function
+    called does the groups' shared work (``functools.cache``, which keeps no
+    error), and each call its own group's plays, states and checks.
 
-    The configs share dim and grad_bound; run k uses configs[k].seed, in
-    every group.  A strategy needs ``response(t, theta, r, out)``
-    (PotentialPlayer).  An adversary that never reads the plays gives
-    ``gradient_block(rngs, rounds, dim)``, the (R, rounds, d) gradients of
-    the whole game: the column computes it, its states and their norms once,
-    and each strategy's plays are one array call.  An adversary that reads
-    the plays gives ``draws(rngs, rounds, dim)``, called once, and
-    ``grads(t, theta, r, w, draws)``, which answers round t's plays w, and
-    is played round by round: the S groups are the S R rows of one game,
-    group s in rows s R to (s + 1) R - 1, each group on its own streams;
-    each round makes one ``grads`` call and one ``response`` per strategy,
-    written into its rows of the round's plays.  Known-horizon strategies
-    must be run for exactly config.horizon rounds.  The plays and gradients
-    must have the game's shape (else DimensionMismatchError), and each
-    round is checked on all rows: ||g|| <= G(1 + 1e-9) + 1e-9, and a play
-    inside the float64 range (OverflowError otherwise); an error names the
-    first round that fails, and ends the column.  Row k of a group is the
-    trace of run_games([configs[k]]) of its strategy, bit for bit.
+    The configs share dim and grad_bound; run k uses configs[k].seed.  A
+    strategy needs ``response(t, theta, r, out)`` (PotentialPlayer).  The
+    shared work against an adversary that never reads the plays is its
+    ``gradient_block(rngs, rounds, dim)``, (R, rounds, d), with its states,
+    their norms and its gradient checks; each group's plays are one array
+    call.  Against one that reads them, ``grads(t, theta, r, w)``, it is one
+    round-by-round game of S R rows, group s in rows s R to (s + 1) R - 1,
+    in which a strategy whose ``response`` raises plays no more rounds.
+    Known-horizon strategies must be run for exactly config.horizon rounds,
+    and plays and gradients must have the game's shape (else
+    DimensionMismatchError).  A group raises the first error that
+    ``_round_checks`` finds in its rounds (a play past the float64 range, or
+    ||g|| > G(1 + 1e-9) + 1e-9), and a ``response``'s error after those of
+    the rounds before it.  Row k of a group is the trace of
+    run_games([configs[k]]) of its strategy, bit for bit.
     """
     if not configs:
-        for _ in strategies:
-            yield []
-        return
+        return [list for _ in strategies]  # list() is []
     for strategy in strategies:
         for cfg in configs:
             _check_rounds(strategy, cfg, rounds)
@@ -163,24 +150,35 @@ def run_column(strategies: Sequence, adversary, configs: Sequence[GameConfig],
         raise ValueError("the configs of one lockstep group must share dim and grad_bound")
     R, d, G = len(configs), configs[0].dim, configs[0].grad_bound
     if hasattr(adversary, "gradient_block"):
-        g_rows = adversary.gradient_block([make_rng(cfg.seed) for cfg in configs], rounds, d)
-        if g_rows.shape != (R, rounds, d):
-            raise DimensionMismatchError(f"gradient block {g_rows.shape}, expected {(R, rounds, d)}")
-        with np.errstate(over="ignore"):  # a state past the float64 range gives a play past it, found below
-            th_rows = _states(g_rows)
-        if len(strategies) > 1:  # every group's traces hold them: none may write them
-            g_rows.flags.writeable = th_rows.flags.writeable = False
-        r = np.zeros((R, rounds))  # the norm of the state each play answers: theta_0 = 0, theta_1, ...
-        r[:, 1:] = row_norms(th_rows)[:, :-1]
-        bad_g = _bad_gradients(g_rows, G)
-        for strategy in strategies:
-            yield _traces(strategy, adversary, configs, _block_plays(strategy, th_rows, r, g_rows, G, bad_g),
-                          g_rows, th_rows)
+        @cache
+        def block():
+            g_rows = adversary.gradient_block([make_rng(cfg.seed) for cfg in configs], rounds, d)
+            if g_rows.shape != (R, rounds, d):
+                raise DimensionMismatchError(f"gradient block {g_rows.shape}, expected {(R, rounds, d)}")
+            th_rows = _states(g_rows)  # a state past the float64 range gives a play past it, found by the checks
+            if len(strategies) > 1:  # every group's traces hold them: none may write them
+                g_rows.flags.writeable = th_rows.flags.writeable = False
+            r = np.zeros((R, rounds))  # the norm of the state each play answers: theta_0 = 0, theta_1, ...
+            r[:, 1:] = row_norms(th_rows)[:, :-1]
+            return g_rows, th_rows, r, _bad_gradients(g_rows, G)
+
+        def group(s):
+            g_rows, th_rows, r, bad_g = block()
+            w_rows = _block_plays(strategies[s], th_rows, r, g_rows, G, bad_g)
+            return _traces(strategies[s], adversary, configs, w_rows, g_rows, th_rows)
     else:
-        w_rows, g_rows = _lockstep(strategies, adversary, configs, rounds)
-        for s, strategy in enumerate(strategies):
+        game = cache(partial(_lockstep, strategies, adversary, configs, rounds))
+
+        def group(s):
+            w_rows, g_rows, raised = game()
             rows = slice(s * R, (s + 1) * R)
-            yield _traces(strategy, adversary, configs, w_rows[rows], g_rows[rows], _states(g_rows[rows]))
+            w, g = w_rows[rows], g_rows[rows]
+            t, exc = raised.get(s, (rounds, None))  # the rounds before a raising play, then its error
+            _round_checks(g[:, :t], G, ~np.isfinite(w[:, :t]).all(axis=(0, 2)))
+            if exc is not None:
+                raise exc
+            return _traces(strategies[s], adversary, configs, w, g, _states(g))
+    return [partial(group, s) for s in range(len(strategies))]
 
 
 def _traces(strategy, adversary, configs, w_rows, g_rows, th_rows) -> List[Trace]:
@@ -191,47 +189,49 @@ def _traces(strategy, adversary, configs, w_rows, g_rows, th_rows) -> List[Trace
 
 def _states(g_rows: np.ndarray) -> np.ndarray:
     """theta after each round, (..., T, d) like g_rows: the loop's theta - g,
-    bit for bit."""
-    th_rows = np.cumsum(g_rows, axis=-2)
-    return np.subtract(0.0, th_rows, out=th_rows)  # 0.0 - keeps +0.0
+    bit for bit.  A state past the float64 range, or one of a g holding inf
+    or nan, raises no floating-point error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        th_rows = np.cumsum(g_rows, axis=-2)
+        return np.subtract(0.0, th_rows, out=th_rows)  # 0.0 - keeps +0.0
 
 
 def _lockstep(strategies, adversary, configs, rounds: int):
     """The plays and gradients, (S R, T, d) each, of the S groups of R runs
     (one per config) that strategies play, round by round, against an
-    adversary that reads the plays: group s in rows s R to (s + 1) R - 1,
-    its run k on the stream of configs[k].seed."""
-    R, dim, G = len(configs), configs[0].dim, configs[0].grad_bound
-    rngs = [make_rng(cfg.seed) for _ in strategies for cfg in configs]
-    shape = (len(rngs), dim)
-    draws = adversary.draws(rngs, rounds, dim)
+    adversary that reads the plays, group s in rows s R to (s + 1) R - 1;
+    and raised[s] = (t, error) for a group whose ``response`` raised at
+    round index t.  An overflow raises nothing: ``_round_checks`` finds it."""
+    R, dim = len(configs), configs[0].dim
+    shape = (len(strategies) * R, dim)
     w_rows = np.zeros((shape[0], rounds, dim))
     g_rows = np.zeros_like(w_rows)
     theta, w = np.zeros(shape), np.zeros(shape)  # the states, and the round's plays
-    groups = []  # each strategy with its rows, and its views of the states and the plays
+    groups = []  # each strategy with its index, its rows, and its views of the states and the plays
     for s, strategy in enumerate(strategies):
         rows = slice(s * R, (s + 1) * R)
-        groups.append((strategy, rows, theta[rows], w[rows]))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for t in range(rounds):
-                r = row_norms(theta)
-                for strategy, rows, th, out in groups:
+        groups.append((s, strategy, rows, theta[rows], w[rows]))
+    raised = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # a play that leaves the range is found by the checks
+        for t in range(rounds):
+            r = row_norms(theta)
+            for s, strategy, rows, th, out in groups:
+                if s in raised:
+                    continue
+                try:
                     play = strategy.response(t, th, r[rows], out=out)
                     if play is not out:  # a strategy that returns its plays rather than writing them
                         out[...] = play
-                g = adversary.grads(t, theta, r, w, draws)
-                if g.shape != shape:
-                    raise DimensionMismatchError(
-                        f"round {t + 1}: plays {w.shape}, gradients {g.shape}, expected {shape}")
-                w_rows[:, t] = w
-                g_rows[:, t] = g
-                np.subtract(theta, g, out=theta)
-    except FloatingPointError as exc:
-        _round_checks(g_rows[:, :t], G)
-        raise OverflowError(f"round {t + 1}: {exc}") from exc
-    _round_checks(g_rows, G)
-    return w_rows, g_rows
+                except Exception as exc:  # this group's error: the others play on
+                    raised[s] = (t, exc)
+            g = adversary.grads(t, theta, r, w)
+            if g.shape != shape:
+                raise DimensionMismatchError(
+                    f"round {t + 1}: plays {w.shape}, gradients {g.shape}, expected {shape}")
+            w_rows[:, t] = w
+            g_rows[:, t] = g
+            np.subtract(theta, g, out=theta)
+    return w_rows, g_rows, raised
 
 
 def _block_plays(strategy, th_rows: np.ndarray, r: np.ndarray, g_rows: np.ndarray, G: float,
@@ -240,13 +240,11 @@ def _block_plays(strategy, th_rows: np.ndarray, r: np.ndarray, g_rows: np.ndarra
     th_rows, in one array call; r holds the norms of the states the plays
     answer, and bad_g the rounds whose gradients fail their check."""
     rounds = g_rows.shape[1]
-    if rounds == 0:
-        return np.zeros_like(g_rows)
     w = np.zeros_like(th_rows)  # first the state each play answers: theta_0 = 0, theta_1, ...
     w[:, 1:] = th_rows[:, :-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a play that leaves the range is found below
         w = strategy.response(np.arange(rounds), w, r, out=w)  # ... then, in place, the play
-    _round_checks(g_rows, G, bad_play=~np.isfinite(w).all(axis=(0, 2)), bad_g=bad_g)
+    _round_checks(g_rows, G, ~np.isfinite(w).all(axis=(0, 2)), bad_g)
     return w
 
 
@@ -257,19 +255,17 @@ def _bad_gradients(g_rows: np.ndarray, G: float) -> np.ndarray:
     return ~(row_norms(g_rows) <= G * (1.0 + GRAD_NORM_SLACK) + GRAD_NORM_SLACK).all(axis=0)
 
 
-def _round_checks(g_rows: np.ndarray, G: float, bad_play=None, bad_g=None) -> None:
-    """The round checks of a game, all rounds in one array call.  For the
+def _round_checks(g_rows: np.ndarray, G: float, bad_play: np.ndarray, bad_g=None) -> None:
+    """The round checks of a group, all rounds in one array call.  For the
     first round that fails one, raise what a round-by-round check would
     raise there: OverflowError where a play left the float64 range (bad_play,
     one flag per round), else ValueError where a gradient fails
-    ``_bad_gradients`` (bad_g, if the caller has it).  A game played round by
-    round traps its overflow as it happens, and checks only the rounds
-    before it."""
+    ``_bad_gradients`` (bad_g, if the caller has it)."""
     bad = _bad_gradients(g_rows, G) if bad_g is None else bad_g
-    failed = np.flatnonzero(bad if bad_play is None else bad | bad_play)
+    failed = np.flatnonzero(bad | bad_play)
     if failed.size:
         t = int(failed[0])
-        if bad_play is not None and bad_play[t]:
+        if bad_play[t]:
             raise OverflowError(f"round {t + 1}: the play left the float64 range")
         longest = float(row_norms(g_rows[:, t]).max())
         raise ValueError(f"round {t + 1}: adversary emitted ||g||={longest} > G={G}")
@@ -378,8 +374,12 @@ def write_trace_csv(trace: Trace, path) -> None:
     table = np.empty((T, len(header) - 1))
     table[:, 0] = trace.losses
     table[:, 1] = 0.0 - np.cumsum(trace.losses)  # 0.0 - keeps row 1 at 0.0, not -0.0
-    # np.linalg.norm's own steps for a 1-D row: matmul of a (1, d) by a (d, 1) matrix is that dot
-    table[:, 2] = np.sqrt(np.matmul(trace.theta[:, None, :], trace.theta[:, :, None])).ravel()
+    # np.linalg.norm's own steps for a 1-D row (matmul of a (1, d) by a (d, 1) matrix is that dot) where its
+    # squares stay in the float64 range, as in comparator_norm; outside it, row_norms, exact there
+    with np.errstate(over="ignore"):
+        table[:, 2] = np.sqrt(np.matmul(trace.theta[:, None, :], trace.theta[:, :, None])).ravel()
+    outside = ~((table[:, 2] >= _NORM_SAFE_MIN) & (table[:, 2] <= _NORM_SAFE_MAX))
+    table[outside, 2] = row_norms(trace.theta[outside])
     if trace.eps is not None:
         table[:, 3] = trace.eps
     if len(header) > 5:
@@ -526,11 +526,6 @@ def trace_to_dict(trace: Trace, array=np.ndarray.tolist) -> dict:
     }
 
 
-def _json_states(g: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # a hand-built g may hold inf or nan
-        return _states(g)
-
-
 def _floats(data: dict, key: str) -> np.ndarray:
     """data[key] as a float64 array; ValueError if it is a list holding null
     (None), which numpy would read as nan.  Only an array holding nan is
@@ -572,7 +567,7 @@ def trace_from_dict(data: dict) -> Trace:
             adversary_tag=data["adversary_tag"],
             w=_float_array(data, "w", rows),
             g=g,
-            theta=_json_states(g),
+            theta=_states(g),
             losses=losses,
             eps=None if data.get("eps") is None else _float_array(data, "eps", rows[:1]),
         )
@@ -596,7 +591,7 @@ def write_trace_json(trace: Trace, path) -> None:
         values = getattr(trace, key)
         if values is not None and not np.isfinite(values).all():
             raise ValueError(f"{key!r} holds inf or nan, which a JSON trace cannot store")
-    if not np.array_equal(trace.theta, _json_states(trace.g), equal_nan=True):
+    if not np.array_equal(trace.theta, _states(trace.g), equal_nan=True):
         raise ValueError("trace.theta is not -cumsum(g), and a JSON trace does not store it")
     # orjson refuses an array that is not C-contiguous; float32 is cast, as tolist would widen it
     data = orjson.dumps(trace_to_dict(trace, partial(np.ascontiguousarray, dtype=np.float64)),

@@ -132,19 +132,26 @@ class PowerPotential:
         """Conjugate exponent; infinite at p = 1."""
         return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
-    def _s2(self, t, x):
-        """x^2 + G^2 (T - t)."""
+    def _s2_power(self, t, x, e):
+        """(x^2 + G^2 (T - t))^e, with 0^e = 1 at e < 0 (x = 0 at t = T, where
+        the slope's factor x is 0); where the sum overflows, the root
+        np.hypot(x, G sqrt(T - t)) to the power 2e, so no square overflows."""
         _check_rounds(t, 0, self.T)
-        return x * x + self.G * self.G * (self.T - t)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at t = T once G * G overflows
+            s2 = x * x + self.G * self.G * (self.T - t)
+        if e < 0.0:
+            s2 = np.where(s2 == 0.0, 1.0, s2)
+        finite = np.isfinite(s2)
+        if finite.all():
+            return s2 ** e
+        return np.where(finite, s2, np.hypot(x, self.G * np.sqrt(self.T - t))) ** np.where(finite, e, 2.0 * e)
 
     def radial(self, t, x):
-        s2 = self._s2(t, x)
-        return (self.W / self.p) * np.where(t == self.T, np.abs(x) ** self.p, s2 ** (self.p / 2.0))
+        return (self.W / self.p) * np.where(t == self.T, np.abs(x) ** self.p, self._s2_power(t, x, self.p / 2.0))
 
     def slope(self, t, x):
         """q_t'(x) = W x (x^2 + G^2 (T-t))^((p-2)/2) for x >= 0; zero at x = 0."""
-        s2 = self._s2(t, x)
-        return self.W * x * np.where(s2 > 0.0, s2, 1.0) ** ((self.p - 2.0) / 2.0)
+        return self.W * x * self._s2_power(t, x, (self.p - 2.0) / 2.0)
 
     def budget(self, t):
         return self.radial(0, 0.0 * t)

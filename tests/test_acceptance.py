@@ -185,7 +185,7 @@ def test_criterion_08_duality_identity():
     for strat, adv in cells:
         for trace in run_games(strat, adv, configs, T):
             traces += 1
-            g_total = trace.grad_total()
+            g_total = trace.g.sum(axis=0)
             for u in grid:
                 gap = abs(regret(trace, u) + trace.reward + float(g_total @ u))
                 worst = max(worst, gap)

@@ -32,7 +32,7 @@ def answer(adv, t, theta, w=None, seeds=None):
     rngs = [make_rng(k) for k in (range(len(theta)) if seeds is None else seeds)]
     if w is None:
         return adv.grads(t, theta, row_norms(theta), rngs)
-    return adv.grads(t, theta, row_norms(theta), w, adv.draws(rngs, 1, theta.shape[1]))
+    return adv.grads(t, theta, row_norms(theta), w)
 
 
 def walk(adv, theta, rounds, rngs):
@@ -238,7 +238,7 @@ class TestOrthogonalDuelInvariants:
         trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
         assert np.all(np.abs(trace.losses) <= 1e-13)
         assert abs(trace.reward) <= 1e-12
-        assert np.linalg.norm(trace.theta_final) == pytest.approx(4.0, rel=1e-12)
+        assert np.linalg.norm(trace.theta[-1]) == pytest.approx(4.0, rel=1e-12)
 
     def test_minimax_value_reproduction(self):
         # Reward = B(theta_T) - f(G sqrt(T)) for the power duel (both minimax)
@@ -247,7 +247,7 @@ class TestOrthogonalDuelInvariants:
             strat = PotentialPlayer(PowerPotential(W=1.0, p=p, G=G, T=T))
             cfg = GameConfig(dim=2, grad_bound=G, horizon=T, seed=2)
             trace = run_game(strat, OrthogonalMinimax(G=G), cfg, T)
-            benchmark = (1.0 / p) * np.linalg.norm(trace.theta_final) ** p
+            benchmark = (1.0 / p) * np.linalg.norm(trace.theta[-1]) ** p
             game_value = (1.0 / p) * (G * math.sqrt(T)) ** p
             assert trace.reward == pytest.approx(benchmark - game_value, abs=1e-9)
 

@@ -470,23 +470,27 @@ repeats: 2
                 calls.append(self.tag)
                 return block(self, rngs, rounds, dim)
             monkeypatch.setattr(cls, "gradient_block", counted)
-        columns, alone = [], []
+        columns = []
 
         def recorded(strategies, adversary, configs, rounds):
             groups = []
             columns.append((strategies, adversary.tag, configs, rounds, groups))
-            for traces in engine.run_column(strategies, adversary, configs, rounds):
-                groups.append(traces)
-                yield traces
+
+            def kept(group):
+                def call():
+                    groups.append(group())
+                    return groups[-1]
+                return call
+            return [kept(group) for group in engine.run_column(strategies, adversary, configs, rounds)]
         monkeypatch.setattr(cli, "run_column", recorded)
-        monkeypatch.setattr(cli, "run_games", lambda *args: alone.append(args))
         path, _ = write_spec(tmp_path, sweep)
         assert main(["run", "--spec", str(path)]) == EXIT_OK
         assert calls == ["orthogonal_minimax", "parallel_minimax"]  # one per column, not one per group
         spec = parse_experiment_spec(path)
         tags = [entry["tag"] for entry in spec.adversaries]
         assert [column[1] for column in columns] == tags  # one engine call per column
-        assert [len(column[-1]) for column in columns] == [3, 3, 3] and alone == []  # no group played alone
+        assert [len(column[-1]) for column in columns] == [3, 3, 3]
+        assert "run_games" not in vars(cli)  # no group is played alone
         monkeypatch.undo()
         for strategies, tag, configs, rounds, groups in columns:
             adversary = cli.build_adversary(spec.adversaries[tags.index(tag)], spec.game)
@@ -519,8 +523,8 @@ rounds: 20
 """
         path, out = write_spec(tmp_path, sweep)
         assert main(["run", "--spec", str(path)]) == EXIT_CELL_ERROR
-        # the column asks once; a block that raised is not kept: each group, played alone, asks again
-        assert calls == ["parallel_minimax"] * 3
+        # a block that raised is not kept: each group's call asks again
+        assert calls == ["parallel_minimax"] * 2
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: group s{si}-a0 raised ValueError: no block of 20 rounds" for si in (0, 1)]
@@ -585,6 +589,49 @@ repeats: 2
             assert (outs["column"] / name).read_bytes() == (outs["fine"] / name).read_bytes(), name
         lines = {name: (outs[name] / "summary.csv").read_text().splitlines() for name in ("column", "fine")}
         assert lines["column"] == [line for line in lines["fine"] if ",raises_at," not in line]
+
+    def test_a_column_is_played_once_when_one_of_its_groups_overflows(self, tmp_path, monkeypatch):
+        # ogd's states pass 1.34e154, whose squares leave float64, at round 14, as adaptive_normal's plays do
+        sweep = """\
+game: {dim: 2, grad_bound: 1.0e+153, horizon: unknown, seed: 0}
+strategies: [{tag: ogd, eta: 1.0e-154}, {tag: adaptive_normal, eps: 1.0, a: 2.4e+306}]
+adversaries: [{tag: greedy_vs_comparator, comparator: [1.0, 0.0]}, {tag: fixed_direction}]
+outputs: {dir: OUTDIR, format: both}
+repeats: 2
+rounds: 20
+"""
+        calls = []
+
+        def grads(self, t, theta, r, w, grads=adversaries.GreedyVsComparator.grads):
+            calls.append(self.tag)
+            return grads(self, t, theta, r, w)
+
+        def gradient_block(self, rngs, rounds, dim, block=adversaries.FixedDirection.gradient_block):
+            calls.append(self.tag)
+            return block(self, rngs, rounds, dim)
+        monkeypatch.setattr(adversaries.GreedyVsComparator, "grads", grads)
+        monkeypatch.setattr(adversaries.FixedDirection, "gradient_block", gradient_block)
+        outs = {}
+        alone = sweep.replace(", {tag: adaptive_normal, eps: 1.0, a: 2.4e+306}", "")
+        for name, text in (("both", sweep), ("s0", alone)):
+            (tmp_path / name).mkdir()
+            path, outs[name] = write_spec(tmp_path / name, text)
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["run", "--spec", str(path), "--jobs", "1"])
+            assert code == (EXIT_CELL_ERROR if name == "both" else EXIT_OK)
+            # one shared round loop and one block per column, whichever group fails
+            assert calls == ["greedy_vs_comparator"] * 20 + ["fixed_direction"], name
+        errors = json.loads((outs["both"] / "verdict.json").read_text())["errors"]
+        assert [(e["run_id"][:3], e["message"]) for e in errors] == [
+            ("s1-", "OverflowError: round 14: the play left the float64 range")] * 4
+        files = sorted(p.name for p in outs["s0"].glob("run_*"))
+        assert files == sorted(p.name for p in outs["both"].glob("run_*")) and len(files) == 8
+        for name in files:
+            assert (outs["both"] / name).read_bytes() == (outs["s0"] / name).read_bytes(), name
+        lines = {name: (outs[name] / "summary.csv").read_text() for name in outs}
+        assert lines["both"] == lines["s0"]
 
     def test_trace_bytes_do_not_depend_on_the_repeat_count(self, tmp_path):
         sweep = """\

@@ -33,6 +33,7 @@ from minimax_online import (
     norm,
     read_trace_json,
     regret,
+    run_column,
     run_game,
     run_games,
     verify_bound,
@@ -157,10 +158,7 @@ class AgainstThePlay:
 
     tag = "against_the_play"
 
-    def draws(self, rngs, rounds, dim):
-        return None
-
-    def grads(self, t, theta, r, w, draws):
+    def grads(self, t, theta, r, w):
         g = np.zeros_like(w)
         g[:, 0] = np.where(w[:, 0] > 0.0, -self.G, self.G)
         return g
@@ -218,7 +216,7 @@ class TestRunGame:
                 return np.full((len(rngs), rounds, dim), math.nan)
 
         class NanRounds(GreedyVsComparator):
-            def grads(self, t, theta, r, w, u):
+            def grads(self, t, theta, r, w):
                 return np.full_like(theta, math.nan)
 
         adversary = NanBlock(G=1.0) if path == "block" else NanRounds(G=1.0, comparator=(1.0, 0.0))
@@ -239,7 +237,7 @@ class TestRunGame:
 
     def test_gradients_of_the_wrong_shape_are_rejected(self):
         class WrongRounds(GreedyVsComparator):
-            def grads(self, t, theta, r, w, u):
+            def grads(self, t, theta, r, w):
                 return np.zeros((theta.shape[0], theta.shape[1] + 1))
 
         configs = [GameConfig(dim=2, grad_bound=1.0, seed=seed) for seed in (0, 1)]
@@ -365,8 +363,8 @@ class TestRunGames:
                 return block
 
         class LongRounds(GreedyVsComparator):
-            def grads(self, t, theta, r, w, u):
-                g = super().grads(t, theta, r, w, u)
+            def grads(self, t, theta, r, w):
+                g = super().grads(t, theta, r, w)
                 g[-1] *= stretch if t == 1 else 1.0
                 return g
 
@@ -389,6 +387,20 @@ class TestRunGames:
         # the lockstep play of the ogd player is eta * theta at these scales too
         player = PotentialPlayer(QuadraticPotential(eta=0.25, G=1.0))
         np.testing.assert_allclose(player.response(0, states * scale, got), 0.25 * states * scale, rtol=1e-15)
+
+    @pytest.mark.parametrize("adversary", [FixedDirection(G=1e153), GreedyVsComparator(G=1e153, comparator=(1.0, 0.0))])
+    def test_a_group_that_fails_raises_alone(self, adversary):
+        # adaptive_normal's play of round 14 overflows; ogd's group, after it in the column, keeps its traces
+        players = [PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4e306, G=1e153)),
+                   PotentialPlayer(QuadraticPotential(eta=1e-154, G=1e153))]
+        configs = [GameConfig(dim=2, grad_bound=1e153, seed=seed) for seed in (0, 1)]
+        groups = run_column(players, adversary, configs, 20)
+        assert len(groups) == 2 and all(callable(group) for group in groups)
+        with pytest.raises(OverflowError, match=re.escape("round 14: the play left the float64 range")):
+            groups[0]()
+        for got, alone in zip(groups[1](), run_games(players[1], adversary, configs, 20), strict=True):
+            for key in ("w", "g", "theta", "losses"):
+                assert getattr(got, key).tobytes() == getattr(alone, key).tobytes(), key
 
     def test_configs_must_share_the_game(self):
         player = PotentialPlayer(QuadraticPotential(eta=0.1, G=1.0))
@@ -442,7 +454,7 @@ class TestRegret:
         rng = make_rng(seed + 1000)
         u = rng.standard_normal(2)
         u = norm_u * u / np.linalg.norm(u)
-        gap = regret(trace, u) + trace.reward + trace.grad_total() @ u
+        gap = regret(trace, u) + trace.reward + trace.g.sum(axis=0) @ u
         assert abs(gap) <= 1e-9 * (1 + trace.n_rounds) * max(1.0, norm_u)
 
 
@@ -468,7 +480,7 @@ class TestEpsilonLedger:
         trace = run_game(strat, ParallelMinimax(G=1.0, sign_policy="alternate"), cfg, 60)
         pot = strat.potential
         eps = epsilon_ledger(trace, pot)
-        q_T = pot.value(trace.n_rounds, trace.theta_final)
+        q_T = pot.value(trace.n_rounds, trace.theta[-1])
         q_0 = pot.value(0, np.zeros(2))
         assert q_T - q_0 - eps.sum() == pytest.approx(trace.reward, abs=1e-9 * trace.n_rounds)
 
@@ -591,13 +603,13 @@ def duality_witness(traces, benchmark, eps_hat, comparators, tol=1e-6):
     """
     reward_ok = True
     for tr in traces:
-        b = benchmark.value(tr.theta_final)
+        b = benchmark.value(tr.theta[-1])
         if tr.reward < b - eps_hat - tol * (1.0 + abs(b)):
             reward_ok = False
             break
     regret_ok = True
     for tr in traces:
-        all_u = list(comparators) + [benchmark.gradient(tr.theta_final)]
+        all_u = list(comparators) + [benchmark.gradient(tr.theta[-1])]
         for u in all_u:
             rb = benchmark.conjugate(float(np.linalg.norm(u))) + eps_hat
             if regret(tr, u) > rb + tol * (1.0 + abs(rb)):
@@ -641,7 +653,9 @@ class TestDualityWitness:
 
 
 def reference_write_trace_csv(trace, path):
-    """The row-by-row ``csv.writer`` writer the bulk one must match byte for byte."""
+    """The row-by-row ``csv.writer`` writer the bulk one must match byte for
+    byte.  theta_norm is np.linalg.norm's where that lies in [1e-150, 1e150],
+    else ``core.norm``'s, exact where the squares leave the float64 range."""
     d = trace.config.dim
     with_coords = d <= 8
     header = ["t", "loss", "reward_cum", "theta_norm", "eps_t"]
@@ -654,8 +668,10 @@ def reference_write_trace_csv(trace, path):
         for t in range(trace.n_rounds):
             reward_cum -= trace.losses[t]
             eps_val = "" if trace.eps is None else repr(float(trace.eps[t]))
-            row = [t + 1, repr(float(trace.losses[t])), repr(float(reward_cum)),
-                   repr(float(np.linalg.norm(trace.theta[t]))), eps_val]
+            theta_norm = np.linalg.norm(trace.theta[t])
+            if not 1e-150 <= theta_norm <= 1e150:  # its squares overflow or underflow: the exact norm
+                theta_norm = norm(trace.theta[t])
+            row = [t + 1, repr(float(trace.losses[t])), repr(float(reward_cum)), repr(float(theta_norm)), eps_val]
             if with_coords:
                 row += [repr(float(x)) for x in trace.w[t]]
                 row += [repr(float(x)) for x in trace.g[t]]
@@ -865,6 +881,17 @@ class TestWriterBytes:
             reference_write_trace_csv(trace, tmp_path / "ref.csv")
             write_trace_csv(trace, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_theta_norm_past_1e154_is_the_exact_norm(self, tmp_path):
+        # from round 14 ||theta|| = 1.4e154, whose square leaves the float64 range: no inf, and no warning
+        player = PotentialPlayer(QuadraticPotential(eta=1e-154, G=1e153))
+        trace = run_game(player, FixedDirection(G=1e153), GameConfig(dim=2, grad_bound=1e153, seed=0), 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            write_trace_csv(trace, tmp_path / "out.csv")
+        with open(tmp_path / "out.csv", newline="") as fh:
+            got = [float(row["theta_norm"]) for row in csv.DictReader(fh)]
+        assert got == np.abs(trace.theta[:, 0]).tolist() and got[13] == pytest.approx(1.4e154, rel=1e-15)
 
     @pytest.mark.parametrize("a_tag", ADVERSARY_TAGS)
     @pytest.mark.parametrize("s_tag", STRATEGY_TAGS)

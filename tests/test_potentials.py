@@ -16,6 +16,7 @@ from minimax_online import (
     PowerPotential,
     QuadraticPotential,
     conjugate_numeric,
+    epsilon_ledger,
     exp_conjugate_upper_bound,
     regret,
     regret_bound,
@@ -59,6 +60,26 @@ class TestPowerPotential:
         pot = PowerPotential(W=1.0, p=1.0, G=1.0, T=5)
         theta = scale * np.array([1.0, -2.0, 2.0])
         assert pot.value(5, theta) == float(pot.radial(5, row_norms(theta[None])[0])) == 3.0 * scale
+
+    def test_a_state_past_1e154_keeps_its_play_and_its_ledger(self):
+        # x * x overflows past about 1.34e154: the slope must not drop to 0 there, nor q_t rise to inf
+        pot = PowerPotential(W=1.0, p=1.5, G=1e153, T=50)
+        trace = run_game(PotentialPlayer(pot), FixedDirection(G=1e153),
+                         GameConfig(dim=2, grad_bound=1e153, horizon=50, seed=0), 50)
+        assert trace.w[1:].any(axis=1).all()  # only the play at theta_0 = 0 is zero
+        x = np.array([0.0, 1e150, 1.3e154, 1.4e154, 5e154, 1e300])
+        for t in (0, 14, 49, 50):
+            # the same powers, with x and G divided by G: no square leaves the float64 range
+            inner = [(xi / pot.G) ** 2 + (pot.T - t) for xi in x.tolist()]
+            slope = [pot.W * xi * pot.G ** (pot.p - 2.0) * (s2 ** ((pot.p - 2.0) / 2.0) if s2 else 1.0)
+                     for xi, s2 in zip(x.tolist(), inner)]
+            np.testing.assert_allclose(pot.slope(t, x), slope, rtol=1e-13, atol=0.0)
+            if t < pot.T:
+                value = [pot.W / pot.p * pot.G ** pot.p * s2 ** (pot.p / 2.0) for s2 in inner]
+                np.testing.assert_allclose(pot.radial(t, x[:-1]), value[:-1], rtol=1e-13, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(epsilon_ledger(trace, pot)).all()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""A guard against unused code: every top-level public name of the package
-has a caller in the package, or a reason on the allow-list below."""
+"""A guard against unused code: every top-level public name of the package,
+and every public method or property of its classes, has a caller in the
+package, or a reason on the allow-list below."""
 
 import ast
 from pathlib import Path
@@ -12,15 +13,17 @@ ALLOWED = {
                        "README example play one run with it",
     "engine.comparator_grid": "the README example and tests/test_falsifier.py draw their comparators with it",
     "oracles.rademacher_smoothing_exact": "perfbench/checks.py pins the d = 1 recursion values to it",
+    "engine.Trace.reward": "the README example and scripts/zero_reward_duel.py print it",
 }
 
 
 def unused_public_names() -> set:
     """module.name for each top-level public function, class or assigned name
-    of a module of the package that no module but __init__ mentions: as a
-    name, an attribute, or a string (``cli.SUITES`` names the check suites
-    by string).  An import is not a use, and neither is ``__init__``'s export
-    table."""
+    of a module of the package, and module.Class.name for each public method
+    or property of a top-level class, that no module but __init__ mentions:
+    as a name, an attribute, or a string (``cli.SUITES`` names the check
+    suites by string).  An import is not a use, and neither is
+    ``__init__``'s export table."""
     defined, used = {}, set()
     for path in sorted(Path(minimax_online.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -32,6 +35,9 @@ def unused_public_names() -> set:
             else:
                 names = []
             defined.update({f"{path.stem}.{name}": name for name in names if not name.startswith("_")})
+            if isinstance(node, ast.ClassDef):
+                defined.update({f"{path.stem}.{node.name}.{item.name}": item.name for item in node.body
+                                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")})
         if path.stem != "__init__":
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
