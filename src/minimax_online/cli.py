@@ -42,7 +42,7 @@ import re
 import sys
 import time
 import traceback
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cache
 from pathlib import Path
 from typing import List, Optional
@@ -51,8 +51,7 @@ import numpy as np
 
 from . import adversaries as adv_mod
 from . import strategies as strat_mod
-from .core import (ORTHOGONAL, PARALLEL, GameConfig, UNKNOWN_HORIZON, comparator_norm, make_rng,
-                   random_unit_vector)
+from .core import ORTHOGONAL, PARALLEL, GameConfig, UNKNOWN_HORIZON, linalg_norms, make_rng, random_unit_vector
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
 from .engine import (attach_epsilon, regret_bound, repr_spellings, run_column, run_game,  # noqa: F401
                      verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
@@ -73,19 +72,21 @@ class ConfigError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def _find_key_line(text: str, key: str) -> Optional[int]:
-    for i, raw in enumerate(text.splitlines(), start=1):
-        if raw.split("#", 1)[0].strip().startswith((f"{key}:", f"- {key}:")):
-            return i
-    return None
+class SpecMap(dict):
+    """A mapping of a spec file: a dict that also holds its own line, ``line``, and each key's, ``lines``."""
+
+
+def _line(section, key=None) -> Optional[int]:
+    """The spec line of key in section, else of section; None off a spec file (in sweep.json)."""
+    return section.lines.get(key, section.line) if isinstance(section, SpecMap) else None
 
 
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "a mapping"}
 
 
-def _coerce(value, kind, what: str, text: str = "", key: Optional[str] = None, minimum=None, maximum=None):
+def _coerce(value, kind, what: str, at=None, key=None, minimum=None, maximum=None):
     """value as kind within [minimum, maximum] (each if given), else a
-    ConfigError naming what, at the line of key (what by default).
+    ConfigError naming what, at the line of key in the mapping at.
 
     int takes an integral number and float a finite one; a bool or a string is
     neither.  str, list and dict take only a value of their own type.
@@ -99,33 +100,35 @@ def _coerce(value, kind, what: str, text: str = "", key: Optional[str] = None, m
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise ConfigError(f"{what} must be {_KINDS[kind]}, got {value!r}", _find_key_line(text, key or what))
+        raise ConfigError(f"{what} must be {_KINDS[kind]}, got {value!r}", _line(at, key))
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}", _find_key_line(text, key or what))
+        raise ConfigError(f"{what} must be >= {minimum}", _line(at, key))
     if maximum is not None and value > maximum:
-        raise ConfigError(f"{what} must be <= {maximum}", _find_key_line(text, key or what))
-    return kind(value)
+        raise ConfigError(f"{what} must be <= {maximum}", _line(at, key))
+    return kind(value) if kind in (int, float) else value  # a SpecMap stays one
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str, text: str) -> None:
+def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}", _find_key_line(text, key))
+            raise ConfigError(f"unknown key {key!r} in {where}", _line(section, key))
     for key in required:
         if key not in section:
-            raise ConfigError(f"missing required key {key!r} in {where}", _find_key_line(text, where))
+            raise ConfigError(f"missing required key {key!r} in {where}", _line(section))
 
 
 @dataclass
 class ExperimentSpec:
     game: GameConfig
-    strategies: List[dict]
+    strategies: List[dict]    # the entries as the spec spells them, for sweep.json
     adversaries: List[dict]
     comparators: List[dict]   # {"norm": float, "direction_seed": int}
     out_dir: str
     out_format: str           # csv | json | both
     repeats: int
     rounds: int
+    players: List[strat_mod.PotentialPlayer]  # built from strategies, entry by entry
+    opponents: list                           # built from adversaries, entry by entry
 
 
 POTENTIALS = {cls.tag: cls for cls in (QuadraticPotential, PowerPotential,
@@ -137,43 +140,61 @@ ADVERSARIES = {cls.tag: cls for cls in (adv_mod.OrthogonalMinimax, adv_mod.Paral
 VECTOR_FIELDS = {"direction", "comparator"}
 
 
-def _spec_fields(cls) -> list:
-    """Fields a strategy or adversary entry sets: the class's constructor
-    fields but G and T, which come from the game section."""
-    return [f for f in fields(cls) if f.init and f.name not in ("G", "T")]
-
-
-def _parse_entry(entry: dict, registry: dict, kind: str, build, game: GameConfig, text: str):
-    """Check a strategy or adversary entry's tag and keys (the tag and every
-    spec field allowed, those without a default required), then build it to
-    surface parameter precondition violations now."""
-    entry = _coerce(entry, dict, f"{kind} entry", text)
-    tag = entry.get("tag")
+def _entry_class(entry: dict, registry: dict, kind: str):
+    """The class of a strategy or adversary entry and its spec fields (its constructor fields
+    but G and T, which the game gives), once the entry's tag and keys are checked: the tag
+    and every spec field allowed, those without a default required."""
+    tag = _coerce(entry, dict, f"{kind} entry").get("tag")
     if not isinstance(tag, str) or tag not in registry:  # a list or mapping tag is unhashable
-        raise ConfigError(f"unknown {kind} tag {tag!r}", _find_key_line(text, "tag"))
-    spec_fields = _spec_fields(registry[tag])
+        raise ConfigError(f"unknown {kind} tag {tag!r}", _line(entry, "tag"))
+    spec_fields = [f for f in fields(registry[tag]) if f.init and f.name not in ("G", "T")]
     _require_keys(entry, {"tag", *(f.name for f in spec_fields)},
-                  {"tag", *(f.name for f in spec_fields if f.default is MISSING)}, f"{kind} {tag}", text)
-    return build(entry, game)
+                  {"tag", *(f.name for f in spec_fields if f.default is MISSING)}, f"{kind} {tag}")
+    return registry[tag], spec_fields
+
+
+def _parse_game(raw: dict) -> GameConfig:
+    """The checked game section of raw, a spec or sweep.json."""
+    game_sec = _coerce(raw["game"], dict, "game", raw, "game")
+    _require_keys(game_sec, {"dim", "grad_bound", "horizon", "seed"}, {"dim", "grad_bound"}, "game")
+    dim = _coerce(game_sec["dim"], int, "game.dim", game_sec, "dim")
+    grad_bound = _coerce(game_sec["grad_bound"], float, "game.grad_bound", game_sec, "grad_bound")
+    horizon = game_sec.get("horizon", UNKNOWN_HORIZON)
+    if horizon != UNKNOWN_HORIZON:
+        horizon = _coerce(horizon, int, "game.horizon", game_sec, "horizon")
+    seed = _coerce(game_sec.get("seed", 0), int, "game.seed", game_sec, "seed", minimum=0, maximum=SEED_MAX)
+    try:
+        return GameConfig(dim=dim, grad_bound=grad_bound, horizon=horizon, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"game: {exc}", _line(raw, "game")) from exc
+
+
+def _parse_comparators(raw: dict) -> List[dict]:
+    """The checked comparators section of raw, a spec or sweep.json."""
+    comparators = []
+    for comp in _coerce(raw.get("comparators", [{"norm": 0.0}]), list, "comparators", raw, "comparators"):
+        comp = _coerce(comp, dict, "comparators entry", raw, "comparators")
+        _require_keys(comp, {"norm", "direction_seed"}, {"norm"}, "comparators entry")
+        comparators.append({
+            "norm": _coerce(comp["norm"], float, "comparator norm", comp, "norm", minimum=0),
+            "direction_seed": _coerce(comp.get("direction_seed", 0), int, "comparator direction_seed", comp,
+                                      "direction_seed", minimum=0, maximum=SEED_MAX)})
+    return comparators
 
 
 def build_strategy(entry: dict, game: GameConfig) -> strat_mod.PotentialPlayer:
-    tag = entry.get("tag")
-    if not isinstance(tag, str) or tag not in POTENTIALS:
-        raise ConfigError(f"unknown strategy tag {tag!r}; choose from {sorted(POTENTIALS)}")
-    cls = POTENTIALS[tag]
+    """The player of a checked strategy entry; a violated precondition is a ConfigError."""
+    cls, spec_fields = _entry_class(entry, POTENTIALS, "strategy")
     try:
-        params = {f.name: _coerce(entry[f.name], float, f.name) for f in _spec_fields(cls)}
+        params = {f.name: _coerce(entry[f.name], float, f.name) for f in spec_fields}
         params["G"] = game.grad_bound
         if "T" in cls.__dataclass_fields__:
             if not game.known_horizon:
                 raise ValueError("requires a numeric game.horizon")
             params["T"] = game.horizon
         return strat_mod.PotentialPlayer(cls(**params))
-    except KeyError as exc:
-        raise ConfigError(f"strategy {tag!r} is missing parameter {exc.args[0]!r}") from exc
     except ValueError as exc:
-        raise ConfigError(f"strategy {tag!r}: {exc}") from exc
+        raise ConfigError(f"strategy {cls.tag!r}: {exc}") from exc
 
 
 def _vector(name: str, value, dim: int) -> tuple:
@@ -191,11 +212,9 @@ def _vector(name: str, value, dim: int) -> tuple:
 
 
 def build_adversary(entry: dict, game: GameConfig):
-    tag = entry.get("tag")
-    if not isinstance(tag, str) or tag not in ADVERSARIES:
-        raise ConfigError(f"unknown adversary tag {tag!r}; choose from {sorted(ADVERSARIES)}")
-    cls = ADVERSARIES[tag]
-    params = {f.name: entry[f.name] for f in _spec_fields(cls) if f.name in entry}
+    """The adversary of a checked adversary entry, as ``build_strategy``."""
+    cls, spec_fields = _entry_class(entry, ADVERSARIES, "adversary")
+    params = {f.name: entry[f.name] for f in spec_fields if f.name in entry}
     try:
         min_dim = getattr(cls, "min_dim", 1)
         if game.dim < min_dim:
@@ -204,7 +223,7 @@ def build_adversary(entry: dict, game: GameConfig):
             params[name] = _vector(name, params[name], game.dim)
         return cls(G=game.grad_bound, **params)
     except ValueError as exc:
-        raise ConfigError(f"adversary {tag!r}: {exc}") from exc
+        raise ConfigError(f"adversary {cls.tag!r}: {exc}") from exc
 
 
 def comparator_vector(norm: float, direction_seed: int, dim: int) -> np.ndarray:
@@ -213,11 +232,25 @@ def comparator_vector(norm: float, direction_seed: int, dim: int) -> np.ndarray:
     return norm * random_unit_vector(make_rng(int(direction_seed)), dim)
 
 
+def _comparators(comparators: List[dict], dim: int):
+    """(vectors, u_norms) of checked comparators entries, built once per sweep."""
+    us = [comparator_vector(comp["norm"], comp["direction_seed"], dim) for comp in comparators]
+    return us, linalg_norms(np.array(us).reshape(len(us), dim)).tolist()
+
+
+def _construct_map(loader, node) -> SpecMap:
+    """A YAML mapping as a SpecMap (one that holds itself is a YAML error)."""
+    data = SpecMap(loader.construct_mapping(node, deep=True))
+    data.line = node.start_mark.line + 1
+    data.lines = {loader.construct_object(key): key.start_mark.line + 1 for key, _ in node.value}
+    return data
+
+
 @cache
 def _spec_loader():
-    """PyYAML's SafeLoader, which follows YAML 1.1 and so reads a float with
-    an exponent but no dot or no exponent sign (1e-3, 1E5, 2.5e3) as a
-    string, with YAML 1.2's reading of those as floats added."""
+    """PyYAML's SafeLoader, which follows YAML 1.1 and so reads a float with an
+    exponent but no dot or no exponent sign (1e-3, 1E5, 2.5e3) as a string, with
+    YAML 1.2's reading of those as floats added; it reads a mapping as a SpecMap."""
     import yaml  # here, so that curves and verify never load it
 
     class SpecLoader(yaml.SafeLoader):
@@ -226,15 +259,15 @@ def _spec_loader():
     SpecLoader.add_implicit_resolver("tag:yaml.org,2002:float",
                                      re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
                                      list("-+.0123456789"))
+    SpecLoader.add_constructor("tag:yaml.org,2002:map", _construct_map)
     return SpecLoader
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
     import yaml
 
-    text = Path(path).read_text()
     try:
-        raw = yaml.load(text, Loader=_spec_loader())
+        raw = yaml.load(Path(path).read_text(), Loader=_spec_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = None if mark is None else mark.line + 1
@@ -243,71 +276,47 @@ def parse_experiment_spec(path) -> ExperimentSpec:
 
     top_allowed = {"game", "strategy", "strategies", "adversary", "adversaries",
                    "comparators", "outputs", "repeats", "rounds"}
-    _require_keys(raw, top_allowed, {"game"}, "top level", text)
-
-    game_sec = _coerce(raw["game"], dict, "game", text)
-    _require_keys(game_sec, {"dim", "grad_bound", "horizon", "seed"},
-                  {"dim", "grad_bound"}, "game", text)
-    dim = _coerce(game_sec["dim"], int, "game.dim", text, "dim")
-    grad_bound = _coerce(game_sec["grad_bound"], float, "game.grad_bound", text, "grad_bound")
-    horizon = game_sec.get("horizon", UNKNOWN_HORIZON)
-    if horizon != UNKNOWN_HORIZON:
-        horizon = _coerce(horizon, int, "game.horizon", text, "horizon")
-    seed = _coerce(game_sec.get("seed", 0), int, "game.seed", text, "seed", minimum=0, maximum=SEED_MAX)
-    try:
-        game = GameConfig(dim=dim, grad_bound=grad_bound, horizon=horizon, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"game: {exc}", _find_key_line(text, "game")) from exc
+    _require_keys(raw, top_allowed, {"game"}, "top level")
+    game = _parse_game(raw)
 
     if ("strategy" in raw) == ("strategies" in raw):
         raise ConfigError("provide exactly one of 'strategy' or 'strategies'")
     strategies = ([raw["strategy"]] if "strategy" in raw
-                  else _coerce(raw["strategies"], list, "strategies", text))
+                  else _coerce(raw["strategies"], list, "strategies", raw, "strategies"))
     if ("adversary" in raw) and ("adversaries" in raw):
         raise ConfigError("provide at most one of 'adversary' or 'adversaries'")
     adversaries = ([raw["adversary"]] if "adversary" in raw
-                   else _coerce(raw.get("adversaries", []), list, "adversaries", text))
+                   else _coerce(raw.get("adversaries", []), list, "adversaries", raw, "adversaries"))
     if not adversaries:
         raise ConfigError("at least one adversary is required")
 
-    players = [_parse_entry(entry, POTENTIALS, "strategy", build_strategy, game, text)
-               for entry in strategies]
-    for entry in adversaries:
-        _parse_entry(entry, ADVERSARIES, "adversary", build_adversary, game, text)
+    players = [build_strategy(entry, game) for entry in strategies]
+    opponents = [build_adversary(entry, game) for entry in adversaries]
+    comparators = _parse_comparators(raw)
 
-    comparators = []
-    for comp in _coerce(raw.get("comparators", [{"norm": 0.0}]), list, "comparators", text):
-        comp = _coerce(comp, dict, "comparators entry", text, "comparators")
-        _require_keys(comp, {"norm", "direction_seed"}, {"norm"}, "comparators entry", text)
-        comparators.append({
-            "norm": _coerce(comp["norm"], float, "comparator norm", text, "norm", minimum=0),
-            "direction_seed": _coerce(comp.get("direction_seed", 0), int, "comparator direction_seed", text,
-                                      "direction_seed", minimum=0, maximum=SEED_MAX)})
-
-    outputs = _coerce(raw.get("outputs", {}), dict, "outputs", text)
-    _require_keys(outputs, {"dir", "format"}, set(), "outputs", text)
+    outputs = _coerce(raw.get("outputs", {}), dict, "outputs", raw, "outputs")
+    _require_keys(outputs, {"dir", "format"}, set(), "outputs")
     out_format = outputs.get("format", "csv")
     if out_format not in ("csv", "json", "both"):
-        raise ConfigError("outputs.format must be csv, json, or both", _find_key_line(text, "format"))
-    out_dir = _coerce(outputs.get("dir", "out"), str, "outputs.dir", text, "dir")
+        raise ConfigError("outputs.format must be csv, json, or both", _line(outputs, "format"))
+    out_dir = _coerce(outputs.get("dir", "out"), str, "outputs.dir", outputs, "dir")
 
-    repeats = _coerce(raw.get("repeats", 1), int, "repeats", text, minimum=1)
-    _coerce(seed + repeats - 1, int, "game.seed + repeats - 1", text, "seed", maximum=SEED_MAX)
+    repeats = _coerce(raw.get("repeats", 1), int, "repeats", raw, "repeats", minimum=1)
+    _coerce(game.seed + repeats - 1, int, "game.seed + repeats - 1", raw["game"], "seed", maximum=SEED_MAX)
 
     rounds = raw.get("rounds")
     if rounds is None:
         if not game.known_horizon:
             raise ConfigError("rounds is required when game.horizon is unknown",
-                              _find_key_line(text, "rounds") or _find_key_line(text, "horizon"))
+                              _line(raw, "rounds") if "rounds" in raw else _line(raw["game"], "horizon"))
         rounds = game.horizon
-    rounds = _coerce(rounds, int, "rounds", text, minimum=1)
+    rounds = _coerce(rounds, int, "rounds", raw, "rounds", minimum=1)
     if game.known_horizon and rounds != game.horizon and any(p.needs_horizon for p in players):
-        raise ConfigError("rounds must equal game.horizon for horizon-tuned strategies",
-                          _find_key_line(text, "rounds"))
+        raise ConfigError("rounds must equal game.horizon for horizon-tuned strategies", _line(raw, "rounds"))
 
     return ExperimentSpec(game=game, strategies=strategies, adversaries=adversaries,
                           comparators=comparators, out_dir=out_dir, out_format=out_format,
-                          repeats=repeats, rounds=rounds)
+                          repeats=repeats, rounds=rounds, players=players, opponents=opponents)
 
 
 def _run_id(spec: ExperimentSpec, si: int, ai: int, k: int) -> str:
@@ -320,16 +329,14 @@ def _configs(spec: ExperimentSpec) -> List[GameConfig]:
 
 
 def _execute_cell(args):
-    """One (strategy, adversary) group: takes its traces from group, its
-    function of the column, attaches their ledgers, writes and checks them,
-    and returns its summary rows, run by run.  The traces are written before
-    the call returns, so only one group's states are alive at a time."""
-    spec, si, ai, strategy, adversary, group, out_dir = args
+    """One (strategy, adversary) group: takes its traces from group, its function of
+    the column, attaches their ledgers, writes and checks them against comparators,
+    and returns its summary rows, run by run.  The traces are written before the
+    call returns, so only one group's states are alive at a time."""
+    spec, si, ai, group, (comparators, norms), out_dir = args
+    strategy, adversary = spec.players[si], spec.opponents[ai]
     traces = group()
-    comparators = [comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
-                   for comp in spec.comparators]
     # every trace of the group has this potential and T: one envelope call for all of them
-    norms = [comparator_norm(u) for u in comparators]
     bounds = regret_bound(strategy.potential, norms, max(spec.rounds, 1)).tolist()
     rows = []
     for k, trace in enumerate(traces):
@@ -355,15 +362,13 @@ def _execute_column(args):
     """Every strategy's group against adversary ai, in strategy order, from
     one ``engine.run_column`` call: for each, (summary rows, None), or ([],
     message) when the group raised; the traceback then goes to stderr and
-    the column's other groups still run."""
-    spec, ai, out_dir = args
-    adversary = build_adversary(spec.adversaries[ai], spec.game)
-    strategies = [build_strategy(entry, spec.game) for entry in spec.strategies]
-    groups = run_column(strategies, adversary, _configs(spec), spec.rounds)
+    the column's other groups still run.  comparators is ``_comparators``'."""
+    spec, ai, comparators, out_dir = args
+    groups = run_column(spec.players, spec.opponents[ai], _configs(spec), spec.rounds)
     results = []
-    for si, (strategy, group) in enumerate(zip(strategies, groups)):
+    for si, group in enumerate(groups):
         try:
-            results.append((_execute_cell((spec, si, ai, strategy, adversary, group, out_dir)), None))
+            results.append((_execute_cell((spec, si, ai, group, comparators, out_dir)), None))
         except Exception as exc:  # a crash in one group must not hide the others' verdicts
             traceback.print_exc()
             results.append(([], f"{type(exc).__name__}: {exc}"))
@@ -406,7 +411,8 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     # adversary-major, so only one column's gradient block is alive at a time
-    columns = [(spec, ai, str(out_dir)) for ai in range(len(spec.adversaries))]
+    comparators = _comparators(spec.comparators, spec.game.dim)
+    columns = [(spec, ai, comparators, str(out_dir)) for ai in range(len(spec.adversaries))]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at module level: --jobs 1 never loads multiprocessing
 
@@ -435,8 +441,7 @@ def cmd_run(args) -> int:
             "all_hold": not violations and not errors, "n_runs": n_runs, "n_checks": len(all_rows),
             "violations": violations, "errors": errors}, indent=2),
         out_dir / "sweep.json": json.dumps({
-            "game": {"dim": spec.game.dim, "grad_bound": spec.game.grad_bound,
-                     "horizon": spec.game.horizon, "seed": spec.game.seed},
+            "game": asdict(spec.game),  # dim, grad_bound, horizon, seed: what _parse_game reads back
             "strategies": spec.strategies, "adversaries": spec.adversaries,
             "comparators": spec.comparators, "rounds": spec.rounds,
             "format": spec.out_format, "repeats": spec.repeats,
@@ -531,17 +536,13 @@ def cmd_curves(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        meta = json.loads(meta_path.read_text())
-        game = GameConfig(**meta["game"])
-        potentials = {f"s{i}": build_strategy(entry, game).potential
-                      for i, entry in enumerate(meta["strategies"])}
-        comparators = [comparator_vector(_coerce(c["norm"], float, "norm", minimum=0),
-                                         _coerce(c["direction_seed"], int, "direction_seed", minimum=0, maximum=SEED_MAX),
-                                         game.dim) for c in meta["comparators"]]
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        meta = json.loads(meta_path.read_text())  # checked as run checks a spec
+        game = _parse_game(meta)
+        potentials = {f"s{i}": build_strategy(entry, game).potential for i, entry in enumerate(meta["strategies"])}
+        comparators, u_norms = _comparators(_parse_comparators(meta), game.dim)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {meta_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    u_norms = [comparator_norm(u) for u in comparators]
     out_path = Path(args.out) if args.out else trace_dir / "curves.csv"
     tmp_path = out_path.with_name(f".{out_path.name}.tmp")  # a failed call leaves no partial curves.csv
     entry, templates = None, {}

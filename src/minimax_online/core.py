@@ -77,16 +77,16 @@ def norm(a: Point) -> float:
     return n if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX else float(row_norms(a))
 
 
-def comparator_norm(u: np.ndarray) -> float:
-    """||u|| as np.linalg.norm gives it where its squares stay in the float64
-    range, so the u_norm a sweep spells keeps its bytes: where ``norm(u)`` is
-    0 or lies in [1e-150, 1e150].  Outside that range it is ``norm(u)``,
-    which is exact there, where np.linalg.norm's summed squares overflow to
-    inf or underflow, and raises no warning."""
-    if not u.any():  # the zero comparator, which norm finds only on its slow path
-        return 0.0
-    n = norm(u)
-    return float(np.linalg.norm(u)) if _NORM_SAFE_MIN <= n <= _NORM_SAFE_MAX else n
+def linalg_norms(a: np.ndarray) -> np.ndarray:
+    """The norm of each row of the (n, d) array a as a sweep spells it (u_norm, a
+    trace CSV's theta_norm), with no warning: np.linalg.norm's bits inside [1e-150,
+    1e150] (its 1-D dot is the matmul of a (1, d) row by its (d, 1) column), and
+    ``row_norms``' outside, where np.linalg.norm's squares overflow or underflow."""
+    with np.errstate(over="ignore"):
+        n = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])).ravel()
+    outside = ~((n >= _NORM_SAFE_MIN) & (n <= _NORM_SAFE_MAX))
+    n[outside] = row_norms(a[outside])
+    return n
 
 
 def unit_direction(theta: Point) -> Point:

@@ -66,8 +66,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (_NORM_SAFE_MAX, _NORM_SAFE_MIN, DimensionMismatchError, GameConfig, comparator_norm, make_rng,
-                   random_unit_vector, row_norms)
+from .core import DimensionMismatchError, GameConfig, linalg_norms, make_rng, random_unit_vector, row_norms
 from .potentials import regret_bound
 
 GRAD_NORM_SLACK = 1e-9
@@ -323,10 +322,10 @@ def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
     at T, all comparators' envelopes in one ``regret_bound`` call; or, if
     given, against bounds, those envelopes already computed (every trace of a
     group shares its potential and T).  norms, if given, are the comparators'
-    ``comparator_norm``, computed once for the group."""
+    ``linalg_norms``, computed once for the group."""
     us = [np.asarray(u, dtype=np.float64) for u in comparators]
     if norms is None:
-        norms = [comparator_norm(u) for u in us]
+        norms = linalg_norms(np.array(us).reshape(len(us), trace.config.dim)).tolist()
     if bounds is None:
         bounds = regret_bound(strategy.potential, norms, max(trace.n_rounds, 1)).tolist()
     reports = []
@@ -374,12 +373,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     table = np.empty((T, len(header) - 1))
     table[:, 0] = trace.losses
     table[:, 1] = 0.0 - np.cumsum(trace.losses)  # 0.0 - keeps row 1 at 0.0, not -0.0
-    # np.linalg.norm's own steps for a 1-D row (matmul of a (1, d) by a (d, 1) matrix is that dot) where its
-    # squares stay in the float64 range, as in comparator_norm; outside it, row_norms, exact there
-    with np.errstate(over="ignore"):
-        table[:, 2] = np.sqrt(np.matmul(trace.theta[:, None, :], trace.theta[:, :, None])).ravel()
-    outside = ~((table[:, 2] >= _NORM_SAFE_MIN) & (table[:, 2] <= _NORM_SAFE_MAX))
-    table[outside, 2] = row_norms(trace.theta[outside])
+    table[:, 2] = linalg_norms(trace.theta)
     if trace.eps is not None:
         table[:, 3] = trace.eps
     if len(header) > 5:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -110,6 +111,36 @@ class TestParse:
         assert err.startswith("error: ") and f"unknown {kind} tag" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,message", [
+        # block style: the third entry's own tag, not the first line that starts with "- tag:"
+        ("game:\n  dim: 2\n  grad_bound: 1.0\n  horizon: unknown\nstrategies:\n  - tag: ogd\n    eta: 0.2\n"
+         "  - tag: adaptive_normal\n    eps: 1.0\n    a: 2.5\n  - tag: mystery\nadversary: {tag: gaussian_random}\n"
+         "rounds: 5\n", "line 11: unknown strategy tag 'mystery'"),
+        # flow style: a key inside braces has its line too
+        ("game: {dim: 2, grad_bound: 1.0, horizon: unknown}\nstrategies:\n  - {tag: ogd, eta: 0.1}\n"
+         "  - {tag: ogd, eta: 0.2, bogus: 1}\nadversary: {tag: gaussian_random}\nrounds: 5\n",
+         "line 4: unknown key 'bogus' in strategy ogd"),
+        # the second comparator's own norm, not the first's
+        ("game:\n  dim: 2\n  grad_bound: 1.0\n  horizon: 10\nstrategy:\n  tag: ogd\n  eta: 0.2\nadversary:\n"
+         "  tag: gaussian_random\ncomparators:\n  - norm: 0.0\n    direction_seed: 0\n  - norm: -1.0\n"
+         "    direction_seed: 1\n", "line 13: comparator norm must be >= 0"),
+    ], ids=["block_tag", "flow_key", "second_comparator"])
+    def test_an_error_names_the_line_of_the_key_at_fault(self, tmp_path, text, message):
+        path, _ = write_spec(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_spec(path)
+        assert str(err.value) == message
+
+    def test_a_spec_reads_into_plain_mappings_for_sweep_json_and_jobs(self, tmp_path):
+        # the entries keep their lines as attributes only: the same JSON, and they pickle
+        path, _ = write_spec(tmp_path, MINIMAL_SPEC)
+        spec = parse_experiment_spec(path)
+        raw = yaml.safe_load(path.read_text())
+        assert json.dumps(spec.strategies, indent=2) == json.dumps([raw["strategy"]], indent=2)
+        again = pickle.loads(pickle.dumps(spec))
+        assert again.strategies == spec.strategies and again.players == spec.players
+        assert again.opponents == spec.opponents
+
     def test_unknown_horizon_needs_rounds(self, tmp_path):
         bad = MINIMAL_SPEC.replace("horizon: 10", "horizon: unknown").replace(
             "tag: ogd", "tag: ogd")
@@ -144,12 +175,13 @@ class TestAdversaryEntries:
 class TestMalformedScalars:
     @pytest.mark.parametrize("old,new,message", [
         ("repeats: 1", "repeats: many", "line 17: repeats must be an integer, got 'many'"),
-        ("{norm: 1.0, direction_seed: 1}", "{norm: abc}", "comparator norm must be a finite number, got 'abc'"),
+        ("{norm: 1.0, direction_seed: 1}", "{norm: abc}",
+         "line 13: comparator norm must be a finite number, got 'abc'"),
         ("adversary:\n  tag: fixed_direction", "adversaries: [fixed_direction]",
          "adversary entry must be a mapping, got 'fixed_direction'"),
         ("eta: 0.31622776601683794", "eta: [0.3]", "strategy 'ogd': eta must be a finite number, got [0.3]"),
         ("seed: 3", "seed: -1", "line 5: game.seed must be >= 0"),
-        ("direction_seed: 1}", "direction_seed: -1}", "comparator direction_seed must be >= 0"),
+        ("direction_seed: 1}", "direction_seed: -1}", "line 13: comparator direction_seed must be >= 0"),
     ], ids=["text_repeats", "text_norm", "bare_adversary_tag", "list_eta", "negative_seed",
             "negative_direction_seed"])
     def test_is_a_config_error_and_exits_2(self, tmp_path, capsys, old, new, message):
@@ -199,7 +231,8 @@ class TestSeedRange:
         ([("seed: 3", f"seed: {TOP + 1}")], f"line 5: game.seed must be <= {TOP}"),
         ([("seed: 3", f"seed: {TOP}"), ("repeats: 1", "repeats: 2")],
          f"line 5: game.seed + repeats - 1 must be <= {TOP}"),
-        ([("direction_seed: 1}", f"direction_seed: {TOP + 1}}}")], f"comparator direction_seed must be <= {TOP}"),
+        ([("direction_seed: 1}", f"direction_seed: {TOP + 1}}}")],
+         f"line 13: comparator direction_seed must be <= {TOP}"),
     ], ids=["game_seed", "last_repeat_seed", "direction_seed"])
     def test_a_spec_seed_past_64_bits_exits_2(self, tmp_path, capsys, edits, message):
         spec = MINIMAL_SPEC
@@ -971,10 +1004,10 @@ rounds: 25
         assert rows == expected
 
     @pytest.mark.parametrize("key,value,message", [
-        ("direction_seed", TestSeedRange.TOP + 1, f"direction_seed must be <= {TestSeedRange.TOP}"),
+        ("direction_seed", TestSeedRange.TOP + 1, f"comparator direction_seed must be <= {TestSeedRange.TOP}"),
         # run refuses these comparators too; a negative norm would flip the comparator, nan write nan rows
-        ("norm", -1.0, "norm must be >= 0"),
-        ("norm", float("nan"), "norm must be a finite number, got nan"),
+        ("norm", -1.0, "comparator norm must be >= 0"),
+        ("norm", float("nan"), "comparator norm must be a finite number, got nan"),
     ], ids=["direction_seed_past_64_bits", "negative_norm", "nan_norm"])
     def test_a_comparator_run_refuses_in_sweep_json_exits_2(self, tmp_path, capsys, key, value, message):
         path, out = write_spec(tmp_path, CURVES_SPEC)
@@ -982,6 +1015,23 @@ rounds: 25
         meta_path = out / "sweep.json"
         meta = json.loads(meta_path.read_text())
         meta["comparators"][0][key] = value
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["curves", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {meta_path}: ConfigError: {message}\n"
+        assert not (out / "curves.csv").exists()
+
+    @pytest.mark.parametrize("section,message", [
+        ("strategies", "unknown key 'bogus' in strategy ogd"),
+        ("comparators", "unknown key 'bogus' in comparators entry"),
+    ])
+    def test_an_unknown_key_in_sweep_json_exits_2(self, tmp_path, capsys, section, message):
+        # curves checks sweep.json's entries with run's own checks
+        path, out = write_spec(tmp_path, CURVES_SPEC)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        meta_path = out / "sweep.json"
+        meta = json.loads(meta_path.read_text())
+        meta[section][0]["bogus"] = 1
         meta_path.write_text(json.dumps(meta))
         capsys.readouterr()
         assert main(["curves", str(out)]) == EXIT_CONFIG
@@ -1020,9 +1070,12 @@ rounds: 25
         assert sorted(p.name for p in out.iterdir() if "curves" in p.name) == ["curves.csv"]
 
     @pytest.mark.parametrize("edit, reason", [
-        (lambda meta: '{"game": {"dim": 2}', "JSONDecodeError"),
-        (lambda meta: json.dumps({**meta, "strategies": [1]}), "AttributeError"),
-        (lambda meta: json.dumps({**meta, "game": {"dim": 0, "grad_bound": 1.0}}), "ValueError"),
+        (lambda meta: '{"game": {"dim": 2}', "JSONDecodeError: "),
+        # sweep.json is checked as run checks a spec
+        (lambda meta: json.dumps({**meta, "strategies": [1]}),
+         "ConfigError: strategy entry must be a mapping, got 1\n"),
+        (lambda meta: json.dumps({**meta, "game": {"dim": 0, "grad_bound": 1.0}}),
+         "ConfigError: game: dim must be >= 1\n"),
     ])
     def test_an_unreadable_sweep_json_exits_2(self, tmp_path, capsys, edit, reason):
         path, out = write_spec(tmp_path, CURVES_SPEC)
@@ -1030,7 +1083,7 @@ rounds: 25
         meta_path = out / "sweep.json"
         meta_path.write_text(edit(json.loads(meta_path.read_text())))
         assert main(["curves", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"error: {meta_path}: {reason}: ")
+        assert capsys.readouterr().err.startswith(f"error: {meta_path}: {reason}")
         assert not (out / "curves.csv").exists()
 
 

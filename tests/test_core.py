@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minimax_online import GameConfig, make_rng, norm, unit_direction
-from minimax_online.core import UnsupportedDimensionError, comparator_norm, complement_rows, row_norms
+from minimax_online.core import UnsupportedDimensionError, complement_rows, linalg_norms, row_norms
 
 # Orthogonality of sampled complement directions is checked at TOL_ORTHO.
 TOL_ORTHO = 1e-12
@@ -57,23 +57,26 @@ def test_row_norms_past_the_float64_range_is_inf_without_a_warning():
     assert got.tolist() == [np.inf, 5.0]
 
 
-def test_comparator_norm_is_linalg_norm_in_range_and_exact_outside():
-    # in range, np.linalg.norm's value, which a sweep's u_norm has always been spelled from; it
-    # differs from norm's by an ulp for some ordinary vectors
+def test_linalg_norms_is_linalg_norm_in_range_and_exact_outside():
+    # in range, np.linalg.norm's value, which a sweep's u_norm and a trace CSV's theta_norm have always
+    # been spelled from; it differs from norm's by an ulp for some ordinary vectors
     rng = make_rng(5)
     differ = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for d in range(1, 17):
             for scale in (1e-140, 1e-3, 1.0, 1e3, 1e140):
-                u = scale * rng.standard_normal(d)
-                assert comparator_norm(u) == float(np.linalg.norm(u))
-                differ += comparator_norm(u) != norm(u)
-        assert comparator_norm(np.zeros(4)) == 0.0
+                u = scale * rng.standard_normal((3, d))
+                got = linalg_norms(u)
+                assert got.tolist() == [float(np.linalg.norm(row)) for row in u]
+                differ += sum(n != norm(row) for n, row in zip(got, u))
+        assert linalg_norms(np.zeros((2, 4))).tolist() == [0.0, 0.0]
+        assert linalg_norms(np.zeros((0, 4))).shape == (0,)
         # outside it, np.linalg.norm's squares overflow to inf or underflow; norm is exact
         for scale in (1e-300, 1e-160, 1e155, 1e300):
-            u = scale * np.array([0.6, 0.8, 0.0])
-            assert comparator_norm(u) == norm(u) == pytest.approx(scale, rel=1e-15)
+            u = scale * np.array([[0.6, 0.8, 0.0], [3.0, 4.0, 0.0]])
+            assert linalg_norms(u).tolist() == [norm(row) for row in u]
+            assert linalg_norms(u) == pytest.approx([scale, 5.0 * scale], rel=1e-15)
     assert differ > 0
 
 
