@@ -170,20 +170,37 @@ class PowerPotential:
             return np.where(np.isnan(bound), (u_norm / self.W) ** self.q * self.W / self.q, bound)
 
 
+def _exponent(square, x, d):
+    """x^2 / d from square, x^2 as its caller spells it with an overflow to inf
+    silenced: square / d where square is finite, and (x / sqrt(d))^2 where it
+    is not, which leaves float64 only where x^2 / d does."""
+    finite = np.isfinite(square)
+    if np.all(finite):
+        return square / d
+    return np.where(finite, square / d, (x / np.sqrt(d)) ** 2)
+
+
 class _ExpQuadratic:
-    """q_t(x) = c_t exp(x^2 / d_t); a subclass supplies shape(t) = (c_t, d_t)."""
+    """q_t(x) = c_t exp(x^2 / d_t); a subclass supplies shape(t) = (c_t, d_t).
+    Where x^2 passes the float64 range, x is divided by sqrt(d_t) before it is
+    squared, so the exponent is finite wherever x^2 / d_t is."""
 
     regime = PARALLEL
 
     def radial(self, t, x):
         c, d = self.shape(t)
-        return c * np.exp(x * x / d)
+        with np.errstate(over="ignore"):
+            square = x * x
+        return c * np.exp(_exponent(square, x, d))
 
     def radial_diff(self, t, r):
         """q_t(r + G) - q_t(r - G) = c exp((r + G)^2 / d) (1 - exp(-4 G r / d)),
         through expm1, so without cancellation; +0 at r = 0."""
         c, d = self.shape(t)
-        return -c * np.exp((r + self.G) ** 2 / d) * np.expm1(-4.0 * self.G / d * r)
+        x = r + self.G
+        with np.errstate(over="ignore"):
+            square = x ** 2
+        return -c * np.exp(_exponent(square, x, d)) * np.expm1(-4.0 * self.G / d * r)
 
     def conjugate_bound(self, u_norm, t):
         c, d = self.shape(t)

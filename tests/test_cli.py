@@ -624,10 +624,11 @@ repeats: 2
         assert lines["column"] == [line for line in lines["fine"] if ",raises_at," not in line]
 
     def test_a_column_is_played_once_when_one_of_its_groups_overflows(self, tmp_path, monkeypatch):
-        # ogd's states pass 1.34e154, whose squares leave float64, at round 14, as adaptive_normal's plays do
+        # ogd's states pass 1.34e154, whose squares leave float64, at round 14; adaptive_normal's first play
+        # leaves float64 in both columns, as q_1(G) = beta_1 exp(G^2 / 2a), about 2.05e308, does at this eps
         sweep = """\
 game: {dim: 2, grad_bound: 1.0e+153, horizon: unknown, seed: 0}
-strategies: [{tag: ogd, eta: 1.0e-154}, {tag: adaptive_normal, eps: 1.0, a: 2.4e+306}]
+strategies: [{tag: ogd, eta: 1.0e-154}, {tag: adaptive_normal, eps: 8.0e+307, a: 2.4e+306}]
 adversaries: [{tag: greedy_vs_comparator, comparator: [1.0, 0.0]}, {tag: fixed_direction}]
 outputs: {dir: OUTDIR, format: both}
 repeats: 2
@@ -645,7 +646,7 @@ rounds: 20
         monkeypatch.setattr(adversaries.GreedyVsComparator, "grads", grads)
         monkeypatch.setattr(adversaries.FixedDirection, "gradient_block", gradient_block)
         outs = {}
-        alone = sweep.replace(", {tag: adaptive_normal, eps: 1.0, a: 2.4e+306}", "")
+        alone = sweep.replace(", {tag: adaptive_normal, eps: 8.0e+307, a: 2.4e+306}", "")
         for name, text in (("both", sweep), ("s0", alone)):
             (tmp_path / name).mkdir()
             path, outs[name] = write_spec(tmp_path / name, text)
@@ -658,7 +659,7 @@ rounds: 20
             assert calls == ["greedy_vs_comparator"] * 20 + ["fixed_direction"], name
         errors = json.loads((outs["both"] / "verdict.json").read_text())["errors"]
         assert [(e["run_id"][:3], e["message"]) for e in errors] == [
-            ("s1-", "OverflowError: round 14: the play left the float64 range")] * 4
+            ("s1-", "OverflowError: round 1: the play left the float64 range")] * 4
         files = sorted(p.name for p in outs["s0"].glob("run_*"))
         assert files == sorted(p.name for p in outs["both"].glob("run_*")) and len(files) == 8
         for name in files:

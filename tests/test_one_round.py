@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,22 +309,33 @@ class TestKernelInputs:
         with pytest.raises(ValueError, match="G"):
             minmax_values(np.abs, plane_distance, [1.0], G, 101)
 
-    @pytest.mark.parametrize("h,radii,want", [
-        (lambda x: np.full_like(x, np.nan), [0.0, 1.0, 4.0], np.nan),
-        (nan_near_1_3, [0.0, 1.0, 4.0], np.nan),
+    @pytest.mark.parametrize("h,radii,G,want", [
+        (lambda x: np.full_like(x, np.nan), [0.0, 1.0, 4.0], 1.0, np.nan),
+        (nan_near_1_3, [0.0, 1.0, 4.0], 1.0, np.nan),
         # the slope probe on [0, r + 1] overflows at its last point only: L is inf, not NaN
-        (exp_overflowing, [0.0, 1.0, 74.4, 74.5, 74.6], np.inf),
+        (exp_overflowing, [0.0, 1.0, 74.4, 74.5, 74.6], 1.0, np.inf),
         # h overflows at two or more probe points (76, 80), or only its slope does (74.3): inf
-        (exp_overflowing, [0.0, 74.3, 74.5, 76.0, 80.0], np.inf),
+        (exp_overflowing, [0.0, 74.3, 74.5, 76.0, 80.0], 1.0, np.inf),
         # the last block holds one radius: finite values up to r = 0.25, NaN from 0.375 on
-        (nan_near_1_3, np.linspace(0.0, 4.0, BLOCK + 1), np.nan),
-    ], ids=["everywhere", "near_x_1.3", "exp_overflows", "exp_overflows_twice", "block_plus_one"])
-    def test_a_non_finite_payoff_is_the_same_alone(self, h, radii, want):
-        assert np.array_equal(solve_scalar_grid(OneRoundSpec(h=h, theta=np.array([radii[-1], 0.0]), G=1.0)),
-                              want, equal_nan=True)
-        got = minmax_values(h, line_distance, radii, 1.0, 101)
-        assert np.array_equal(got[-1], want, equal_nan=True), got
-        alone = [minmax_values(h, line_distance, [r], 1.0, 101)[0] for r in radii]
+        (nan_near_1_3, np.linspace(0.0, 4.0, BLOCK + 1), 1.0, np.nan),
+        # h and its slope are finite on [0, r + G], h(75.24) ~ 2.09e307, but 2L and the payoffs near alpha = L
+        # are not: the row is solved divided by a power of two, to the closed form's value, and a batch's other
+        # rows keep their bits
+        (exp_overflowing, [75.14], 0.1, (exp_overflowing(75.24) + exp_overflowing(75.04)) / 2.0),
+        (exp_overflowing, [75.14, 1.0], 0.1, (exp_overflowing(1.1) + exp_overflowing(0.9)) / 2.0),
+        (exp_overflowing, [1.0, 75.14], 0.1, (exp_overflowing(75.24) + exp_overflowing(75.04)) / 2.0),
+        (exp_overflowing, [72.24], 3.0, (exp_overflowing(75.24) + exp_overflowing(69.24)) / 2.0),
+    ], ids=["everywhere", "near_x_1.3", "exp_overflows", "exp_overflows_twice", "block_plus_one",
+            "near_the_edge", "near_the_edge_first", "near_the_edge_last", "near_the_edge_wide_G"])
+    def test_a_non_finite_payoff_is_the_same_alone(self, h, radii, G, want):
+        # NaN and inf compare equal to themselves here; a finite value is the parallel closed form's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plane = solve_scalar_grid(OneRoundSpec(h=h, theta=np.array([radii[-1], 0.0]), G=G))
+            got = minmax_values(h, line_distance, radii, G, 101)
+            alone = [minmax_values(h, line_distance, [r], G, 101)[0] for r in radii]
+        np.testing.assert_allclose(plane, want, rtol=1e-9)
+        np.testing.assert_allclose(got[-1], want, rtol=1e-9)
         assert np.array_equal(got, alone, equal_nan=True), (got, alone)
 
 

@@ -161,6 +161,26 @@ class TestAdaptivePotential:
             AdaptiveNormalPotential(eps=1.0, a=3.0 * math.pi / 4.0, G=1.0)
 
 
+@pytest.mark.parametrize("pot", [AdaptiveNormalPotential(eps=1.0, a=2.4e306, G=1e153),
+                                 NormalKnownTPotential(eps=1.0, a=2.4e306, G=1e153, T=20)],
+                         ids=["adaptive_normal", "normal_knownT"])
+def test_an_exponent_whose_square_leaves_float64_is_divided_first(pot):
+    # (r + G)^2 and r^2 pass the float64 range from r = 1.34e154 on, though ((r + G) / sqrt(d))^2 is about
+    # 2.9 at r = 1.3e154; a state that small keeps the bits of squaring first
+    t, r = np.array([14, 14, 15, 15]), np.array([1.3e154, 1e154, 5e153, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        diff, value = pot.radial_diff(t, r), pot.radial(t, r)
+    c, d = pot.shape(t)
+    want_diff = -c * np.exp(((r + pot.G) / np.sqrt(d)) ** 2) * np.expm1(-4.0 * pot.G / d * r)
+    np.testing.assert_allclose(diff, want_diff, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(value, c * np.exp((r / np.sqrt(d)) ** 2), rtol=1e-13, atol=0.0)
+    assert np.isfinite(diff).all() and np.isfinite(value).all()
+    c, d, r = c[1:], d[1:], r[1:]
+    assert diff[1:].tolist() == (-c * np.exp((r + pot.G) ** 2 / d) * np.expm1(-4.0 * pot.G / d * r)).tolist()
+    assert value[1:].tolist() == (c * np.exp(r * r / d)).tolist()
+
+
 class TestConjugateNumeric:
     def test_self_conjugate_quadratic(self):
         val = conjugate_numeric(lambda a: a * a / 2.0, 3.0, search_bound=20.0)
