@@ -19,11 +19,12 @@ Subcommands:
 * ``curves <trace_dir>``: emit tidy per-round regret-vs-envelope CSV; a
   trace or sweep.json it cannot read exits 2 and leaves no partial CSV.
 
-The spec file is YAML with a fixed schema; unknown keys are rejected with a
-line-anchored message (exit 2).  An output location that cannot be written
-exits 2 as well.  Bound violations exit 1.  A group that
-raises is recorded in verdict.json, the other groups still run, and ``run``
-exits 4.  Any other exception that escapes a subcommand is an internal
+The spec file is YAML with a fixed schema, read once: the parser builds each
+entry, and an error (an unknown key, say) names the line of its key (exit 2);
+``curves`` checks sweep.json with the same section checks.  An output
+location that cannot be written exits 2 as well.  Bound violations exit 1.
+A group that raises is recorded in verdict.json, the other groups still
+run, and ``run`` exits 4.  Any other exception that escapes a subcommand is an internal
 error: its traceback goes to stderr and the exit code is 5.
 
 A process imports only what its subcommand runs: ``run`` and ``curves``

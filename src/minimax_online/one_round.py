@@ -196,7 +196,7 @@ def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
     payoff gives NaN, and an h that overflows to inf on [0, r + G], or whose
     slope there does, gives inf.  A radius whose h and slope are finite there
     but whose bracket or payoffs would not be (h near the float64 maximum) is
-    solved with h and alpha divided by a power of two, which is exact, and
+    solved with h, and so alpha, divided by a power of two, which is exact, and
     gives its finite value, with no warning, alone as in a batch.
     """
     return _by_block(radii, G, grid_n, lambda rows, r, betas: _minmax_block(h, xmap, r, G, betas))
@@ -228,8 +228,8 @@ def _inner_max(h, xmap, r, G: float, betas: np.ndarray, hvals: np.ndarray, alpha
 
 
 def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
-    """``minmax_values`` for one block of radii r, shaped (m, 1): the h table, slope probe, L, tol and
-    scale of every radius, then ``_planes`` on the block's arrays, or on Python floats for a lone radius."""
+    """``minmax_values`` for one block of radii r, shaped (m, 1): the h table, slope probe, L and tol
+    of every radius, then ``_planes`` on the block's arrays, or on Python floats for a lone radius."""
     hvals = eval_on_array(h, xmap(r, betas, G))
     step = (r + G) / (_PROBE.size - 1)
     probe = _PROBE * step  # np.linspace(0, r + G, 256) row by row, bit for bit
@@ -241,22 +241,18 @@ def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
         L = 2.0 * np.where(np.isfinite(top), max_slope, top) + 1e-6
     tol = 1e-11 * np.maximum(1.0, L)
     # every magnitude of the cutting planes (a payoff, a line's value, the bracket's width) is at most
-    # 4 (G + 2) max(L, top); a row where that passes _ROOM is solved with h and alpha divided by a power
-    # of two, which is exact, so that none leaves float64
-    scale = None
+    # 4 (G + 2) max(L, top); a block with a row where that passes _ROOM is solved again with that row's h
+    # divided by a power of two, and so its alphas too, which is exact, so that none leaves float64
     with np.errstate(over="ignore"):
         scaled = np.isfinite(L) & (4.0 * (G + 2.0) * np.maximum(L, top) > _ROOM)
     if scaled.any():
         shift = np.ceil(np.log2(4.0 * (G + 2.0)) + np.log2(np.maximum(L, top)) - math.log2(_ROOM))
-        scale = np.ldexp(1.0, np.where(scaled, np.minimum(shift, 1023.0), 0.0).astype(int))
-        hvals, L, tol, unscaled = hvals / scale[:, None], L / scale, tol / scale, h
-        h = lambda x: eval_on_array(unscaled, x) / scale[:, None]
+        scale = np.ldexp(1.0, np.where(scaled, np.minimum(shift, 1023.0), 0.0).astype(int))[:, None]
+        return _minmax_block(lambda x: eval_on_array(h, x) / scale, xmap, r, G, betas) * scale[:, 0]
     if r.shape[0] == 1:  # on (1,) arrays the numpy calls' overhead would triple a solve's cost
         inner = lambda x: _inner_max_one(h, xmap, r, G, betas, hvals[0], x)
-        value = np.array([_planes(float(L[0]), float(tol[0]), G, inner, _FLOAT_OPS)])
-    else:
-        value = _planes(L, tol, G, lambda x: _inner_max(h, xmap, r, G, betas, hvals, x), _ARRAY_OPS)
-    return value if scale is None else value * scale
+        return np.array([_planes(float(L[0]), float(tol[0]), G, inner, _FLOAT_OPS)])
+    return _planes(L, tol, G, lambda x: _inner_max(h, xmap, r, G, betas, hvals, x), _ARRAY_OPS)
 
 
 def _minimum(x: float, y: float) -> float:

@@ -131,7 +131,7 @@ class TestParse:
             parse_experiment_spec(path)
         assert str(err.value) == message
 
-    def test_a_spec_reads_into_plain_mappings_for_sweep_json_and_jobs(self, tmp_path):
+    def test_a_spec_writes_the_same_json_and_pickles(self, tmp_path):
         # the entries keep their lines as attributes only: the same JSON, and they pickle
         path, _ = write_spec(tmp_path, MINIMAL_SPEC)
         spec = parse_experiment_spec(path)
@@ -139,7 +139,7 @@ class TestParse:
         assert json.dumps(spec.strategies, indent=2) == json.dumps([raw["strategy"]], indent=2)
         again = pickle.loads(pickle.dumps(spec))
         assert again.strategies == spec.strategies and again.players == spec.players
-        assert again.opponents == spec.opponents
+        assert again.opponents == spec.opponents and again.strategies[0].lines == {"tag": 7, "eta": 8}
 
     def test_unknown_horizon_needs_rounds(self, tmp_path):
         bad = MINIMAL_SPEC.replace("horizon: 10", "horizon: unknown").replace(
@@ -624,11 +624,11 @@ repeats: 2
         assert lines["column"] == [line for line in lines["fine"] if ",raises_at," not in line]
 
     def test_a_column_is_played_once_when_one_of_its_groups_overflows(self, tmp_path, monkeypatch):
-        # ogd's states pass 1.34e154, whose squares leave float64, at round 14; adaptive_normal's first play
-        # leaves float64 in both columns, as q_1(G) = beta_1 exp(G^2 / 2a), about 2.05e308, does at this eps
+        # ogd's states pass 1.34e154, whose squares leave float64, at round 14; adaptive_normal's beta_1 = eps /
+        # log(2)^2, about 2.08e308, leaves float64, so q_1 does at every x and the first play in both columns
         sweep = """\
 game: {dim: 2, grad_bound: 1.0e+153, horizon: unknown, seed: 0}
-strategies: [{tag: ogd, eta: 1.0e-154}, {tag: adaptive_normal, eps: 8.0e+307, a: 2.4e+306}]
+strategies: [{tag: ogd, eta: 1.0e-154}, {tag: adaptive_normal, eps: 1.0e+308, a: 2.4e+306}]
 adversaries: [{tag: greedy_vs_comparator, comparator: [1.0, 0.0]}, {tag: fixed_direction}]
 outputs: {dir: OUTDIR, format: both}
 repeats: 2
@@ -646,7 +646,7 @@ rounds: 20
         monkeypatch.setattr(adversaries.GreedyVsComparator, "grads", grads)
         monkeypatch.setattr(adversaries.FixedDirection, "gradient_block", gradient_block)
         outs = {}
-        alone = sweep.replace(", {tag: adaptive_normal, eps: 8.0e+307, a: 2.4e+306}", "")
+        alone = sweep.replace(", {tag: adaptive_normal, eps: 1.0e+308, a: 2.4e+306}", "")
         for name, text in (("both", sweep), ("s0", alone)):
             (tmp_path / name).mkdir()
             path, outs[name] = write_spec(tmp_path / name, text)
