@@ -170,14 +170,16 @@ class PowerPotential:
             return np.where(np.isnan(bound), (u_norm / self.W) ** self.q * self.W / self.q, bound)
 
 
-def _exponent(square, x, d):
-    """x^2 / d from square, x^2 as its caller spells it with an overflow to inf
-    silenced: square / d where square is finite, and (x / sqrt(d))^2 where it
-    is not, which leaves float64 only where x^2 / d does."""
-    finite = np.isfinite(square)
-    if np.all(finite):
-        return square / d
-    return np.where(finite, square / d, (x / np.sqrt(d)) ** 2)
+def _exponent(x, d, square):
+    """x^2 / d as square(x) / d, square(x) being x^2 as the caller spells it,
+    where that is finite, and as (x / sqrt(d))^2 where it is not, which leaves
+    float64 only where x^2 / d does.  Below 1e154, where no square of |x|
+    overflows, it is square(x) / d at once."""
+    if np.abs(x).max(initial=0.0) < 1e154:
+        return square(x) / d
+    with np.errstate(over="ignore"):
+        s = square(x)
+    return np.where(np.isfinite(s), s / d, (x / np.sqrt(d)) ** 2)
 
 
 class _ExpQuadratic:
@@ -189,18 +191,13 @@ class _ExpQuadratic:
 
     def radial(self, t, x):
         c, d = self.shape(t)
-        with np.errstate(over="ignore"):
-            square = x * x
-        return c * np.exp(_exponent(square, x, d))
+        return c * np.exp(_exponent(x, d, lambda x: x * x))
 
     def radial_diff(self, t, r):
         """q_t(r + G) - q_t(r - G) = c exp((r + G)^2 / d) (1 - exp(-4 G r / d)),
         through expm1, so without cancellation; +0 at r = 0."""
         c, d = self.shape(t)
-        x = r + self.G
-        with np.errstate(over="ignore"):
-            square = x ** 2
-        return -c * np.exp(_exponent(square, x, d)) * np.expm1(-4.0 * self.G / d * r)
+        return -c * np.exp(_exponent(r + self.G, d, lambda x: x ** 2)) * np.expm1(-4.0 * self.G / d * r)
 
     def conjugate_bound(self, u_norm, t):
         c, d = self.shape(t)
