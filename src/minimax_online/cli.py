@@ -12,8 +12,12 @@ Subcommands:
   column computes it once and every strategy replays it; the greedy
   adversary's groups share one round loop.  Each group's traces are written
   and checked before the next group's are built, and a group that fails
-  raises its own error from its own function, the one it raises alone.
-  ``--jobs`` spreads the columns over processes.
+  raises its own error from its own function, the one it raises alone.  A
+  run with the same bits as the run before it in its group (every repeat
+  against an adversary that draws nothing) takes that run's ledger and
+  bound checks, and its CSV trace is a copy of that run's file; a JSON trace
+  is written per run, since its config names its own seed.  ``--jobs``
+  spreads the columns over processes.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
 * ``curves <trace_dir>``: emit tidy per-round regret-vs-envelope CSV; a
@@ -40,6 +44,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import time
 import traceback
@@ -329,25 +334,46 @@ def _configs(spec: ExperimentSpec) -> List[GameConfig]:
     return [replace(spec.game, seed=spec.game.seed + k) for k in range(spec.repeats)]
 
 
+def _repeats(trace, prev) -> bool:
+    """Whether trace has the bits of prev, the run before it in its group: its
+    gradients, then its plays and losses (theta is -cumsum(g)).  Bits, not
+    values: -0.0 == 0.0, but the two are spelled apart."""
+    return prev is not None and all(getattr(trace, key).tobytes() == getattr(prev, key).tobytes()
+                                    for key in ("g", "w", "losses"))
+
+
 def _execute_cell(args):
     """One (strategy, adversary) group: takes its traces from group, its function of
     the column, attaches their ledgers, writes and checks them against comparators,
     and returns its summary rows, run by run.  The traces are written before the
-    call returns, so only one group's states are alive at a time."""
+    call returns, so only one group's states are alive at a time.
+
+    A run that repeats the run before it (an adversary that draws nothing plays
+    every repeat alike) takes that run's ledger and bound checks, and its CSV
+    trace is a copy of that run's file; its JSON trace is written anew, since
+    its config names its own seed."""
     spec, si, ai, group, (comparators, norms), out_dir = args
     strategy, adversary = spec.players[si], spec.opponents[ai]
     traces = group()
     # every trace of the group has this potential and T: one envelope call for all of them
     bounds = regret_bound(strategy.potential, norms, max(spec.rounds, 1)).tolist()
     rows = []
+    prev = prev_csv = None
     for k, trace in enumerate(traces):
-        attach_epsilon(trace, strategy.potential)
         run_id = _run_id(spec, si, ai, k)
-        if spec.out_format in ("csv", "both"):
-            write_trace_csv(trace, Path(out_dir) / f"run_{run_id}.csv")
+        csv_path = Path(out_dir) / f"run_{run_id}.csv"
+        if _repeats(trace, prev):
+            trace.eps = prev.eps
+            if spec.out_format in ("csv", "both"):
+                shutil.copyfile(prev_csv, csv_path)
+        else:
+            attach_epsilon(trace, strategy.potential)
+            if spec.out_format in ("csv", "both"):
+                write_trace_csv(trace, csv_path)
+            reports = verify_bound(trace, strategy, comparators, bounds=bounds, norms=norms)
         if spec.out_format in ("json", "both"):
             write_trace_json(trace, Path(out_dir) / f"run_{run_id}.json")
-        reports = verify_bound(trace, strategy, comparators, bounds=bounds, norms=norms)
+        prev, prev_csv = trace, csv_path
         for comp, report in zip(spec.comparators, reports):
             rows.append({
                 "run_id": run_id, "strategy": strategy.tag, "adversary": adversary.tag,

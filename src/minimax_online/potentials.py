@@ -195,9 +195,14 @@ class _ExpQuadratic:
 
     def radial_diff(self, t, r):
         """q_t(r + G) - q_t(r - G) = c exp((r + G)^2 / d) (1 - exp(-4 G r / d)),
-        through expm1, so without cancellation; +0 at r = 0."""
+        through expm1, so without cancellation; +0 at r = 0 wherever c is
+        finite, also where c exp(G^2 / d) is not (the product is then
+        inf * -0.0, NaN, and fmax takes -c * -0.0 = +0 instead).  The product
+        is never below -c expm1(...), since exp(...) >= 1, so fmax keeps its
+        bits everywhere else."""
         c, d = self.shape(t)
-        return -c * np.exp(_exponent(r + self.G, d, lambda x: x ** 2)) * np.expm1(-4.0 * self.G / d * r)
+        m = np.expm1(-4.0 * self.G / d * r)
+        return np.fmax(-c * np.exp(_exponent(r + self.G, d, lambda x: x ** 2)) * m, -c * m)
 
     def conjugate_bound(self, u_norm, t):
         c, d = self.shape(t)

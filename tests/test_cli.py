@@ -691,6 +691,75 @@ repeats: REPEATS
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_each_distinct_run_is_written_accounted_and_checked_once(self, tmp_path, monkeypatch):
+        # fixed_direction and greedy_vs_comparator draw nothing, so each of their groups plays one run three
+        # times; gaussian_random's repeats differ.  Every file and summary row is still that of its run alone
+        sweep = """\
+game: {dim: 3, grad_bound: 1.0, horizon: unknown, seed: 7}
+strategies: [{tag: adaptive_normal, eps: 1.0, a: 2.4}, {tag: ogd, eta: 0.2}]
+adversaries:
+  - {tag: fixed_direction}
+  - {tag: greedy_vs_comparator, comparator: [1.0, 0.0, 0.0]}
+  - {tag: gaussian_random}
+comparators: [{norm: 0.0}, {norm: 1.0, direction_seed: 1}, {norm: 10.0, direction_seed: 2}]
+outputs: {dir: OUTDIR, format: both}
+repeats: 3
+rounds: 25
+"""
+        calls = dict.fromkeys(("attach_epsilon", "write_trace_csv", "verify_bound", "write_trace_json"), 0)
+        for name in calls:
+            def counted(*args, name=name, call=getattr(cli, name), **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        path, out = write_spec(tmp_path, sweep)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        # 2 strategies x (1 + 1 + 3) distinct runs, and a JSON trace for each of the 18 runs
+        assert calls == {"attach_epsilon": 10, "write_trace_csv": 10, "verify_bound": 10, "write_trace_json": 18}
+        monkeypatch.undo()
+        spec = parse_experiment_spec(path)
+        us = [comparator_vector(c["norm"], c["direction_seed"], spec.game.dim) for c in spec.comparators]
+        ref, rows = tmp_path / "ref", []
+        ref.mkdir()
+        for si, player in enumerate(spec.players):
+            for ai, opponent in enumerate(spec.opponents):
+                for k in range(spec.repeats):
+                    config = dataclasses.replace(spec.game, seed=spec.game.seed + k)
+                    trace = engine.attach_epsilon(engine.run_games(player, opponent, [config], spec.rounds)[0],
+                                                  player.potential)
+                    run_id = f"s{si}-{player.tag}_a{ai}-{opponent.tag}_k{k:03d}"
+                    engine.write_trace_csv(trace, ref / f"run_{run_id}.csv")
+                    engine.write_trace_json(trace, ref / f"run_{run_id}.json")
+                    for comp, report in zip(spec.comparators, engine.verify_bound(trace, player, us)):
+                        rows.append({"run_id": run_id, "strategy": player.tag, "adversary": opponent.tag,
+                                     "seed": config.seed, "u_norm": report.u_norm,
+                                     "direction_seed": comp["direction_seed"], "regret": report.regret_actual,
+                                     "bound": report.regret_bound, "slack": report.slack, "holds": report.holds})
+        files = sorted(p.name for p in ref.iterdir())
+        assert files == sorted(p.name for p in out.glob("run_*")) and len(files) == 36
+        for name in files:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        assert list(csv.DictReader((out / "summary.csv").open())) == [
+            {key: str(value) for key, value in row.items()} for row in rows]
+
+    def test_a_run_that_differs_only_in_the_sign_of_a_zero_is_written_anew(self, tmp_path):
+        # 0.0 == -0.0, but they are spelled apart: a repeat is a run of the same bits, not of equal values
+        path, out = write_spec(tmp_path, MINIMAL_SPEC.replace("format: both", "format: csv").replace(
+            "dim: 2", "dim: 3").replace("repeats: 1", "repeats: 2"))
+        spec = parse_experiment_spec(path)
+        out.mkdir()
+        first = engine.run_games(spec.players[0], spec.opponents[0], [spec.game], spec.rounds)[0]
+        g = np.where(first.g == 0.0, -first.g, first.g)  # fixed_direction's zero coordinates, as -0.0
+        second = dataclasses.replace(first, g=g, theta=_states(g))
+        assert np.array_equal(first.g, second.g) and first.g.tobytes() != second.g.tobytes()
+        cli._execute_cell((spec, 0, 0, lambda: [first, second], cli._comparators(spec.comparators, 3), str(out)))
+        alone = tmp_path / "alone.csv"
+        engine.write_trace_csv(engine.attach_epsilon(dataclasses.replace(second, eps=None), spec.players[0].potential),
+                               alone)
+        written = out / "run_s0-ogd_a0-fixed_direction_k001.csv"
+        assert written.read_bytes() == alone.read_bytes()
+        assert written.read_bytes() != (out / "run_s0-ogd_a0-fixed_direction_k000.csv").read_bytes()
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):

@@ -11,6 +11,7 @@ from minimax_online import (
     AdaptiveNormalPotential,
     FixedDirection,
     GameConfig,
+    GreedyVsComparator,
     NormalKnownTPotential,
     PotentialPlayer,
     PowerPotential,
@@ -179,6 +180,28 @@ def test_an_exponent_whose_square_leaves_float64_is_divided_first(pot):
     c, d, r = c[1:], d[1:], r[1:]
     assert diff[1:].tolist() == (-c * np.exp((r + pot.G) ** 2 / d) * np.expm1(-4.0 * pot.G / d * r)).tolist()
     assert value[1:].tolist() == (c * np.exp(r * r / d)).tolist()
+
+
+@pytest.mark.parametrize("adversary", [FixedDirection(G=1e153), GreedyVsComparator(G=1e153, comparator=(1.0, 0.0))],
+                         ids=["block", "round_by_round"])
+def test_the_difference_at_r_0_is_0_where_c_is_finite(adversary):
+    # beta_1 is about 1.67e308, finite, but c exp(G^2 / d) leaves float64, so the product is inf * -0.0, where
+    # D_1(0) = q_1(G) - q_1(G) = 0; the first play is then 0, by symmetry.  At eps = 1e308, beta_1 itself is
+    # inf, and so the difference stays NaN and the first play an overflow
+    pot = AdaptiveNormalPotential(eps=8e307, a=2.4e306, G=1e153)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (1, np.array([1, 2])):
+            diff = pot.radial_diff(t, np.zeros(2))
+            assert diff.tolist() == [0.0, 0.0] and not np.signbit(diff).any()
+        assert np.isnan(dataclasses.replace(pot, eps=1e308).radial_diff(1, np.zeros(1))).all()
+    config = GameConfig(dim=2, grad_bound=1e153)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = run_game(PotentialPlayer(pot), adversary, config, 3)
+        assert trace.w[0].tolist() == [0.0, 0.0] and not np.signbit(trace.w[0]).any()
+        assert np.isfinite(trace.w).all() and abs(trace.w[1, 0]) > 1e154
+        with pytest.raises(OverflowError, match="^round 1: the play left the float64 range$"):
+            run_game(PotentialPlayer(dataclasses.replace(pot, eps=1e308)), adversary, config, 3)
 
 
 class TestConjugateNumeric:
