@@ -725,8 +725,8 @@ rounds: 25
             for ai, opponent in enumerate(spec.opponents):
                 for k in range(spec.repeats):
                     config = dataclasses.replace(spec.game, seed=spec.game.seed + k)
-                    trace = engine.attach_epsilon(engine.run_games(player, opponent, [config], spec.rounds)[0],
-                                                  player.potential)
+                    trace = engine.run_game(player, opponent, config, spec.rounds)
+                    engine.attach_epsilon(trace, player.potential)
                     run_id = f"s{si}-{player.tag}_a{ai}-{opponent.tag}_k{k:03d}"
                     engine.write_trace_csv(trace, ref / f"run_{run_id}.csv")
                     engine.write_trace_json(trace, ref / f"run_{run_id}.json")
