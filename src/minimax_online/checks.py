@@ -101,13 +101,13 @@ def random_one_round_specs(regime: str, n: int, rng) -> list:
     return specs
 
 
-def one_round(seed: int, regime: Optional[str] = None) -> Iterator[Row]:
-    """Closed form vs grid oracle on 50 random problems per regime (both
-    regimes unless one is given), two rows per regime: the largest gap
+def one_round(seed: int) -> Iterator[Row]:
+    """Closed form vs grid oracle on 50 random problems per regime, the
+    orthogonal ones drawn first, two rows per regime: the largest gap
     |closed - grid| / (1 + |closed|), and the smallest margin grid - lower
     bound, the orthogonal value, which bounds H from below whenever d >= 2."""
     rng = make_rng(seed)
-    for reg in ([ORTHOGONAL, PARALLEL] if regime is None else [regime]):
+    for reg in (ORTHOGONAL, PARALLEL):
         worst = 0.0
         margin = math.inf
         for spec in random_one_round_specs(reg, 50, rng):

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import adversaries as adv_mod
 from . import strategies as strat_mod
-from .core import ORTHOGONAL, PARALLEL, GameConfig, UNKNOWN_HORIZON, linalg_norms, make_rng, random_unit_vector
+from .core import GameConfig, UNKNOWN_HORIZON, linalg_norms, make_rng, random_unit_vector
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
 from .engine import (attach_epsilon, regret_bound, repr_spellings, run_column, run_game,  # noqa: F401
                      verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
@@ -402,17 +402,14 @@ def _execute_column(args):
     return results
 
 
-def _job_count(flag: Optional[str]) -> int:
-    """--jobs, else MINIMAX_ONLINE_JOBS, else 1; a ConfigError unless it is
-    an integer >= 1."""
-    source, value = (("--jobs", flag) if flag is not None
-                     else ("MINIMAX_ONLINE_JOBS", os.environ.get("MINIMAX_ONLINE_JOBS", "1")))
+def _job_count(value: str) -> int:
+    """--jobs as an int; a ConfigError unless it is an integer >= 1."""
     try:
         jobs = int(value)
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+        raise ConfigError(f"--jobs must be an integer >= 1, got {value!r}")
     return jobs
 
 
@@ -518,8 +515,6 @@ def cmd_verify(args) -> int:
     for name in names:
         start = time.perf_counter()
         check, kwargs = SUITES[name]
-        if name == "one-round":
-            kwargs = {**kwargs, "regime": args.regime}
         rows.extend(getattr(checks, check)(**kwargs))
         seconds[name] = time.perf_counter() - start
     width = max(len(row.label) for row in rows)
@@ -616,14 +611,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment spec")
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--out", default=None, help="override outputs.dir")
-    p_run.add_argument("--jobs", default=None, help="worker processes (default: MINIMAX_ONLINE_JOBS, else 1)")
+    p_run.add_argument("--jobs", default="1", help="worker processes (default 1)")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.add_argument("--format", choices=("csv", "json", "both"), default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run oracle-backed check suites")
     p_verify.add_argument("--lemma", choices=sorted(SUITES), default=None)
-    p_verify.add_argument("--regime", choices=(ORTHOGONAL, PARALLEL), default=None)
     p_verify.add_argument("--all", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

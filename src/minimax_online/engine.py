@@ -315,8 +315,11 @@ class BoundReport:
     holds: bool
 
 
+BOUND_TOL = 1e-6  # a bound holds if regret exceeds it by at most BOUND_TOL (1 + |bound|)
+
+
 def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
-                 tol: float = 1e-6, bounds: Optional[Sequence[float]] = None,
+                 bounds: Optional[Sequence[float]] = None,
                  norms: Optional[Sequence[float]] = None) -> List[BoundReport]:
     """Compare measured regret against the envelope of the strategy's potential
     at T, all comparators' envelopes in one ``regret_bound`` call; or, if
@@ -333,7 +336,7 @@ def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
         actual = regret(trace, u)
         slack = bound - actual
         if math.isfinite(bound):
-            holds = bool(slack >= -tol * (1.0 + abs(bound)))
+            holds = bool(slack >= -BOUND_TOL * (1.0 + abs(bound)))
         else:  # only +inf is vacuous, and a NaN regret holds under no bound
             holds = bound == math.inf and not math.isnan(actual)
         reports.append(BoundReport(u, u_norm, actual, bound, slack, holds))

@@ -323,20 +323,18 @@ def _inner_max_one(h, xmap, r, G: float, betas: np.ndarray, hrow: np.ndarray, al
     return _maximum(coarse_top, fine_top), float(fine[j] if fine_top > coarse_top else betas[k])
 
 
-def solve_scalar_grid(spec: OneRoundSpec, grid_n: int = 1001) -> float:
+def solve_scalar_grid(spec: OneRoundSpec) -> float:
     """Numeric one-round value via the scalar reduction (the grid oracle).
 
     The value min over alpha of max over beta in [-G, G] of alpha*beta +
     h(||theta - g||) from ``minmax_values`` at the one radius ||theta||, on
     Python floats (the value a batch gives that radius, bit for bit):
     cutting planes from the maximizing beta (a subgradient) over the player
-    scalar alpha, and a grid_n-point beta grid refined around its best point
+    scalar alpha, and a 1001-point beta grid refined around its best point
     for the adversary scalar beta.  ||theta - g|| is ``line_distance`` when
     theta has one coordinate and ``plane_distance`` otherwise; accuracy ~1e-3
     relative or better on the families used here.
     """
-    if grid_n < 101:
-        raise ValueError("grid_n must be >= 101")
     r = float(np.linalg.norm(spec.theta))
     xmap = line_distance if spec.theta.size == 1 else plane_distance
-    return float(minmax_values(spec.h, xmap, [r], spec.G, grid_n)[0])
+    return float(minmax_values(spec.h, xmap, [r], spec.G, 1001)[0])

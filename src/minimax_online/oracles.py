@@ -21,7 +21,6 @@ from .one_round import eval_on_array, line_distance, minmax_values, plane_distan
 from .one_round import solve_scalar_grid  # noqa: F401  (the benchmark's tracer wraps it by name here)
 
 MAX_GH_NODES = 256
-MIN_GH_NODES = 16
 GH_STABILITY_RTOL = 1e-8
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden section
 
@@ -102,20 +101,18 @@ def _quad_fallback(f, mean: float, variance: float) -> float:
     return results[1]
 
 
-def gaussian_expectation(f, mean: float, variance: float, nodes: int = 64) -> float:
+def gaussian_expectation(f, mean: float, variance: float) -> float:
     """E[f(mean + phi)] for phi ~ N(0, variance).
 
-    Gauss-Hermite with node doubling until successive estimates agree to
-    1e-8 relative, capped at 256 nodes.  If the ladder keeps growing the
+    Gauss-Hermite from 64 nodes, doubling until successive estimates agree
+    to 1e-8 relative, capped at 256 nodes.  If the ladder keeps growing the
     integral is treated as divergent; if it merely creeps (nonsmooth f, e.g.
     |x|), an adaptive-quadrature fallback supplies the value.
     """
     if not variance > 0:
         raise ValueError("variance must be positive")
-    if not MIN_GH_NODES <= nodes <= MAX_GH_NODES:
-        raise ValueError(f"nodes must lie in [{MIN_GH_NODES}, {MAX_GH_NODES}]")
-    ladder = [_gh_eval(f, mean, variance, nodes)]
-    n = nodes
+    n = 64
+    ladder = [_gh_eval(f, mean, variance, n)]
     while n < MAX_GH_NODES:
         n = min(2 * n, MAX_GH_NODES)
         ladder.append(_gh_eval(f, mean, variance, n))
@@ -138,20 +135,20 @@ def _convexity_precheck(f, lo: float = -5.0, hi: float = 5.0, n: int = 65) -> No
             raise ValueError(f"function is not convex near x={x:.3f}")
 
 
-def gaussian_dominance_check(f, tol: float = 1e-8) -> bool:
+def gaussian_dominance_check(f) -> bool:
     """Whether the fair-coin mean of a convex f is dominated by the N(0, pi/2) mean."""
     _convexity_precheck(f)
     lhs = 0.5 * (float(f(1.0)) + float(f(-1.0)))
     rhs = gaussian_expectation(f, 0.0, math.pi / 2.0)
-    return lhs <= rhs + tol
+    return lhs <= rhs + 1e-8
 
 
-def argmax_at_zero_check(eps: float, a: float, G: float, t: int, grid_n: int = 1000) -> bool:
+def argmax_at_zero_check(eps: float, a: float, G: float, t: int) -> bool:
     """Whether the Gaussian-step gap of the adaptive potential peaks at the origin.
 
     Evaluates D(x) = E_phi[beta_{t+1} exp((x + phi G)^2 / (2a(t+1)))]
-    - beta_t exp(x^2/(2at)) on x in [0, 10 sqrt(at)] using the closed-form
-    Gaussian expectation, and confirms the maximum sits at x = 0.
+    - beta_t exp(x^2/(2at)) at 1000 points of [0, 10 sqrt(at)] using the
+    closed-form Gaussian expectation, and confirms the maximum sits at x = 0.
     """
     if not a > 3.0 * math.pi * G * G / 4.0:
         raise ValueError("requires a > 3*pi*G^2/4")
@@ -162,7 +159,7 @@ def argmax_at_zero_check(eps: float, a: float, G: float, t: int, grid_n: int = 1
     c = a * (t + 1.0)
     s2 = math.pi * G * G / 2.0
     pref = beta_next / math.sqrt(1.0 - s2 / c)
-    xs = np.linspace(0.0, 10.0 * math.sqrt(a * t), grid_n)
+    xs = np.linspace(0.0, 10.0 * math.sqrt(a * t), 1000)
     gap = pref * np.exp(xs * xs / (2.0 * (c - s2))) - beta_t * np.exp(xs * xs / (2.0 * a * t))
     return bool(np.all(gap <= gap[0] + 1e-12 * (1.0 + abs(gap[0]))))
 
@@ -172,9 +169,9 @@ class RecursionSpec:
     """Backward-induction oracle configuration (desk scale only).
 
     f is the scalar benchmark profile: B(theta) = f(||theta||).  dim selects
-    the state geometry (1 or 2); n_r the radial grid resolution; grid_n the
-    adversary-scalar resolution of the inner one-round solves; r_pad extra
-    slack on the reachable radius.
+    the state geometry (1 or 2); n_r the points of the radial grid, which
+    spans the reachable radii and 1 more; grid_n the adversary-scalar
+    resolution of the inner one-round solves.
     """
 
     f: Callable[[float], float]
@@ -183,7 +180,6 @@ class RecursionSpec:
     dim: int = 2
     n_r: int = 257
     grid_n: int = 513
-    r_pad: float = 1.0
 
     def __post_init__(self):
         for name in ("T", "n_r", "grid_n"):
@@ -196,8 +192,6 @@ class RecursionSpec:
             raise ValueError("dim must be 1 or 2")
         if not 0.0 < self.G < math.inf:
             raise ValueError("G must be positive and finite")
-        if not 0.0 <= self.r_pad < math.inf:
-            raise ValueError("r_pad must be nonnegative and finite")
         if self.n_r < 2:
             raise ValueError("n_r must be >= 2")
         if self.grid_n < 101:
@@ -232,7 +226,7 @@ def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
     if not isinstance(t, numbers.Integral) or not 0 <= t <= spec.T:
         raise ValueError(f"t must be an integer in [0, T={spec.T}], got {t!r}")
     r0 = float(np.linalg.norm(theta))
-    r_max = r0 + spec.G * (spec.T - t + 1) + spec.r_pad
+    r_max = r0 + spec.G * (spec.T - t + 1) + 1.0
     grid = np.linspace(0.0, r_max, spec.n_r)
     xmap = plane_distance if spec.dim == 2 else line_distance
     rows = [int(np.searchsorted(grid, r0)) + 1]  # rows[k]: the grid points the table of stage t + k needs
@@ -248,11 +242,11 @@ def conditional_value_recursive(spec: RecursionSpec, t: int, theta) -> float:
     return float(np.interp(r0, grid[:table.size], table))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 300):
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
     """The maximum of a unimodal scalar function on [lo, hi].
 
     The bracket shrinks by the golden ratio per iteration, so ~60 iterations
-    reduce it by 1e-12; max_iter is a guard.
+    reduce it by 1e-12; at most 300 run.
     """
     a, b = float(lo), float(hi)
     if not b >= a:
@@ -260,7 +254,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: in
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(300):
         if b - a <= tol:
             break
         if fc > fd:
@@ -274,7 +268,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: in
     return fc if fc > fd else fd
 
 
-def conjugate_numeric(f, u_norm: float, search_bound: float, tol: float = 1e-8) -> float:
+def conjugate_numeric(f, u_norm: float, search_bound: float) -> float:
     """sup over [0, search_bound] of a*u_norm - f(a), by golden-section search.
 
     f must be convex on the interval so the objective is concave.  If the
@@ -307,7 +301,7 @@ def conjugate_numeric(f, u_norm: float, search_bound: float, tol: float = 1e-8) 
                 hi = mid
         hi = lo
 
-    v = golden_section_max(objective, 0.0, hi, tol=min(tol, 1e-10 * (1.0 + hi)))
+    v = golden_section_max(objective, 0.0, hi, tol=min(1e-8, 1e-10 * (1.0 + hi)))
     obj_zero = objective(0.0)
     obj_edge = objective(hi)
     v = max(v, obj_zero, obj_edge)

@@ -194,15 +194,22 @@ class _ExpQuadratic:
         return c * np.exp(_exponent(x, d, lambda x: x * x))
 
     def radial_diff(self, t, r):
-        """q_t(r + G) - q_t(r - G) = c exp((r + G)^2 / d) (1 - exp(-4 G r / d)),
-        through expm1, so without cancellation; +0 at r = 0 wherever c is
-        finite, also where c exp(G^2 / d) is not (the product is then
-        inf * -0.0, NaN, and fmax takes -c * -0.0 = +0 instead).  The product
-        is never below -c expm1(...), since exp(...) >= 1, so fmax keeps its
-        bits everywhere else."""
+        """q_t(r + G) - q_t(r - G) = -c exp(A) m, with A = (r + G)^2 / d and
+        m = expm1(-4 G r / d), so without cancellation.  Where that product is
+        not finite (c exp(A) overflows, or is inf times m = -0.0 at r = 0), it
+        is exp(log c + A + log(-m)), finite wherever D is: +0 at r = 0
+        wherever c is finite, NaN where c is inf.  Wherever the product is
+        finite these are its bits; only a D that leaves float64 (overflow) or
+        an infinite c (invalid) warns."""
         c, d = self.shape(t)
         m = np.expm1(-4.0 * self.G / d * r)
-        return np.fmax(-c * np.exp(_exponent(r + self.G, d, lambda x: x ** 2)) * m, -c * m)
+        A = _exponent(r + self.G, d, lambda x: x ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = -c * np.exp(A) * m
+        if np.isfinite(D).all():
+            return D
+        with np.errstate(divide="ignore"):  # log(-m) is -inf at r = 0
+            return np.where(np.isfinite(D), D, np.exp(np.log(c) + A + np.log(-m)))
 
     def conjugate_bound(self, u_norm, t):
         c, d = self.shape(t)

@@ -767,11 +767,6 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_one_round_regime_filter(self, capsys):
-        assert main(["verify", "--lemma", "one-round", "--regime", "parallel"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "parallel" in out and "orthogonal" not in out
-
     def test_requires_selection(self, capsys):
         assert main(["verify"]) == EXIT_CONFIG
 
@@ -1174,19 +1169,6 @@ class TestJobCount:
         assert main(["run", "--spec", str(path), "--jobs", jobs]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {jobs!r}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("jobs", ["0", "-1", "many", ""])
-    def test_the_variable_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch, jobs):
-        monkeypatch.setenv("MINIMAX_ONLINE_JOBS", jobs)
-        path, out = write_spec(tmp_path, MINIMAL_SPEC)
-        assert main(["run", "--spec", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: MINIMAX_ONLINE_JOBS must be an integer >= 1, got {jobs!r}\n"
-        assert not out.exists()
-
-    def test_the_flag_overrides_the_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MINIMAX_ONLINE_JOBS", "many")
-        path, out = write_spec(tmp_path, MINIMAL_SPEC)
-        assert main(["run", "--spec", str(path), "--jobs", "1"]) == EXIT_OK
 
 
 def run_child(code, *args):

@@ -344,12 +344,13 @@ class TestRunGames:
     # answers the plays round by round
     @pytest.mark.parametrize("adversary", [FixedDirection(G=1.0), ParallelMinimax(G=1.0), AgainstThePlay(G=1.0)])
     def test_overflow_raises_overflow_error(self, adversary):
-        # adaptive_normal against one line that theta grows along leaves float64 after about 3.4k rounds
+        # adaptive_normal against one line that theta grows along leaves float64 after about 3.4k rounds:
+        # q_t(r + G) overflows from round 3407 on, the play D_t(r) / (2 G r) at round 3430
         player = PotentialPlayer(AdaptiveNormalPotential(eps=1.0, a=2.4, G=1.0))
         configs = [GameConfig(dim=4, grad_bound=1.0, seed=seed) for seed in (0, 1)]
-        with pytest.raises(OverflowError, match="round 3407"):
+        with pytest.raises(OverflowError, match="round 3430"):
             run_games(player, adversary, configs, 4000)
-        with pytest.raises(OverflowError, match="round 3407"):
+        with pytest.raises(OverflowError, match="round 3430"):
             reference_run_game(player, adversary, configs[0], 4000)
 
     @pytest.mark.parametrize("path", ["block", "round by round"])

@@ -111,22 +111,18 @@ class TestScalarGrid:
         spec = OneRoundSpec(h=lambda x: x**4, theta=np.array([1.0, 0.0]), G=1.0)
         assert solve_scalar_grid(spec) == pytest.approx(8.0, rel=1e-3)
 
-    def test_grid_size_validated(self):
-        spec = OneRoundSpec(h=lambda x: x, theta=np.array([1.0, 0.0]), G=1.0)
-        with pytest.raises(ValueError):
-            solve_scalar_grid(spec, grid_n=50)
-
     @pytest.mark.parametrize("regime", [ORTHOGONAL, PARALLEL])
     def test_oracle_agreement_random_specs(self, regime):
-        rows = list(checks.one_round(seed=7, regime=regime))
+        rows = [row for row in checks.one_round(seed=7) if row.label.startswith(regime)]
         assert len(rows) == 2 and all(row.ok for row in rows), rows
 
     def test_nan_grid_value_fails_both_rows(self, monkeypatch):
-        calls = iter(range(50))
+        # the 50 orthogonal specs are solved first, so call 75 is the 26th parallel one
+        calls = iter(range(100))
         monkeypatch.setattr(checks, "solve_scalar_grid",
-                            lambda spec: math.nan if next(calls) == 25 else solve_scalar_grid(spec))
-        rows = list(checks.one_round(seed=7, regime=PARALLEL))
-        assert [row.ok for row in rows] == [False, False], rows
+                            lambda spec: math.nan if next(calls) == 75 else solve_scalar_grid(spec))
+        rows = list(checks.one_round(seed=7))
+        assert [row.ok for row in rows] == [not row.label.startswith(PARALLEL) for row in rows], rows
 
 
 def reference_minmax_values(h, xmap, radii, G, grid_n):

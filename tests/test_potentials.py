@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import warnings
 
@@ -104,7 +105,7 @@ class TestNormalKnownTPotential:
 
     def test_interior_round_vs_quadrature(self):
         pot = NormalKnownTPotential(eps=1.0, a=2.0, G=1.0, T=2)
-        quad = gaussian_expectation(lambda y: math.exp(y * y / 8.0), 0.0, math.pi / 2.0, nodes=64)
+        quad = gaussian_expectation(lambda y: math.exp(y * y / 8.0), 0.0, math.pi / 2.0)
         assert pot.radial(1, 0.0) == pytest.approx(quad, rel=1e-8)
 
     def test_linear_in_eps(self):
@@ -202,6 +203,22 @@ def test_the_difference_at_r_0_is_0_where_c_is_finite(adversary):
         assert np.isfinite(trace.w).all() and abs(trace.w[1, 0]) > 1e154
         with pytest.raises(OverflowError, match="^round 1: the play left the float64 range$"):
             run_game(PotentialPlayer(dataclasses.replace(pot, eps=1e308)), adversary, config, 3)
+
+
+def test_a_finite_difference_of_terms_that_overflow_is_finite():
+    # q_15(r + G) passes the float64 maximum, but D_15(r), about 1.12e308, does not; the reference is D
+    # at shape(15)'s float c and d, to 700 digits
+    pot = AdaptiveNormalPotential(eps=7e307, a=2.4e306, G=1e153)
+    r = np.array([1.4e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        diff = pot.radial_diff(15, r)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        c, d, x, G = map(decimal.Decimal, (*map(float, pot.shape(15)), float(r[0]), pot.G))
+        want = float(c * ((x + G) ** 2 / d).exp() * (1 - (-4 * G * x / d).exp()))
+    assert want == pytest.approx(1.120347336934734e308, rel=1e-15)
+    assert diff[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestConjugateNumeric:

@@ -1,6 +1,7 @@
-"""Smoke tests of the example scripts and of the committed envelope spec."""
+"""Smoke tests of the example scripts, the README quick start and the committed envelope spec."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,12 @@ def test_zero_reward_duel_runs():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "zero_reward_duel.py"), "--rounds", "4"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_envelope_spec_is_the_checks_tables():
