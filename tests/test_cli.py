@@ -767,6 +767,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_one_round_runs_both_regimes(self, capsys):
+        assert main(["verify", "--lemma", "one-round"]) == EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(("PASS", "FAIL"))]
+        labels = [row.split()[1] for row in rows]
+        assert labels == ["orthogonal:"] * 2 + ["parallel:"] * 2 and all(row.endswith("PASS") for row in rows)
+
     def test_requires_selection(self, capsys):
         assert main(["verify"]) == EXIT_CONFIG
 
@@ -1169,6 +1175,14 @@ class TestJobCount:
         assert main(["run", "--spec", str(path), "--jobs", jobs]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {jobs!r}\n"
         assert not out.exists()
+
+    # perfbench still exports MINIMAX_ONLINE_JOBS, which --jobs no longer reads, even where it is no count
+    @pytest.mark.parametrize("jobs", ["0", "-1", "many", ""])
+    def test_the_variable_is_ignored(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setenv("MINIMAX_ONLINE_JOBS", jobs)
+        path, out = write_spec(tmp_path, MINIMAL_SPEC)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        assert (out / "summary.csv").exists()
 
 
 def run_child(code, *args):

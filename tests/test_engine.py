@@ -42,7 +42,7 @@ from minimax_online import (
 )
 from minimax_online.core import (DimensionMismatchError, UnsupportedDimensionError, complement_rows,
                                  random_unit_vector, row_norms, unit_direction)
-from minimax_online.engine import _states, repr_spellings, trace_from_dict, trace_to_dict, write_repr_rows
+from minimax_online.engine import BOUND_TOL, _states, repr_spellings, trace_from_dict, trace_to_dict, write_repr_rows
 from minimax_online.oracles import BoundaryHitError, conjugate_numeric
 
 
@@ -530,6 +530,18 @@ class TestVerifyBound:
         with np.errstate(invalid="ignore"):
             report = verify_bound(trace, None, [np.zeros(1)], bounds=[bound])[0]
         assert report.holds is holds
+
+
+    @pytest.mark.parametrize("over,holds", [(0.9, True), (1.1, False)])
+    def test_the_tolerance_is_relative_to_the_bound(self, over, holds):
+        # regret above a bound of 1e6 by 0.9 or 1.1 times BOUND_TOL (1 + 1e6), about 1
+        bound = 1e6
+        actual = bound + over * BOUND_TOL * (1.0 + bound)
+        cfg = GameConfig(dim=1, grad_bound=1.0, seed=0)
+        trace = Trace(cfg, "stub", "stub", np.array([[1.0]]), np.array([[actual]]), np.array([[-actual]]),
+                      np.array([actual]))
+        report = verify_bound(trace, None, [np.zeros(1)], bounds=[bound])[0]
+        assert report.regret_actual == actual and report.holds is holds
 
 
 class ScriptedNormals:

@@ -67,6 +67,11 @@ class TestGaussianExpectation:
                                    (math.pi / 2.0) * G * G)
         assert val == pytest.approx(1.2832108736998058, rel=1e-9)
 
+    def test_smooth_integrand_matches_its_closed_form(self):
+        # E[exp((m + phi) / 3)] = exp(m / 3 + v / 18) for phi ~ N(0, v); the ladder settles by 128 nodes
+        assert gaussian_expectation(lambda x: math.exp(x / 3.0), 0.5, 2.0) == pytest.approx(
+            math.exp(0.5 / 3.0 + 2.0 / 18.0), rel=1e-12)
+
     def test_ladder_capped_at_max_nodes(self):
         # the ladder runs 64, 128 and 256, the cap, without settling on |x|^1.5; at 400 nodes hermgauss overflows
         val = gaussian_expectation(lambda x: abs(x) ** 1.5, 0.0, 1.0)
@@ -255,7 +260,7 @@ class TestRecursionValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("n_r", 1), ("n_r", 65.0), ("grid_n", 1), ("grid_n", 100), ("G", math.inf), ("G", math.nan), ("G", 0.0),
-        ("T", 2.5),
+        ("T", 2.5), ("n_r", True), ("grid_n", 513.0), ("G", -1.0), ("dim", 3),
     ])
     def test_spec_rejects_a_bad_value(self, field, value):
         with pytest.raises(ValueError):

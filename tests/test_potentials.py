@@ -221,6 +221,26 @@ def test_a_finite_difference_of_terms_that_overflow_is_finite():
     assert diff[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@given(eps=st.floats(1e-3, 1e300), a=st.floats(2.4, 1e6), G=st.floats(1e-3, 1e140), t=st.integers(1, 10**6),
+       x=st.floats(0.0, 1e160))
+@settings(max_examples=200, deadline=None)
+def test_a_finite_product_keeps_its_bits(eps, a, G, t, x):
+    # wherever -c exp(A) m is finite, radial_diff is that product, bit for bit; where all of it is, nothing
+    # warns (a D that leaves float64 may)
+    pot = AdaptiveNormalPotential(eps=eps, a=a * G * G, G=G)
+    r = np.array([0.0, x, x / 7.0, G])
+    c, d = pot.shape(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = (r + G) ** 2
+        A = np.where(np.isfinite(square), square / d, ((r + G) / np.sqrt(d)) ** 2)
+        want = -c * np.exp(A) * np.expm1(-4.0 * G / d * r)
+    finite = np.isfinite(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if finite.all() else "ignore", RuntimeWarning)
+        diff = pot.radial_diff(t, r)
+    assert diff[finite].tolist() == want[finite].tolist()
+
+
 class TestConjugateNumeric:
     def test_self_conjugate_quadratic(self):
         val = conjugate_numeric(lambda a: a * a / 2.0, 3.0, search_bound=20.0)
