@@ -16,8 +16,8 @@ Subcommands:
   run with the same bits as the run before it in its group (every repeat
   against an adversary that draws nothing) takes that run's ledger and
   bound checks, and its CSV trace is a copy of that run's file; a JSON trace
-  is written per run, since its config names its own seed.  ``--jobs``
-  spreads the columns over processes.
+  is written per run, since its config names its own seed.  The columns run
+  one after another in one process; ``--jobs`` accepts only 1.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
 * ``curves <trace_dir>``: emit tidy per-round regret-vs-envelope CSV; a
@@ -342,7 +342,7 @@ def _repeats(trace, prev) -> bool:
                                     for key in ("g", "w", "losses"))
 
 
-def _execute_cell(args):
+def _execute_cell(spec, si, ai, group, comparators, out_dir):
     """One (strategy, adversary) group: takes its traces from group, its function of
     the column, attaches their ledgers, writes and checks them against comparators,
     and returns its summary rows, run by run.  The traces are written before the
@@ -351,8 +351,8 @@ def _execute_cell(args):
     A run that repeats the run before it (an adversary that draws nothing plays
     every repeat alike) takes that run's ledger and bound checks, and its CSV
     trace is a copy of that run's file; its JSON trace is written anew, since
-    its config names its own seed."""
-    spec, si, ai, group, (comparators, norms), out_dir = args
+    its config names its own seed.  comparators is ``_comparators``'."""
+    us, norms = comparators
     strategy, adversary = spec.players[si], spec.opponents[ai]
     traces = group()
     # every trace of the group has this potential and T: one envelope call for all of them
@@ -361,7 +361,7 @@ def _execute_cell(args):
     prev = prev_csv = None
     for k, trace in enumerate(traces):
         run_id = _run_id(spec, si, ai, k)
-        csv_path = Path(out_dir) / f"run_{run_id}.csv"
+        csv_path = out_dir / f"run_{run_id}.csv"
         if _repeats(trace, prev):
             trace.eps = prev.eps
             if spec.out_format in ("csv", "both"):
@@ -370,9 +370,9 @@ def _execute_cell(args):
             attach_epsilon(trace, strategy.potential)
             if spec.out_format in ("csv", "both"):
                 write_trace_csv(trace, csv_path)
-            reports = verify_bound(trace, strategy, comparators, bounds=bounds, norms=norms)
+            reports = verify_bound(trace, strategy, us, bounds=bounds, norms=norms)
         if spec.out_format in ("json", "both"):
-            write_trace_json(trace, Path(out_dir) / f"run_{run_id}.json")
+            write_trace_json(trace, out_dir / f"run_{run_id}.json")
         prev, prev_csv = trace, csv_path
         for comp, report in zip(spec.comparators, reports):
             rows.append({
@@ -385,37 +385,26 @@ def _execute_cell(args):
     return rows
 
 
-def _execute_column(args):
+def _execute_column(spec, ai, comparators, out_dir):
     """Every strategy's group against adversary ai, in strategy order, from
     one ``engine.run_column`` call: for each, (summary rows, None), or ([],
     message) when the group raised; the traceback then goes to stderr and
     the column's other groups still run.  comparators is ``_comparators``'."""
-    spec, ai, comparators, out_dir = args
     groups = run_column(spec.players, spec.opponents[ai], _configs(spec), spec.rounds)
     results = []
     for si, group in enumerate(groups):
         try:
-            results.append((_execute_cell((spec, si, ai, group, comparators, out_dir)), None))
+            results.append((_execute_cell(spec, si, ai, group, comparators, out_dir), None))
         except Exception as exc:  # a crash in one group must not hide the others' verdicts
             traceback.print_exc()
             results.append(([], f"{type(exc).__name__}: {exc}"))
     return results
 
 
-def _job_count(value: str) -> int:
-    """--jobs as an int; a ConfigError unless it is an integer >= 1."""
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be an integer >= 1, got {value!r}")
-    return jobs
-
-
 def cmd_run(args) -> int:
     try:
-        jobs = _job_count(args.jobs)
+        if args.jobs != "1":
+            raise ConfigError(f"--jobs must be 1, got {args.jobs!r}")
         spec = parse_experiment_spec(args.spec)
         if args.seed is not None:  # the last repeat's seed is --seed + repeats - 1
             seed = _coerce(args.seed, int, "--seed", minimum=0, maximum=SEED_MAX - (spec.repeats - 1))
@@ -436,14 +425,7 @@ def cmd_run(args) -> int:
 
     # adversary-major, so only one column's gradient block is alive at a time
     comparators = _comparators(spec.comparators, spec.game.dim)
-    columns = [(spec, ai, comparators, str(out_dir)) for ai in range(len(spec.adversaries))]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # not at module level: --jobs 1 never loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_execute_column, columns))
-    else:
-        results = [_execute_column(column) for column in columns]
+    results = [_execute_column(spec, ai, comparators, out_dir) for ai in range(len(spec.adversaries))]
     all_rows, errors = [], []
     for si in range(len(spec.strategies)):  # back in (strategy, adversary, repeat) order
         for ai, column in enumerate(results):
@@ -611,7 +593,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment spec")
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--out", default=None, help="override outputs.dir")
-    p_run.add_argument("--jobs", default="1", help="worker processes (default 1)")
+    p_run.add_argument("--jobs", default="1", help="must be 1: a sweep runs in one process")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.add_argument("--format", choices=("csv", "json", "both"), default=None)
     p_run.set_defaults(func=cmd_run)

@@ -240,6 +240,8 @@ class NormalKnownTPotential(_ExpQuadratic):
             raise ValueError(
                 f"require a > pi*G^2/2 = {math.pi * self.G * self.G / 2.0:.6g}, got a={self.a}"
             )
+        if not 2.0 * self.a * self.T <= sys.float_info.max:  # d_T = 2aT, the largest d_t
+            raise ValueError(f"require 2*a*T within float64, got a={self.a}, T={self.T}")
 
     def shape(self, t):
         _check_rounds(t, 0, self.T)
@@ -279,8 +281,14 @@ class AdaptiveNormalPotential(_ExpQuadratic):
         return self.eps / np.log(t + 1.0) ** 2
 
     def shape(self, t):
-        """(beta_t, 2 a t), for t >= 1."""
-        return self.beta(t), 2.0 * self.a * t
+        """(beta_t, 2 a t), for t >= 1; d_t is NaN where 2at leaves float64, so
+        every quantity of that round is NaN and the engine's checks name it."""
+        if isinstance(t, np.ndarray):
+            with np.errstate(over="ignore"):
+                d = 2.0 * self.a * t
+            return self.beta(t), np.where(d <= sys.float_info.max, d, np.nan)
+        d = 2.0 * self.a * t
+        return self.beta(t), d if d <= sys.float_info.max else math.nan
 
     def radial(self, t, x):
         """q_t(x), with q_0 = 0 since beta_0 is undefined."""

@@ -367,25 +367,6 @@ repeats: 3
         seeds = {json.loads(p.read_text())["config"]["seed"] for p in traces}
         assert seeds == {100, 101, 102}
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        sweep = """\
-game: {dim: 2, grad_bound: 1.0, horizon: 8, seed: 5}
-strategy: {tag: ogd, eta: 0.1}
-adversaries:
-  - {tag: gaussian_random}
-comparators:
-  - {norm: 1.0, direction_seed: 2}
-outputs: {dir: OUTDIR, format: json}
-repeats: 2
-"""
-        path, out = write_spec(tmp_path, sweep)
-        assert main(["run", "--spec", str(path), "--jobs", "2"]) == EXIT_OK
-        serial_out = tmp_path / "serial"
-        assert main(["run", "--spec", str(path), "--jobs", "1", "--out", str(serial_out)]) == EXIT_OK
-        for p in sorted(out.glob("run_*.json")):
-            q = serial_out / p.name
-            assert json.loads(p.read_text()) == json.loads(q.read_text())
-
     def test_bound_violation_exits_1(self, tmp_path, monkeypatch):
         # the envelope is a theorem, so a violation needs a wrong one: without its slack
         # budget, the adaptive envelope at u = 0 is -beta_T, and the whipsaw adversary's
@@ -407,8 +388,7 @@ rounds: 200
         assert not verdict["all_hold"] and len(verdict["violations"]) == 1
 
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_crashing_group_exits_4_and_the_others_finish(self, tmp_path, capsys, jobs):
+    def test_crashing_group_exits_4_and_the_others_finish(self, tmp_path, capsys):
         # adaptive_normal against one fixed line overflows float64 near round 3.4k;
         # ogd plays the same fixed_direction column from its block after the crash
         sweep = """\
@@ -427,7 +407,7 @@ repeats: 2
 rounds: 4000
 """
         path, out = write_spec(tmp_path, sweep)
-        assert main(["run", "--spec", str(path), "--jobs", str(jobs)]) == EXIT_CELL_ERROR
+        assert main(["run", "--spec", str(path), "--jobs", "1"]) == EXIT_CELL_ERROR
         assert "OverflowError" in capsys.readouterr().err
         verdict = json.loads((out / "verdict.json").read_text())
         assert not verdict["all_hold"] and verdict["n_runs"] == 8 and verdict["n_checks"] == 12
@@ -752,7 +732,7 @@ rounds: 25
         g = np.where(first.g == 0.0, -first.g, first.g)  # fixed_direction's zero coordinates, as -0.0
         second = dataclasses.replace(first, g=g, theta=_states(g))
         assert np.array_equal(first.g, second.g) and first.g.tobytes() != second.g.tobytes()
-        cli._execute_cell((spec, 0, 0, lambda: [first, second], cli._comparators(spec.comparators, 3), str(out)))
+        cli._execute_cell(spec, 0, 0, lambda: [first, second], cli._comparators(spec.comparators, 3), out)
         alone = tmp_path / "alone.csv"
         engine.write_trace_csv(engine.attach_epsilon(dataclasses.replace(second, eps=None), spec.players[0].potential),
                                alone)
@@ -1169,11 +1149,12 @@ rounds: 25
 
 
 class TestJobCount:
-    @pytest.mark.parametrize("jobs", ["0", "-2", "many", "1.5"])
-    def test_the_flag_must_be_a_positive_integer(self, tmp_path, capsys, jobs):
+    # a sweep runs in one process; --jobs stays for callers that pass --jobs 1
+    @pytest.mark.parametrize("jobs", ["0", "2", "many", "1.5"])
+    def test_the_flag_must_be_1(self, tmp_path, capsys, jobs):
         path, out = write_spec(tmp_path, MINIMAL_SPEC)
         assert main(["run", "--spec", str(path), "--jobs", jobs]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {jobs!r}\n"
+        assert capsys.readouterr().err == f"error: --jobs must be 1, got {jobs!r}\n"
         assert not out.exists()
 
     # perfbench still exports MINIMAX_ONLINE_JOBS, which --jobs no longer reads, even where it is no count

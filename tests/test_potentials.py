@@ -121,6 +121,11 @@ class TestNormalKnownTPotential:
         with pytest.raises(ValueError, match=r"require a > pi\*G\^2/2"):
             NormalKnownTPotential(eps=1.0, a=a, G=G, T=T)
 
+    def test_a_d_T_past_float64_is_refused(self):
+        # d_T = 2aT = 2e308 leaves float64: with d = inf every play would be exactly 0
+        with pytest.raises(ValueError, match=r"require 2\*a\*T within float64, got a=1e\+305, T=1000"):
+            NormalKnownTPotential(eps=1.0, a=1e305, G=1.0, T=1000)
+
     def test_quadrature_consistency_sample(self):
         pot = NormalKnownTPotential(eps=1.0, a=2.5, G=1.0, T=5)
         for t in range(6):
@@ -203,6 +208,30 @@ def test_the_difference_at_r_0_is_0_where_c_is_finite(adversary):
         assert np.isfinite(trace.w).all() and abs(trace.w[1, 0]) > 1e154
         with pytest.raises(OverflowError, match="^round 1: the play left the float64 range$"):
             run_game(PotentialPlayer(dataclasses.replace(pot, eps=1e308)), adversary, config, 3)
+
+
+def test_a_d_t_past_float64_fails_at_its_round():
+    # 2at passes the float64 maximum at t = 899 > 1.797e308 / 2e305: that round's d_t is NaN, so its play is
+    # NaN and the engine names the round; with d = inf the difference would be exactly 0 from there on, silently
+    pot = AdaptiveNormalPotential(eps=1.0, a=1e305, G=2e152)
+    config = GameConfig(dim=2, grad_bound=2e152)
+    for adversary in (FixedDirection(G=2e152), GreedyVsComparator(G=2e152, comparator=(1.0, 0.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="^round 899: the play left the float64 range$"):
+                run_game(PotentialPlayer(pot), adversary, config, 2000)
+
+
+def test_a_d_t_past_float64_makes_the_round_nan_without_a_warning():
+    # 2at = 1.8e308 here, past float64; with d = inf the exponent would be inf / inf, with a warning
+    G = 7.4e149
+    pot = AdaptiveNormalPotential(eps=1.0, a=165.0 * G * G, G=G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (998404, np.array([998404, 998404])):
+            assert np.isnan(pot.shape(t)[1]).all()
+            assert np.isnan(pot.radial(t, np.array([1.4e154, 1.0]))).all()
+            assert np.isnan(pot.radial_diff(t, np.array([1.4e154, 1.0]))).all()
 
 
 def test_a_finite_difference_of_terms_that_overflow_is_finite():
