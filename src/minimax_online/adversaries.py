@@ -9,11 +9,15 @@ line, random direction, fixed direction) draw it.  The minimax adversaries
 answer the state alone (G orthogonal to theta, or +-G along it), so their
 block is their own recurrence theta <- theta - g: ``grads(t, theta, r,
 rngs)`` gives round t's (R, d) gradients against the states theta, of norms
-r.  The greedy adversary reads the plays, so it answers round by round,
-moving second, and draws nothing: ``grads(t, theta, r, w)`` answers the
-states and the players' pending plays w with an (R, d) block of gradients; a
-column's groups are one game of their runs' rows, one ``grads`` call per
-round for all of them.
+r.  Every random direction follows one rule (``core``): a run reads exactly
+the normals it uses, d per unit vector, and one standard_normal(d) row per
+round for ``OrthogonalMinimax`` at d >= 3; a draw of probability zero gets a
+fixed answer (e_1, or the axis least aligned with theta), so each stream is
+read once, in order.  The greedy adversary reads the plays, so it answers
+round by round, moving second, and draws nothing: ``grads(t, theta, r, w)``
+answers the states and the players' pending plays w with an (R, d) block of
+gradients; a column's groups are one game of their runs' rows, one
+``grads`` call per round for all of them.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DimensionMismatchError, complement_rows, nonzero_norms, random_unit_rows, random_unit_vector,
-                   row_norms, unit_direction)
+from .core import (DimensionMismatchError, complement_rows, nonzero_norms, orthogonal_unit_rows, random_unit_vector,
+                   row_norms, unit_direction, unit_rows)
 
 
 def _line(direction, dim: int) -> np.ndarray:
@@ -65,46 +69,18 @@ class OrthogonalMinimax(_PlayBlind):
 
     def gradient_block(self, rngs, rounds, dim):
         """The ``grads`` recurrence's block, bit for bit.  At dim >= 3 each
-        run's stream is read by one standard_normal call: unless a draw is
-        redrawn, every round reads one row of d normals, and complement_rows'
-        arithmetic on that row gives the same g.  A redraw shifts the
-        stream, so then the streams are rewound and the group is played by
-        ``grads``, round by round, as it is at dim = 2."""
-        if dim >= 3:
-            states = [rng.bit_generator.state for rng in rngs]
-            block = self._drawn_block(rngs, rounds, dim)
-            if block is not None:
-                return block
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
-        return super().gradient_block(rngs, rounds, dim)
-
-    def _drawn_block(self, rngs, rounds, dim):
-        """The gradient block from each run's (rounds, dim) normals, each row
-        overwritten by its g; None where complement_rows would redraw (a
-        round-0 draw of norm below 1e-12, or a draw within 1e-8 of theta's
-        line) or draw last (a state of norm 0)."""
+        run's stream is read by one standard_normal((rounds, dim)) call into
+        the block, a row per round, as ``grads`` reads it; each round passes a
+        contiguous copy of its rows to ``orthogonal_unit_rows``, which
+        ``grads`` uses too, and overwrites them with its g."""
+        if dim < 3:
+            return super().gradient_block(rngs, rounds, dim)
         block = np.empty((len(rngs), rounds, dim))
         for k, rng in enumerate(rngs):
             rng.standard_normal((rounds, dim), out=block[k])
         theta = np.zeros((len(rngs), dim))
         for t in range(rounds):
-            v = block[:, t].copy()  # contiguous, as complement_rows' draws are, so its row dots sum alike
-            if t == 0:  # theta = 0: random_unit_vector's draw
-                m = row_norms(v)
-                if not min(m.tolist()) >= 1e-12:
-                    return None
-            else:
-                r = row_norms(theta)
-                if not min(r.tolist()) > 0.0:
-                    return None
-                u = theta / r[:, None]
-                for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
-                    v -= np.einsum("ij,ij->i", v, u)[:, None] * u
-                m = row_norms(v)
-                if not min(m.tolist()) > 1e-8:
-                    return None
-            v /= m[:, None]
+            v = orthogonal_unit_rows(theta, row_norms(theta), block[:, t].copy())
             theta = theta - np.multiply(self.G, v, out=block[:, t])
         return block
 
@@ -174,7 +150,7 @@ class GaussianRandom:
     def gradient_block(self, rngs, rounds, dim):
         block = np.empty((len(rngs), rounds, dim))
         for k, rng in enumerate(rngs):
-            np.multiply(self.G, random_unit_rows(rng, rounds, dim), out=block[k])
+            np.multiply(self.G, unit_rows(rng.standard_normal((rounds, dim))), out=block[k])
         return block
 
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import adversaries as adv_mod
 from . import strategies as strat_mod
-from .core import GameConfig, UNKNOWN_HORIZON, linalg_norms, make_rng, random_unit_vector
+from .core import SEED_MAX, GameConfig, UNKNOWN_HORIZON, linalg_norms, make_rng, random_unit_vector
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
 from .engine import (attach_epsilon, regret_bound, repr_spellings, run_column, run_game,  # noqa: F401
                      verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
@@ -68,8 +68,6 @@ EXIT_BOUND_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_CELL_ERROR = 4
 EXIT_INTERNAL = 5
-
-SEED_MAX = 2**64 - 1  # make_rng keys each run's stream with one uint64
 
 
 class ConfigError(ValueError):

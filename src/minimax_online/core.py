@@ -113,26 +113,21 @@ def unit_direction(theta: Point) -> Point:
     return theta / n
 
 
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of the (n, d) array v divided by its norm, in place; a row of
+    norm below 1e-12 becomes e_1."""
+    n = row_norms(v)
+    if n.min(initial=1.0) < 1e-12:  # a probability-zero draw: a fixed answer, so a row reads d normals
+        small = n < 1e-12
+        v[small], n[small] = np.eye(1, v.shape[1]), 1.0
+    v /= n[:, None]
+    return v
+
+
 def random_unit_vector(rng: np.random.Generator, dim: int) -> Point:
-    """A uniformly random unit vector: a Gaussian draw, redrawn while its norm is below 1e-12."""
-    v = rng.standard_normal(dim)
-    n = norm(v)
-    while n < 1e-12:
-        v = rng.standard_normal(dim)
-        n = norm(v)
-    return v / n
-
-
-def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n successive random_unit_vector(rng, dim) draws as the rows of an (n, dim)
-    array, reading rng exactly as those n calls would."""
-    state = rng.bit_generator.state
-    v = rng.standard_normal((n, dim))
-    norms = row_norms(v)
-    if norms.min(initial=1.0) < 1e-12:  # a redraw shifts the stream: replay it call by call
-        rng.bit_generator.state = state
-        return np.array([random_unit_vector(rng, dim) for _ in range(n)]).reshape(n, dim)
-    return v / norms[:, None]
+    """A uniformly random unit vector: one standard_normal(dim) draw,
+    normalized by ``unit_rows`` (e_1 where its norm is below 1e-12)."""
+    return unit_rows(rng.standard_normal((1, dim)))[0]
 
 
 def complement_rows(theta: np.ndarray, r: np.ndarray, rngs) -> np.ndarray:
@@ -140,37 +135,53 @@ def complement_rows(theta: np.ndarray, r: np.ndarray, rngs) -> np.ndarray:
     r; row k reads only rngs[k].  Requires d >= 2.
 
     In d = 2 a row's vector is its rotated direction (-theta_1, theta_0)/||theta||
-    with a sign drawn by rng.random(); in higher dimensions it is a Gaussian
-    draw, projected out of theta's direction twice and normalized, and drawn
-    again, one standard_normal(d) per try, while its projected norm is at
-    most 1e-8.  A row with theta = 0 gets any unit vector,
-    ``random_unit_vector``, drawn after the others, and a row whose theta is
-    not finite gets NaN."""
-    R, d = theta.shape
+    with a sign drawn by rng.random(), and a row with theta = 0 gets
+    ``random_unit_vector``.  In higher dimensions every row reads one
+    standard_normal(d) draw, which ``orthogonal_unit_rows`` turns into its
+    vector, with a fixed answer where the draw lies on theta's line; no row
+    is drawn again."""
+    d = theta.shape[1]
     if d < 2:
         raise UnsupportedDimensionError("orthogonal complement requires dim >= 2")
+    if d > 2:
+        return orthogonal_unit_rows(theta, r, np.array([rng.standard_normal(d) for rng in rngs]))
     listed = r.tolist()
-    zero = [k for k, n in enumerate(listed) if n == 0.0]  # no direction: any unit vector, drawn last
-    rs = nonzero_norms(r)[:, None]
-    if d == 2:
-        flip = [-1.0 if n != 0.0 and rng.random() < 0.5 else 1.0 for n, rng in zip(listed, rngs)]
-        v = np.stack((-theta[:, 1], theta[:, 0]), axis=1) / rs * np.array(flip)[:, None]
-    else:
-        u = theta / rs
-        v = np.array([rng.standard_normal(d) if n != 0.0 else np.ones(d) for n, rng in zip(listed, rngs)])
-        for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
-            v -= np.einsum("ij,ij->i", v, u)[:, None] * u
-        m = row_norms(v)
-        for k in np.flatnonzero(m <= 1e-8):  # a draw too close to theta's line: draw that row again
-            while m[k] <= 1e-8:
-                v[k] = rngs[k].standard_normal(d)
-                for _ in range(2):
-                    v[k] -= (v[k] @ u[k]) * u[k]
-                m[k] = norm(v[k])
-        v /= m[:, None]
-    for k in zero:
+    flip = [-1.0 if n != 0.0 and rng.random() < 0.5 else 1.0 for n, rng in zip(listed, rngs)]
+    v = np.stack((-theta[:, 1], theta[:, 0]), axis=1) / nonzero_norms(r)[:, None] * np.array(flip)[:, None]
+    for k in [k for k, n in enumerate(listed) if n == 0.0]:  # no direction: any unit vector
         v[k] = random_unit_vector(rngs[k], d)
     return v
+
+
+def orthogonal_unit_rows(theta: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Gaussian draws v (R, d), one row per row of theta, made unit vectors
+    orthogonal to theta's rows, in place: each is projected out of theta's
+    direction twice and normalized.  A draw whose projected norm is at most
+    1e-8 (probability zero) becomes instead the axis least aligned with theta,
+    e_k with k = argmin |theta_k|, projected and normalized alike; its
+    projected norm is at least sqrt(1 - 1/d).  A row with theta = 0 keeps its
+    normalized draw (e_1 at most 1e-8), and a row whose theta is not finite
+    gets NaN.  r holds the norms of theta's rows."""
+    u = theta / nonzero_norms(r)[:, None]
+    for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
+        v -= np.einsum("ij,ij->i", v, u)[:, None] * u
+    m = row_norms(v)
+    if not min(m.tolist(), default=1.0) > 1e-8:  # a draw on theta's line (probability zero): a fixed answer
+        for k in np.flatnonzero(m <= 1e-8):
+            v[k] = np.eye(1, v.shape[1], np.abs(theta[k]).argmin())[0]
+            for _ in range(2):
+                v[k] -= (v[k] @ u[k]) * u[k]
+            m[k] = norm(v[k])
+    v /= m[:, None]
+    return v
+
+
+SEED_MAX = 2**64 - 1  # make_rng keys each run's stream with one uint64
+
+
+def _is_int(x) -> bool:
+    """x is a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -183,14 +194,18 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not _is_int(self.dim):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.grad_bound > 0:
-            raise ValueError("grad_bound G must be positive")
+        if not 0.0 < self.grad_bound < math.inf:
+            raise ValueError(f"grad_bound G must be positive and finite, got {self.grad_bound!r}")
         if self.horizon != UNKNOWN_HORIZON:
-            if int(self.horizon) < 1:
-                raise ValueError("horizon T must be >= 1 when numeric")
+            if not (_is_int(self.horizon) and self.horizon >= 1):
+                raise ValueError(f"horizon T must be an integer >= 1 or {UNKNOWN_HORIZON!r}, got {self.horizon!r}")
             object.__setattr__(self, "horizon", int(self.horizon))
+        if not (_is_int(self.seed) and 0 <= self.seed <= SEED_MAX):
+            raise ValueError(f"seed must be an integer in [0, {SEED_MAX}], got {self.seed!r}")
 
     @property
     def known_horizon(self) -> bool:

@@ -213,6 +213,9 @@ class _ExpQuadratic:
 
     def conjugate_bound(self, u_norm, t):
         c, d = self.shape(t)
+        left = np.isnan(d)  # shape's d_t where it left float64
+        if left.any():
+            raise ValueError(f"round {np.min(np.asarray(t)[left])}: d_t left the float64 range")
         return exp_conjugate_upper_bound(d / 2.0, c, u_norm)
 
 

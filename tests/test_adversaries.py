@@ -62,7 +62,6 @@ class ScriptedStream:
     def __init__(self, normals):
         self.normals = np.asarray(normals, dtype=np.float64).ravel()
         self.state = 0
-        self.bit_generator = self
 
     def standard_normal(self, size, out=None):
         values = self.normals[self.state:self.state + int(np.prod(size))].reshape(size)
@@ -90,21 +89,31 @@ class TestGradientBlocks:
             assert got.tobytes() == recurrence(adv, [make_rng(s) for s in seeds], 60, d).tobytes(), seed
 
     @pytest.mark.parametrize("spoil", ["draw_on_theta_line", "round_0_draw_of_norm_0"])
-    def test_a_redraw_replays_the_group_round_by_round(self, spoil):
+    def test_a_degenerate_draw_takes_its_fixed_answer(self, spoil):
         # run 1's draw for round 1 repeats round 0's, which lies on theta's line, or its
-        # round-0 draw is 0: either is drawn again, one row of normals later than the rest
-        rounds, d = 30, 4
+        # round-0 draw is 0: either becomes a fixed axis, and no stream reads more than
+        # its row of d normals a round
+        rounds, d, G = 30, 4, 0.7
         scripts = make_rng(3).standard_normal((3, rounds + 4, d))
         if spoil == "draw_on_theta_line":
             scripts[1, 1] = scripts[1, 0]
         else:
             scripts[1, 0] = 0.0
-        adv = OrthogonalMinimax(G=1.0)
+        adv = OrthogonalMinimax(G=G)
         streams = [ScriptedStream(script) for script in scripts]
         got = adv.gradient_block(streams, rounds, d)
-        assert [s.state for s in streams] == [rounds * d, (rounds + 1) * d, rounds * d]
+        assert [s.state for s in streams] == [rounds * d] * 3
         assert got.tobytes() == recurrence(adv, [ScriptedStream(script) for script in scripts], rounds, d).tobytes()
-        np.testing.assert_allclose(row_norms(got), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(row_norms(got), G, rtol=1e-15)
+        theta = np.concatenate((np.zeros((3, 1, d)), -np.cumsum(got, axis=1)[:, :-1]), axis=1)  # each round's state
+        assert np.all(np.abs(np.einsum("rtd,rtd->rt", got, theta)) <= 1e-15 * G * row_norms(theta))
+        if spoil == "round_0_draw_of_norm_0":
+            assert got[1, 0].tolist() == [G, 0.0, 0.0, 0.0]  # e_1
+        else:  # the axis least aligned with theta, projected out of it
+            u = theta[1, 1] / row_norms(theta[1, 1])
+            e = np.eye(d)[np.argmin(np.abs(u))]
+            e = e - (e @ u) * u
+            np.testing.assert_allclose(got[1, 1], G * e / row_norms(e), rtol=0.0, atol=1e-15)
 
     def test_a_gradient_of_the_wrong_shape_names_its_round(self):
         class WrongShape(ParallelMinimax):
@@ -114,6 +123,23 @@ class TestGradientBlocks:
 
         with pytest.raises(DimensionMismatchError, match=re.escape("round 3: gradients (2, 2), expected (2, 3)")):
             WrongShape(G=1.0).gradient_block([make_rng(0), make_rng(1)], 5, 3)
+
+
+class TestZeroDraw:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_a_zero_draw_is_e1_and_reads_d_normals(self, d):
+        stream = ScriptedStream(np.zeros(2 * d))
+        assert random_unit_vector(stream, d).tolist() == np.eye(d)[0].tolist()
+        assert stream.state == d
+        # GaussianRandom: a zero draw between two others, each run reading d normals a round
+        scripts = make_rng(9).standard_normal((2, 3, d))
+        scripts[1, 1] = 0.0
+        streams = [ScriptedStream(script) for script in scripts]
+        got = GaussianRandom(G=2.0).gradient_block(streams, 3, d)
+        assert [s.state for s in streams] == [3 * d, 3 * d]
+        assert got[1, 1].tolist() == (2.0 * np.eye(d)[0]).tolist()
+        np.testing.assert_allclose(row_norms(got), 2.0, rtol=1e-15)
+        assert got[1, 2].tobytes() == (2.0 * (scripts[1, 2] / row_norms(scripts[1, 2]))).tobytes()
 
 
 class TestOrthogonalMinimax:

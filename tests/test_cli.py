@@ -1103,6 +1103,23 @@ rounds: 25
         assert err.startswith("error: ") and err.endswith(": round index 6 outside [1, 4]\n") and err.count("\n") == 1
         assert not (out / "curves.csv").exists()
 
+    def test_an_envelope_whose_d_t_left_float64_names_its_round(self, tmp_path, capsys):
+        # a 900-round trace read with an adaptive entry whose d_t = 2at passes float64 at round 899
+        spec = (CURVES_SPEC.replace("grad_bound: 1.0", "grad_bound: 2.0e+152").replace("eta: 0.2", "eta: 1.0e-160")
+                .replace("gaussian_random", "fixed_direction").replace("repeats: 2", "repeats: 1")
+                .replace("rounds: 6", "rounds: 900"))
+        path, out = write_spec(tmp_path, spec)
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        meta_path = out / "sweep.json"
+        meta = json.loads(meta_path.read_text())
+        meta["strategies"] = [{"tag": "adaptive_normal", "eps": 1.0, "a": 1e305}]
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["curves", str(out)]) == EXIT_CONFIG
+        trace = out / "run_s0-ogd_a0-fixed_direction_k000.json"
+        assert capsys.readouterr().err == f"error: {trace}: round 899: d_t left the float64 range\n"
+        assert not (out / "curves.csv").exists()
+
     def test_missing_traces_exit_2(self, tmp_path, capsys):
         assert main(["curves", str(tmp_path)]) == EXIT_CONFIG
 

@@ -182,6 +182,30 @@ def test_game_config_validation():
         GameConfig(dim=1, grad_bound=1.0, horizon=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", 2.5, "dim must be an integer, got 2.5"),
+    ("dim", True, "dim must be an integer, got True"),
+    ("grad_bound", np.inf, "grad_bound G must be positive and finite, got inf"),
+    ("grad_bound", np.nan, "grad_bound G must be positive and finite, got nan"),
+    ("horizon", 2.5, "horizon T must be an integer >= 1 or 'unknown', got 2.5"),
+    ("horizon", True, "horizon T must be an integer >= 1 or 'unknown', got True"),
+    ("horizon", "7", "horizon T must be an integer >= 1 or 'unknown', got '7'"),
+    ("seed", -1, "seed must be an integer in \\[0, 18446744073709551615\\], got -1"),
+    ("seed", 2**64, "seed must be an integer in \\[0, 18446744073709551615\\], got 18446744073709551616"),
+    ("seed", 1.0, "seed must be an integer in \\[0, 18446744073709551615\\], got 1.0"),
+], ids=["dim_float", "dim_bool", "grad_bound_inf", "grad_bound_nan", "horizon_float", "horizon_bool", "horizon_str",
+        "seed_negative", "seed_2**64", "seed_float"])
+def test_game_config_checks_its_fields(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GameConfig(**{"dim": 2, "grad_bound": 1.0, field: value})
+
+
+def test_game_config_takes_numpy_integers():
+    cfg = GameConfig(dim=np.int64(3), grad_bound=np.float64(0.5), horizon=np.int32(7), seed=np.uint64(2**64 - 1))
+    assert cfg.horizon == 7 and type(cfg.horizon) is int and cfg.seed == 2**64 - 1
+    assert make_rng(cfg.seed).standard_normal() == make_rng(2**64 - 1).standard_normal()
+
+
 def test_rng_streams_are_deterministic():
     a = make_rng(42).standard_normal(8)
     b = make_rng(42).standard_normal(8)

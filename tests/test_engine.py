@@ -66,31 +66,33 @@ def small_trace(seed=0, rounds=12, dim=2, eta=0.2):
 # --- the one-run reference ---------------------------------------------------
 
 def orthonormal_complement_sample(theta, rng):
-    """A unit vector orthogonal to theta (any unit vector when theta = 0), for
-    one run: in d = 2 the rotated direction (-theta_1, theta_0)/||theta|| with
-    an rng-chosen sign; in higher dimensions a Gaussian draw projected out of
-    theta's direction twice and normalized, drawn again while its projected
-    norm is at most 1e-8."""
+    """A unit vector orthogonal to theta, for one run: in d = 2 the rotated
+    direction (-theta_1, theta_0)/||theta|| with an rng-chosen sign (any unit
+    vector when theta = 0); in higher dimensions one Gaussian draw projected
+    out of theta's direction twice and normalized, or, where its projected
+    norm is at most 1e-8, the axis least aligned with theta, projected and
+    normalized alike."""
     theta = np.asarray(theta, dtype=np.float64)
     d = theta.size
     if d < 2:
         raise UnsupportedDimensionError("orthogonal complement requires dim >= 2")
     n = norm(theta)
-    if n == 0.0:
-        return random_unit_vector(rng, d)
     if d == 2:
+        if n == 0.0:
+            return random_unit_vector(rng, d)
         v = np.array([-theta[1], theta[0]]) / n
         if rng.random() < 0.5:
             v = -v
         return v
-    u = theta / n
-    while True:
-        v = rng.standard_normal(d)
+    u = theta / n if n else theta
+    v = rng.standard_normal(d)
+    for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
         v -= (v @ u) * u
-        v -= (v @ u) * u  # second projection pass for orthogonality to ~1e-16
-        m = norm(v)
-        if m > 1e-8:
-            return v / m
+    if norm(v) <= 1e-8:  # a draw on theta's line
+        v = np.eye(d)[np.argmin(np.abs(theta))]
+        for _ in range(2):
+            v -= (v @ u) * u
+    return v / norm(v)
 
 
 def reference_grad(adversary, t, theta, w, rng):
@@ -559,23 +561,55 @@ class ScriptedNormals:
         return row.copy()
 
 
-class TestComplementRedraw:
-    def test_a_draw_on_thetas_line_is_drawn_again(self):
-        # row 1's first two draws lie on theta's line: it reads two more rows than the
-        # others, and its vector is the one-row reference's, bit for bit (a row drawn
-        # once is projected in a batch, which sums its dot products in another order)
+class TestComplementFallback:
+    def test_a_draw_on_thetas_line_becomes_the_least_aligned_axis(self):
+        # row 1's draw lies on theta's line: it becomes e_1, theta's least aligned axis, and
+        # every row reads one draw; that row is the one-row reference's, bit for bit, as the
+        # fixed answer is projected row by row (a batch sums a draw's dot products in another order)
         theta = np.array([[1.0, 2.0, 2.0], [0.0, 3.0, 4.0], [-1.0, 0.5, 0.0]])
         scripts = make_rng(5).standard_normal((3, 4, 3))
         scripts[1, 0] = 2.0 * theta[1]
-        scripts[1, 1] = -1e-9 * theta[1]
         streams = [ScriptedNormals(script) for script in scripts]
         got = complement_rows(theta, row_norms(theta), streams)
-        assert [s.state for s in streams] == [1, 3, 1]
+        assert [s.state for s in streams] == [1, 1, 1]
         ref = np.array([orthonormal_complement_sample(row, ScriptedNormals(script))
                         for row, script in zip(theta, scripts)])
+        assert got[1].tolist() == [1.0, 0.0, 0.0]
         assert got[1].tobytes() == ref[1].tobytes()
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(np.einsum("ij,ij->i", got, theta), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [3, 4, 16])
+    @pytest.mark.parametrize("along", ["axis", "ones"])
+    def test_the_fixed_answer_is_a_unit_vector_orthogonal_to_theta(self, d, along):
+        # theta along e_3, or (1, ..., 1): either way e_1 is the first axis of least |theta_k|;
+        # the draws lie on theta's line, are 0, and lie within 1e-8 of it
+        theta = 3.0 * np.eye(d)[2] if along == "axis" else np.ones(d)
+        scripts = np.array([[-2.0 * theta], [np.zeros(d)], [1e-9 * theta]])
+        streams = [ScriptedNormals(script) for script in scripts]
+        rows = np.array([theta] * len(scripts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = complement_rows(rows, row_norms(rows), streams)
+        assert [s.state for s in streams] == [1, 1, 1]
+        u, axis = unit_direction(theta), np.eye(d)[0]
+        expected = (axis - (axis @ u) * u) / np.sqrt(1.0 - (axis @ u) ** 2)
+        np.testing.assert_allclose(v, [expected] * len(scripts), rtol=0.0, atol=1e-15)
+        assert np.all(np.abs(row_norms(v) - 1.0) <= 1e-15)
+        assert np.all(np.abs(v @ u) <= 1e-15)
+        for row, script in zip(v, scripts):  # the one-row reference takes the same axis
+            np.testing.assert_allclose(orthonormal_complement_sample(theta, ScriptedNormals(script)), row,
+                                       rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_a_nan_state_gives_nan(self, d):
+        theta = np.array([np.full(d, np.nan), np.eye(d)[0], np.eye(d)[1]])
+        theta[1, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = complement_rows(theta, row_norms(theta), [make_rng(k) for k in range(3)])
+        assert np.isnan(v[:2]).all()
+        assert abs(norm(v[2]) - 1.0) <= 1e-15 and v[2] @ theta[2] == 0.0
 
 
 @dataclass
@@ -1039,7 +1073,9 @@ class TestSerialization:
         pytest.param(lambda d: d.update(g=sum(d["g"], [])), r"'g' has shape \(12,\)", id="g_flat"),
         pytest.param(lambda d: d["g"][0].append(0.0), "sequence", id="g_ragged"),
         pytest.param(lambda d: d.update(eps=[0.0]), r"'eps' has shape \(1,\)", id="eps_short"),
-        pytest.param(lambda d: d["config"].update(dim="2"), "'<' not supported", id="dim_str"),
+        pytest.param(lambda d: d["config"].update(dim="2"), "dim must be an integer, got '2'", id="dim_str"),
+        pytest.param(lambda d: d["config"].update(seed=-1), "seed must be an integer in", id="seed_negative"),
+        pytest.param(lambda d: d["config"].update(horizon=6.5), "horizon T must be an integer", id="horizon_float"),
         pytest.param(lambda d: d["w"][3].__setitem__(1, None), "'w' holds null", id="null_in_w"),
         pytest.param(lambda d: d["eps"].__setitem__(5, None), "'eps' holds null", id="null_in_eps"),
     ])

@@ -222,6 +222,18 @@ def test_a_d_t_past_float64_fails_at_its_round():
                 run_game(PotentialPlayer(pot), adversary, config, 2000)
 
 
+def test_the_envelope_past_a_d_t_past_float64_names_its_round():
+    # round 898's envelope is vacuous (inf); at 899 d_t = 2at has left float64, and the error names that round
+    pot = AdaptiveNormalPotential(eps=1.0, a=1e305, G=2e152)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert regret_bound(pot, 1.0, 898) == math.inf
+        for t in (899, np.arange(880, 910), np.array([[905], [900], [1]])):
+            first = np.min(t[t >= 899]) if isinstance(t, np.ndarray) else t
+            with pytest.raises(ValueError, match=f"^round {first}: d_t left the float64 range$"):
+                regret_bound(pot, np.array([0.0, 1.0]) if np.ndim(t) == 2 else 1.0, t)
+
+
 def test_a_d_t_past_float64_makes_the_round_nan_without_a_warning():
     # 2at = 1.8e308 here, past float64; with d = inf the exponent would be inf / inf, with a warning
     G = 7.4e149
