@@ -41,17 +41,20 @@ def _line(direction, dim: int) -> np.ndarray:
 class _PlayBlind:
     """An adversary whose gradients read the state and its streams, never the
     plays: its gradient block is its own recurrence, one ``grads`` call per
-    round, and the states are the engine's theta - g, bit for bit."""
+    round, and the states are the engine's theta - g, bit for bit.  A state
+    past the float64 range raises no floating-point error: it gives a play
+    past it, which the engine's round checks report."""
 
     def gradient_block(self, rngs, rounds, dim):
         block = np.empty((len(rngs), rounds, dim))
         theta = np.zeros((len(rngs), dim))
-        for t in range(rounds):
-            g = self.grads(t, theta, row_norms(theta), rngs)
-            if g.shape != theta.shape:
-                raise DimensionMismatchError(f"round {t + 1}: gradients {g.shape}, expected {theta.shape}")
-            theta = theta - g
-            block[:, t] = g
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(rounds):
+                g = self.grads(t, theta, row_norms(theta), rngs)
+                if g.shape != theta.shape:
+                    raise DimensionMismatchError(f"round {t + 1}: gradients {g.shape}, expected {theta.shape}")
+                theta = theta - g
+                block[:, t] = g
         return block
 
 
@@ -79,9 +82,10 @@ class OrthogonalMinimax(_PlayBlind):
         for k, rng in enumerate(rngs):
             rng.standard_normal((rounds, dim), out=block[k])
         theta = np.zeros((len(rngs), dim))
-        for t in range(rounds):
-            v = orthogonal_unit_rows(theta, row_norms(theta), block[:, t].copy())
-            theta = theta - np.multiply(self.G, v, out=block[:, t])
+        with np.errstate(over="ignore", invalid="ignore"):  # as the recurrence's: the round checks report it
+            for t in range(rounds):
+                v = orthogonal_unit_rows(theta, row_norms(theta), block[:, t].copy())
+                theta = theta - np.multiply(self.G, v, out=block[:, t])
         return block
 
 

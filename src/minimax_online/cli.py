@@ -15,8 +15,8 @@ Subcommands:
   raises its own error from its own function, the one it raises alone.  A
   run with the same bits as the run before it in its group (every repeat
   against an adversary that draws nothing) takes that run's ledger and
-  bound checks, and its CSV trace is a copy of that run's file; a JSON trace
-  is written per run, since its config names its own seed.  The columns run
+  bound checks, its CSV trace is a copy of that run's file, and its JSON
+  trace is that run's bytes with its own seed respelled.  The columns run
   one after another in one process; ``--jobs`` accepts only 1.
 * ``verify --all`` (or ``--lemma <name>``): run the oracle-backed check
   suites and print a pass/fail matrix.
@@ -347,20 +347,22 @@ def _execute_cell(spec, si, ai, group, comparators, out_dir):
     call returns, so only one group's states are alive at a time.
 
     A run that repeats the run before it (an adversary that draws nothing plays
-    every repeat alike) takes that run's ledger and bound checks, and its CSV
-    trace is a copy of that run's file; its JSON trace is written anew, since
-    its config names its own seed.  comparators is ``_comparators``'."""
+    every repeat alike) takes that run's ledger and bound checks, its CSV
+    trace is a copy of that run's file, and its JSON trace is that run's
+    bytes with the seed respelled (``write_trace_json``'s repeat_of).
+    comparators is ``_comparators``'."""
     us, norms = comparators
     strategy, adversary = spec.players[si], spec.opponents[ai]
     traces = group()
     # every trace of the group has this potential and T: one envelope call for all of them
     bounds = regret_bound(strategy.potential, norms, max(spec.rounds, 1)).tolist()
     rows = []
-    prev = prev_csv = None
+    prev = prev_csv = prev_json = None
     for k, trace in enumerate(traces):
         run_id = _run_id(spec, si, ai, k)
-        csv_path = out_dir / f"run_{run_id}.csv"
-        if _repeats(trace, prev):
+        csv_path, json_path = out_dir / f"run_{run_id}.csv", out_dir / f"run_{run_id}.json"
+        repeat = _repeats(trace, prev)
+        if repeat:
             trace.eps = prev.eps
             if spec.out_format in ("csv", "both"):
                 shutil.copyfile(prev_csv, csv_path)
@@ -370,8 +372,8 @@ def _execute_cell(spec, si, ai, group, comparators, out_dir):
                 write_trace_csv(trace, csv_path)
             reports = verify_bound(trace, strategy, us, bounds=bounds, norms=norms)
         if spec.out_format in ("json", "both"):
-            write_trace_json(trace, out_dir / f"run_{run_id}.json")
-        prev, prev_csv = trace, csv_path
+            write_trace_json(trace, json_path, repeat_of=(prev, prev_json) if repeat else None)
+        prev, prev_csv, prev_json = trace, csv_path, json_path
         for comp, report in zip(spec.comparators, reports):
             rows.append({
                 "run_id": run_id, "strategy": strategy.tag, "adversary": adversary.tag,

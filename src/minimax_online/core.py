@@ -161,8 +161,13 @@ def orthogonal_unit_rows(theta: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.
     e_k with k = argmin |theta_k|, projected and normalized alike; its
     projected norm is at least sqrt(1 - 1/d).  A row with theta = 0 keeps its
     normalized draw (e_1 at most 1e-8), and a row whose theta is not finite
-    gets NaN.  r holds the norms of theta's rows."""
+    gets NaN.  r holds the norms of theta's rows; where r is inf, theta's
+    direction is that of theta divided by its largest |theta_i| first."""
     u = theta / nonzero_norms(r)[:, None]
+    if math.inf in r.tolist():  # ||theta|| past float64, its coordinates maybe not: theta / inf would be 0
+        big = np.isinf(r)
+        scaled = theta[big] / np.abs(theta[big]).max(axis=1, keepdims=True)
+        u[big] = scaled / row_norms(scaled)[:, None]
     for _ in range(2):  # two projection passes, for orthogonality to ~1e-16
         v -= np.einsum("ij,ij->i", v, u)[:, None] * u
     m = row_norms(v)

@@ -50,17 +50,23 @@ splitting orjson's text on ``null`` and on ``],[`` and joining the pieces
 with the odd floats' spellings and with each row's lead, which every trace
 of a sweep takes from one cache.  ``read_trace_json`` decodes with orjson
 too, one call per (T, d) row array, and reads a file that orjson refuses (an
-older one holding ``NaN``, say) with the stdlib ``json``.  orjson is
-imported by these functions, on their first call, so importing the engine
-never loads it.
+older one holding ``NaN``, say) with the stdlib ``json``.  Next to each JSON
+trace ``write_trace_json`` writes its float64 sidecar, ``<path>.f64``: the
+row arrays' bits, tied to the JSON file's bytes by their length and
+``zlib.crc32``, from which ``read_trace_json`` takes w and g instead of
+decoding their text while the tie holds.  orjson is imported by these
+functions, on their first call, so importing the engine never loads it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
-from dataclasses import dataclass
+import struct
+import zlib
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Callable, List, Optional, Sequence
 
@@ -574,14 +580,30 @@ def trace_from_dict(data: dict) -> Trace:
         raise ValueError(str(exc)) from exc
 
 
-def write_trace_json(trace: Trace, path) -> None:
+SIDECAR_SUFFIX = ".f64"  # a JSON trace's float64 sidecar is its path with this appended
+# the sidecar's header: 8 magic bytes, the JSON file's byte length (uint64) and zlib.crc32 (uint32), 4 zero bytes
+_SIDECAR_HEAD = struct.Struct("<8sQI4x")
+_SIDECAR_MAGIC = b"MMOTF64\x01"
+
+
+def write_trace_json(trace: Trace, path, repeat_of=None) -> None:
     """The trace without theta, in one orjson call: compact separators, and
     each float as the shortest text that reads back to it (``1e-7``, not
     ``1e-07``).  orjson gets the arrays as C-contiguous float64 arrays, not
     lists, and writes the bytes it writes for the lists.  theta must be
     -cumsum(g), as every engine trace's is, since a JSON trace rebuilds it
     from g; and w, g, losses and eps must be finite, since JSON has no inf
-    or nan.  Else ValueError, and no file is written."""
+    or nan.  Else ValueError, and no file is written.
+
+    Then the float64 sidecar, at path with ``SIDECAR_SUFFIX`` appended: a
+    24-byte header (8 magic bytes, the JSON file's byte length as a uint64
+    and its ``zlib.crc32`` as a uint32, 4 zero bytes), then w and g as
+    little-endian C-order float64, T d 16 bytes in all.
+
+    repeat_of, if given, is (prev, prev_path): a trace that this function
+    wrote to prev_path, whose w, g, losses and eps have the bits of trace's
+    (a repeated run's).  Where the two differ in config.seed alone, the file
+    is prev_path's bytes with the seed respelled, and orjson is not called."""
     import orjson  # here, so that a sweep without JSON traces never loads it
 
     for key in ("w", "g", "losses", "eps"):
@@ -590,11 +612,32 @@ def write_trace_json(trace: Trace, path) -> None:
             raise ValueError(f"{key!r} holds inf or nan, which a JSON trace cannot store")
     if not np.array_equal(trace.theta, _states(trace.g), equal_nan=True):
         raise ValueError("trace.theta is not -cumsum(g), and a JSON trace does not store it")
-    # orjson refuses an array that is not C-contiguous; float32 is cast, as tolist would widen it
-    data = orjson.dumps(trace_to_dict(trace, partial(np.ascontiguousarray, dtype=np.float64)),
-                        option=orjson.OPT_SERIALIZE_NUMPY)
+    data = None if repeat_of is None else _respelled_seed(trace, *repeat_of)
+    if data is None:
+        # orjson refuses an array that is not C-contiguous; float32 is cast, as tolist would widen it
+        data = orjson.dumps(trace_to_dict(trace, partial(np.ascontiguousarray, dtype=np.float64)),
+                            option=orjson.OPT_SERIALIZE_NUMPY)
     with open(path, "wb") as fh:
         fh.write(data)
+    with open(f"{os.fspath(path)}{SIDECAR_SUFFIX}", "wb") as fh:
+        fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, len(data), zlib.crc32(data)))
+        for rows in (trace.w, trace.g):
+            fh.write(np.ascontiguousarray(rows, dtype="<f8").data)
+
+
+def _respelled_seed(trace: Trace, prev: Trace, prev_path) -> Optional[bytes]:
+    """The bytes of prev's JSON trace at prev_path with its config.seed
+    respelled as trace's, or None where the two differ in more than the seed
+    (their other config fields or their tags) or the file holds no seed
+    where ``write_trace_json`` puts it: the config's last key, before which
+    only numbers and ``"unknown"`` stand."""
+    if (replace(prev.config, seed=trace.config.seed), prev.strategy_tag, prev.adversary_tag) != (
+            trace.config, trace.strategy_tag, trace.adversary_tag):
+        return None
+    with open(prev_path, "rb") as fh:
+        text = fh.read()
+    old, new = (b'"seed":%d},"strategy_tag":' % cfg.seed for cfg in (prev.config, trace.config))
+    return text.replace(old, new, 1) if old in text else None
 
 
 @cache
@@ -609,41 +652,71 @@ def read_trace_json(path) -> Trace:
     """The trace in the JSON file at path, as ``trace_from_dict`` reads the
     file's object; a file that holds none raises ValueError.
 
-    Each (T, d) row array, ``w`` and ``g``, is decoded by its own orjson call
-    from the file's bytes into a float64 array, and the rest of the file
-    (config, tags, losses, eps), those arrays cut out, by one more;
-    ``theta``, which older files hold, is cut out and never decoded.  orjson
-    builds a tree of the whole text it is given before it makes any Python
-    object, so a tree of one array at a time keeps the reader's peak memory
-    where the stdlib ``json`` had it.  Files written with ``json.dumps``
-    (``", "`` and ``": "`` separators, or indented) read the same way.
-    orjson refuses ``NaN`` and ``Infinity``, which such files may hold: a
-    file that orjson refuses, or whose row array has no end (a truncated
-    file, or a trace of no rounds, whose arrays are ``[]``) or is not a
-    table of numbers (one holding null, say), is read whole by the stdlib
-    ``json``, whose dict ``trace_from_dict`` then reads or refuses."""
+    The (T, d) row arrays, ``w`` and ``g``, are cut out of the file's bytes,
+    and the rest of the file (config, tags, losses, eps) is decoded by one
+    orjson call; ``theta``, which older files hold, is cut out and never
+    decoded.  w and g are then the float64 sidecar's (``write_trace_json``)
+    where its header holds the file's byte length and crc32 and it holds
+    2 T d floats (T the length of losses, d config.dim), all finite: the
+    bits the text holds, since the writer wrote the text from them and
+    orjson reads each float back to itself.  Else each row array is decoded
+    by its own orjson call into a float64 array.  orjson builds a tree of
+    the whole text it is given before it makes any Python object, so a tree
+    of one array at a time keeps the reader's peak memory where the stdlib
+    ``json`` had it.  Files written with ``json.dumps`` (``", "`` and ``": "``
+    separators, or indented) read the same way.  orjson refuses ``NaN`` and
+    ``Infinity``, which such files may hold: a file that orjson refuses, or
+    whose row array has no end (a truncated file, or a trace of no rounds,
+    whose arrays are ``[]``) or is not a table of numbers (one holding null,
+    say), is read whole by the stdlib ``json``, whose dict
+    ``trace_from_dict`` then reads or refuses."""
     import orjson  # here, so that importing the engine never loads it
 
     with open(path, "rb") as fh:
         text = fh.read()
     key_at, end_at = _row_array_patterns()
-    view, parts, rows, pos = memoryview(text), [], {}, 0
+    view, parts, spans, pos = memoryview(text), [], {}, 0
     try:
         while (key := key_at.search(text, pos)) is not None:
             end = end_at.search(text, key.end())
             if end is None:
                 raise ValueError("a row array has no end")
-            if key[1] != b"theta":  # to float64 at once, so that one array's lists are alive at a time
-                rows[key[1].decode()] = arr = np.array(orjson.loads(view[key.end():end.end()]), dtype=np.float64)
-                if np.isnan(arr).any():  # orjson reads no NaN, so a null was there: json.loads keeps it None
-                    raise ValueError("a row array holds null")
+            if key[1] != b"theta":
+                spans[key[1].decode()] = view[key.end():end.end()]
             parts += (view[pos:key.end()], b"null")
             pos = end.end()
         parts.append(view[pos:])
         data = orjson.loads(b"".join(parts))
+        rows = _sidecar_rows(path, text, data)
+        if rows is None:
+            rows = {}
+            for name, span in spans.items():  # to float64 at once, so that one array's lists are alive at a time
+                rows[name] = arr = np.array(orjson.loads(span), dtype=np.float64)
+                if np.isnan(arr).any():  # orjson reads no NaN, so a null was there: json.loads keeps it None
+                    raise ValueError("a row array holds null")
     except (TypeError, ValueError):  # orjson.JSONDecodeError, or numpy's on a ragged or non-numeric row
         data = json.loads(text)
     else:
         if isinstance(data, dict):
             data.update(rows)
     return trace_from_dict(data)
+
+
+def _sidecar_rows(path, text: bytes, data) -> Optional[dict]:
+    """{"w": w, "g": g}, writable (T, d) float64 arrays, from the sidecar of
+    the JSON trace at path, whose bytes are text and whose object less its
+    row arrays is data; None where ``read_trace_json`` decodes the text
+    instead.  Once the header matches, text and data are the writer's."""
+    try:
+        with open(f"{os.fspath(path)}{SIDECAR_SUFFIX}", "rb") as fh:
+            if fh.read(_SIDECAR_HEAD.size) != _SIDECAR_HEAD.pack(_SIDECAR_MAGIC, len(text), zlib.crc32(text)):
+                return None
+            T, d = len(data["losses"]), data["config"]["dim"]
+            if os.fstat(fh.fileno()).st_size != _SIDECAR_HEAD.size + 16 * T * d:
+                return None
+            rows = np.empty((2, T, d), dtype="<f8")
+            if fh.readinto(rows) != rows.nbytes:  # the file shrank since its size was read
+                return None
+    except OSError:  # no sidecar (an older output directory, or a file not written by write_trace_json)
+        return None
+    return {"w": rows[0], "g": rows[1]} if np.isfinite(rows).all() else None

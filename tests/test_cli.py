@@ -9,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 import yaml
 
@@ -419,13 +420,22 @@ rounds: 4000
         assert [r["run_id"] for r in rows] == [f"{group}_k00{k}" for group in groups for k in (0, 0, 1, 1)]
         assert sorted(p.name for p in out.glob("run_*")) == [f"run_{r['run_id']}.csv" for r in rows[::2]]
 
-    def test_a_state_past_the_float64_range_is_an_overflow_under_any_warning_filter(self, tmp_path):
-        # G = 1.7e308 along a fixed line: theta_2 overflows, and so does the play that answers it
-        sweep = """\
-game: {dim: 2, grad_bound: 1.7e308, horizon: unknown, seed: 0}
-strategy: {tag: ogd, eta: 0.3}
-adversary: {tag: fixed_direction}
-outputs: {dir: OUTDIR, format: csv}
+    @pytest.mark.parametrize("game, adversary", [
+        ("{dim: 2, grad_bound: 1.7e308", "{tag: fixed_direction}"),
+        # the minimax recurrences: theta_2 = theta_1 - g_2 overflows inside the adversary's own loop
+        ("{dim: 3, grad_bound: 1.5e+308", "{tag: orthogonal_minimax}"),
+        ("{dim: 2, grad_bound: 1.5e+308", "{tag: orthogonal_minimax}"),
+        ("{dim: 3, grad_bound: 1.5e+308", "{tag: parallel_minimax, sign_policy: random}"),
+    ], ids=["fixed_direction", "orthogonal_d3", "orthogonal_d2", "parallel_random"])
+    def test_a_state_past_the_float64_range_is_an_overflow_under_any_warning_filter(self, tmp_path, game,
+                                                                                      adversary):
+        # G = 1.7e308 along a fixed line, or G = 1.5e308 orthogonal to theta or along it: theta_2
+        # overflows, and so does the play that answers it
+        sweep = f"""\
+game: {game}, horizon: unknown, seed: 0}}
+strategy: {{tag: ogd, eta: 0.3}}
+adversary: {adversary}
+outputs: {{dir: OUTDIR, format: csv}}
 rounds: 5
 """
         path, out = write_spec(tmp_path, sweep)
@@ -597,7 +607,7 @@ repeats: 2
         assert [e["run_id"][:3] for e in errors["column"]] == ["s1-"] * 4
         # the column's other groups keep their traces and summary rows, byte for byte
         files = sorted(p.name for p in outs["column"].glob("run_*"))
-        assert files == sorted(p.name for p in outs["fine"].glob("run_s[02]-*")) and len(files) == 16
+        assert files == sorted(p.name for p in outs["fine"].glob("run_s[02]-*")) and len(files) == 24
         for name in files:
             assert (outs["column"] / name).read_bytes() == (outs["fine"] / name).read_bytes(), name
         lines = {name: (outs[name] / "summary.csv").read_text().splitlines() for name in ("column", "fine")}
@@ -641,7 +651,7 @@ rounds: 20
         assert [(e["run_id"][:3], e["message"]) for e in errors] == [
             ("s1-", "OverflowError: round 1: the play left the float64 range")] * 4
         files = sorted(p.name for p in outs["s0"].glob("run_*"))
-        assert files == sorted(p.name for p in outs["both"].glob("run_*")) and len(files) == 8
+        assert files == sorted(p.name for p in outs["both"].glob("run_*")) and len(files) == 12
         for name in files:
             assert (outs["both"] / name).read_bytes() == (outs["s0"] / name).read_bytes(), name
         lines = {name: (outs[name] / "summary.csv").read_text() for name in outs}
@@ -667,7 +677,7 @@ repeats: REPEATS
             assert main(["run", "--spec", str(path)]) == EXIT_OK
             outs.append(out)
         files = sorted(p.name for p in outs[0].glob("run_*"))
-        assert len(files) == 12
+        assert len(files) == 18
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
@@ -716,11 +726,30 @@ rounds: 25
                                      "direction_seed": comp["direction_seed"], "regret": report.regret_actual,
                                      "bound": report.regret_bound, "slack": report.slack, "holds": report.holds})
         files = sorted(p.name for p in ref.iterdir())
-        assert files == sorted(p.name for p in out.glob("run_*")) and len(files) == 36
+        assert files == sorted(p.name for p in out.glob("run_*")) and len(files) == 54
         for name in files:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
         assert list(csv.DictReader((out / "summary.csv").open())) == [
             {key: str(value) for key, value in row.items()} for row in rows]
+
+    def test_a_repeated_runs_json_trace_is_its_own_without_a_second_encoding(self, tmp_path, monkeypatch):
+        # fixed_direction draws nothing: each group's runs 1 and 2 repeat run 0, and their JSON traces and
+        # sidecars are run 0's bytes with their own seeds, those write_trace_json writes for them alone
+        path, out = write_spec(tmp_path, MINIMAL_SPEC.replace("repeats: 1", "repeats: 3").replace(
+            "format: both", "format: json"))
+        calls, traces = [], []
+        monkeypatch.setattr(orjson, "dumps", lambda *a, dumps=orjson.dumps, **k: calls.append(a) or dumps(*a, **k))
+        monkeypatch.setattr(cli, "write_trace_json",
+                            lambda trace, *a, write=write_trace_json, **k: traces.append(trace) or write(trace, *a, **k))
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        assert len(traces) == 3 and len(calls) == 1
+        monkeypatch.undo()
+        for k, trace in enumerate(traces):
+            assert trace.config.seed == traces[0].config.seed + k
+            written = out / f"run_s0-ogd_a0-fixed_direction_k00{k}.json"
+            write_trace_json(trace, tmp_path / "alone.json")
+            for suffix in ("", engine.SIDECAR_SUFFIX):
+                assert Path(f"{written}{suffix}").read_bytes() == Path(f"{tmp_path}/alone.json{suffix}").read_bytes()
 
     def test_a_run_that_differs_only_in_the_sign_of_a_zero_is_written_anew(self, tmp_path):
         # 0.0 == -0.0, but they are spelled apart: a repeat is a run of the same bits, not of equal values
@@ -959,6 +988,33 @@ class TestCurvesCommand:
         assert main(["curves", str(out)]) == EXIT_OK
         reference_write_curves(out, tmp_path / "ref.csv")
         assert (out / "curves.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_sidecars_change_no_byte_of_curves(self, tmp_path):
+        # curves.csv with every trace's float64 sidecar, with none, and with one left stale by an
+        # edit of its trace: always the curves of the traces' text
+        path, out = write_spec(tmp_path, CURVES_BYTE_CASES["one_family_two_entries"][0])
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        traces = sorted(out.glob("run_*.json"))
+        sidecars = {trace: Path(f"{trace}{engine.SIDECAR_SUFFIX}") for trace in traces}
+        kept = {trace: sidecar.read_bytes() for trace, sidecar in sidecars.items()}
+        assert len(traces) == 4 and sorted(out.glob("run_*")) == sorted(traces + list(sidecars.values()))
+
+        def curves(name):
+            assert main(["curves", str(out), "--out", str(tmp_path / name)]) == EXIT_OK
+            return (tmp_path / name).read_bytes()
+
+        every = curves("every.csv")
+        for sidecar in sidecars.values():
+            sidecar.unlink()
+        assert curves("none.csv") == every
+        cut_short(traces[1])
+        for trace, sidecar in sidecars.items():
+            sidecar.write_bytes(kept[trace])
+        stale = curves("stale.csv")
+        sidecars[traces[1]].unlink()
+        assert stale == curves("stale_deleted.csv") != every
+        reference_write_curves(out, tmp_path / "ref.csv")
+        assert stale == (tmp_path / "ref.csv").read_bytes()
 
     def test_huge_comparator_norms_stay_finite_in_run_and_curves(self, tmp_path):
         # np.linalg.norm's squares overflow past about 1.34e154: a norm-1e155 comparator read as

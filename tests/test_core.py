@@ -164,6 +164,21 @@ def test_complement_sample_at_float64_extremes(theta):
         assert np.all(np.abs(np.einsum("ij,ij->i", v, [unit_direction(row) for row in rows])) <= TOL_ORTHO)
 
 
+@pytest.mark.parametrize("theta", [[1.5e308, 1.5e308, 0.0], [1e308, -1.7e308, 3.0, -1e308, 0.5]])
+def test_complement_of_a_state_whose_norm_is_inf(theta):
+    # ||theta|| leaves float64 while its coordinates do not: its direction is still theta's, and the
+    # batch's other rows, of finite norms, keep the bits they have alone
+    theta = np.array(theta)
+    zero, unit = np.zeros_like(theta), np.eye(1, theta.size)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = complements([zero, theta, unit], [0, 1, 2])
+    assert row_norms(theta[None, :])[0] == np.inf
+    assert abs(np.linalg.norm(v[1]) - 1.0) <= 1e-12
+    assert abs(v[1] @ unit_direction(theta)) <= TOL_ORTHO
+    assert v[[0, 2]].tobytes() == complements([zero, unit], [0, 2]).tobytes()
+
+
 def test_complement_gram_schmidt_case():
     theta = np.array([1.0, 1.0, 0.0])
     v = complements([theta, 2.0 * theta, -theta], [3, 4, 5])

@@ -3,8 +3,10 @@ import io
 import json
 import math
 import re
+import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -42,7 +44,8 @@ from minimax_online import (
 )
 from minimax_online.core import (DimensionMismatchError, UnsupportedDimensionError, complement_rows,
                                  random_unit_vector, row_norms, unit_direction)
-from minimax_online.engine import BOUND_TOL, _states, repr_spellings, trace_from_dict, trace_to_dict, write_repr_rows
+from minimax_online.engine import (BOUND_TOL, SIDECAR_SUFFIX, _states, repr_spellings, trace_from_dict, trace_to_dict,
+                                   write_repr_rows)
 from minimax_online.oracles import BoundaryHitError, conjugate_numeric
 
 
@@ -829,6 +832,16 @@ def json_dumps_with_theta(trace, indent):
     return json.dumps(dict(items[:5] + [("theta", trace.theta.tolist())] + items[5:]), indent=indent)
 
 
+def read_back(path, how):
+    """read_trace_json of the JSON trace at path, which has its float64
+    sidecar: with it ("sidecar"), or with it deleted ("text")."""
+    sidecar = Path(f"{path}{SIDECAR_SUFFIX}")
+    assert sidecar.exists()
+    if how == "text":
+        sidecar.unlink()
+    return read_trace_json(path)
+
+
 def assert_same_trace(back, trace):
     assert back.config == trace.config
     assert (back.strategy_tag, back.adversary_tag) == (trace.strategy_tag, trace.adversary_tag)
@@ -848,8 +861,9 @@ class TestWriterBytes:
             write_trace_csv(trace, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("how", ["sidecar", "text"])
     @pytest.mark.parametrize("case", list(WRITER_CASES))
-    def test_json_reads_back_bit_for_bit(self, tmp_path, case):
+    def test_json_reads_back_bit_for_bit(self, tmp_path, case, how):
         trace = WRITER_CASES[case]()
         path = tmp_path / "out.json"
         write_trace_json(trace, path)
@@ -860,7 +874,7 @@ class TestWriterBytes:
         for key in ("w", "g", "losses", "eps"):  # tobytes: the sign of every zero too
             if ref[key] is not None:
                 assert np.array(data[key]).tobytes() == np.array(ref[key]).tobytes(), key
-        assert_same_trace(read_trace_json(path), trace)
+        assert_same_trace(read_back(path, how), trace)
 
     @pytest.mark.parametrize("case", list(WRITER_CASES) + ["non_contiguous", "float32"])
     def test_json_is_orjson_of_the_list_form(self, tmp_path, case):
@@ -912,11 +926,12 @@ class TestWriterBytes:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
-    def test_json_round_trip_of_finite_floats(self, tmp_path_factory, floats):
+    @pytest.mark.parametrize("how", ["sidecar", "text"])
+    def test_json_round_trip_of_finite_floats(self, tmp_path_factory, how, floats):
         trace = special_trace(floats)
         path = tmp_path_factory.mktemp("json") / "out.json"
         write_trace_json(trace, path)
-        assert_same_trace(read_trace_json(path), trace)
+        assert_same_trace(read_back(path, how), trace)
 
     @settings(max_examples=300, deadline=None)
     @given(floats=st.lists(st.floats(width=64), max_size=30), d=st.sampled_from([2, 9]), with_eps=st.booleans())
@@ -977,6 +992,42 @@ class TestWriterBytes:
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _rewrite_sidecar(sidecar, length=0, crc=0, scale=1.0, cut=0, value=None):
+    """Edit the sidecar's header (add length to its byte length, xor crc into
+    its checksum) and floats (times scale, the first set to value), then cut
+    its last cut bytes."""
+    data = sidecar.read_bytes()
+    magic, size, checksum = struct.unpack("<8sQI4x", data[:24])
+    floats = np.frombuffer(data, dtype="<f8", offset=24) * scale
+    if value is not None:
+        floats[0] = value
+    data = struct.pack("<8sQI4x", magic, size + length, checksum ^ crc) + floats.tobytes()
+    sidecar.write_bytes(data[:len(data) - cut])
+
+
+def _edit_a_digit(path):
+    """The JSON trace at path with one digit of w changed, its length kept."""
+    text = bytearray(path.read_bytes())
+    at = text.index(b",", text.index(b'"w":[[')) - 1  # the last digit of w's first float
+    text[at] = ord("1") if text[at] != ord("1") else ord("2")
+    path.write_bytes(bytes(text))
+
+
+# each takes a JSON trace, its sidecar and another trace's sidecar of the same shape, and spoils
+# the tie of the first two: a same-length edit of the text, a header that names other bytes (its
+# floats then scaled by 2), a sidecar of another size or of another trace, or a float made inf or nan
+SPOILED_SIDECARS = {
+    "json_edited": lambda path, sidecar, other: _edit_a_digit(path),
+    "wrong_checksum": lambda path, sidecar, other: _rewrite_sidecar(sidecar, crc=1, scale=2.0),
+    "wrong_length": lambda path, sidecar, other: _rewrite_sidecar(sidecar, length=1, scale=2.0),
+    "truncated": lambda path, sidecar, other: _rewrite_sidecar(sidecar, cut=8),
+    "one_float_more": lambda path, sidecar, other: sidecar.write_bytes(sidecar.read_bytes() + bytes(8)),
+    "another_traces": lambda path, sidecar, other: sidecar.write_bytes(other.read_bytes()),
+    "holds_inf": lambda path, sidecar, other: _rewrite_sidecar(sidecar, value=np.inf),
+    "holds_nan": lambda path, sidecar, other: _rewrite_sidecar(sidecar, value=np.nan),
+}
+
+
 class TestSerialization:
     def test_json_round_trip_bit_exact(self, tmp_path):
         strat = ogd(0.2)
@@ -992,9 +1043,10 @@ class TestSerialization:
         u = make_rng(0).standard_normal(2)
         assert regret(back, u) == regret(trace, u)
 
+    @pytest.mark.parametrize("how", ["sidecar", "text"])
     @pytest.mark.parametrize("a_tag", ADVERSARY_TAGS)
     @pytest.mark.parametrize("s_tag", STRATEGY_TAGS)
-    def test_json_round_trip_of_engine_traces_bit_for_bit(self, tmp_path, s_tag, a_tag):
+    def test_json_round_trip_of_engine_traces_bit_for_bit(self, tmp_path, s_tag, a_tag, how):
         T = 40
         for d in (2, 3):
             player, adversary, configs = lockstep_group(s_tag, a_tag, d, T, range(3))
@@ -1004,10 +1056,64 @@ class TestSerialization:
                 attach_epsilon(trace, player.potential)
                 path = tmp_path / f"d{d}_{k}.json"
                 write_trace_json(trace, path)
-                back = read_trace_json(path)
+                back = read_back(path, how)
                 assert back.config == trace.config
                 for name, value in fields_of(trace).items():  # tobytes: the sign of every zero too
                     assert getattr(back, name).tobytes() == value.tobytes(), (name, d, k)
+
+    @pytest.mark.parametrize("case", [case for case in WRITER_CASES if case != "zero_rounds"])
+    def test_a_valid_sidecar_spares_decoding_the_row_arrays(self, tmp_path, monkeypatch, case):
+        # one orjson.loads call, for the rest of the file, and w and g writable, as the text's are
+        trace = WRITER_CASES[case]()
+        write_trace_json(trace, tmp_path / "out.json")
+        calls = []
+        monkeypatch.setattr(orjson, "loads", lambda text, loads=orjson.loads: calls.append(text) or loads(text))
+        back = read_trace_json(tmp_path / "out.json")
+        assert_same_trace(back, trace)
+        assert len(calls) == 1 and back.w.flags.writeable and back.g.flags.writeable
+        assert (tmp_path / f"out.json{SIDECAR_SUFFIX}").stat().st_size == 24 + 16 * trace.w.size
+
+    @pytest.mark.parametrize("spoil", list(SPOILED_SIDECARS))
+    def test_a_sidecar_that_does_not_match_its_file_is_ignored(self, tmp_path, monkeypatch, spoil):
+        # each spoiled sidecar's floats differ from the text's, so a read that took them would show
+        trace = attach_epsilon(small_trace(seed=3, rounds=30, dim=3), QuadraticPotential(eta=0.2, G=1.0))
+        other = attach_epsilon(small_trace(seed=4, rounds=30, dim=3), QuadraticPotential(eta=0.2, G=1.0))
+        path, other_path = tmp_path / "run.json", tmp_path / "other.json"
+        write_trace_json(trace, path)
+        write_trace_json(other, other_path)
+        SPOILED_SIDECARS[spoil](path, Path(f"{path}{SIDECAR_SUFFIX}"), Path(f"{other_path}{SIDECAR_SUFFIX}"))
+        calls = []
+        monkeypatch.setattr(orjson, "loads", lambda text, loads=orjson.loads: calls.append(text) or loads(text))
+        back = read_trace_json(path)
+        assert len(calls) == 3  # the rest of the file, then w and g from their text
+        monkeypatch.undo()
+        assert_same_trace(back, read_back(path, "text"))
+        if spoil != "json_edited":
+            assert_same_trace(back, trace)
+
+    def test_a_repeated_run_respells_the_seed_of_the_run_before_it(self, tmp_path, monkeypatch):
+        # a repeat's file and sidecar are those write_trace_json writes for it alone, with no orjson.dumps call
+        first = attach_epsilon(small_trace(seed=7, rounds=20, dim=3), QuadraticPotential(eta=0.2, G=1.0))
+        paths = {name: tmp_path / f"{name}.json"
+                 for name in ("first", "repeat", "alone", "other_bound", "other_bound_alone")}
+        write_trace_json(first, paths["first"])
+        repeat = replace(first, config=replace(first.config, seed=2**64 - 1))
+        write_trace_json(repeat, paths["alone"])
+        calls = []
+        monkeypatch.setattr(orjson, "dumps", lambda *a, dumps=orjson.dumps, **k: calls.append(a) or dumps(*a, **k))
+        write_trace_json(repeat, paths["repeat"], repeat_of=(first, paths["first"]))
+        assert calls == []
+        # a config that differs in more than the seed is written anew
+        other_bound = replace(first, config=replace(first.config, grad_bound=2.0))
+        write_trace_json(other_bound, paths["other_bound"], repeat_of=(first, paths["first"]))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        write_trace_json(other_bound, paths["other_bound_alone"])
+        for name, alone in (("repeat", "alone"), ("other_bound", "other_bound_alone")):
+            for suffix in ("", SIDECAR_SUFFIX):
+                assert Path(f"{paths[name]}{suffix}").read_bytes() == Path(f"{paths[alone]}{suffix}").read_bytes()
+        assert json.loads(paths["repeat"].read_text())["config"]["seed"] == 2**64 - 1
+        assert_same_trace(read_trace_json(paths["repeat"]), repeat)
 
     @pytest.mark.parametrize("case", ["d2_ledger", "zero_rounds", "extreme", "nonfinite"])
     def test_a_file_with_theta_reads_the_same(self, tmp_path, case):
