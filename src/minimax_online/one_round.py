@@ -21,9 +21,9 @@ evaluates one alpha per radius: the best grid beta, refined on a local grid
 spanning its two neighbours, gives the payoff and its maximizing beta, a
 subgradient, so the payoff's tangent line there.  The next alpha is where the
 lines at the two ends of the bracket cross, or the midpoint; the crossing
-value is a certified lower bound that stops a radius early.  The loop is
-written once, over four operations spelled for arrays or, for a block of one
-radius, for Python floats; both give the same bits.  ``worst_case_payoff`` is
+value is a certified lower bound that stops a radius early.  The preamble
+and the loop are written once, over five operations spelled for arrays or,
+for a block of one radius, for Python floats; both give the same bits.  ``worst_case_payoff`` is
 that inner max at given alphas: the payoff of a play alpha * theta_hat
 against its best reply.  ``solve_scalar_grid`` is the kernel at one radius
 and validates both closed forms; the backward-induction oracle runs the
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ORTHOGONAL, PARALLEL, UnsupportedDimensionError
+from .core import ORTHOGONAL, PARALLEL, UnsupportedDimensionError, row_norms
 
 NUMERIC = "numeric"
 
@@ -110,24 +110,34 @@ def classify_regime(h, probe_grid) -> str:
     return PARALLEL if par_ok else ORTHOGONAL if ortho_ok else NUMERIC
 
 
+def _theta_norm(theta: np.ndarray) -> float:
+    """||theta||: np.linalg.norm's value where that is finite, bit for bit, else ``row_norms``' exact
+    one (where the squares overflow), with no warning."""
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(theta))
+    return r if r < math.inf else float(row_norms(theta))
+
+
 def solve_orthogonal(spec: OneRoundSpec) -> OneRoundSolution:
-    """The orthogonal regime's value h(sqrt(||theta||^2 + G^2)); requires dim >= 2."""
+    """The orthogonal regime's value h(sqrt(||theta||^2 + G^2)), by hypot where the squares overflow;
+    requires dim >= 2."""
     if spec.theta.size < 2:
         raise UnsupportedDimensionError("orthogonal regime requires dim >= 2")
-    r = float(np.linalg.norm(spec.theta))
-    return OneRoundSolution(float(spec.h(np.sqrt(r * r + spec.G * spec.G))), ORTHOGONAL)
+    r = _theta_norm(spec.theta)
+    s = r * r + spec.G * spec.G
+    return OneRoundSolution(float(spec.h(np.sqrt(s) if s < math.inf else np.hypot(r, spec.G))), ORTHOGONAL)
 
 
 def solve_parallel(spec: OneRoundSpec) -> OneRoundSolution:
     """The parallel regime's value (h(||theta|| + G) + h(||theta|| - G)) / 2 (any dim, including d = 1)."""
-    r = float(np.linalg.norm(spec.theta))
+    r = _theta_norm(spec.theta)
     return OneRoundSolution(0.5 * (float(spec.h(r + spec.G)) + float(spec.h(abs(r - spec.G)))), PARALLEL)
 
 
 BLOCK = 32  # radii solved together
 REFINE_N = 65  # points of the local beta grid that refines each argmax
-_PROBE = np.arange(256.0)  # the alpha bracket's slope probes on [0, r + G], in steps of (r + G) / 255
-_REFINE = np.linspace(0.0, 1.0, REFINE_N)
+_PROBE = np.arange(256.0)[None]  # the alpha bracket's slope probes on [0, r + G], in steps of (r + G) / 255
+_REFINE = np.linspace(0.0, 1.0, REFINE_N)[None]  # one row: a lone radius's grid is (1, REFINE_N)
 _ROOM = 2.0 ** 1019  # float64's maximum / 32: what the cutting planes' magnitudes may reach
 
 
@@ -172,8 +182,11 @@ def _by_block(radii, G: float, grid_n: int, solve) -> np.ndarray:
 def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
     """min over alpha of max over beta in [-G, G] of alpha*beta + h(xmap(r, beta, G)), per radius r.
 
-    Radii are solved BLOCK at a time, in lockstep; a block of one radius
-    (every ``solve_scalar_grid`` call) runs the same loop on Python floats.
+    Radii are solved BLOCK at a time, in lockstep.  A block of one radius
+    (every ``solve_scalar_grid`` call) computes its step, L, tol and rescale
+    test after the h table on Python floats, runs the same loop on them, and
+    calls h on a refinement grid once per distinct coarse argmax, reusing
+    that grid and h's values on it when an evaluation repeats the argmax.
     h is tabulated once on a grid_n-point beta grid.  The payoff is convex in
     alpha and, by Danskin's theorem, the beta attaining the inner max is a
     subgradient of it: the evaluation at alpha gives the line value + beta
@@ -188,7 +201,7 @@ def minmax_values(h, xmap, radii, G: float, grid_n: int) -> np.ndarray:
     cross, a lower bound on the minimum.  The pace rule caps a solve at 77
     evaluations, twice bisection's 38 halvings plus one; smooth and piecewise
     linear payoffs take about 4-20.  The value is the smallest payoff
-    evaluated.  The inner max is ``_inner_max``.  Every operation acts row by
+    evaluated.  The inner max is ``_inner_max`` (``_inner_max_one`` alone).  Every operation acts row by
     row, and its Python-float spelling does the same arithmetic in the same
     order, with np.minimum's and np.maximum's NaN rules and argmax's first
     index, so a radius gets the same value alone as in a batch, bit for bit.
@@ -218,41 +231,50 @@ def _inner_max(h, xmap, r, G: float, betas: np.ndarray, hvals: np.ndarray, alpha
     a REFINE_N-point grid spanning its two neighbours."""
     rows = np.arange(r.shape[0])
     vals = alpha[:, None] * betas + hvals
-    k = np.argmax(vals, axis=1)
+    k = vals.argmax(axis=1)
     left = betas[np.maximum(k - 1, 0), None]
     fine = left + (betas[np.minimum(k + 1, betas.size - 1), None] - left) * _REFINE
     refined = alpha[:, None] * fine + eval_on_array(h, xmap(r, fine, G))
-    j = np.argmax(refined, axis=1)
+    j = refined.argmax(axis=1)
     coarse_top, fine_top = vals[rows, k], refined[rows, j]
     return np.maximum(coarse_top, fine_top), np.where(fine_top > coarse_top, fine[rows, j], betas[k])
 
 
 def _minmax_block(h, xmap, r, G: float, betas: np.ndarray) -> np.ndarray:
     """``minmax_values`` for one block of radii r, shaped (m, 1): the h table, slope probe, L and tol
-    of every radius, then ``_planes`` on the block's arrays, or on Python floats for a lone radius."""
+    of every radius, then ``_planes`` on the block's arrays.  A lone radius takes all of it after the
+    h table on Python floats (on (1,) arrays numpy's call overhead would triple a solve's cost)."""
     hvals = eval_on_array(h, xmap(r, betas, G))
-    step = (r + G) / (_PROBE.size - 1)
+    lone = r.shape[0] == 1
+    where, _, maximum, any_, isfinite = ops = _FLOAT_OPS if lone else _ARRAY_OPS
+    radius = r[0, 0].item() if lone else r
+    step = (radius + G) / (_PROBE.size - 1)
     probe = _PROBE * step  # np.linspace(0, r + G, 256) row by row, bit for bit
-    probe[:, -1:] = r + G
+    probe[:, -1:] = radius + G
     hprobe = eval_on_array(h, probe)
-    top = np.max(np.abs(hprobe), axis=1)  # NaN if the probe holds a NaN, else inf if it holds an inf
-    with np.errstate(over="ignore", invalid="ignore"):  # h or its slope overflows on the probe
-        max_slope = np.max(np.abs(np.diff(hprobe, axis=1)), axis=1) / step[:, 0]
-        L = 2.0 * np.where(np.isfinite(top), max_slope, top) + 1e-6
-    tol = 1e-11 * np.maximum(1.0, L)
-    # every magnitude of the cutting planes (a payoff, a line's value, the bracket's width) is at most
-    # 4 (G + 2) max(L, top); a block with a row where that passes _ROOM is solved again with that row's h
-    # divided by a power of two, and so its alphas too, which is exact, so that none leaves float64
-    with np.errstate(over="ignore"):
-        scaled = np.isfinite(L) & (4.0 * (G + 2.0) * np.maximum(L, top) > _ROOM)
-    if scaled.any():
+    top = np.abs(hprobe).max(axis=1)  # NaN if the probe holds a NaN, else inf if it holds an inf
+    # h or its slope overflows on the probe, or the bound below does
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_slope = np.abs(np.diff(hprobe, axis=1)).max(axis=1) / (step if lone else step[:, 0])
+        if lone:
+            top, max_slope = top.item(), max_slope.item()
+        L = 2.0 * where(isfinite(top), max_slope, top) + 1e-6
+        tol = 1e-11 * maximum(1.0, L)
+        # every magnitude of the cutting planes (a payoff, a line's value, the bracket's width) is at
+        # most 4 (G + 2) max(L, top); a block with a row where that passes _ROOM is solved again with
+        # that row's h divided by a power of two, and so its alphas too, which is exact, so that none
+        # leaves float64
+        scaled = isfinite(L) & (4.0 * (G + 2.0) * maximum(L, top) > _ROOM)
+    if any_(scaled):
+        L, top, scaled = np.atleast_1d(L, top, scaled)  # a lone radius's floats as a block's arrays
         shift = np.ceil(np.log2(4.0 * (G + 2.0)) + np.log2(np.maximum(L, top)) - math.log2(_ROOM))
         scale = np.ldexp(1.0, np.where(scaled, np.minimum(shift, 1023.0), 0.0).astype(int))[:, None]
         return _minmax_block(lambda x: eval_on_array(h, x) / scale, xmap, r, G, betas) * scale[:, 0]
-    if r.shape[0] == 1:  # on (1,) arrays the numpy calls' overhead would triple a solve's cost
-        inner = lambda x: _inner_max_one(h, xmap, r, G, betas, hvals[0], x)
-        return np.array([_planes(float(L[0]), float(tol[0]), G, inner, _FLOAT_OPS)])
-    return _planes(L, tol, G, lambda x: _inner_max(h, xmap, r, G, betas, hvals, x), _ARRAY_OPS)
+    if lone:
+        seen = {}  # the refinement grid and h on it, per coarse argmax, for this solve
+        inner = lambda a: _inner_max_one(h, xmap, radius, G, betas, hvals[0], a, seen)
+        return np.array([_planes(L, tol, G, inner, ops)])
+    return _planes(L, tol, G, lambda a: _inner_max(h, xmap, r, G, betas, hvals, a), ops)
 
 
 def _minimum(x: float, y: float) -> float:
@@ -265,17 +287,17 @@ def _maximum(x: float, y: float) -> float:
     return x if x > y or x != x else y
 
 
-# the four operations of the cutting planes: (where, minimum, any, isfinite)
-_ARRAY_OPS = (np.where, np.minimum, np.ndarray.any, np.isfinite)
-_FLOAT_OPS = (lambda c, x, y: x if c else y, _minimum, bool, math.isfinite)
+# the five operations of a block's preamble and cutting planes: (where, minimum, maximum, any, isfinite)
+_ARRAY_OPS = (np.where, np.minimum, np.maximum, np.ndarray.any, np.isfinite)
+_FLOAT_OPS = (lambda c, x, y: x if c else y, _minimum, _maximum, bool, math.isfinite)
 
 
 def _planes(L, tol, G: float, inner, ops):
     """The cutting planes on alpha from the bracket [-L, L] to tol, where inner(alpha) is the inner
     max and its maximizing beta: on arrays, a block's radii in lockstep (ops ``_ARRAY_OPS``), or on
-    Python floats, a lone radius (``_FLOAT_OPS``).  Both spellings of the four ops do the same
+    Python floats, a lone radius (``_FLOAT_OPS``).  Both spellings of the ops do the same
     arithmetic in the same order, so a radius gets the same value either way, bit for bit."""
-    where, minimum, any_, isfinite = ops
+    where, minimum, _, any_, isfinite = ops
     # an evaluation at x gives beta < 0 (the minimum is right of x: x becomes a) or
     # beta >= 0 or NaN (x becomes b); each end keeps the line value + beta (alpha - x) of
     # the evaluation that set it, NaN until one has.  A stopped row keeps its state.  A
@@ -310,17 +332,23 @@ def _planes(L, tol, G: float, inner, ops):
     return best
 
 
-def _inner_max_one(h, xmap, r, G: float, betas: np.ndarray, hrow: np.ndarray, alpha: float):
-    """``_inner_max`` for a lone radius r, shaped (1, 1), whose h table is hrow, as two floats: h
-    sees the same (1, REFINE_N) array, and argmax keeps its first index on a tie or NaN."""
+def _inner_max_one(h, xmap, r: float, G: float, betas: np.ndarray, hrow: np.ndarray, alpha: float,
+                   seen: dict):
+    """``_inner_max`` for a lone radius r, whose h table is hrow, as two floats.  seen holds, per
+    coarse argmax k, the refinement grid and h on it, so that h is called once per distinct k in a
+    solve; h sees the same (1, REFINE_N) array as in a batch, and argmax keeps its first index on a
+    tie or NaN."""
     vals = alpha * betas + hrow
-    k = int(np.argmax(vals))
-    left = betas[max(k - 1, 0)]
-    fine = left + (betas[min(k + 1, betas.size - 1)] - left) * _REFINE
-    refined = alpha * fine + eval_on_array(h, xmap(r, fine, G))[0]
-    j = int(np.argmax(refined))
-    coarse_top, fine_top = float(vals[k]), float(refined[j])
-    return _maximum(coarse_top, fine_top), float(fine[j] if fine_top > coarse_top else betas[k])
+    k = vals.argmax()
+    if k not in seen:
+        left = betas.item(max(k - 1, 0))
+        fine = left + (betas.item(min(k + 1, betas.size - 1)) - left) * _REFINE
+        seen[k] = fine, eval_on_array(h, xmap(r, fine, G))
+    fine, hfine = seen[k]
+    refined = alpha * fine + hfine
+    j = refined.argmax()
+    coarse_top, fine_top = vals.item(k), refined.item(j)
+    return _maximum(coarse_top, fine_top), fine.item(j) if fine_top > coarse_top else betas.item(k)
 
 
 def solve_scalar_grid(spec: OneRoundSpec) -> float:
@@ -328,13 +356,19 @@ def solve_scalar_grid(spec: OneRoundSpec) -> float:
 
     The value min over alpha of max over beta in [-G, G] of alpha*beta +
     h(||theta - g||) from ``minmax_values`` at the one radius ||theta||, on
-    Python floats (the value a batch gives that radius, bit for bit):
+    Python floats after the h table (the value a batch gives that radius, bit
+    for bit), with h called once per distinct coarse argmax:
     cutting planes from the maximizing beta (a subgradient) over the player
     scalar alpha, and a 1001-point beta grid refined around its best point
     for the adversary scalar beta.  ||theta - g|| is ``line_distance`` when
     theta has one coordinate and ``plane_distance`` otherwise; accuracy ~1e-3
-    relative or better on the families used here.
+    relative or better on the families used here.  ||theta|| is exact where
+    its squares overflow; past sqrt(float64 max) at d >= 2, where
+    ``plane_distance`` squares it, ValueError.
     """
-    r = float(np.linalg.norm(spec.theta))
+    r = _theta_norm(spec.theta)
+    if spec.theta.size > 1 and not r * r < math.inf:
+        raise ValueError(f"||theta|| = {r:.6g} is past the grid oracle's range at d >= 2: plane_distance "
+                         f"needs ||theta||^2 finite, ||theta|| <= {math.sqrt(np.finfo(float).max):.6g}")
     xmap = line_distance if spec.theta.size == 1 else plane_distance
     return float(minmax_values(spec.h, xmap, [r], spec.G, 1001)[0])

@@ -17,8 +17,9 @@ from minimax_online import (
 )
 from minimax_online.core import UnsupportedDimensionError, make_rng
 from minimax_online import checks
-from minimax_online.one_round import (BLOCK, NUMERIC, ORTHOGONAL, PARALLEL, _PROBE, _REFINE, eval_on_array,
-                                      line_distance, minmax_values, plane_distance, worst_case_payoff)
+from minimax_online.one_round import (BLOCK, NUMERIC, ORTHOGONAL, PARALLEL, REFINE_N, _PROBE, _REFINE,
+                                      _inner_max_one, eval_on_array, line_distance, minmax_values, plane_distance,
+                                      worst_case_payoff)
 from minimax_online.oracles import INVPHI
 
 PROBES = np.linspace(0.05, 5.0, 40)
@@ -175,6 +176,8 @@ def reference_minmax_block(h, xmap, r, G, betas):
     return np.where(fc < fd, fc, fd)
 
 
+LONE_PROFILES = [lambda x: np.abs(x) ** 1.5, lambda x: np.exp(x * x / 8.0), np.abs]
+LONE_STATES = ((np.zeros(2), 1.0), (np.array([1.5, -0.5]), 0.8), (np.array([6.0, 2.0]), 2.0))
 KERNEL_CASES = dict(radii=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40), G=st.floats(0.1, 3.0),
                     grid_n=st.integers(101, 257), p=st.floats(1.0, 4.0),
                     xmap=st.sampled_from([plane_distance, line_distance]))
@@ -200,11 +203,11 @@ class TestMinmaxKernel:
         ref = reference_minmax_values(h, xmap, radii, G, grid_n)
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref))), (got, ref)
 
-    @pytest.mark.parametrize("h", [lambda x: np.abs(x) ** 1.5, lambda x: np.exp(x * x / 8.0), np.abs],
-                             ids=["power", "exponential", "linear"])
+    @pytest.mark.parametrize("h", LONE_PROFILES, ids=["power", "exponential", "linear"])
     def test_h_calls_per_solve(self, h):
-        # one table of h on the beta grid, one slope probe, and one refinement per
-        # evaluated alpha; bisection alone takes 38 evaluations on these cases
+        # one table of h on the beta grid, one slope probe, and one refinement per distinct
+        # coarse argmax among the evaluated alphas; bisection alone takes 38 evaluations on
+        # these cases, and a refinement per evaluation 19 on the power one
         calls = 0
 
         def counted(x):
@@ -212,10 +215,34 @@ class TestMinmaxKernel:
             calls += 1
             return h(x)
 
-        for theta, G in ((np.zeros(2), 1.0), (np.array([1.5, -0.5]), 0.8), (np.array([6.0, 2.0]), 2.0)):
+        for theta, G in LONE_STATES:
             calls = 0
             solve_scalar_grid(OneRoundSpec(h=counted, theta=theta, G=G))
-            assert calls <= 20, (theta, G, calls)
+            assert calls <= 16, (theta, G, calls)
+
+    @pytest.mark.parametrize("h", LONE_PROFILES, ids=["power", "exponential", "linear"])
+    def test_a_lone_solve_refines_each_coarse_argmax_once(self, h, monkeypatch):
+        # h sees the (1, grid_n) table, the (1, 256) slope probe, then one (1, REFINE_N) grid per
+        # distinct coarse argmax k; an evaluation whose k was seen before calls neither xmap nor h
+        ks, shapes = [], []
+
+        def spy(h, xmap, r, G, betas, hrow, alpha, seen):
+            ks.append(int(np.argmax(alpha * betas + hrow)))
+            return _inner_max_one(h, xmap, r, G, betas, hrow, alpha, seen)
+
+        def recording(x):
+            shapes.append(np.shape(x))
+            return h(x)
+
+        monkeypatch.setattr("minimax_online.one_round._inner_max_one", spy)
+        repeated = 0
+        for theta, G in LONE_STATES:
+            ks.clear()
+            shapes.clear()
+            solve_scalar_grid(OneRoundSpec(h=recording, theta=theta, G=G))
+            assert shapes == [(1, 1001), (1, 256)] + [(1, REFINE_N)] * len(set(ks)), ks
+            repeated += len(ks) - len(set(ks))
+        assert repeated > 0
 
     @given(**KERNEL_CASES)
     @settings(max_examples=50, deadline=None)
@@ -333,6 +360,24 @@ class TestKernelInputs:
         np.testing.assert_allclose(plane, want, rtol=1e-9)
         np.testing.assert_allclose(got[-1], want, rtol=1e-9)
         assert np.array_equal(got, alone, equal_nan=True), (got, alone)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHugeStates:
+    """A finite theta whose squared norm leaves float64: ||theta|| is row_norms' exact value, with no
+    warning, and each solver gives its value or says why it cannot."""
+
+    @pytest.mark.parametrize("solve", [solve_orthogonal, solve_parallel])
+    def test_the_closed_forms_are_finite(self, solve):
+        assert solve(OneRoundSpec(h=np.abs, theta=np.array([1e200, 0.0]), G=1.0)).value == 1e200
+
+    def test_the_grid_oracle_solves_a_huge_state_on_the_line(self):
+        assert solve_scalar_grid(OneRoundSpec(h=np.abs, theta=np.array([1e200]), G=1.0)) == 1e200
+
+    @pytest.mark.parametrize("theta", [[1e200, 0.0], [1e154, 1e154, 0.0]])
+    def test_the_grid_oracle_names_the_plane_distances_limit(self, theta):
+        with pytest.raises(ValueError, match=r"\|\|theta\|\| = 1(\.[0-9]+)?e\+(200|154) .* <= 1\.34078e\+154"):
+            solve_scalar_grid(OneRoundSpec(h=np.abs, theta=np.array(theta), G=1.0))
 
 
 class TestDimOneParallel:
