@@ -83,12 +83,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=int, default=12)
     parser.add_argument("--seed", type=int, action="append", help="repeatable; default 31001")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default all")
     parser.add_argument("--quick", action="store_true", help="perfbench's shrunken workloads")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be >= 1")
-    seeds, workloads = args.seed or [31001], args.workload or list(WORKLOADS)
+    seeds = args.seed or [31001]
 
     import numpy
     import orjson
@@ -96,10 +95,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         checkouts = {side: Path(tmp) / side for side in ("base", "head")}
         shas = {side: extract(getattr(args, side), path) for side, path in checkouts.items()}
-        runs = {w: {str(s): {"base": [], "head": []} for s in seeds} for w in workloads}
+        runs = {w: {str(s): {"base": [], "head": []} for s in seeds} for w in WORKLOADS}
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for workload in workloads:
+            for workload in WORKLOADS:
                 for seed in seeds:
                     for side in order:
                         print(f"pair {pair + 1}/{args.pairs}: {workload} seed {seed} {side}", file=sys.stderr)
