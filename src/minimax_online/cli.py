@@ -39,6 +39,7 @@ never loads PyYAML.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -59,8 +60,8 @@ from . import adversaries as adv_mod
 from . import strategies as strat_mod
 from .core import SEED_MAX, GameConfig, UNKNOWN_HORIZON, linalg_norms, make_rng, random_unit_vector
 # run_game is unused here but stays a cli attribute: perfbench/tracing.py wraps it by name
-from .engine import (attach_epsilon, regret_bound, repr_spellings, run_column, run_game,  # noqa: F401
-                     verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
+from .engine import (attach_epsilon, regret_bound, regret_curves, repr_spellings, run_column,  # noqa: F401
+                     run_game, verify_bound, write_repr_rows, write_trace_csv, write_trace_json, read_trace_json)
 from .potentials import AdaptiveNormalPotential, NormalKnownTPotential, PowerPotential, QuadraticPotential
 
 EXIT_OK = 0
@@ -572,8 +573,8 @@ def cmd_curves(args) -> int:
                     print(f"error: {path}: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
                 fills = [run_id.encode()] * (2 * T)
-                for u, template in zip(comparators, templates[T]):
-                    fills[1::2] = repr_spellings(np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u[None, :])))
+                for regrets, template in zip(regret_curves(trace, comparators), templates[T]):
+                    fills[1::2] = repr_spellings(regrets)
                     fh.write(template % tuple(fills))
         os.replace(tmp_path, out_path)
     except OSError as exc:  # the output location cannot be written; a trace read error returned above
@@ -586,6 +587,12 @@ def cmd_curves(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand of argv (sys.argv[1:] when None) and return its
+    exit code.  When argv is None, main is the process entry, and it calls
+    ``gc.freeze()`` once the subcommand has returned, so that the collections
+    of interpreter exit skip the heap that dies with the process; a call with
+    an argument list (the tests', an embedding program's) leaves the
+    collector as it was."""
     parser = argparse.ArgumentParser(prog="minimax-online",
                                      description="Unconstrained online linear optimization testbed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -610,10 +617,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except Exception:  # a fault of the program, never reported as a verdict
         traceback.print_exc()
-        return EXIT_INTERNAL
+        code = EXIT_INTERNAL
+    if argv is None:
+        # main on sys.argv is the process entry (python -m minimax_online.cli, the console script), so
+        # the heap dies with the process: frozen, the interpreter's collections at exit skip it.  Safe
+        # because every file a command writes is closed before it returns (its with blocks, and the
+        # finally of curves' temporary file), so no finalizer is left for a collection to run.
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -36,6 +36,10 @@ class UnsupportedDimensionError(ValueError):
 # squares is exact to rounding.
 _NORM_SAFE_MIN = 1e-150
 _NORM_SAFE_MAX = 1e150
+# up to this many norms, Python's min and max of a list test the range faster than numpy's two reductions
+# (about 2.2 us each call, where the list takes 0.6 us at 4 norms and 2.3 us at 48): a round's (R, d) rows
+# take the list, a (R, T, d) block the reductions
+_LIST_SCAN_MAX = 48
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -48,8 +52,12 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     infinite coordinate has norm inf and a row with a NaN has norm NaN, as
     with np.linalg.norm, and neither warns."""
     n = np.sqrt(np.einsum("...i,...i->...", a, a))
-    listed = n.ravel().tolist()  # min and max of a few floats: faster in Python than two reductions
-    if listed and not (_NORM_SAFE_MIN <= min(listed) and max(listed) <= _NORM_SAFE_MAX):
+    if n.size > _LIST_SCAN_MAX:  # a NaN fails both tests, and its row then keeps its NaN
+        inside = _NORM_SAFE_MIN <= n.min() and n.max() <= _NORM_SAFE_MAX
+    else:  # Python's min and max skip a NaN that is not first, but never an out-of-range norm
+        listed = n.ravel().tolist()
+        inside = not listed or (_NORM_SAFE_MIN <= min(listed) and max(listed) <= _NORM_SAFE_MAX)
+    if not inside:
         n = np.array(n)  # writable, also for a single row
         outside = (n < _NORM_SAFE_MIN) | (n > _NORM_SAFE_MAX)
         rows = a[outside]  # only these rows are rescaled

@@ -7,9 +7,16 @@ player pays <w_{t+1}, g_{t+1}>.  A Trace records the whole run.
 
 Accounting identities maintained here (and asserted by the test suite):
 
-    Regret(u)  = sum_t <g_t, w_t - u> = -Reward - <g_{1:T}, u>
-    eps_t      = q_t(theta_t) - q_{t-1}(theta_{t-1}) + <w_t, g_t>
-    sum eps_t  = q_T(theta_T) - q_0(0) - Reward      (telescoping)
+    Regret_t(u) = sum_{s<=t} <g_s, w_s - u> = L_t + <theta_t, u>
+    L_t         = sum_{s<=t} <w_s, g_s> = -Reward_t
+    eps_t       = q_t(theta_t) - q_{t-1}(theta_{t-1}) + <w_t, g_t>
+    sum eps_t   = q_T(theta_T) - q_0(0) - Reward      (telescoping)
+
+Regret is computed in one form only, the reward-regret duality's, L_t +
+<theta_t, u> from the trace's losses and states: ``regret_curves`` gives it
+at every round for every comparator, and ``regret`` (and so every report of
+``verify_bound`` and the summary) is its last column, the value ``curves``
+writes at t = T, bit for bit.  The per-round sums are the tests' reference.
 
 Potentials are radial.  A potential handed to ``epsilon_ledger`` must give
 ``value(t, theta) -> float`` and an array-valued ``radial(t, x)``: q_t(x)
@@ -276,14 +283,40 @@ def _round_checks(g_rows: np.ndarray, G: float, bad_play: np.ndarray, bad_g=None
         raise ValueError(f"round {t + 1}: adversary emitted ||g||={longest} > G={G}")
 
 
+def regret_curves(trace: Trace, comparators) -> np.ndarray:
+    """Regret_t(u) = L_t + <theta_t, u> for each comparator u (row k of the
+    (K, T) result) at each round t: L = cumsum(losses), plus one
+    matrix-vector product theta @ u per comparator, so a row's bits depend on
+    its own comparator alone (one (K, d) matrix product would round a row
+    differently by K).  A zero u gets L_t exactly, also where theta is not
+    finite (0 * inf would be nan)."""
+    us = _comparator_rows(trace, comparators)
+    spent = np.cumsum(trace.losses)
+    out = np.empty((len(us), trace.n_rounds))
+    for row, u in zip(out, us):
+        if u.any():
+            np.add(spent, trace.theta @ u, out=row)
+        else:
+            row[:] = spent
+    return out
+
+
+def _comparator_rows(trace: Trace, comparators) -> np.ndarray:
+    """comparators as a (K, d) float64 array, d the trace's dim, else DimensionMismatchError."""
+    us = np.asarray(comparators, dtype=np.float64)
+    if us.shape == (0,):  # no comparators
+        us = us.reshape(0, trace.config.dim)
+    if us.ndim != 2 or us.shape[1] != trace.config.dim:
+        raise DimensionMismatchError(f"comparators of shape {us.shape}, expected (K, {trace.config.dim})")
+    return us
+
+
 def regret(trace: Trace, u) -> float:
-    """sum_t <g_t, w_t - u>, in one einsum over the rounds."""
+    """Regret_T(u): the last column of ``regret_curves``, 0.0 for no rounds."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (trace.config.dim,):
         raise DimensionMismatchError(f"comparator shape {u.shape}, expected ({trace.config.dim},)")
-    if trace.n_rounds == 0:
-        return 0.0
-    return float(np.einsum("td,td->", trace.g, trace.w - u[None, :]))
+    return float(regret_curves(trace, u[None])[0, -1]) if trace.n_rounds else 0.0
 
 
 def epsilon_ledger(trace: Trace, potential) -> np.ndarray:
@@ -331,15 +364,16 @@ def verify_bound(trace: Trace, strategy, comparators: Sequence[np.ndarray],
     at T, all comparators' envelopes in one ``regret_bound`` call; or, if
     given, against bounds, those envelopes already computed (every trace of a
     group shares its potential and T).  norms, if given, are the comparators'
-    ``linalg_norms``, computed once for the group."""
-    us = [np.asarray(u, dtype=np.float64) for u in comparators]
+    ``linalg_norms``, computed once for the group.  The regrets are the last
+    column of one ``regret_curves`` call."""
+    us = _comparator_rows(trace, comparators)
     if norms is None:
-        norms = linalg_norms(np.array(us).reshape(len(us), trace.config.dim)).tolist()
+        norms = linalg_norms(us).tolist()
     if bounds is None:
         bounds = regret_bound(strategy.potential, norms, max(trace.n_rounds, 1)).tolist()
+    actuals = regret_curves(trace, us)[:, -1].tolist() if trace.n_rounds else [0.0] * len(us)
     reports = []
-    for u, u_norm, bound in zip(us, norms, bounds):
-        actual = regret(trace, u)
+    for u, u_norm, bound, actual in zip(us, norms, bounds, actuals):
         slack = bound - actual
         if math.isfinite(bound):
             holds = bool(slack >= -BOUND_TOL * (1.0 + abs(bound)))

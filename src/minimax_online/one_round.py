@@ -363,12 +363,17 @@ def solve_scalar_grid(spec: OneRoundSpec) -> float:
     for the adversary scalar beta.  ||theta - g|| is ``line_distance`` when
     theta has one coordinate and ``plane_distance`` otherwise; accuracy ~1e-3
     relative or better on the families used here.  ||theta|| is exact where
-    its squares overflow; past sqrt(float64 max) at d >= 2, where
-    ``plane_distance`` squares it, ValueError.
+    its squares overflow.  At d >= 2, where ``plane_distance`` squares ||theta - g||,
+    at most ||theta|| + G, ValueError past sqrt(float64 max): one that names
+    ||theta|| where its square leaves float64, else one that names G.
     """
-    r = _theta_norm(spec.theta)
-    if spec.theta.size > 1 and not r * r < math.inf:
-        raise ValueError(f"||theta|| = {r:.6g} is past the grid oracle's range at d >= 2: plane_distance "
-                         f"needs ||theta||^2 finite, ||theta|| <= {math.sqrt(np.finfo(float).max):.6g}")
+    r, G = _theta_norm(spec.theta), spec.G
+    if spec.theta.size > 1 and not (r + G) * (r + G) < math.inf:
+        limit = math.sqrt(np.finfo(float).max)
+        if not r * r < math.inf:
+            raise ValueError(f"||theta|| = {r:.6g} is past the grid oracle's range at d >= 2: plane_distance "
+                             f"needs ||theta||^2 finite, ||theta|| <= {limit:.6g}")
+        raise ValueError(f"G = {G:.6g} is past the grid oracle's range at ||theta|| = {r:.6g}, d >= 2: "
+                         f"plane_distance needs (||theta|| + G)^2 finite, ||theta|| + G <= {limit:.6g}")
     xmap = line_distance if spec.theta.size == 1 else plane_distance
     return float(minmax_values(spec.h, xmap, [r], spec.G, 1001)[0])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -906,6 +907,15 @@ UNREADABLE_TRACES = {
 }
 
 
+def duality_regrets(trace, u) -> np.ndarray:
+    """Regret_t(u) at every round in the duality form, L_t + <theta_t, u>, one
+    theta @ u product (L_t alone where u = 0): the arithmetic of
+    ``engine.regret_curves``, which ``test_engine.py`` holds to the per-round
+    sums."""
+    spent = np.cumsum(trace.losses)
+    return spent + trace.theta @ u if u.any() else spent
+
+
 def reference_write_curves(trace_dir, path):
     """The row-by-row f-string writer whose bytes curves must match."""
     meta = json.loads((trace_dir / "sweep.json").read_text())
@@ -920,7 +930,7 @@ def reference_write_curves(trace_dir, path):
             trace = read_trace_json(trace_path)
             for u in comparators:
                 u_norm = float(np.linalg.norm(u))
-                cumulative = np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u[None, :])).tolist()
+                cumulative = duality_regrets(trace, u).tolist()
                 for t, r in zip(range(1, trace.n_rounds + 1), cumulative):
                     fh.write(f"{t},{run_id},{r!r},{regret_bound(potential, u_norm, t)!r},{u_norm!r}\n")
 
@@ -1016,6 +1026,22 @@ class TestCurvesCommand:
         reference_write_curves(out, tmp_path / "ref.csv")
         assert stale == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("spec", [ROOT / "scripts" / "specs" / "adaptive_sweep.yaml",
+                                      ROOT / "perfbench" / "specs" / "sweep_wide_curves.yaml"],
+                             ids=["adaptive", "wide"])
+    def test_each_curve_ends_at_its_summary_regret_bit_for_bit(self, tmp_path, spec):
+        # one regret arithmetic: the row at t = T of each (run, comparator) is summary.csv's regret, as text
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--format", "json", "--out", str(out)]) == EXIT_OK
+        assert main(["curves", str(out)]) == EXIT_OK
+        rounds = json.loads((out / "sweep.json").read_text())["rounds"]
+        finals = [(row["run_id"], row["regret_u"]) for row in csv.DictReader((out / "curves.csv").open())
+                  if int(row["t"]) == rounds]
+        summary = sorted(((row["run_id"], row["regret"]) for row in csv.DictReader((out / "summary.csv").open())),
+                         key=lambda row: row[0])  # curves walks the runs sorted, each run's comparators in order
+        assert len(finals) == len(summary) > 0
+        assert finals == summary
+
     def test_huge_comparator_norms_stay_finite_in_run_and_curves(self, tmp_path):
         # np.linalg.norm's squares overflow past about 1.34e154: a norm-1e155 comparator read as
         # u_norm = inf, with a vacuous inf envelope, and numpy warned
@@ -1101,7 +1127,7 @@ rounds: 25
             for comp in spec.comparators:
                 u = comparator_vector(comp["norm"], comp["direction_seed"], spec.game.dim)
                 u_norm = float(np.linalg.norm(u))
-                regret_u = np.cumsum(np.einsum("td,td->t", trace.g, trace.w - u))
+                regret_u = duality_regrets(trace, u)
                 for t in range(1, trace.n_rounds + 1):
                     expected.append((t, run_id, float(regret_u[t - 1]),
                                      regret_bound(potential, u_norm, t), u_norm))
@@ -1237,6 +1263,29 @@ class TestJobCount:
         path, out = write_spec(tmp_path, MINIMAL_SPEC)
         assert main(["run", "--spec", str(path)]) == EXIT_OK
         assert (out / "summary.csv").exists()
+
+
+class TestExitFreeze:
+    """main on sys.argv, the process entry, freezes the heap once its command
+    has returned; main on an argument list leaves the collector alone."""
+
+    def test_an_argument_list_freezes_nothing(self, tmp_path):
+        path, out = write_spec(tmp_path, CURVES_SPEC)
+        frozen = gc.get_freeze_count()
+        assert main(["run", "--spec", str(path)]) == EXIT_OK
+        assert main(["curves", str(out)]) == EXIT_OK
+        assert main(["curves", str(tmp_path / "missing")]) == EXIT_CONFIG
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_process_entry_freezes_once_after_its_command(self, tmp_path, monkeypatch):
+        path, out = write_spec(tmp_path, CURVES_SPEC)
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append((out / "summary.csv").exists()))
+        monkeypatch.setattr(sys, "argv", ["minimax-online", "run", "--spec", str(path)])
+        assert main() == EXIT_OK
+        assert calls == [True]  # after the command wrote its files
+        monkeypatch.setattr(sys, "argv", ["minimax-online", "curves", str(tmp_path / "missing")])
+        assert main() == EXIT_CONFIG and calls == [True, True]
 
 
 def run_child(code, *args):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minimax_online import GameConfig, make_rng, norm, unit_direction
+from minimax_online import GameConfig, core, make_rng, norm, unit_direction
 from minimax_online.core import UnsupportedDimensionError, complement_rows, linalg_norms, row_norms
 
 # Orthogonality of sampled complement directions is checked at TOL_ORTHO.
@@ -55,6 +55,33 @@ def test_row_norms_past_the_float64_range_is_inf_without_a_warning():
         warnings.simplefilter("error", RuntimeWarning)
         got = row_norms(np.array([[1.7e308, 1.7e308], [3.0, 4.0]]))
     assert got.tolist() == [np.inf, 5.0]
+
+
+# a row of each norm kind: 0, below and above the safe range (whose squares underflow or overflow), inside, inf, nan
+NORM_KINDS = {"zero": [0.0, 0.0], "tiny": [1e-160, 0.0], "huge": [0.0, -1e160], "one": [0.6, 0.8],
+              "inf": [np.inf, 1.0], "nan": [1.0, np.nan]}
+
+
+@given(kinds=st.lists(st.sampled_from(sorted(NORM_KINDS)), min_size=1, max_size=120), blocks=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+@example(kinds=["nan", "huge"], blocks=1)  # Python's min of a list that starts with nan is nan
+@example(kinds=["one", "nan", "tiny"], blocks=1)
+@example(kinds=["one"] * 60 + ["huge"], blocks=1)
+def test_row_norms_range_check_is_the_same_on_both_sides_of_the_switch(kinds, blocks):
+    # the list scan (few norms) and numpy's reductions (many) send the same rows to the rescale, so
+    # both give each row's own norm, bit for bit, with no warning
+    a = np.tile(np.array([NORM_KINDS[k] for k in kinds]), (blocks, 1, 1))
+    got = {}
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error", RuntimeWarning)
+        for side, scan_max in (("list", a.size), ("reductions", 0)):
+            mp.setattr(core, "_LIST_SCAN_MAX", scan_max)
+            got[side] = row_norms(a)
+        alone = [row_norms(np.array(NORM_KINDS[k])) for k in kinds]
+    assert got["list"].tobytes() == got["reductions"].tobytes()
+    assert got["list"].tobytes() == np.tile(alone, (blocks, 1)).tobytes()
+    assert [str(n) for n in np.array(alone).tolist()] == [
+        {"zero": "0.0", "tiny": "1e-160", "huge": "1e+160", "one": "1.0", "inf": "inf", "nan": "nan"}[k] for k in kinds]
 
 
 def test_linalg_norms_is_linalg_norm_in_range_and_exact_outside():

@@ -35,6 +35,7 @@ from minimax_online import (
     norm,
     read_trace_json,
     regret,
+    regret_curves,
     run_column,
     run_game,
     run_games,
@@ -46,6 +47,7 @@ from minimax_online.core import (DimensionMismatchError, UnsupportedDimensionErr
                                  random_unit_vector, row_norms, unit_direction)
 from minimax_online.engine import (BOUND_TOL, SIDECAR_SUFFIX, _states, repr_spellings, trace_from_dict, trace_to_dict,
                                    write_repr_rows)
+from minimax_online.checks import envelope_players
 from minimax_online.oracles import BoundaryHitError, conjugate_numeric
 
 
@@ -431,6 +433,88 @@ class TestRunGames:
         with pytest.raises(OverflowError, match="round 2: the play left the float64 range"), \
                 np.errstate(over="ignore", invalid="ignore"):
             run_game(player, OrthogonalMinimax(G=1e308), GameConfig(dim=3, grad_bound=1e308, seed=0), 20)
+
+
+def reference_regret_curves(trace, comparators):
+    """Regret_t(u) by its definition: the per-round terms <g_s, w_s - u>,
+    summed over the rounds s <= t; and the size of those sums,
+    sum_{s<=t} sum_i |g_si (w_si - u_i)|.  Both (K, T)."""
+    terms = np.array([trace.g * (trace.w - u) for u in comparators]).reshape(len(comparators), *trace.g.shape)
+    return np.cumsum(terms.sum(axis=2), axis=1), np.cumsum(np.abs(terms).sum(axis=2), axis=1)
+
+
+@st.composite
+def played_games(draw):
+    """(trace, comparators): an envelope player's run against a drawn
+    gradient block (d in 1..4, T in 1..80, ||g_t|| <= 1), with the comparator
+    grid, u = 0 and comparators along theta_T."""
+    d, T = draw(st.integers(1, 4)), draw(st.integers(1, 80))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["gaussian", "coins", "sparse"]))
+    if kind == "coins":  # +-1 along one line
+        g = np.where(rng.random(T) < 0.5, -1.0, 1.0)[:, None] * random_unit_vector(rng, d)
+    else:
+        g = rng.standard_normal((T, d))
+        g *= (rng.uniform(0.0, 1.0, T) / np.maximum(np.linalg.norm(g, axis=1), 1e-300))[:, None]
+        if kind == "sparse":
+            g[rng.random(T) < 0.7] = 0.0
+    label, player = draw(st.sampled_from(envelope_players(T, 1.0)))
+    trace = run_games(player, ScriptedBlock(g[None]), [GameConfig(dim=d, grad_bound=1.0, horizon=T)], T)[0]
+    along = norm(trace.theta[-1])
+    comparators = comparator_grid(d, rng, directions=2) + [np.zeros(d)]
+    if along > 0.0:
+        comparators += [n * trace.theta[-1] / along for n in (0.5, 10.0)]
+    return trace, np.array(comparators)
+
+
+class ScriptedBlock:
+    """A play-blind adversary that answers with a given (R, T, d) block."""
+
+    tag = "scripted"
+
+    def __init__(self, block):
+        self.block = block
+
+    def gradient_block(self, rngs, rounds, dim):
+        return self.block
+
+
+class TestRegretCurves:
+    @settings(max_examples=60, deadline=None)
+    @given(game=played_games())
+    def test_the_duality_form_is_the_per_round_sum_to_rounding(self, game):
+        # L_t + <theta_t, u> against sum_{s<=t} <g_s, w_s - u>, within 1e-12 of the terms' size
+        trace, comparators = game
+        got = regret_curves(trace, comparators)
+        want, size = reference_regret_curves(trace, comparators)
+        assert got.shape == want.shape == (len(comparators), trace.n_rounds)
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+    @settings(max_examples=20, deadline=None)
+    @given(game=played_games())
+    def test_a_row_depends_on_its_own_comparator_alone(self, game):
+        # so regret(trace, u), a verify_bound report and a curves row at T are one value, bit for bit
+        trace, comparators = game
+        got = regret_curves(trace, comparators)
+        for k, u in enumerate(comparators):
+            assert got[k].tobytes() == regret_curves(trace, [u])[0].tobytes()
+            assert regret(trace, u) == got[k, -1]
+        reports = verify_bound(trace, envelope_players(trace.n_rounds, 1.0)[0][1], comparators)
+        assert [r.regret_actual for r in reports] == got[:, -1].tolist()
+
+    def test_a_zero_comparator_gets_the_cumulative_loss_exactly(self):
+        trace = small_trace(seed=3)
+        with np.errstate(invalid="raise"):
+            trace.theta[-1, 0] = np.inf  # 0 * inf would be nan
+            assert regret_curves(trace, [np.zeros(2)])[0].tolist() == np.cumsum(trace.losses).tolist()
+
+    def test_shapes(self):
+        trace = small_trace()
+        assert regret_curves(trace, []).shape == (0, trace.n_rounds)
+        assert regret_curves(trace, np.ones((3, 2))).shape == (3, trace.n_rounds)
+        for bad in (np.zeros(2), np.zeros((1, 3)), [np.zeros(0)]):
+            with pytest.raises(DimensionMismatchError):
+                regret_curves(trace, bad)
 
 
 class TestRegret:

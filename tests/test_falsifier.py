@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minimax_online import GameConfig, comparator_grid, make_rng, random_unit_vector, regret_bound, run_games
+from minimax_online import (GameConfig, comparator_grid, make_rng, random_unit_vector, regret_bound, regret_curves,
+                            run_games)
 from minimax_online.checks import envelope_players
 from minimax_online.core import row_norms
 
@@ -75,10 +76,8 @@ def test_every_envelope_holds_at_every_prefix_of_a_drawn_game(label, block):
     bounds = regret_bound(player.potential, norms[:, None], np.arange(1, T + 1))  # (comparators, T)
     configs = [GameConfig(dim=d, grad_bound=G, horizon=T, seed=k) for k in range(R)]
     for trace in run_games(player, DrawnBlock(block), configs, T):
-        spent = np.cumsum(trace.losses)
-        regrets = np.concatenate((spent[:, None] + trace.theta @ np.array(grid).T,
-                                  spent[:, None] + row_norms(trace.theta)[:, None] * np.array(ALONG_NORMS)),
-                                 axis=1).T
+        along = np.cumsum(trace.losses) + np.array(ALONG_NORMS)[:, None] * row_norms(trace.theta)
+        regrets = np.concatenate((regret_curves(trace, grid), along))  # (comparators, T)
         excess = np.divide(regrets - bounds, 1.0 + np.abs(bounds), where=np.isfinite(bounds),
                            out=np.full(bounds.shape, -np.inf))  # a VACUOUS (inf) envelope holds
         c, t = np.unravel_index(np.argmax(excess), excess.shape)

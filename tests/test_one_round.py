@@ -379,6 +379,15 @@ class TestHugeStates:
         with pytest.raises(ValueError, match=r"\|\|theta\|\| = 1(\.[0-9]+)?e\+(200|154) .* <= 1\.34078e\+154"):
             solve_scalar_grid(OneRoundSpec(h=np.abs, theta=np.array(theta), G=1.0))
 
+    def test_the_grid_oracle_names_a_huge_g_in_the_plane_and_solves_it_on_the_line(self):
+        # plane_distance squares ||theta - g||, up to ||theta|| + G: past float64 it returned inf, unwarned
+        with pytest.raises(ValueError, match=r"^G = 1e\+200 .* \|\|theta\|\| \+ G <= 1\.34078e\+154"):
+            solve_scalar_grid(OneRoundSpec(h=np.abs, theta=np.array([1.0, 0.0]), G=1e200))
+        with pytest.raises(ValueError, match=r"^G = 9e\+153 "):
+            solve_scalar_grid(OneRoundSpec(h=np.abs, theta=np.array([9e153, 0.0]), G=9e153))
+        assert solve_scalar_grid(OneRoundSpec(h=np.abs, theta=np.array([1.0]), G=1e200)) == 1e200
+        assert solve_scalar_grid(OneRoundSpec(h=np.abs, theta=np.array([1.0, 0.0]), G=1.3e154)) == 1.3e154
+
 
 class TestDimOneParallel:
     """The parallel closed form and the grid oracle hold at d = 1 for every convex h tested."""

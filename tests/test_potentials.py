@@ -426,7 +426,8 @@ class TestRegretBound:
         # against fixed_direction with u along theta_t; a horizon-t envelope drew 9.54 and 82,669
         trace = run_game(PotentialPlayer(pot), FixedDirection(G=1.0), GameConfig(2, 1.0, horizon=1000), 1000)
         u = u_norm * trace.theta[t - 1] / np.linalg.norm(trace.theta[t - 1])
-        prefix = dataclasses.replace(trace, w=trace.w[:t], g=trace.g[:t], losses=trace.losses[:t])
+        prefix = dataclasses.replace(trace, w=trace.w[:t], g=trace.g[:t], theta=trace.theta[:t],
+                                     losses=trace.losses[:t])
         assert regret(prefix, u) == pytest.approx(measured, rel=1e-6)
         assert regret_bound(pot, u_norm, t) == pytest.approx(envelope, rel=1e-6)
         assert regret(prefix, u) <= regret_bound(pot, u_norm, t)
