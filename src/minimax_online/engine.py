@@ -313,10 +313,8 @@ def _comparator_rows(trace: Trace, comparators) -> np.ndarray:
 
 def regret(trace: Trace, u) -> float:
     """Regret_T(u): the last column of ``regret_curves``, 0.0 for no rounds."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (trace.config.dim,):
-        raise DimensionMismatchError(f"comparator shape {u.shape}, expected ({trace.config.dim},)")
-    return float(regret_curves(trace, u[None])[0, -1]) if trace.n_rounds else 0.0
+    curve = regret_curves(trace, [u])[0]
+    return float(curve[-1]) if curve.size else 0.0
 
 
 def epsilon_ledger(trace: Trace, potential) -> np.ndarray:

@@ -43,11 +43,11 @@ from minimax_online import (
     write_trace_csv,
     write_trace_json,
 )
+from minimax_online.checks import envelope_players
 from minimax_online.core import (DimensionMismatchError, UnsupportedDimensionError, complement_rows,
                                  random_unit_vector, row_norms, unit_direction)
 from minimax_online.engine import (BOUND_TOL, SIDECAR_SUFFIX, _states, repr_spellings, trace_from_dict, trace_to_dict,
                                    write_repr_rows)
-from minimax_online.checks import envelope_players
 from minimax_online.oracles import BoundaryHitError, conjugate_numeric
 
 
@@ -458,7 +458,7 @@ def played_games(draw):
         g *= (rng.uniform(0.0, 1.0, T) / np.maximum(np.linalg.norm(g, axis=1), 1e-300))[:, None]
         if kind == "sparse":
             g[rng.random(T) < 0.7] = 0.0
-    label, player = draw(st.sampled_from(envelope_players(T, 1.0)))
+    _, player = draw(st.sampled_from(envelope_players(T, 1.0)))
     trace = run_games(player, ScriptedBlock(g[None]), [GameConfig(dim=d, grad_bound=1.0, horizon=T)], T)[0]
     along = norm(trace.theta[-1])
     comparators = comparator_grid(d, rng, directions=2) + [np.zeros(d)]
